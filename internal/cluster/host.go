@@ -285,11 +285,11 @@ func GroupDir(dataDir string, group uint64) string {
 
 // MigrateSingleGroupDir upgrades a pre-multi-group data directory in
 // place: storage files written by a single-group deployment at the top
-// level (segmented WAL, snapshots, hard state, compaction watermark, and
-// the even older single-file WAL) move into group-0/, where the host's
-// group 0 — which owns the whole key space under any group count of 1 —
-// reopens them. Idempotent: a directory already in group layout (or
-// empty) is untouched, and a partially moved directory finishes moving.
+// level (segmented WAL, snapshots, hard state, compaction watermark) move
+// into group-0/, where the host's group 0 — which owns the whole key space
+// under any group count of 1 — reopens them. Idempotent: a directory
+// already in group layout (or empty) is untouched, and a partially moved
+// directory finishes moving.
 // No data is deleted, only renamed within the same directory tree.
 func MigrateSingleGroupDir(dataDir string) error {
 	entries, err := os.ReadDir(dataDir)
@@ -306,7 +306,7 @@ func MigrateSingleGroupDir(dataDir string) error {
 		}
 		name := e.Name()
 		switch {
-		case name == "wal", name == "hardstate", name == "compact",
+		case name == "hardstate", name == "compact",
 			strings.HasPrefix(name, "wal-"), strings.HasPrefix(name, "snapshot-"):
 			legacy = append(legacy, name)
 		}

@@ -274,39 +274,35 @@ func TestSnapshotPruning(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration opens a directory written by the pre-segmentation
-// format (a single file named "wal") and expects it adopted as segment 1.
-func TestLegacyWALMigration(t *testing.T) {
+// TestCompactedOverwriteNotResurrected: entries 51..66 are erased by an
+// overwrite at 50, then compaction reaches 50. The erased records still
+// sit in a segment that survives (its maxIndex is 66), so the overwrite's
+// own segment must survive with it and replay must honour it even though
+// its index is now at the compaction base — otherwise a restart brings
+// 51..66 back. (Found by TestFilePowerLoss.)
+func TestCompactedOverwriteNotResurrected(t *testing.T) {
 	dir := t.TempDir()
-	s, err := storage.OpenFile(dir)
-	if err != nil {
+	s := smallSeg(t, dir)
+	appendN(t, s, 1, 66)
+	over := entry(50, 2, "over")
+	over.Cmd.Value = make([]byte, 1200) // fills its segment: sealed at once
+	if err := s.Append([]protocol.Entry{over}); err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, s, 1, 5)
+	if err := s.SaveSnapshot(storage.Snapshot{Index: 50, Term: 2, State: []byte("state@50")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(50); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
-	// Rewind to the legacy layout: one file called "wal".
-	segs := segmentFiles(t, dir)
-	if len(segs) != 1 {
-		t.Fatalf("fresh store wrote %d segments, want 1", len(segs))
-	}
-	if err := os.Rename(segs[0], filepath.Join(dir, "wal")); err != nil {
-		t.Fatal(err)
-	}
 
-	re, err := storage.OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := smallSeg(t, dir)
 	defer re.Close()
+	first, _ := re.FirstIndex()
 	last, _ := re.LastIndex()
-	if last != 5 {
-		t.Fatalf("migrated last = %d, want 5", last)
-	}
-	if segs := segmentFiles(t, dir); len(segs) != 1 {
-		t.Fatalf("migration left %v", segs)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "wal")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("legacy wal file still present after migration")
+	if first != 51 || last != 50 {
+		t.Fatalf("recovered range [%d, %d], want the empty [51, 50]", first, last)
 	}
 }
 

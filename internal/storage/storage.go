@@ -4,16 +4,21 @@
 // in-memory and file-backed implementations.
 //
 // The file backend writes a segmented WAL — length-and-checksum-framed
-// entry records in fixed-size segment files rotated at a byte threshold —
-// and group-commits each Append batch with a single buffered flush +
-// fsync. Snapshots are CRC-framed files written atomically (tmp + rename +
-// directory fsync); Compact deletes whole WAL segments whose records all
-// fall at or below the snapshot, so disk usage tracks the uncompacted tail
-// instead of all history and restart replays only that tail.
+// entry records in preallocated, zero-filled segment files rotated at a
+// byte threshold — and group-commits each Append batch with a single
+// buffered flush + fdatasync; because the bytes land in extents that are
+// already written, a steady-state sync changes no filesystem metadata. The
+// log ends at the first frame that is empty, fails its checksum or
+// overruns the file. Snapshots are CRC-framed files written atomically
+// (tmp + rename + directory fsync); Compact deletes whole WAL segments
+// whose records all fall at or below the snapshot, so disk usage tracks the
+// uncompacted tail instead of all history and restart replays only that
+// tail.
 package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,6 +31,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/wire"
@@ -332,7 +338,8 @@ type Options struct {
 	// SegmentBytes rotates the active WAL segment once it exceeds this
 	// many bytes (0 = DefaultSegmentBytes). Compaction deletes whole
 	// segments, so a smaller threshold reclaims space at a finer grain for
-	// more files.
+	// more files. Segments are preallocated at this length plus an eighth,
+	// the slack absorbing the batch that crosses the threshold.
 	SegmentBytes int64
 }
 
@@ -343,16 +350,25 @@ type segment struct {
 	// maxIndex is the highest entry index recorded in the segment: the
 	// whole file is dead once a snapshot covers it.
 	maxIndex int64
-	size     int64
+	// size is the logical length — the offset after the last good frame —
+	// not the preallocated file length.
+	size int64
+}
+
+// prepared is the background preparer's hand-off: the next segment, zero-
+// filled and synced under a temp name, or why it could not be made.
+type prepared struct {
+	file *os.File
+	err  error
 }
 
 // File is the file-backed Store: a hard-state file rewritten atomically, a
 // segmented WAL of framed, checksummed entry records, and atomically
 // written snapshot files. Appends are group committed: a whole batch is
-// staged through one buffered writer and made durable with a single fsync,
-// so the per-entry sync cost amortizes across however many entries the
-// driver drained into the batch. Compact deletes whole segments below the
-// latest snapshot, keeping disk usage proportional to the tail.
+// staged through one buffered writer and made durable with a single
+// fdatasync, so the per-entry sync cost amortizes across however many
+// entries the driver drained into the batch. Compact deletes whole segments
+// below the latest snapshot, keeping disk usage proportional to the tail.
 type File struct {
 	mu      sync.Mutex
 	dir     string
@@ -370,9 +386,16 @@ type File struct {
 	hasSnap  bool
 	scratch  []byte // per-Append frame-encoding buffer, reused (under mu)
 
+	// next carries the one segment the background preparer keeps ready;
+	// rotation takes it and starts the next preparation. Buffered for the
+	// preparer's single send, so an abandoned store leaks no goroutine.
+	next chan prepared
+	stop chan struct{} // closed by Close: an in-flight preparation gives up
+
 	syncs     atomic.Uint64
 	appends   atomic.Uint64
 	entriesUp atomic.Uint64
+	segWait   atomic.Int64
 }
 
 var (
@@ -383,8 +406,8 @@ var (
 const (
 	hsFile     = "hardstate"
 	cmpFile    = "compact" // compaction watermark: base index + base term
-	legacyWAL  = "wal"     // pre-segmentation single-file WAL, migrated on open
 	segPrefix  = "wal-"
+	prepGlob   = "prealloc-*.tmp" // a segment being prepared, renamed in at rotation
 	snapPrefix = "snapshot-"
 	// keepSnapshots is how many snapshot files survive a save: the newest
 	// plus one fallback, so a crash that tears the newest mid-write still
@@ -418,14 +441,11 @@ func OpenFileWith(dir string, opt Options) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: mkdir: %w", err)
 	}
-	f := &File{dir: dir, segSize: opt.SegmentBytes}
+	f := &File{dir: dir, segSize: opt.SegmentBytes, next: make(chan prepared, 1), stop: make(chan struct{})}
 	if f.segSize <= 0 {
 		f.segSize = DefaultSegmentBytes
 	}
 	if err := f.loadHardState(); err != nil {
-		return nil, err
-	}
-	if err := f.migrateLegacyWAL(); err != nil {
 		return nil, err
 	}
 	if err := f.loadCompactionBase(); err != nil {
@@ -434,28 +454,15 @@ func OpenFileWith(dir string, opt Options) (*File, error) {
 	if err := f.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if err := f.replay(); err != nil {
+	tailZero, err := f.replay()
+	if err != nil {
 		return nil, err
 	}
-	if err := f.openActive(); err != nil {
+	if err := f.openActive(tailZero); err != nil {
 		return nil, err
 	}
+	go f.prepareNext()
 	return f, nil
-}
-
-// migrateLegacyWAL adopts a pre-segmentation single-file WAL as the first
-// segment so old data directories keep working.
-func (f *File) migrateLegacyWAL() error {
-	old := filepath.Join(f.dir, legacyWAL)
-	if _, err := os.Stat(old); errors.Is(err, os.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("storage: stat legacy wal: %w", err)
-	}
-	if err := os.Rename(old, filepath.Join(f.dir, segName(1))); err != nil {
-		return fmt.Errorf("storage: migrate legacy wal: %w", err)
-	}
-	return syncDir(f.dir)
 }
 
 func (f *File) loadHardState() error {
@@ -725,11 +732,16 @@ func (f *File) LatestSnapshot() (Snapshot, bool, error) {
 
 // replay scans every WAL segment in sequence order, rebuilding the entry
 // cache (records at or below the snapshot base are skipped — the snapshot
-// already covers them) and each segment's maxIndex for compaction.
-func (f *File) replay() error {
+// already covers them) and each segment's maxIndex for compaction. A
+// segment's log ends at the first frame whose length is 0 (the
+// preallocated zeros, or a tail the filesystem zero-filled after power
+// loss), whose checksum fails, or that overruns the file. tailZero reports
+// whether every byte past that point in the newest segment is zero, i.e.
+// whether openActive may append there without scrubbing first.
+func (f *File) replay() (tailZero bool, err error) {
 	names, err := filepath.Glob(filepath.Join(f.dir, segPrefix+"*"))
 	if err != nil {
-		return fmt.Errorf("storage: list segments: %w", err)
+		return false, fmt.Errorf("storage: list segments: %w", err)
 	}
 	sort.Strings(names) // zero-padded seq: ascending
 	for _, name := range names {
@@ -739,23 +751,23 @@ func (f *File) replay() error {
 		}
 		raw, err := os.ReadFile(name)
 		if err != nil {
-			return fmt.Errorf("storage: read segment: %w", err)
+			return false, fmt.Errorf("storage: read segment: %w", err)
 		}
-		seg := segment{seq: seq, path: name, size: int64(len(raw))}
-		good := 0
-		for off := 0; off+8 <= len(raw); {
+		seg := segment{seq: seq, path: name}
+		off := 0
+		for off+8 <= len(raw) {
 			size := int(binary.BigEndian.Uint32(raw[off : off+4]))
 			sum := binary.BigEndian.Uint32(raw[off+4 : off+8])
-			if off+8+size > len(raw) {
-				break // torn tail from a crash: discard
+			if size == 0 || off+8+size > len(raw) {
+				break
 			}
 			body := raw[off+8 : off+8+size]
 			if crc32.ChecksumIEEE(body) != sum {
-				break // corruption: stop at last good record
+				break
 			}
 			ent, err := decodeEntry(body)
 			if err != nil {
-				return err
+				return false, err
 			}
 			if ent.Index > seg.maxIndex {
 				seg.maxIndex = ent.Index
@@ -773,68 +785,178 @@ func (f *File) replay() error {
 			}
 			f.applyToCache(ent)
 			off += 8 + size
-			good = off
 		}
-		seg.size = int64(good) // a torn tail is overwritten by the next append
+		seg.size = int64(off)
+		tailZero = allZero(raw[off:])
 		f.segs = append(f.segs, seg)
+	}
+	return tailZero, nil
+}
+
+// zeros is the source for zero-fills and the reference for allZero.
+var zeros [1 << 20]byte
+
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeros))
+		if !bytes.Equal(b[:n], zeros[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// zeroFill writes zeros over [from, to) of file so the range is backed by
+// written extents: overwrites there allocate and convert nothing, which
+// keeps a WAL sync off the filesystem journal (fallocate alone leaves
+// unwritten extents whose conversion still journals). A closed stop
+// abandons the fill.
+func zeroFill(file *os.File, from, to int64, stop <-chan struct{}) error {
+	for from < to {
+		select {
+		case <-stop:
+			return errors.New("storage: store closed")
+		default:
+		}
+		n, err := file.WriteAt(zeros[:min(to-from, int64(len(zeros)))], from)
+		if err != nil {
+			return fmt.Errorf("storage: zero-fill segment: %w", err)
+		}
+		from += int64(n)
 	}
 	return nil
 }
 
-// openActive opens the newest segment for appending (creating the first
-// segment on a fresh store). A torn tail found during replay is truncated
-// away so new records land on a clean frame boundary.
-func (f *File) openActive() error {
+// preLen is the length segments are created at: the rotation threshold
+// plus slack for the batch that crosses it (a batch that overshoots even
+// that just grows the file on that one sync).
+func (f *File) preLen() int64 { return f.segSize + f.segSize/8 }
+
+// newSegmentFile creates a full-length, zero-filled, durable segment file
+// under a temp name; installSegmentLocked renames it into the sequence.
+func (f *File) newSegmentFile() (*os.File, error) {
+	file, err := os.CreateTemp(f.dir, prepGlob)
+	if err != nil {
+		return nil, fmt.Errorf("storage: create wal segment: %w", err)
+	}
+	err = preallocate(file, f.preLen())
+	if err == nil {
+		err = zeroFill(file, 0, f.preLen(), f.stop)
+	}
+	if err == nil {
+		err = fdatasync(file)
+	}
+	if err != nil {
+		file.Close()
+		os.Remove(file.Name())
+		return nil, err
+	}
+	return file, nil
+}
+
+// prepareNext is the background preparer: it builds one next segment off
+// the persister's path (zero-filling 9 MB takes tens of milliseconds) and
+// parks it in f.next. It runs once per open and once per rotation, never
+// concurrently with itself, and takes no lock.
+func (f *File) prepareNext() {
+	file, err := f.newSegmentFile()
+	f.next <- prepared{file, err}
+}
+
+// openActive opens the newest segment for writing at its logical end
+// (creating the first segment of a fresh store — the one segment built
+// synchronously). Unless the bytes past the good prefix are already zero
+// at full preallocated length, they are zeroed and synced before the first
+// append: an intact stale frame sitting behind a torn one could otherwise
+// be stitched back onto the log by a new frame of the torn one's length.
+func (f *File) openActive(tailZero bool) error {
+	stale, _ := filepath.Glob(filepath.Join(f.dir, prepGlob))
+	for _, name := range stale {
+		os.Remove(name) // a previous process's unfinished preparation
+	}
 	if len(f.segs) == 0 {
-		return f.addSegmentLocked(1)
+		file, err := f.newSegmentFile()
+		if err != nil {
+			return err
+		}
+		return f.installSegmentLocked(1, file)
 	}
 	act := &f.segs[len(f.segs)-1]
-	if info, err := os.Stat(act.path); err == nil && info.Size() > act.size {
-		if err := os.Truncate(act.path, act.size); err != nil {
-			return fmt.Errorf("storage: trim torn tail: %w", err)
-		}
-	}
-	wal, err := os.OpenFile(act.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := os.OpenFile(act.path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: open wal segment: %w", err)
 	}
+	info, err := wal.Stat()
+	if err == nil && (!tailZero || info.Size() < f.preLen()) {
+		if err = zeroFill(wal, act.size, max(info.Size(), f.preLen()), nil); err == nil {
+			err = fdatasync(wal)
+		}
+	}
+	if err == nil {
+		_, err = wal.Seek(act.size, io.SeekStart)
+	}
+	if err != nil {
+		wal.Close()
+		return fmt.Errorf("storage: scrub wal tail: %w", err)
+	}
 	f.wal = wal
 	f.w = bufio.NewWriterSize(wal, 256<<10)
 	return nil
 }
 
-// addSegmentLocked creates segment seq, fsyncs the directory so the new
-// file's dirent is durable, and makes it the active write target.
-func (f *File) addSegmentLocked(seq uint64) error {
+// installSegmentLocked renames a prepared file in as segment seq, fsyncs
+// the directory so the dirent is durable, and makes it the active write
+// target.
+func (f *File) installSegmentLocked(seq uint64, file *os.File) error {
 	path := filepath.Join(f.dir, segName(seq))
-	wal, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: create wal segment: %w", err)
+	err := os.Rename(file.Name(), path)
+	if err == nil {
+		err = syncDir(f.dir)
 	}
-	if err := syncDir(f.dir); err != nil {
-		wal.Close()
-		return fmt.Errorf("storage: sync dir: %w", err)
+	if err != nil {
+		file.Close()
+		return fmt.Errorf("storage: install wal segment: %w", err)
 	}
 	f.segs = append(f.segs, segment{seq: seq, path: path})
-	f.wal = wal
-	f.w = bufio.NewWriterSize(wal, 256<<10)
+	f.wal = file
+	f.w = bufio.NewWriterSize(file, 256<<10)
 	return nil
 }
 
-// rotateLocked seals the active segment and starts a new one. The caller
-// has already flushed and fsynced the active file.
+// rotateLocked seals the active segment and makes the prepared one active.
+// The caller has already flushed and synced the active file. Waiting on
+// the preparer under mu is deliberate — appends cannot proceed without a
+// segment — and normally free: the next segment has been ready since the
+// previous rotation. SegmentWaitNs counts the times it was not.
 func (f *File) rotateLocked() error {
+	start := time.Now()
+	p := <-f.next
+	f.segWait.Add(int64(time.Since(start)))
+	go f.prepareNext()
+	if p.err != nil {
+		return p.err
+	}
+	act := f.segs[len(f.segs)-1]
+	// Hand the unused preallocation back. Best effort: replay reads the
+	// segment the same at either length.
+	_ = f.wal.Truncate(act.size)
 	if err := f.wal.Close(); err != nil {
+		p.file.Close()
+		os.Remove(p.file.Name())
 		return fmt.Errorf("storage: close segment: %w", err)
 	}
-	return f.addSegmentLocked(f.segs[len(f.segs)-1].seq + 1)
+	return f.installSegmentLocked(act.seq+1, p.file)
 }
 
 func (f *File) applyToCache(e protocol.Entry) {
 	rel := e.Index - f.base
 	switch {
 	case rel <= 0:
-		// Covered by the snapshot: the record predates compaction.
+		// Covered by the snapshot. Only replay gets here (append refuses
+		// such an index), and there a covered record that follows
+		// uncovered ones is an overwrite that erased them.
+		f.cached = f.cached[:0]
 	case rel <= int64(len(f.cached)):
 		f.cached[rel-1] = e
 		f.cached = f.cached[:rel] // records overwrite the suffix
@@ -944,13 +1066,13 @@ func (f *File) SyncBatch(hs HardState, save bool) error {
 
 var _ GroupSync = (*File)(nil)
 
-// syncLocked flushes the write buffer, fsyncs the active segment, and
+// syncLocked flushes the write buffer, fdatasyncs the active segment, and
 // performs any rotation that was deferred while appends were buffered.
 func (f *File) syncLocked() error {
 	if err := f.w.Flush(); err != nil {
 		return fmt.Errorf("storage: flush wal: %w", err)
 	}
-	if err := f.wal.Sync(); err != nil {
+	if err := fdatasync(f.wal); err != nil {
 		return fmt.Errorf("storage: sync wal: %w", err)
 	}
 	f.syncs.Add(1)
@@ -964,8 +1086,8 @@ func (f *File) syncLocked() error {
 }
 
 // Compact implements SnapshotStore: drop the in-memory prefix at or below
-// through and delete every sealed segment whose records all fall at or
-// below it. The active segment always survives.
+// through and delete the leading sealed segments whose records all fall at
+// or below it. The active segment always survives.
 func (f *File) Compact(through int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -981,9 +1103,9 @@ func (f *File) Compact(through int64) error {
 // compactToLocked is the shared tail of Compact and InstallSnapshot: it
 // durably records the new watermark before anything is dropped, trims the
 // entry cache to whatever survives above base (which may be nothing when
-// base jumped past the log end), and deletes every sealed segment the
-// watermark covers, fsyncing the directory after removals. The caller has
-// verified base > f.base.
+// base jumped past the log end), and deletes the leading sealed segments
+// the watermark covers, fsyncing the directory after removals. The caller
+// has verified base > f.base.
 func (f *File) compactToLocked(base int64, term uint64) error {
 	if err := f.saveCompactionBaseLocked(base, term); err != nil {
 		return err
@@ -996,24 +1118,21 @@ func (f *File) compactToLocked(base int64, term uint64) error {
 	f.base = base
 	f.baseTerm = term
 
-	kept := f.segs[:0]
-	removed := false
-	for i := range f.segs {
-		seg := f.segs[i]
-		if i < len(f.segs)-1 && seg.maxIndex <= base {
-			if err := os.Remove(seg.path); err != nil {
-				return fmt.Errorf("storage: remove segment: %w", err)
-			}
-			removed = true
-			continue
+	// Only a covered prefix of the sequence goes: a covered segment behind
+	// a surviving one may hold the overwrite that erased part of it.
+	drop := 0
+	for drop < len(f.segs)-1 && f.segs[drop].maxIndex <= base {
+		if err := os.Remove(f.segs[drop].path); err != nil {
+			return fmt.Errorf("storage: remove segment: %w", err)
 		}
-		kept = append(kept, seg)
+		drop++
 	}
-	f.segs = kept
-	if removed {
-		if err := syncDir(f.dir); err != nil {
-			return fmt.Errorf("storage: sync dir: %w", err)
-		}
+	if drop == 0 {
+		return nil
+	}
+	f.segs = append(f.segs[:0], f.segs[drop:]...)
+	if err := syncDir(f.dir); err != nil {
+		return fmt.Errorf("storage: sync dir: %w", err)
 	}
 	return nil
 }
@@ -1035,6 +1154,11 @@ func (f *File) InstallSnapshot(snap Snapshot) error {
 	}
 	return f.compactToLocked(snap.Index, snap.Term)
 }
+
+// SegmentWaitNs returns the nanoseconds rotations have spent waiting for
+// the background preparer since open: ~0 while it keeps up, growing when
+// segments fill faster than the next one can be zero-filled.
+func (f *File) SegmentWaitNs() int64 { return f.segWait.Load() }
 
 // SyncCount returns the number of WAL fsyncs since open. Under group
 // commit it grows by one per Append batch, not per entry — dividing it by
@@ -1061,8 +1185,9 @@ func (f *File) SegmentCount() int {
 	return len(f.segs)
 }
 
-// WALBytes returns the total bytes across live WAL segments — the number
-// compaction is there to bound.
+// WALBytes returns the total logical bytes (frames written, not
+// preallocated length) across live WAL segments — the number compaction is
+// there to bound.
 func (f *File) WALBytes() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1102,18 +1227,25 @@ func (f *File) LastIndex() (int64, error) {
 	return f.base + int64(len(f.cached)), nil
 }
 
-// Close implements Store.
+// Close implements Store. It also retires the background preparer and
+// deletes the segment it had ready.
 func (f *File) Close() error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.wal == nil {
+		f.mu.Unlock()
 		return nil
 	}
 	ferr := f.w.Flush()
 	err := f.wal.Close()
 	f.wal = nil
+	f.mu.Unlock()
 	if err == nil {
 		err = ferr
+	}
+	close(f.stop)
+	if p := <-f.next; p.file != nil {
+		p.file.Close()
+		os.Remove(p.file.Name())
 	}
 	return err
 }
@@ -1132,7 +1264,7 @@ func (f *File) CopyTo(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, err = io.Copy(w, src)
+		_, err = io.Copy(w, io.LimitReader(src, seg.size)) // frames only, not the zero tail
 		src.Close()
 		if err != nil {
 			return err

@@ -1,10 +1,12 @@
 package storage_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/storage"
@@ -19,6 +21,40 @@ func activeSegment(t *testing.T, dir string) string {
 	}
 	sort.Strings(names)
 	return names[len(names)-1]
+}
+
+// frameOffsets walks path's frames by their length headers and returns
+// where each starts, plus — last — the logical tail: the offset after the
+// final frame, where the preallocated zeros begin.
+func frameOffsets(t *testing.T, path string) []int64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := []int64{0}
+	for off := 0; off+8 <= len(raw); {
+		size := int(binary.BigEndian.Uint32(raw[off : off+4]))
+		if size == 0 || off+8+size > len(raw) {
+			break
+		}
+		off += 8 + size
+		offs = append(offs, int64(off))
+	}
+	return offs
+}
+
+// patchFile overwrites len(b) bytes of path at off.
+func patchFile(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func entry(i int64, term uint64, key string) protocol.Entry {
@@ -132,16 +168,11 @@ func TestFileStoreTornTail(t *testing.T) {
 		}
 	}
 	s.Close()
-	// Simulate a crash mid-write: append garbage to the active segment.
+	// Simulate a crash mid-write: a header promising 50 bytes and three of
+	// them, at the logical tail of the active segment.
 	wal := activeSegment(t, dir)
-	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0, 0, 0, 50, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	offs := frameOffsets(t, wal)
+	patchFile(t, wal, offs[len(offs)-1], []byte{0, 0, 0, 50, 1, 2, 3})
 
 	re, err := storage.OpenFile(dir)
 	if err != nil {
@@ -154,7 +185,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 }
 
-// TestFileStoreTornMidFrame cuts the WAL mid-record — the torn final
+// TestFileStoreTornMidFrame tears the WAL mid-record — the torn final
 // frame must be dropped on reopen without losing any earlier entry.
 func TestFileStoreTornMidFrame(t *testing.T) {
 	dir := t.TempDir()
@@ -169,15 +200,11 @@ func TestFileStoreTornMidFrame(t *testing.T) {
 	}
 	s.Close()
 	wal := activeSegment(t, dir)
-	info, err := os.Stat(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chop into the last record's body: the frame header survives but the
-	// payload is incomplete, exactly what a crash mid-write leaves behind.
-	if err := os.Truncate(wal, info.Size()-10); err != nil {
-		t.Fatal(err)
-	}
+	offs := frameOffsets(t, wal)
+	// The last record's final sector never landed: its header survives but
+	// the end of the payload is still the preallocated zeros, exactly what
+	// a crash mid-write leaves behind.
+	patchFile(t, wal, offs[len(offs)-1]-10, make([]byte, 10))
 
 	re, err := storage.OpenFile(dir)
 	if err != nil {
@@ -219,10 +246,9 @@ func TestFileStoreBadCRCTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-1] ^= 0xff // corrupt the last record's body
-	if err := os.WriteFile(wal, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	offs := frameOffsets(t, wal)
+	end := offs[len(offs)-1] - 1 // final byte of the last record's body
+	patchFile(t, wal, end, []byte{raw[end] ^ 0xff})
 
 	re, err := storage.OpenFile(dir)
 	if err != nil {
@@ -232,6 +258,109 @@ func TestFileStoreBadCRCTail(t *testing.T) {
 	last, _ := re.LastIndex()
 	if last != 2 {
 		t.Fatalf("bad-CRC record not dropped: last = %d, want 2", last)
+	}
+}
+
+// TestFileStoreZeroTail: a zero-filled tail — this store's own
+// preallocation, or what ext4/XFS delayed allocation leaves after power
+// loss — is end-of-log, not a corrupt record. (A length-0 frame has
+// CRC32("") = 0, so it passes the checksum and only then fails to decode.)
+func TestFileStoreZeroTail(t *testing.T) {
+	dir := t.TempDir()
+	s, err := storage.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append([]protocol.Entry{entry(1, 1, "k")}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	f, err := os.OpenFile(activeSegment(t, dir), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	re, err := storage.OpenFile(dir)
+	if err != nil {
+		t.Fatalf("reopen over a zero tail: %v", err)
+	}
+	defer re.Close()
+	if last, _ := re.LastIndex(); last != 1 {
+		t.Fatalf("last = %d, want 1", last)
+	}
+	if err := re.Append([]protocol.Entry{entry(2, 1, "k")}); err != nil {
+		t.Fatalf("append after a zero tail: %v", err)
+	}
+}
+
+// TestFileStoreStaleFrameNotResurrected: frame 5 is torn but frame 6
+// behind it is intact. Reopen must scrub 6 before the first append, or a
+// new entry 5 of the old one's encoded length would sit flush against it
+// and the next replay would stitch the stale 6 back onto the log.
+func TestFileStoreStaleFrameNotResurrected(t *testing.T) {
+	dir := t.TempDir()
+	s, err := storage.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 6; i++ {
+		if err := s.Append([]protocol.Entry{entry(i, 1, "k")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	wal := activeSegment(t, dir)
+	offs := frameOffsets(t, wal) // offs[4] starts frame 5, offs[5] frame 6
+	patchFile(t, wal, offs[4], make([]byte, offs[5]-offs[4]))
+
+	re, err := storage.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := re.LastIndex(); last != 4 {
+		t.Fatalf("after tearing frame 5: last = %d, want 4", last)
+	}
+	if err := re.Append([]protocol.Entry{entry(5, 2, "K")}); err != nil { // same encoded length as the old 5
+		t.Fatal(err)
+	}
+	re.Close()
+	if got := frameOffsets(t, wal); got[5] != offs[5] {
+		t.Fatalf("new frame 5 ends at %d, old one at %d: the test no longer lines them up", got[5], offs[5])
+	}
+
+	re2, err := storage.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	if last, _ := re2.LastIndex(); last != 5 {
+		t.Fatalf("stale frame 6 resurrected: last = %d, want 5", last)
+	}
+	if ents, err := re2.Entries(5, 5); err != nil || ents[0].Term != 2 || ents[0].Cmd.Key != "K" {
+		t.Fatalf("entry 5 = %+v, %v", ents, err)
+	}
+}
+
+// TestFileStoreRotationNeverWaits: with segments that take a few dozen
+// syncs to fill, the background preparer always has the next one ready, so
+// rotation — on the persister's path — never waits for a zero-fill.
+func TestFileStoreRotationNeverWaits(t *testing.T) {
+	s := smallSeg(t, t.TempDir())
+	defer s.Close()
+	start := time.Now()
+	appendN(t, s, 1, 2000)
+	elapsed := time.Since(start)
+	if n := s.SegmentCount(); n < 20 {
+		t.Fatalf("segments = %d, want a rotation-heavy run (>= 20)", n)
+	}
+	wait := time.Duration(s.SegmentWaitNs())
+	t.Logf("%d segments in %v, %v of it waiting for the preparer", s.SegmentCount(), elapsed, wait)
+	if wait > elapsed/20 {
+		t.Fatalf("rotation waited %v of a %v run for the preparer", wait, elapsed)
 	}
 }
 
