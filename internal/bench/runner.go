@@ -394,7 +394,7 @@ func buildEngine(sc Scenario, id protocol.NodeID, peers []protocol.NodeID) proto
 
 	switch sc.Protocol {
 	case Raft:
-		return raft.New(raft.Config{
+		return raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: electionTicks,
 			HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive,
 			FastPath: sc.FastPath,

@@ -666,7 +666,7 @@ func TestWipedNodeRejoinsRaftStar(t *testing.T) {
 
 func TestWipedNodeRejoinsRaft(t *testing.T) {
 	testWipedNodeRejoins(t, func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
-		return raft.New(raft.Config{
+		return raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: 20, HeartbeatTicks: 2, Seed: 9,
 		})
 	})

@@ -190,7 +190,7 @@ func testQuorumAckedSuffixSurvivesCrash(t *testing.T,
 
 func TestQuorumAckedSuffixSurvivesCrashRaft(t *testing.T) {
 	testQuorumAckedSuffixSurvivesCrash(t, func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
-		return raft.New(raft.Config{
+		return raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: 20, HeartbeatTicks: 4, Seed: 11,
 		})
 	})
@@ -377,7 +377,7 @@ func testConflictingSuffixCrash(t *testing.T,
 
 func TestConflictingSuffixCrashRaft(t *testing.T) {
 	testConflictingSuffixCrash(t, func(id protocol.NodeID, peers []protocol.NodeID, passive bool) protocol.Engine {
-		return raft.New(raft.Config{
+		return raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2, Seed: 13, Passive: passive,
 		})
 	})

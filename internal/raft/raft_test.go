@@ -5,54 +5,39 @@ import (
 
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
+	"raftpaxos/internal/raftstar"
 	"raftpaxos/internal/testcluster"
 )
 
-func newCluster(t *testing.T, n int, seed int64) *testcluster.Cluster {
-	t.Helper()
+// What Raft's rule set alone decides. Everything it shares with Raft* is
+// covered by the conformance suite in package raftstar, which runs over
+// both variants.
+
+func newEngine(id protocol.NodeID, peers []protocol.NodeID, seed int64) *raft.Engine {
+	return raft.New(raftstar.Config{
+		ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2, Seed: seed,
+	})
+}
+
+func newCluster(n int, seed int64) *testcluster.Cluster {
 	peers := make([]protocol.NodeID, n)
 	for i := range peers {
 		peers[i] = protocol.NodeID(i)
 	}
 	engines := make([]protocol.Engine, n)
 	for i := range peers {
-		engines[i] = raft.New(raft.Config{
-			ID: peers[i], Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2, Seed: seed,
-		})
+		engines[i] = newEngine(peers[i], peers, seed)
 	}
 	return testcluster.New(seed, engines...)
 }
 
-func TestElectAndReplicate(t *testing.T) {
-	c := newCluster(t, 3, 1)
-	leader, err := c.ElectLeader(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		c.Submit(leader.ID(), protocol.Command{ID: uint64(i + 1), Op: protocol.OpPut, Key: "k"})
-	}
-	c.Settle(5)
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	applied := 0
-	for _, e := range c.Applied[leader.ID()] {
-		if !e.Cmd.IsNop() {
-			applied++
-		}
-	}
-	if applied < 10 {
-		t.Fatalf("applied %d real entries, want 10", applied)
-	}
-}
-
-// TestErasesConflictingSuffix drives the behaviour that distinguishes
+// TestErasesConflictingSuffix drives the accept rule that distinguishes
 // standard Raft: a follower with a longer, conflicting log erases its
-// suffix to match the leader (the transition Raft* forbids and the reason
-// Raft cannot refine MultiPaxos).
+// suffix to match the leader — its log gets SHORTER, the transition Raft*
+// forbids (there the leader extends its own log instead) and the reason
+// Raft cannot refine MultiPaxos.
 func TestErasesConflictingSuffix(t *testing.T) {
-	c := newCluster(t, 5, 2)
+	c := newCluster(5, 2)
 	leader, err := c.ElectLeader(200)
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +50,9 @@ func TestErasesConflictingSuffix(t *testing.T) {
 	}
 	c.DeliverAll(100000) // all dropped at the partition
 	old := leader.(*raft.Engine)
-	if old.LastIndex() < 5 {
-		t.Fatalf("old leader should have appended locally, last=%d", old.LastIndex())
+	stale := old.LastIndex()
+	if stale < 5 {
+		t.Fatalf("old leader should have appended locally, last=%d", stale)
 	}
 
 	// A new leader emerges among the rest and commits fresh entries.
@@ -93,13 +79,14 @@ func TestErasesConflictingSuffix(t *testing.T) {
 	if err := c.CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
+	if got, want := old.LastIndex(), next.(*raft.Engine).LastIndex(); got != want || got >= stale {
+		t.Fatalf("old leader's log ends at %d, want the new leader's %d, shorter than its stale %d", got, want, stale)
+	}
+	found := false
 	for _, ent := range c.Applied[leader.ID()] {
 		if ent.Cmd.ID >= 100 && ent.Cmd.ID < 200 {
 			t.Fatalf("uncommitted entry %d survived the erase", ent.Cmd.ID)
 		}
-	}
-	found := false
-	for _, ent := range c.Applied[leader.ID()] {
 		if ent.Cmd.ID == 200 {
 			found = true
 		}
@@ -109,477 +96,36 @@ func TestErasesConflictingSuffix(t *testing.T) {
 	}
 }
 
-// TestCommitRestriction542 checks §5.4.2: a new leader may not count
-// replicas for entries of older terms; it commits them only via its own
-// no-op barrier.
+// TestCommitRestriction542 checks the election and commit rules together:
+// a new leader appends a no-op barrier at its own term, may not commit an
+// older term's entry by counting replicas (§5.4.2) however many hold it,
+// and commits it only beneath the barrier.
 func TestCommitRestriction542(t *testing.T) {
-	c := newCluster(t, 3, 3)
-	leader, err := c.ElectLeader(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Submit(leader.ID(), protocol.Command{ID: 1, Op: protocol.OpPut, Key: "k"})
-	c.Settle(5)
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	// The no-op barrier appended at election means the real entry commits
-	// at index 2.
-	var sawBarrier, sawEntry bool
-	for _, ent := range c.Applied[leader.ID()] {
-		if ent.Cmd.IsNop() {
-			sawBarrier = true
-		}
-		if ent.Cmd.ID == 1 {
-			sawEntry = true
-		}
-	}
-	if !sawBarrier || !sawEntry {
-		t.Fatalf("barrier=%v entry=%v; both expected", sawBarrier, sawEntry)
-	}
-}
-
-func TestAgreementUnderChaos(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		c := newCluster(t, 3, 300+seed)
-		leader, err := c.ElectLeader(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			c.Submit(leader.ID(), protocol.Command{ID: uint64(i + 1), Op: protocol.OpPut, Key: "k"})
-			c.DeliverChaos(1000)
-		}
-		for r := 0; r < 20; r++ {
-			c.Tick()
-			c.DeliverChaos(100000)
-		}
-		if err := c.CheckAgreement(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}
-
-func TestAgreementUnderDrops(t *testing.T) {
-	c := newCluster(t, 3, 4)
-	c.DropRate = 0.15
-	leader, err := c.ElectLeader(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 15; i++ {
-		c.Submit(leader.ID(), protocol.Command{ID: uint64(i + 1), Op: protocol.OpPut, Key: "k"})
-		c.Settle(3)
-	}
-	c.DropRate = 0
-	c.Settle(30)
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// strandVictim commits a first batch everywhere, isolates one follower,
-// commits more, then compacts the connected replicas' logs past the
-// victim and wires them a snapshot provider with imgSize bytes of state.
-// Returns the victim and the snapshot index.
-func strandVictim(t *testing.T, c *testcluster.Cluster, leaderID protocol.NodeID, imgSize int) (protocol.NodeID, int64) {
-	t.Helper()
-	victim := protocol.NodeID(-1)
-	for id := range c.Engines {
-		if id != leaderID {
-			victim = id
-		}
-	}
-	for i := 0; i < 5; i++ {
-		c.Submit(leaderID, protocol.Command{ID: uint64(i + 1), Op: protocol.OpPut, Key: "k"})
-	}
-	c.Settle(3)
-	c.Isolate(victim, true)
-	for i := 5; i < 25; i++ {
-		c.Submit(leaderID, protocol.Command{ID: uint64(i + 1), Op: protocol.OpPut, Key: "k"})
-	}
-	c.Settle(3)
-	lead := c.Engines[leaderID].(*raft.Engine)
-	base := lead.CommitIndex()
-	ent, ok := lead.EntryAt(base)
-	if !ok {
-		t.Fatalf("no entry at commit %d", base)
-	}
-	img := protocol.SnapshotImage{Index: base, Term: ent.Term, Data: make([]byte, imgSize)}
-	provider := protocol.SnapshotProviderFunc(func() (protocol.SnapshotImage, bool) { return img, true })
-	for id, e := range c.Engines {
-		if id == victim {
-			continue
-		}
-		eng := e.(*raft.Engine)
-		eng.TruncatePrefix(base)
-		eng.SetSnapshotProvider(provider)
-		if eng.FirstIndex() != base+1 {
-			t.Fatalf("node %d FirstIndex = %d after compaction, want %d", id, eng.FirstIndex(), base+1)
-		}
-	}
-	return victim, base
-}
-
-// TestSnapshotTransferCatchesUpStrandedFollower: a follower that fell
-// behind the leader's compaction base can never catch up by log replay;
-// the leader must ship its snapshot, after which replication resumes from
-// the snapshot index and the follower converges.
-func TestSnapshotTransferCatchesUpStrandedFollower(t *testing.T) {
-	c := newCluster(t, 3, 3)
-	leader, err := c.ElectLeader(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim, base := strandVictim(t, c, leader.ID(), 3*protocol.SnapshotChunkSize+100)
-	c.Isolate(victim, false)
-	c.Settle(60) // absorb the victim's isolation-era election churn
-
-	if len(c.Installed[victim]) == 0 {
-		t.Fatal("stranded follower never installed a snapshot")
-	}
-	if got := c.Installed[victim][0]; got.Index != base {
-		t.Fatalf("installed snapshot at %d, want %d", got.Index, base)
-	}
-	cur := c.Leader()
-	if cur == nil {
-		t.Fatal("no unique leader after catch-up")
-	}
-	lead := cur.(*raft.Engine)
-	veng := c.Engines[victim].(*raft.Engine)
-	if veng.CommitIndex() != lead.CommitIndex() {
-		t.Fatalf("victim commit %d != leader commit %d", veng.CommitIndex(), lead.CommitIndex())
-	}
-	if veng.FirstIndex() != base+1 {
-		t.Fatalf("victim log anchored at %d, want %d (replay resumed from the image)", veng.FirstIndex(), base+1)
-	}
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-	// Replication is live again: a fresh write reaches the rejoined node.
-	c.Submit(lead.ID(), protocol.Command{ID: 999, Op: protocol.OpPut, Key: "post"})
-	c.Settle(5)
-	if veng.CommitIndex() != lead.CommitIndex() {
-		t.Fatalf("post-install write did not replicate: victim %d leader %d", veng.CommitIndex(), lead.CommitIndex())
-	}
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHeartbeatsFlowDuringTransfer steps the leader directly and checks
-// the two properties chunking exists for: no frame to the stranded peer
-// ever carries more than one chunk of image data (a multi-MB image must
-// not head-of-line block the per-peer stream), and heartbeat appends keep
-// flowing to that peer while the transfer is in flight. The final ack
-// must immediately resume appends from the snapshot boundary — the
-// replication-state reset that makes pipelining restart without waiting
-// for the next heartbeat probe.
-func TestHeartbeatsFlowDuringTransfer(t *testing.T) {
-	c := newCluster(t, 3, 4)
-	leader, err := c.ElectLeader(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim, base := strandVictim(t, c, leader.ID(), 4*protocol.SnapshotChunkSize)
-	// A few entries above the snapshot give the leader something to
-	// resume replicating the instant the install acks.
-	for i := 0; i < 3; i++ {
-		c.Submit(leader.ID(), protocol.Command{ID: uint64(500 + i), Op: protocol.OpPut, Key: "tail"})
-	}
-	c.Settle(3)
-	lead := c.Engines[leader.ID()].(*raft.Engine)
-	veng := c.Engines[victim].(*raft.Engine)
-	c.Queue = nil
-
-	// The victim's rejection of a heartbeat probe starts the transfer.
-	out := lead.Step(victim, &raft.MsgAppendResp{Term: lead.Term(), Ok: false, LastIndex: veng.LastIndex()})
-	var chunk *protocol.MsgInstallSnapshot
-	for _, env := range out.Msgs {
-		if is, ok := env.Msg.(*protocol.MsgInstallSnapshot); ok && env.To == victim {
-			chunk = is
-		}
-	}
-	if chunk == nil || chunk.Offset != 0 {
-		t.Fatalf("rejection below the base did not start a transfer: %+v", chunk)
-	}
-
-	// Mid-transfer, heartbeats still reach the transferring peer and no
-	// frame carries the whole image.
-	hb := false
-	for i := 0; i < 4; i++ {
-		tick := lead.Tick()
-		for _, env := range tick.Msgs {
-			if env.To != victim {
-				continue
-			}
-			switch m := env.Msg.(type) {
-			case *raft.MsgAppendReq:
-				hb = true
-			case *protocol.MsgInstallSnapshot:
-				if len(m.Data) > protocol.SnapshotChunkSize {
-					t.Fatalf("frame carries %d bytes mid-transfer, cap %d", len(m.Data), protocol.SnapshotChunkSize)
-				}
-			}
-		}
-	}
-	if !hb {
-		t.Fatal("no heartbeat reached the peer during the transfer")
-	}
-
-	// Shuttle chunks by hand until the image lands.
-	installed := false
-	for hop := 0; hop < 100 && !installed; hop++ {
-		vout := veng.Step(lead.ID(), chunk)
-		var resp *protocol.MsgInstallSnapshotResp
-		for _, env := range vout.Msgs {
-			if r, ok := env.Msg.(*protocol.MsgInstallSnapshotResp); ok {
-				resp = r
-			}
-		}
-		if resp == nil {
-			t.Fatal("chunk produced no ack")
-		}
-		lout := lead.Step(victim, resp)
-		if resp.Installed {
-			installed = true
-			if vout.InstalledSnapshot == nil || vout.InstalledSnapshot.Index != base {
-				t.Fatalf("install output = %+v, want image at %d", vout.InstalledSnapshot, base)
-			}
-			// Satellite check: the final ack resumes appends immediately,
-			// from the snapshot boundary.
-			resumed := false
-			for _, env := range lout.Msgs {
-				if ar, ok := env.Msg.(*raft.MsgAppendReq); ok && env.To == victim {
-					resumed = true
-					if ar.PrevIndex != base {
-						t.Fatalf("resumed append PrevIndex = %d, want %d", ar.PrevIndex, base)
-					}
-				}
-			}
-			if !resumed {
-				t.Fatal("leader did not resume appends on the final install ack")
-			}
-			break
-		}
-		chunk = nil
-		for _, env := range lout.Msgs {
-			if is, ok := env.Msg.(*protocol.MsgInstallSnapshot); ok && env.To == victim {
-				chunk = is
-			}
-		}
-		if chunk == nil {
-			t.Fatal("ack released no next chunk")
-		}
-	}
-	if !installed {
-		t.Fatal("transfer never completed")
-	}
-	if veng.CommitIndex() != base {
-		t.Fatalf("victim commit = %d after install, want %d", veng.CommitIndex(), base)
-	}
-}
-
-// TestLeaderChangeMidTransfer kills the leader partway through a transfer
-// and checks the new leader re-sends and the stranded follower still
-// converges (the assembly resumes the identical image from the new
-// sender).
-func TestLeaderChangeMidTransfer(t *testing.T) {
-	c := newCluster(t, 3, 5)
-	leader, err := c.ElectLeader(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldID := leader.ID()
-	victim, base := strandVictim(t, c, oldID, 4*protocol.SnapshotChunkSize)
-	c.Isolate(victim, false)
-
-	// Drive one message at a time until the victim has acked at least one
-	// chunk — the transfer is genuinely mid-flight.
-	started := false
-	for r := 0; r < 3000 && !started; r++ {
-		c.Tick()
-		c.DeliverAll(1)
-		for _, env := range c.Queue {
-			if _, ok := env.Msg.(*protocol.MsgInstallSnapshotResp); ok && env.From == victim {
-				started = true
-			}
-		}
-	}
-	if !started {
-		t.Fatal("transfer never started")
-	}
-	if len(c.Installed[victim]) != 0 {
-		t.Skip("transfer completed before the leader could be killed") // image delivered too fast at this seed
-	}
-
-	// Old leader dies; the surviving follower (which holds the same
-	// compacted log and snapshot) takes over and must restart the
-	// shipment.
-	c.Isolate(oldID, true)
-	var successor protocol.NodeID
-	for id := range c.Engines {
-		if id != oldID && id != victim {
-			successor = id
-		}
-	}
-	c.Collect(successor, c.Engines[successor].(*raft.Engine).Campaign())
-	c.Settle(60)
-
-	if len(c.Installed[victim]) == 0 {
-		t.Fatal("victim never installed after the leader change")
-	}
-	if got := c.Installed[victim][len(c.Installed[victim])-1]; got.Index != base {
-		t.Fatalf("installed at %d, want %d", got.Index, base)
-	}
-	veng := c.Engines[victim].(*raft.Engine)
-	seng := c.Engines[successor].(*raft.Engine)
-	if !seng.IsLeader() || veng.CommitIndex() != seng.CommitIndex() {
-		t.Fatalf("no convergence under new leader: victim %d, successor %d (leader=%v)",
-			veng.CommitIndex(), seng.CommitIndex(), seng.IsLeader())
-	}
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReceiverCrashMidInstall wipes the receiving follower after it
-// buffered part of an image: the torn assembly dies with it, the leader
-// restarts the shipment from offset zero, and the reborn node still
-// converges.
-func TestReceiverCrashMidInstall(t *testing.T) {
-	c := newCluster(t, 3, 6)
-	leader, err := c.ElectLeader(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaderID := leader.ID()
-	victim, base := strandVictim(t, c, leaderID, 4*protocol.SnapshotChunkSize)
-	c.Isolate(victim, false)
-
-	started := false
-	for r := 0; r < 3000 && !started; r++ {
-		c.Tick()
-		c.DeliverAll(1)
-		for _, env := range c.Queue {
-			if _, ok := env.Msg.(*protocol.MsgInstallSnapshotResp); ok && env.From == victim {
-				started = true
-			}
-		}
-	}
-	if !started {
-		t.Fatal("transfer never started")
-	}
-	if len(c.Installed[victim]) != 0 {
-		t.Skip("transfer completed before the crash point at this seed")
-	}
-
-	// Crash: the victim loses its in-memory assembly (and, having been
-	// wiped, everything else). It restarts empty.
 	peers := []protocol.NodeID{0, 1, 2}
-	c.Engines[victim] = raft.New(raft.Config{
-		ID: victim, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2, Seed: 66,
-	})
-	c.Settle(60)
+	x := newEngine(0, peers, 3)
+	cmd := protocol.Command{ID: 1, Client: 900, Op: protocol.OpPut, Key: "k"}
 
-	if len(c.Installed[victim]) == 0 {
-		t.Fatal("reborn follower never installed a snapshot")
+	// A dead leader at term 1 left X one uncommitted entry.
+	x.Step(2, &raft.MsgAppendReq{Term: 1, Entries: []protocol.Entry{{Index: 1, Term: 1, Bal: 1, Cmd: cmd}}})
+	// X wins term 2 on node 1's vote and appends its barrier at index 2.
+	x.Campaign()
+	x.Step(1, &raft.MsgVoteResp{Term: 2, Granted: true})
+	if !x.IsLeader() || x.LastIndex() != 2 {
+		t.Fatalf("leader=%v last=%d, want a leader whose log ends at its barrier (index 2)", x.IsLeader(), x.LastIndex())
 	}
-	if got := c.Installed[victim][len(c.Installed[victim])-1]; got.Index != base {
-		t.Fatalf("installed at %d, want %d", got.Index, base)
-	}
-	cur := c.Leader()
-	if cur == nil {
-		t.Fatal("no unique leader after recovery")
-	}
-	veng := c.Engines[victim].(*raft.Engine)
-	if veng.CommitIndex() != cur.(*raft.Engine).CommitIndex() {
-		t.Fatalf("victim commit %d != leader commit %d", veng.CommitIndex(), cur.(*raft.Engine).CommitIndex())
-	}
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInstallOverConflictingSuffix: a deposed leader with a long
-// uncommitted suffix falls behind the new leader's compaction and gets a
-// snapshot whose boundary lands inside that stale suffix. The install
-// must discard the conflicting suffix (keeping it would record the stale
-// term at the base and every resumed append would be rejected forever —
-// a permanent reject/install livelock).
-func TestInstallOverConflictingSuffix(t *testing.T) {
-	c := newCluster(t, 3, 9)
-	leader, err := c.ElectLeader(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldID := leader.ID()
-	for i := 0; i < 5; i++ {
-		c.Submit(oldID, protocol.Command{ID: uint64(i + 1), Op: protocol.OpPut, Key: "k"})
-	}
-	c.Settle(3)
-
-	// The deposed leader appends a long suffix nobody sees.
-	c.Isolate(oldID, true)
-	c.Queue = nil
-	for i := 0; i < 10; i++ {
-		c.Submit(oldID, protocol.Command{ID: uint64(100 + i), Op: protocol.OpPut, Key: "stale"})
-	}
-	c.DeliverAll(100000)
-
-	// A successor commits different entries over those indexes and
-	// compacts into the middle of the deposed leader's stale suffix.
-	var succ protocol.NodeID = -1
-	for id := range c.Engines {
-		if id != oldID {
-			succ = id
-		}
-	}
-	c.Collect(succ, c.Engines[succ].(*raft.Engine).Campaign())
-	c.Settle(10)
-	seng := c.Engines[succ].(*raft.Engine)
-	if !seng.IsLeader() {
-		t.Fatal("no successor leader")
-	}
-	for i := 0; i < 15; i++ {
-		c.Submit(succ, protocol.Command{ID: uint64(200 + i), Op: protocol.OpPut, Key: "new"})
-	}
-	c.Settle(5)
-	old := c.Engines[oldID].(*raft.Engine)
-	base := int64(10) // inside the stale suffix 6..15
-	if base >= seng.CommitIndex() {
-		t.Fatalf("setup: successor commit %d must cover base %d", seng.CommitIndex(), base)
-	}
-	if base <= 5 || base >= old.LastIndex() {
-		t.Fatalf("setup: base %d must land inside the stale suffix (5, %d)", base, old.LastIndex())
-	}
-	ent, _ := seng.EntryAt(base)
-	img := protocol.SnapshotImage{Index: base, Term: ent.Term, Data: []byte("img")}
-	for id, e := range c.Engines {
-		if id == oldID {
-			continue
-		}
-		eng := e.(*raft.Engine)
-		eng.TruncatePrefix(base)
-		eng.SetSnapshotProvider(protocol.SnapshotProviderFunc(func() (protocol.SnapshotImage, bool) { return img, true }))
+	if ent, _ := x.EntryAt(2); !ent.Cmd.IsNop() || ent.Term != 2 {
+		t.Fatalf("entry 2 = %+v, want the term-2 no-op barrier", ent)
 	}
 
-	c.Isolate(oldID, false)
-	c.Settle(60)
-
-	if len(c.Installed[oldID]) == 0 {
-		t.Fatal("deposed leader never installed the snapshot")
+	// Node 1 holds the old entry but not the barrier: a quorum replicates
+	// index 1, and it must stay uncommitted.
+	out := x.Step(1, &raft.MsgAppendResp{Term: 2, Ok: true, LastIndex: 1})
+	if len(out.Commits) != 0 || x.CommitIndex() != 0 {
+		t.Fatalf("committed %d entries (commit=%d) by counting replicas of a term-1 entry", len(out.Commits), x.CommitIndex())
 	}
-	cur := c.Leader()
-	if cur == nil {
-		t.Fatal("no unique leader")
-	}
-	oeng := c.Engines[oldID].(*raft.Engine)
-	if oeng.CommitIndex() != cur.(*raft.Engine).CommitIndex() {
-		t.Fatalf("livelock: deposed leader stuck at commit %d, leader at %d",
-			oeng.CommitIndex(), cur.(*raft.Engine).CommitIndex())
-	}
-	if err := c.CheckAgreement(); err != nil {
-		t.Fatal(err)
+	// Once the barrier is quorum-replicated, both commit.
+	out = x.Step(1, &raft.MsgAppendResp{Term: 2, Ok: true, LastIndex: 2})
+	if len(out.Commits) != 2 || x.CommitIndex() != 2 || out.Commits[0].Entry.Cmd.ID != 1 {
+		t.Fatalf("commits = %+v (commit=%d), want the old entry then the barrier", out.Commits, x.CommitIndex())
 	}
 }

@@ -1,19 +1,22 @@
 // Package raftstar implements Raft*, the Raft variant introduced by the
 // paper (Figure 2, including the blue additions) for which a refinement
-// mapping to MultiPaxos exists. It differs from standard Raft in exactly
-// two ways:
+// mapping to MultiPaxos exists — and with it the one log-replication
+// engine of the Raft family: roles, timers, votes, batching, pipelining,
+// snapshot transfer, ReadIndex and the fast write path exist here once.
+// Raft* differs from standard Raft at exactly three points, each a method
+// group of Rules (rules.go holds Raft*'s, package raft holds Raft's):
 //
-//  1. A granting voter ships the log entries beyond the candidate's last
-//     index in its requestVoteOK; the new leader extends its own log with
-//     the safe value (highest ballot) for each such index instead of later
-//     erasing follower suffixes, and an acceptor rejects an append that
-//     would leave its log longer than the leader's.
-//  2. Every entry carries a ballot in addition to its term; any accepted
-//     append re-stamps the ballots of all entries it covers with the
-//     current term, restoring the MultiPaxos invariant that acceptance
-//     overwrites the instance's ballot. As a consequence the leader may
-//     commit any quorum-replicated entry directly, without Raft's §5.4.2
-//     current-term restriction.
+//  1. Election recovery. A granting voter ships the log entries beyond the
+//     candidate's last index in its requestVoteOK; the new leader extends
+//     its own log with the safe value (highest ballot) for each such index
+//     instead of later erasing follower suffixes.
+//  2. Accept. An acceptor rejects an append that would leave its log
+//     longer than the leader's. Every entry carries a ballot in addition
+//     to its term; any accepted append re-stamps the ballots of all
+//     entries it covers with the current term, restoring the MultiPaxos
+//     invariant that acceptance overwrites the instance's ballot.
+//  3. Commit. As a consequence the leader may commit any quorum-replicated
+//     entry directly, without Raft's §5.4.2 current-term restriction.
 //
 // The engine is a pure, deterministic, tick-driven state machine so the
 // same code runs under the discrete-event simulator and live transports.
@@ -71,7 +74,7 @@ type Hooks struct {
 	OnAccept func(ents []protocol.Entry)
 }
 
-// Config configures a Raft* replica.
+// Config configures a replica of either variant (raft.New takes it too).
 type Config struct {
 	ID    protocol.NodeID
 	Peers []protocol.NodeID // all replicas, including ID
@@ -128,10 +131,12 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Engine is a single Raft* replica.
+// Engine is a single replica: Raft* when built by New, standard Raft when
+// package raft builds it over its own Rules.
 type Engine struct {
-	cfg Config
-	rng *rand.Rand
+	cfg   Config
+	rules Rules
+	rng   *rand.Rand
 
 	term     uint64
 	votedFor protocol.NodeID
@@ -143,11 +148,13 @@ type Engine struct {
 	// (TruncatePrefix), bounding replica memory by the tail length.
 	log    protocol.Log
 	commit int64
-	// logBal is the ballot of every entry in the log. Raft* stamps all
-	// covered entries with the append's term on every accept, so the
-	// per-entry ballots are always uniform; tracking one value avoids an
-	// O(len(log)) re-stamp per append. Entries are stamped with logBal
-	// whenever they leave the engine (vote extras, commits, EntryAt).
+	// logBal is the term of the last append accepted (or election won)
+	// over the log. Raft* stamps all covered entries with it on every
+	// accept, so its per-entry ballots are always uniform; tracking one
+	// value avoids an O(len(log)) re-stamp per append. Entries are stamped
+	// through Rules.Ballot whenever they leave the engine (vote extras,
+	// commits, EntryAt, persistence) — standard Raft never re-stamps and
+	// ignores logBal there.
 	logBal uint64
 
 	// Candidate state.
@@ -174,27 +181,28 @@ type Engine struct {
 	// Commands buffered while no leader is known.
 	pending []protocol.Command
 	// ReadIndex state: reads tracks confirmation rounds at the leader;
-	// readBarrier is the leader's last log index at election (safe-value
-	// adoptions included) — every entry a predecessor might have committed
-	// sits at or below it, so a read's index is clamped up to it until the
-	// re-proposed log commits at this ballot; pendingReads buffers reads
+	// readBarrier is the leader's last log index at election (whatever the
+	// recovery rule adopted included) — every entry a predecessor might
+	// have committed sits at or below it, so a read's index is clamped up
+	// to it until it commits at this ballot; pendingReads buffers reads
 	// submitted while no leader is known.
 	reads        protocol.ReadTracker
 	readBarrier  int64
 	pendingReads []protocol.Command
 
 	// Fast write path state (nil/zero unless cfg.FastPath). specFrom is
-	// the fast path's amendment to the uniform log ballot: speculative
-	// (fast-accepted) entries always form a contiguous tail — fast appends
-	// land at the log end and any accepted classic append covers the whole
-	// log (never-shorten rule) — so entries at or above specFrom carry
-	// ballot 0 on emission while everything below keeps logBal; specFrom 0
-	// means no speculation. The maps mirror package raft's: fastMine =
-	// commands this replica fast-submitted, fastRemote = commands the
-	// leader adopted from others' fast accepts, fastSeen = slot each fast
-	// command occupies locally (replay dedup), fastDone = slots committed
-	// through a fast quorum, fastVotes = voters' reports for election
-	// recovery.
+	// the fast path's amendment to the classic ballot: speculative
+	// (fast-accepted) entries land at the log end, and an accepted classic
+	// append verifies everything it covers, so one watermark separates the
+	// classic prefix from a tail that is speculative or not yet verified
+	// against a leader — entries at or above specFrom carry ballot 0 on
+	// emission, everything below its classic ballot; specFrom 0 means no
+	// speculation. fastMine = commands this replica fast-submitted (it
+	// answers its own client), fastRemote = commands the leader adopted
+	// from others' fast accepts (the submitter replies, not the arbiter),
+	// fastSeen = slot each fast command occupies locally (replay dedup),
+	// fastDone = slots committed through a fast quorum (stats), fastVotes =
+	// voters' reports for election recovery.
 	fast       *protocol.FastTracker
 	specFrom   int64
 	fastMine   map[uint64]bool
@@ -208,10 +216,16 @@ type Engine struct {
 var _ protocol.Engine = (*Engine)(nil)
 
 // New builds a Raft* replica.
-func New(cfg Config) *Engine {
+func New(cfg Config) *Engine { return NewWithRules(cfg, star{}) }
+
+// NewWithRules builds a replica that runs the shared engine under rules.
+// The variant is fixed here, by the constructor called; one group must not
+// mix variants, and package raft keeps its own wire tags so that it cannot.
+func NewWithRules(cfg Config, rules Rules) *Engine {
 	c := cfg.withDefaults()
 	e := &Engine{
 		cfg:      c,
+		rules:    rules,
 		rng:      rand.New(rand.NewSource(c.Seed ^ int64(c.ID)<<17)),
 		votedFor: protocol.None,
 		role:     Follower,
@@ -231,13 +245,16 @@ func New(cfg Config) *Engine {
 // FastStats implements protocol.FastStatser.
 func (e *Engine) FastStats() protocol.FastStats { return e.stats }
 
-// balAt returns the emission ballot for the entry at index i: 0 while it
-// is speculative, the uniform log ballot otherwise.
-func (e *Engine) balAt(i int64) uint64 {
-	if e.specFrom > 0 && i >= e.specFrom {
+// speculative reports whether index i lies in the speculative tail.
+func (e *Engine) speculative(i int64) bool { return e.specFrom > 0 && i >= e.specFrom }
+
+// bal returns the emission ballot of a held entry: 0 while it is
+// speculative, the variant's classic ballot otherwise.
+func (e *Engine) bal(ent protocol.Entry) uint64 {
+	if e.speculative(ent.Index) {
 		return 0
 	}
-	return e.logBal
+	return e.rules.Ballot(ent, e.logBal)
 }
 
 // ID implements protocol.Engine.
@@ -311,8 +328,8 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 	if commit > e.commit {
 		e.commit = commit
 	}
-	// Entries were stamped with the uniform log ballot when they left the
-	// engine; adopt the highest seen. A zero-ballot tail is a speculative
+	// Entries were stamped with their ballot when they left the engine;
+	// adopt the highest seen. A zero-ballot tail is a speculative
 	// fast suffix that survived the restart: restore the watermark so the
 	// entries stay marked speculative until a classic append ratifies them.
 	for _, ent := range ents {
@@ -359,7 +376,7 @@ func (e *Engine) EntryAt(i int64) (protocol.Entry, bool) {
 	if !ok {
 		return protocol.Entry{}, false
 	}
-	ent.Bal = e.balAt(i)
+	ent.Bal = e.bal(ent)
 	return ent, true
 }
 
@@ -492,26 +509,22 @@ func (e *Engine) stepVoteReq(from protocol.NodeID, m *MsgVoteReq, out *protocol.
 		e.resetTimeout()
 		resp.Granted = true
 		out.StateChanged = true
-		// Raft* addition: ship entries beyond the candidate's log so the
-		// leader can adopt safe values (Figure 2a lines 14-15). Compacted
-		// entries cannot be shipped, but any candidate that can win a
-		// quorum is up-to-date with some replica holding the committed
-		// (hence snapshotted) prefix, so clamping to the held tail is safe.
-		// With the fast path on, the report reaches down to the candidate's
-		// commit index instead: speculative entries can diverge at indexes
-		// the up-to-date check never compares, and the recovery count rule
-		// needs every voter's copy of them.
-		lo := m.LastIndex + 1
+		// Election recovery, voter's half: ship the entries the rule asks
+		// for. Compacted entries cannot be shipped, but any candidate that
+		// can win a quorum is up-to-date with some replica holding the
+		// committed (hence snapshotted) prefix, so clamping to the held
+		// tail is safe. With the fast path on, the report reaches down to
+		// the candidate's commit index under either rule: speculative
+		// entries can diverge at indexes the up-to-date check never
+		// compares, and the recovery count rule needs every voter's copy.
+		lo := e.rules.ShipFrom(m.LastIndex)
 		if e.fast != nil {
 			lo = m.Commit + 1
 		}
-		if e.LastIndex() >= lo {
-			if lo < e.log.FirstIndex() {
-				lo = e.log.FirstIndex()
-			}
-			resp.Extra = e.log.Tail(lo)
+		if lo > 0 && e.LastIndex() >= lo {
+			resp.Extra = e.log.Tail(max(lo, e.log.FirstIndex()))
 			for i := range resp.Extra {
-				resp.Extra[i].Bal = e.balAt(resp.Extra[i].Index)
+				resp.Extra[i].Bal = e.bal(resp.Extra[i])
 			}
 		}
 	}
@@ -547,32 +560,23 @@ func (e *Engine) stepVoteResp(from protocol.NodeID, m *MsgVoteResp, out *protoco
 
 func (e *Engine) becomeLeader(out *protocol.Output) {
 	if e.fast != nil {
-		// Fast-path recovery subsumes the safe-value adoption: ChooseFast
-		// picks the possibly-chosen value per slot — ratified copies by
-		// highest ballot exactly like the base rule, speculative copies by
-		// the count rule — from the candidate's commit index up.
+		// Fast-path recovery runs first and consumes the voters' reports:
+		// ChooseFast picks the possibly-chosen value per slot — ratified
+		// copies by highest ballot exactly like Raft*'s safe-value rule,
+		// speculative copies by the count rule — from the candidate's
+		// commit index up.
 		e.adoptFastSuffix(out)
 		e.fast.Reset(e.term)
-	} else {
-		// Adopt safe values for every index beyond our log (Figure 2a lines
-		// 22-27): value from the highest ballot, re-proposed at our term.
-		for i := e.LastIndex() + 1; i <= e.extraMax; i++ {
-			ent, ok := e.extras[i]
-			cmd := ent.Cmd
-			if !ok {
-				// No voter had this index (gap below another voter's tail is
-				// impossible with contiguous logs, but guard anyway).
-				cmd = protocol.Command{Op: protocol.OpNop}
-			}
-			adopted := protocol.Entry{Index: i, Term: e.term, Bal: e.term, Cmd: cmd}
-			e.log.Append(adopted)
-			// Safe-value adoptions are accepted entries like any other: durable
-			// before the leadership announcement (the appends below) goes out.
-			out.AppendedEntries = append(out.AppendedEntries, adopted)
-		}
 	}
-	// Re-propose the entire log at the current ballot: every subsequent
-	// append stamps Bal = term (Figure 2b lines 6-7).
+	// Election recovery, winner's half: whatever the rule adopts is an
+	// accepted entry like any other — appended at our term and durable
+	// before the leadership announcement (the appends below) goes out.
+	adopt, next := e.rules.Recover(e)
+	for _, cmd := range adopt {
+		adopted := protocol.Entry{Index: e.LastIndex() + 1, Term: e.term, Bal: e.term, Cmd: cmd}
+		e.log.Append(adopted)
+		out.AppendedEntries = append(out.AppendedEntries, adopted)
+	}
 	e.logBal = e.term
 	e.role = Leader
 	e.leader = e.cfg.ID
@@ -583,7 +587,7 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 	e.inflight = make(map[protocol.NodeID]int, len(e.cfg.Peers))
 	e.xfers = make(map[protocol.NodeID]*protocol.SnapshotXfer)
 	for _, p := range e.cfg.Peers {
-		e.next[p] = e.LastIndex() + 1
+		e.next[p] = next
 		e.match[p] = 0
 	}
 	e.match[e.cfg.ID] = e.LastIndex()
@@ -592,22 +596,19 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 	}
 	out.StateChanged = true
 	e.hbElapsed = 0
-	// ReadIndex reads may not be served below the re-proposed log's end:
-	// everything a predecessor might have committed is in the log (the
-	// vote quorum shipped every possibly-chosen entry), and is reflected
-	// in our commit index only once the re-proposal commits at this
-	// ballot. Raft* needs no no-op barrier for that — unlike Raft, it may
-	// commit the adopted entries directly by counting.
+	// ReadIndex reads may not be served below the log's end at election:
+	// everything a predecessor might have committed sits at or below it
+	// (Raft*: the vote quorum shipped every possibly-chosen entry; Raft:
+	// the election restriction), and is reflected in our commit index only
+	// once an entry of our own ballot commits — Raft*'s re-proposed log,
+	// Raft's no-op barrier.
 	e.readBarrier = e.LastIndex()
 	e.reads.Reset(e.quorum(), e.cfg.UnsafeSkipReadQuorum)
-	// Replicate everything we have (also acts as the leadership announcement).
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		e.next[p] = 1
-		e.sendAppend(p, out, true)
+	if len(e.cfg.Peers) == 1 {
+		e.maybeCommit(out)
 	}
+	// The first appends double as the leadership announcement.
+	e.broadcastAppend(out, true)
 	e.flushPending(out)
 }
 
@@ -814,16 +815,6 @@ func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *proto
 	// ReadIndex round needs.
 	resp.ReadCtx = m.ReadCtx
 
-	// With the fast path on, the never-shorten rule applies to the classic
-	// prefix only: a speculative tail (entries at or above specFrom) was
-	// never classically accepted at any ballot, so an append that covers
-	// the classic prefix but not the tail is fine — covered speculative
-	// slots are ratified or overwritten, the rest stay speculative.
-	classicEnd := e.LastIndex()
-	if e.specFrom > 0 && e.specFrom-1 < classicEnd {
-		classicEnd = e.specFrom - 1
-	}
-	end := m.PrevIndex + int64(len(m.Entries))
 	switch {
 	case m.PrevIndex > e.LastIndex():
 		// Missing entries before PrevIndex: hint our last index.
@@ -833,101 +824,113 @@ func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *proto
 		// below our compaction base cannot conflict — everything at or
 		// below the base is committed, hence identical on any leader.
 		resp.LastIndex = m.PrevIndex - 1
-	case e.fast != nil && m.PrevID != 0 && e.specConflict(m.PrevIndex, m.PrevID):
-		// Our entry at PrevIndex is speculative and names a different
-		// command: two fast accepts collided at the same (index, term),
-		// which the PrevTerm check alone cannot distinguish. Back up so
-		// the leader resends from the divergence point.
+	case e.fast != nil && e.specConflict(m.PrevIndex, m.PrevID):
+		// Our entry at PrevIndex names a different command than the
+		// leader's: a fast accept collided with it at the same (index,
+		// term), which the PrevTerm check alone cannot distinguish. Back
+		// up so the leader resends from the divergence point.
 		resp.LastIndex = m.PrevIndex - 1
-	case end < classicEnd:
-		// Raft* addition (Figure 2b line 16): reject appends that do not
-		// cover our whole (classic) log — MultiPaxos never deletes accepted
-		// values, so neither may we. The leader will extend its proposal.
-		resp.LastIndex = classicEnd
 	default:
-		// Accept: overwrite the covered suffix, then re-stamp every ballot
-		// with the leader's term (Figure 2b: logBallot[i] = term for all i).
-		// Entries at or below the compaction base are already committed
-		// and snapshotted here; skip them. Every entry written is emitted
-		// for persistence, stamped with the accepting term as its ballot —
-		// the re-stamp is what a restarted replica's RestoreLog rebuilds
-		// the uniform log ballot from — and must be durable before the ack
-		// leaves (Output.AppendedEntries).
-		if e.fast != nil && e.specFrom > 0 && e.specFrom <= end {
-			// Covered speculative slots leave speculation now: clean the
-			// bookkeeping for commands the leader's copies displace, and
-			// re-route any fast submission of our own that lost its slot
-			// and is not carried elsewhere in this append.
-			keep := make(map[uint64]bool, len(m.Entries))
-			for j := range m.Entries {
-				keep[m.Entries[j].Cmd.ID] = true
-			}
-			var lost []protocol.Command
-			start := e.specFrom
-			if start <= m.PrevIndex {
-				start = m.PrevIndex + 1
-			}
-			for slot := start; slot <= min64(end, e.LastIndex()); slot++ {
-				old, ok := e.log.At(slot)
-				if !ok {
-					continue
-				}
-				in := m.Entries[slot-m.PrevIndex-1]
-				if old.Cmd.ID == in.Cmd.ID {
-					continue // ratified in place
-				}
-				delete(e.fastSeen, old.Cmd.ID)
-				delete(e.fastDone, slot)
-				if e.fastMine[old.Cmd.ID] && !keep[old.Cmd.ID] {
-					lost = append(lost, old.Cmd)
-				}
-			}
-			e.routeLost(lost, out)
-			// The watermark advances only when the append covered the whole
-			// speculative prefix: a lost earlier append leaves slots below
-			// PrevIndex unverified, and they must stay speculative until
-			// the leader's resend covers them.
-			if e.specFrom > m.PrevIndex {
-				e.specFrom = end + 1
-				if e.specFrom > e.LastIndex() {
-					e.specFrom = 0
-				}
-			}
-		}
-		for _, ent := range m.Entries {
-			if ent.Index <= e.log.Base() {
-				continue
-			}
-			if ent.Index <= e.LastIndex() {
-				e.log.Set(ent.Index, ent)
-			} else {
-				e.log.Append(ent)
-			}
-			ent.Bal = m.Term
-			out.AppendedEntries = append(out.AppendedEntries, ent)
-		}
-		e.logBal = m.Term
-		if h := e.cfg.Hooks.OnAccept; h != nil && len(m.Entries) > 0 {
-			h(m.Entries)
+		v := e.rules.Accept(e, m)
+		if v.Reject {
+			resp.LastIndex = v.Hint
+			break
 		}
 		resp.Ok = true
-		// Report the verified prefix: with a speculative tail left beyond
-		// this append's end, only entries below it are known to match the
-		// leader (the tail is not the leader's to count yet).
-		resp.LastIndex = e.LastIndex()
-		if e.specFrom > 0 && e.specFrom-1 < resp.LastIndex {
-			resp.LastIndex = e.specFrom - 1
-		}
-		out.StateChanged = true
+		resp.LastIndex = e.accept(m, v, out)
 		if h := e.cfg.Hooks.LocalHolders; h != nil {
 			resp.Holders = h()
 		}
-		if c := min64(m.Commit, resp.LastIndex); c > e.commit {
+		if c := min(m.Commit, resp.LastIndex); c > e.commit {
 			e.advanceCommit(c, out)
 		}
 		e.tryFastCommit(out)
 	}
 	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
+}
+
+// accept applies an append the accept rule admitted and returns the index
+// through which our log is now verified against the leader's. Entries from
+// v.From on are written — over whatever is held there, after erasing the
+// held suffix when the rule says so; entries at or below the compaction
+// base are already committed and snapshotted here and are skipped. Every
+// entry written is emitted for persistence stamped with its ballot — for
+// Raft* the re-stamp a restarted replica's RestoreLog rebuilds the uniform
+// log ballot from — and must be durable before the ack leaves
+// (Output.AppendedEntries); the store's overwriting append erases the same
+// stale suffix an in-memory erase did.
+func (e *Engine) accept(m *MsgAppendReq, v Verdict, out *protocol.Output) int64 {
+	end := m.PrevIndex + int64(len(m.Entries))
+	if e.specFrom > 0 {
+		// Speculative slots the append overwrites or erases leave
+		// speculation now: clean the bookkeeping for commands the leader's
+		// copies displace, and re-route any fast submission of our own that
+		// lost its slot and is not carried elsewhere in this append.
+		lo, hi := max(e.specFrom, v.From), min(end, e.LastIndex())
+		if v.Erase {
+			hi = e.LastIndex()
+		}
+		var keep map[uint64]bool
+		var lost []protocol.Command
+		for slot := lo; slot <= hi; slot++ {
+			old, _ := e.log.At(slot)
+			if slot <= end && old.Cmd.ID == m.Entries[slot-m.PrevIndex-1].Cmd.ID {
+				continue // ratified in place
+			}
+			if keep == nil {
+				keep = make(map[uint64]bool, len(m.Entries))
+				for j := range m.Entries {
+					keep[m.Entries[j].Cmd.ID] = true
+				}
+			}
+			delete(e.fastSeen, old.Cmd.ID)
+			delete(e.fastDone, slot)
+			if e.fastMine[old.Cmd.ID] && !keep[old.Cmd.ID] {
+				lost = append(lost, old.Cmd)
+			}
+		}
+		e.routeLost(lost, out)
+	}
+	if v.Erase {
+		e.log.TruncateSuffix(v.From - 1)
+	}
+	for _, ent := range m.Entries {
+		if ent.Index < v.From || ent.Index <= e.log.Base() {
+			continue
+		}
+		if ent.Index <= e.LastIndex() {
+			e.log.Set(ent.Index, ent)
+		} else {
+			e.log.Append(ent)
+		}
+		ent.Bal = e.rules.Ballot(ent, m.Term)
+		out.AppendedEntries = append(out.AppendedEntries, ent)
+	}
+	e.logBal = m.Term
+	if e.specFrom > 0 {
+		// The watermark advances only when the append covered the whole
+		// speculative prefix: a lost earlier append leaves slots below
+		// PrevIndex unverified, and they must stay speculative until the
+		// leader's resend covers them.
+		if e.specFrom > m.PrevIndex && e.specFrom <= end {
+			e.specFrom = end + 1
+		}
+		if e.specFrom > e.LastIndex() {
+			e.specFrom = 0
+		}
+	}
+	if h := e.cfg.Hooks.OnAccept; h != nil && len(m.Entries) > 0 {
+		h(m.Entries)
+	}
+	out.StateChanged = true
+	// Report the verified prefix: with a speculative tail left beyond this
+	// append's end, or an unverified stretch below its start, only entries
+	// under the watermark are known to match the leader (the rest is not
+	// the leader's to count yet).
+	if e.specFrom > 0 {
+		return min(end, e.specFrom-1)
+	}
+	return end
 }
 
 func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *protocol.Output) {
@@ -947,19 +950,17 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 		e.inflight[from]--
 	}
 	if !m.Ok {
-		// Either the follower is behind (resend from its hint) or its log
-		// is longer than ours (extend with safe no-op proposals: indexes
-		// past a fresh leader's log are provably uncommitted, because the
-		// vote quorum shipped every possibly-chosen entry).
+		// Either the follower is behind (resend from its hint) or — only
+		// under Raft*'s never-shorten accept rule — its log is longer than
+		// ours (extend with safe no-op proposals: indexes past a fresh
+		// leader's log are provably uncommitted, because the vote quorum
+		// shipped every possibly-chosen entry).
 		if m.LastIndex > e.LastIndex() {
 			for i := e.LastIndex() + 1; i <= m.LastIndex; i++ {
 				e.appendLocal(protocol.Command{Op: protocol.OpNop}, out)
 			}
 		}
-		e.next[from] = min64(m.LastIndex+1, e.LastIndex()+1)
-		if e.next[from] < 1 {
-			e.next[from] = 1
-		}
+		e.next[from] = max(1, min(m.LastIndex+1, e.LastIndex()+1))
 		if e.next[from] < e.log.FirstIndex() {
 			// The follower needs entries below our compaction base, which
 			// log replay can never provide: ship the snapshot image instead.
@@ -990,8 +991,8 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 // latest durable snapshot to p, whose next index fell below the held
 // tail. Chunks are ack-paced — one in flight, advanced per response — so
 // heartbeats on the same per-peer stream are never head-of-line blocked
-// behind a multi-megabyte image. This is the same mechanism the raft and
-// multipaxos engines use: the transfer machinery ports across the family
+// behind a multi-megabyte image. This is the same mechanism the
+// multipaxos engine uses: the transfer machinery ports across the family
 // unchanged, like the paper's other optimizations.
 func (e *Engine) beginSnapshotTransfer(p protocol.NodeID, out *protocol.Output) {
 	if x, ok := e.xfers[p]; ok {
@@ -1123,10 +1124,8 @@ func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgIn
 	}
 }
 
-// maybeCommit advances the leader's commit index to the quorum-replicated
-// watermark. Raft* needs no §5.4.2 current-term check: every acknowledged
-// entry was re-stamped to the current ballot, exactly like a MultiPaxos
-// re-proposal.
+// maybeCommit advances the leader's commit index to what the commit rule
+// allows of the quorum-replicated watermark.
 func (e *Engine) maybeCommit(out *protocol.Output) {
 	if e.role != Leader {
 		return
@@ -1136,7 +1135,7 @@ func (e *Engine) maybeCommit(out *protocol.Output) {
 		matches = append(matches, e.match[p])
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidate := matches[e.quorum()-1]
+	candidate := e.rules.Commit(e, matches[e.quorum()-1])
 	if gate := e.cfg.Hooks.GateCommit; gate != nil {
 		candidate = gate(candidate)
 	}
@@ -1148,7 +1147,7 @@ func (e *Engine) maybeCommit(out *protocol.Output) {
 func (e *Engine) advanceCommit(to int64, out *protocol.Output) {
 	for i := e.commit + 1; i <= to; i++ {
 		ent, _ := e.log.At(i)
-		ent.Bal = e.balAt(i)
+		ent.Bal = e.bal(ent)
 		// Reply routing with the fast path on: the submitter answers for its
 		// own fast commands (it holds the client connection); the leader
 		// stays quiet for fast commands it adopted from others, and answers
@@ -1362,20 +1361,27 @@ func (e *Engine) routeLost(lost []protocol.Command, out *protocol.Output) {
 // essential — they are not unique per (index, term), so the PrevTerm
 // check alone cannot see the divergence — but it guards classic entries
 // too: a mismatch there means our line diverged from the leader's and
-// backing up to overwrite is always the safe answer.
+// backing up to overwrite is always the safe answer. id 0 is the leader
+// saying nothing (it no longer holds the entry) or naming a no-op; a
+// classic entry passes on the PrevTerm check then, but a speculative one —
+// always a client command — cannot be told from the leader's and conflicts.
 func (e *Engine) specConflict(idx int64, id uint64) bool {
 	ent, ok := e.log.At(idx)
-	return ok && ent.Cmd.ID != id
+	if !ok || (id == 0 && !e.speculative(idx)) {
+		return false
+	}
+	return ent.Cmd.ID != id
 }
 
 // adoptFastSuffix runs the fast-path election recovery over the vote
 // quorum's log reports (protocol.ChooseFast): for every slot above our
 // commit index, pick the value that may have been fast-chosen — ratified
 // copies by highest ballot, exactly the base safe-value rule; speculative
-// copies by the count rule — and install it in our own log. Unlike raft,
-// no term rewrite is needed: Raft* re-proposes the whole log at the new
-// ballot anyway (logBal = term right after), which is the classic
-// re-proposal Fast Paxos recovery calls for.
+// copies by the count rule — and install it in our own log at our term,
+// the classic re-proposal Fast Paxos recovery calls for: Raft* re-proposes
+// its whole log at the new ballot right after, and Raft's §5.4.2 no-op
+// barrier, appended right after, commits the suffix classically. The
+// reports are consumed: nothing is left for the rule's own recovery.
 func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 	participants := len(e.votes)
 	n := len(e.cfg.Peers)
@@ -1386,7 +1392,7 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 		var reports []protocol.FastReport
 		own, ownHeld := e.log.At(slot)
 		if ownHeld {
-			reports = append(reports, protocol.FastReport{Bal: e.balAt(slot), Cmd: own.Cmd})
+			reports = append(reports, protocol.FastReport{Bal: e.bal(own), Cmd: own.Cmd})
 		}
 		for _, ents := range e.fastVotes {
 			for i := range ents {
@@ -1401,7 +1407,7 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 			break // nobody reported anything at or above this slot
 		}
 		chosen[cmd.ID] = true
-		if !rewriting && ownHeld && own.Cmd.ID == cmd.ID && e.balAt(slot) > 0 {
+		if !rewriting && ownHeld && own.Cmd.ID == cmd.ID && e.bal(own) > 0 {
 			// Ratified in place: classic entries are unique per (index, term),
 			// so the entry's term history can stand and the uniform re-stamp
 			// ratifies it at our ballot.
@@ -1435,7 +1441,8 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 		out.AppendedEntries = append(out.AppendedEntries, adopted)
 	}
 	e.fastVotes = nil
-	e.specFrom = 0 // the whole log is classically re-proposed at our ballot
+	e.extraMax = e.LastIndex()
+	e.specFrom = 0 // every slot above our commit index is now ratified or rewritten
 	var lost []protocol.Command
 	for _, cmd := range displaced {
 		if !chosen[cmd.ID] {
@@ -1468,11 +1475,4 @@ func (e *Engine) MatchIndex(p protocol.NodeID) int64 {
 		return 0
 	}
 	return e.match[p]
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -126,10 +126,15 @@ func (schedule) Generate(r *rand.Rand, _ int) reflect.Value {
 
 // TestAgreementProperty: under arbitrary drop rates, chaotic reordering
 // and a transient partition, no two replicas ever apply conflicting
-// entries — checked across randomized schedules with testing/quick.
+// entries — checked across randomized schedules with testing/quick, under
+// either rule set.
 func TestAgreementProperty(t *testing.T) {
+	eachVariant(t, func(t *testing.T, v variant) { agreementProperty(t, v) })
+}
+
+func agreementProperty(t *testing.T, v variant) {
 	check := func(s schedule) bool {
-		c := newCluster(t, 3, s.Seed)
+		c := v.cluster(3, s.Seed, false)
 		c.DropRate = s.Drops
 		leader, err := c.ElectLeader(500)
 		if err != nil {

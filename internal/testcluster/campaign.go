@@ -78,7 +78,7 @@ type CampaignResult struct {
 func buildCampaignEngine(name string, id protocol.NodeID, peers []protocol.NodeID, seed int64, sabotage bool) protocol.Engine {
 	switch name {
 	case "raft":
-		return raft.New(raft.Config{
+		return raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
 			Seed: seed, ReadIndex: true,
 		})

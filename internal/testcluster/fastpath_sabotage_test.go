@@ -430,7 +430,7 @@ func runFastSuffixSurvivesKill(t *testing.T, name string, build func(id protocol
 func TestFastSuffixSurvivesKillRaft(t *testing.T) {
 	peers := []protocol.NodeID{0, 1, 2}
 	runFastSuffixSurvivesKill(t, "raft", func(id protocol.NodeID) fastEngine {
-		return raft.New(raft.Config{
+		return raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
 			Seed: 61, FastPath: true,
 		})

@@ -23,12 +23,12 @@ func linearEngines(name string, seed int64) []protocol.Engine {
 	for i, id := range peers {
 		switch name {
 		case "raft":
-			engines[i] = raft.New(raft.Config{
+			engines[i] = raft.New(raftstar.Config{
 				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
 				Seed: seed, ReadIndex: true,
 			})
 		case "raft-fast":
-			engines[i] = raft.New(raft.Config{
+			engines[i] = raft.New(raftstar.Config{
 				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
 				Seed: seed, ReadIndex: true, FastPath: true,
 			})
@@ -273,7 +273,7 @@ func TestCheckerCatchesSabotagedReadIndex(t *testing.T) {
 	peers := []protocol.NodeID{0, 1, 2}
 	engines := make([]protocol.Engine, len(peers))
 	for i, id := range peers {
-		engines[i] = raft.New(raft.Config{
+		engines[i] = raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
 			Seed: 21, ReadIndex: true, UnsafeSkipReadQuorum: true,
 		})

@@ -190,25 +190,60 @@ func readNodeIDs(r *Reader) []protocol.NodeID {
 	return out
 }
 
+// The vote-request and append-request layouts raft and raftstar share
+// (their forwards share appendCommands/readCommands with everyone).
+
+func appendVoteReq(b []byte, m *raftstar.MsgVoteReq) []byte {
+	b = AppendUvarint(b, m.Term)
+	b = AppendVarint(b, m.LastIndex)
+	b = AppendUvarint(b, m.LastTerm)
+	return AppendVarint(b, m.Commit)
+}
+
+func readVoteReq(r *Reader, m *raftstar.MsgVoteReq) {
+	m.Term = r.Uvarint()
+	m.LastIndex = r.Varint()
+	m.LastTerm = r.Uvarint()
+	m.Commit = r.Varint()
+}
+
+func appendAppendReq(b []byte, m *raftstar.MsgAppendReq) []byte {
+	b = AppendUvarint(b, m.Term)
+	b = AppendVarint(b, m.PrevIndex)
+	b = AppendUvarint(b, m.PrevTerm)
+	b = AppendEntries(b, m.Entries)
+	b = AppendVarint(b, m.Commit)
+	b = AppendUvarint(b, m.ReadCtx)
+	return AppendUvarint(b, m.PrevID)
+}
+
+func readAppendReq(r *Reader, m *raftstar.MsgAppendReq) {
+	m.Term = r.Uvarint()
+	m.PrevIndex = r.Varint()
+	m.PrevTerm = r.Uvarint()
+	m.Entries = ReadEntries(r)
+	m.Commit = r.Varint()
+	m.ReadCtx = r.Uvarint()
+	m.PrevID = r.Uvarint()
+}
+
 // registerBuiltin binds every engine message type this package can see.
 // cluster.MsgReply registers from package cluster (see TagClusterReply).
 func registerBuiltin() {
-	// raft: vote request/response, append request/response, forward.
+	// raft: vote request/response, append request/response, forward — the
+	// engine's five structs (package raftstar) under Raft's own types and
+	// tags; the disjoint tags keep the two variants from talking to each
+	// other. Requests and forward share raftstar's layouts; the responses
+	// keep Raft's shorter ones, without the Raft*-only MsgVoteResp.LastIndex
+	// and MsgAppendResp.Holders.
 	Register(TagRaftVoteReq, &raft.MsgVoteReq{}, Codec{
 		New: func() protocol.Message { return &raft.MsgVoteReq{} },
 		Append: func(b []byte, msg protocol.Message) []byte {
-			m := msg.(*raft.MsgVoteReq)
-			b = AppendUvarint(b, m.Term)
-			b = AppendVarint(b, m.LastIndex)
-			b = AppendUvarint(b, m.LastTerm)
-			return AppendVarint(b, m.Commit)
+			return appendVoteReq(b, (*raftstar.MsgVoteReq)(msg.(*raft.MsgVoteReq)))
 		},
 		Decode: func(r *Reader) (protocol.Message, error) {
 			m := &raft.MsgVoteReq{}
-			m.Term = r.Uvarint()
-			m.LastIndex = r.Varint()
-			m.LastTerm = r.Uvarint()
-			m.Commit = r.Varint()
+			readVoteReq(r, (*raftstar.MsgVoteReq)(m))
 			return m, r.Err()
 		},
 	})
@@ -231,24 +266,11 @@ func registerBuiltin() {
 	Register(TagRaftAppendReq, &raft.MsgAppendReq{}, Codec{
 		New: func() protocol.Message { return &raft.MsgAppendReq{} },
 		Append: func(b []byte, msg protocol.Message) []byte {
-			m := msg.(*raft.MsgAppendReq)
-			b = AppendUvarint(b, m.Term)
-			b = AppendVarint(b, m.PrevIndex)
-			b = AppendUvarint(b, m.PrevTerm)
-			b = AppendEntries(b, m.Entries)
-			b = AppendVarint(b, m.Commit)
-			b = AppendUvarint(b, m.ReadCtx)
-			return AppendUvarint(b, m.PrevID)
+			return appendAppendReq(b, (*raftstar.MsgAppendReq)(msg.(*raft.MsgAppendReq)))
 		},
 		Decode: func(r *Reader) (protocol.Message, error) {
 			m := &raft.MsgAppendReq{}
-			m.Term = r.Uvarint()
-			m.PrevIndex = r.Varint()
-			m.PrevTerm = r.Uvarint()
-			m.Entries = ReadEntries(r)
-			m.Commit = r.Varint()
-			m.ReadCtx = r.Uvarint()
-			m.PrevID = r.Uvarint()
+			readAppendReq(r, (*raftstar.MsgAppendReq)(m))
 			return m, r.Err()
 		},
 	})
@@ -281,23 +303,16 @@ func registerBuiltin() {
 		},
 	})
 
-	// raftstar: the same five shapes, plus safe-value extras on vote
+	// raftstar: the same five shapes, plus the voter's last index on vote
 	// responses and lease holders on append responses.
 	Register(TagRaftstarVoteReq, &raftstar.MsgVoteReq{}, Codec{
 		New: func() protocol.Message { return &raftstar.MsgVoteReq{} },
 		Append: func(b []byte, msg protocol.Message) []byte {
-			m := msg.(*raftstar.MsgVoteReq)
-			b = AppendUvarint(b, m.Term)
-			b = AppendVarint(b, m.LastIndex)
-			b = AppendUvarint(b, m.LastTerm)
-			return AppendVarint(b, m.Commit)
+			return appendVoteReq(b, msg.(*raftstar.MsgVoteReq))
 		},
 		Decode: func(r *Reader) (protocol.Message, error) {
 			m := &raftstar.MsgVoteReq{}
-			m.Term = r.Uvarint()
-			m.LastIndex = r.Varint()
-			m.LastTerm = r.Uvarint()
-			m.Commit = r.Varint()
+			readVoteReq(r, m)
 			return m, r.Err()
 		},
 	})
@@ -322,24 +337,11 @@ func registerBuiltin() {
 	Register(TagRaftstarAppendReq, &raftstar.MsgAppendReq{}, Codec{
 		New: func() protocol.Message { return &raftstar.MsgAppendReq{} },
 		Append: func(b []byte, msg protocol.Message) []byte {
-			m := msg.(*raftstar.MsgAppendReq)
-			b = AppendUvarint(b, m.Term)
-			b = AppendVarint(b, m.PrevIndex)
-			b = AppendUvarint(b, m.PrevTerm)
-			b = AppendEntries(b, m.Entries)
-			b = AppendVarint(b, m.Commit)
-			b = AppendUvarint(b, m.ReadCtx)
-			return AppendUvarint(b, m.PrevID)
+			return appendAppendReq(b, msg.(*raftstar.MsgAppendReq))
 		},
 		Decode: func(r *Reader) (protocol.Message, error) {
 			m := &raftstar.MsgAppendReq{}
-			m.Term = r.Uvarint()
-			m.PrevIndex = r.Varint()
-			m.PrevTerm = r.Uvarint()
-			m.Entries = ReadEntries(r)
-			m.Commit = r.Varint()
-			m.ReadCtx = r.Uvarint()
-			m.PrevID = r.Uvarint()
+			readAppendReq(r, m)
 			return m, r.Err()
 		},
 	})

@@ -26,8 +26,8 @@ func TestRegistryCoversAllBuiltinTypes(t *testing.T) {
 
 // fillRandom populates every exported field of a message struct with
 // random values, recursing through slices and nested structs. It is the
-// generator for the round-trip and gob-differential property tests; any
-// new field an engine adds to a message is picked up automatically.
+// generator for the round-trip property test; any new field an engine
+// adds to a message is picked up automatically.
 func fillRandom(rng *rand.Rand, v reflect.Value, depth int) {
 	switch v.Kind() {
 	case reflect.Pointer:
@@ -115,6 +115,14 @@ func TestRoundTripAllTypes(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			msg := e.codec.New()
 			fillRandom(rng, reflect.ValueOf(msg), 0)
+			// Raft's two responses are raftstar's structs under shorter
+			// encodings: the Raft*-only fields never travel.
+			switch m := msg.(type) {
+			case *raft.MsgVoteResp:
+				m.LastIndex = 0
+			case *raft.MsgAppendResp:
+				m.Holders = nil
+			}
 			from := protocol.NodeID(rng.Intn(9) - 1)
 
 			buf, err := AppendMessage(nil, from, msg)

@@ -184,7 +184,7 @@ func NewEngine(cfg ClusterConfig, id protocol.NodeID, peers []protocol.NodeID) p
 	election, hb := ticks(c.ElectionTimeout), ticks(c.HeartbeatInterval)
 	switch c.Protocol {
 	case ProtoRaft:
-		return raft.New(raft.Config{
+		return raft.New(raftstar.Config{
 			ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
 			ReadIndex: !c.DisableFastReads, FastPath: c.FastPathWrites,
 		})
