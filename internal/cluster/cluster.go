@@ -386,8 +386,17 @@ func (n *Node) IsLeader() bool { return n.isLeader.Load() }
 // (protocol.None when unknown).
 func (n *Node) LeaderID() protocol.NodeID { return protocol.NodeID(n.leaderID.Load()) }
 
-// HandleMessage is the transport inbound hook.
+// HandleMessage is the transport inbound hook. A MsgReply is for a client
+// waiting at this node, not for the engine: it completes the waiter right
+// here on the transport's goroutine, so the client wakes without an
+// event-loop iteration in between — and a node whose inbox is backed up
+// still answers its clients (and never blocks the transport reader on a
+// reply).
 func (n *Node) HandleMessage(from protocol.NodeID, msg protocol.Message) {
+	if m, ok := msg.(*MsgReply); ok {
+		n.completeLocal(m)
+		return
+	}
 	select {
 	case n.inbox <- inbound{from: from, msg: msg}:
 	case <-n.stop:
@@ -470,7 +479,7 @@ func (n *Node) run() {
 			}
 			out = n.cfg.Engine.Tick()
 		case in := <-n.inbox:
-			n.stepInbound(in, &out)
+			out = n.cfg.Engine.Step(in.from, in.msg)
 		case req := <-n.submits:
 			n.stepSubmit(req, &out, &writes, &reads)
 		case through := <-n.truncCh:
@@ -611,14 +620,6 @@ func (n *Node) restoreSnapshot() (snapIdx, base int64, restorable bool) {
 	return snap.Index, base, true
 }
 
-func (n *Node) stepInbound(in inbound, out *protocol.Output) {
-	if m, ok := in.msg.(*MsgReply); ok {
-		n.completeLocal(m)
-		return
-	}
-	out.Merge(n.cfg.Engine.Step(in.from, in.msg))
-}
-
 // stepSubmit collects writes and reads for one batched submission each at
 // the end of the drain (a read never extends the proposal batch; batched
 // reads share one ReadIndex confirmation round).
@@ -645,7 +646,7 @@ func (n *Node) drain(out *protocol.Output, writes, reads *[]protocol.Command) {
 	for budget := n.cfg.MaxBatch; budget > 0; budget-- {
 		select {
 		case in := <-n.inbox:
-			n.stepInbound(in, out)
+			out.Merge(n.cfg.Engine.Step(in.from, in.msg))
 		case req := <-n.submits:
 			n.stepSubmit(req, out, writes, reads)
 		default:
@@ -705,19 +706,26 @@ func (n *Node) finish(out protocol.Output) {
 		}
 	}
 	committing := len(out.Commits) > 0 || len(out.Replies) > 0 || out.InstalledSnapshot != nil
-	handoff := committing || len(out.ReadStates) > 0
+	if len(out.ReadStates) > 0 && !committing {
+		// Confirmed reads with nothing else to hand off go straight to the
+		// applier instead of queueing behind whatever sync the persister is
+		// in: a ReadState depends on nothing this or any staged round makes
+		// durable, and the applier parks it until the state machine has
+		// applied through its read index — which is the whole ordering
+		// guarantee (the commits it waits for still release through the
+		// pipeline, after their durability point).
+		n.handOff(applyBatch{reads: out.ReadStates})
+		out.ReadStates = nil
+	}
 	if n.cfg.Stable == nil {
 		// Volatile node: no barrier to realize, release everything on the
 		// spot and keep the pipeline out of the picture.
 		n.sendDirect(out.Msgs)
-		if handoff {
-			select {
-			case n.applyCh <- applyBatch{
+		if committing {
+			n.handOff(applyBatch{
 				commits: out.Commits, replies: out.Replies, reads: out.ReadStates,
 				install: out.InstalledSnapshot,
-			}:
-			case <-n.stop:
-			}
+			})
 		}
 		return
 	}
@@ -741,7 +749,7 @@ func (n *Node) finish(out protocol.Output) {
 		install: out.InstalledSnapshot,
 		msgs:    out.Msgs,
 		barrier: hasAck || (committing && !commitDurable),
-		handoff: handoff,
+		handoff: committing,
 	}
 	if commitDurable {
 		n.sendEarly(out.Msgs)
@@ -762,7 +770,7 @@ func (n *Node) finish(out protocol.Output) {
 		job.hs = n.hardState()
 		job.saveHS = true
 	}
-	if handoff {
+	if committing {
 		job.batch = applyBatch{
 			commits: out.Commits, replies: out.Replies, reads: out.ReadStates,
 			install: out.InstalledSnapshot,
@@ -773,6 +781,16 @@ func (n *Node) finish(out protocol.Output) {
 		return // nothing staged: ticks and idle drains stay free
 	}
 	n.stage(job)
+}
+
+// handOff passes a batch to the applier from the event loop. (The
+// persister hands off with a plain send: it outlives the loop and Stop
+// keeps the applier draining until it has exited.)
+func (n *Node) handOff(b applyBatch) {
+	select {
+	case n.applyCh <- b:
+	case <-n.stop:
+	}
 }
 
 // commitDurable reports whether the engine's current commit index is

@@ -172,12 +172,18 @@ func TestHostMultiGroupPutGet(t *testing.T) {
 	}
 
 	// Group isolation: each key is applied by its owning group's state
-	// machine on every host, and by no other group.
+	// machine on every host, and by no other group. A follower applies a
+	// commit only when the next append or heartbeat tells it so: give the
+	// owner's copy that long to appear.
 	for _, key := range keys {
 		owner := cluster.GroupForKey(key, groups)
 		for hi, h := range hosts {
 			for g := 0; g < groups; g++ {
 				_, ok := h.Group(g).Store().Get(key)
+				for deadline := time.Now().Add(5 * time.Second); uint64(g) == owner && !ok && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+					_, ok = h.Group(g).Store().Get(key)
+				}
 				if uint64(g) == owner && !ok {
 					t.Fatalf("host %d group %d (owner) missing key %s", hi, g, key)
 				}

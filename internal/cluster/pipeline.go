@@ -5,13 +5,15 @@
 // (stageCh, capacity = Config.PersistWindow) and keeps stepping the
 // engine; the persister goroutine drains whatever is staged into one
 // group-committed round — entries from every drained job share a single
-// fsync, the newest hard state folds into the same flush
-// (storage.GroupSync) — and then walks the drained jobs strictly in
-// staging order, releasing each job's withheld BarrierMessages and its
-// applyCh hand-off only once everything the job accepted is durable.
-// That keeps the protocol.Output barrier (entries fsynced → hard state
-// fsynced → acks released → commits applied) intact per round while the
-// fsync itself overlaps with message processing.
+// store sync (storage.File: one fdatasync into a preallocated segment), the
+// newest hard state folds into the same flush (storage.GroupSync) — and
+// then walks the drained jobs strictly in staging order, releasing each
+// job's withheld BarrierMessages and its applyCh hand-off only once
+// everything the job accepted is durable. (Confirmed reads with nothing
+// else to hand off never enter the pipeline: see Node.finish.)
+// That keeps the protocol.Output barrier (entries synced → hard state
+// synced → acks released → commits applied) intact per round while the
+// sync itself overlaps with message processing.
 package cluster
 
 import (
@@ -39,7 +41,7 @@ type persistJob struct {
 	hs     storage.HardState
 	saveHS bool
 	// barrier marks a round some promise depends on (an ack in msgs or a
-	// commit in batch): the drain containing it must fsync. Rounds
+	// commit in batch): the drain containing it must sync. Rounds
 	// without it stay buffered — group commit across the window.
 	barrier bool
 	// handoff/batch carry the iteration's commits, replies, and confirmed
@@ -94,7 +96,7 @@ func (n *Node) persister() {
 		}
 		jobs = append(jobs[:0], job)
 		// Coalesce: every round already staged joins this drain and
-		// shares its fsync. The stage channel's capacity bounds the batch.
+		// shares its sync. The stage channel's capacity bounds the batch.
 	coalesce:
 		for {
 			select {
@@ -113,7 +115,7 @@ func (n *Node) persister() {
 }
 
 // processRounds is one group-committed drain: write every job's entries
-// (and snapshot install), fsync once if any job carries a promise, fold
+// (and snapshot install), sync once if any job carries a promise, fold
 // the newest hard state into the same flush, then complete the jobs in
 // staging order — withheld messages and applyCh hand-offs release per
 // job, and a failure at job i fails jobs i.. while jobs before i still
@@ -193,7 +195,7 @@ func (n *Node) processRounds(jobs []persistJob) {
 		}
 	}
 
-	// Completion, strictly in staging order — but the fsync waits until
+	// Completion, strictly in staging order — but the sync waits until
 	// the first job that actually needs it. Jobs before the drain's first
 	// barrier round owe nothing to this drain's sync (their commits were
 	// durability-checked at staging), so their withheld hand-offs release
@@ -208,7 +210,7 @@ func (n *Node) processRounds(jobs []persistJob) {
 		if job.barrier && !synced && needSync {
 			synced = true
 			if serr := n.syncAndSave(hs, save, true); serr != nil {
-				// The group fsync (or hard-state save) failed: no round
+				// The group sync (or hard-state save) failed: no round
 				// from here on reached its durability point, so all of
 				// them fail and their acks stay withheld. Buffered
 				// entries survive in the store's write buffer (or redo)
@@ -252,7 +254,7 @@ func (n *Node) processRounds(jobs []persistJob) {
 }
 
 // appendRound writes one round's entries to the log store: buffered when
-// the store defers syncs (the drain's single fsync covers them), plain
+// the store defers syncs (the drain's single sync covers them), plain
 // otherwise, per-entry under DisableBatching (the measured baseline).
 func (n *Node) appendRound(ents []protocol.Entry) error {
 	if n.cfg.DisableBatching {

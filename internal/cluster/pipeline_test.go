@@ -62,7 +62,7 @@ func buildPipelineCluster(t *testing.T, stores []storage.Store, fn *filterNet, a
 		nodes[i] = cluster.New(cluster.Config{
 			Engine: raftstar.New(raftstar.Config{
 				ID: peers[i], Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2, Seed: 21,
-				Passive: peers[i] != active,
+				Passive: peers[i] != active, ReadIndex: true,
 			}),
 			Transport:    fn,
 			Stable:       stores[i],

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,16 +20,51 @@ import (
 	"raftpaxos/internal/transport"
 )
 
+// msgCounter tallies the transport messages it sees, by Go type.
+type msgCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+// count has filterNet's drop-hook signature and drops nothing.
+func (c *msgCounter) count(_, _ protocol.NodeID, msg protocol.Message) bool {
+	c.mu.Lock()
+	c.n[fmt.Sprintf("%T", msg)]++
+	c.mu.Unlock()
+	return false
+}
+
+// since reports what was counted beyond base, as a printable map.
+func (c *msgCounter) since(base map[string]int) map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := make(map[string]int)
+	for k, v := range c.n {
+		if v != base[k] {
+			d[k] = v - base[k]
+		}
+	}
+	return d
+}
+
 // TestReadIndexSkipsLogAndFsync is the fast path's acceptance test at
-// the storage layer: a burst of reads — at the leader and forwarded from
-// a follower — appends zero entries and pays zero WAL fsyncs, asserted
-// via the storage counters, while every read returns the committed value.
+// the storage and transport layers: a burst of reads — at the leader and
+// forwarded from a follower — appends zero entries and pays zero WAL
+// fsyncs, asserted via the storage counters, while every read returns the
+// committed value; a follower read costs exactly two transport messages
+// (the forward and the reply — the forwarder is the leader's quorum
+// witness, so no confirmation round runs) and a leader read exactly one
+// round. The nodes' clocks are injected and stand still while the reads
+// run, so every message counted is one a read caused.
 func TestReadIndexSkipsLogAndFsync(t *testing.T) {
 	peers := []protocol.NodeID{0, 1, 2}
-	net := transport.NewChanNetwork()
-	defer net.Close()
+	counter := &msgCounter{n: make(map[string]int)}
+	net := &filterNet{inner: transport.NewChanNetwork()}
+	net.SetDrop(counter.count)
+	defer net.inner.Close()
 	stores := make([]*storage.File, 3)
 	nodes := make([]*cluster.Node, 3)
+	ticks := make([]chan time.Time, 3)
 	for i := range peers {
 		fs, err := storage.OpenFile(t.TempDir())
 		if err != nil {
@@ -35,16 +72,17 @@ func TestReadIndexSkipsLogAndFsync(t *testing.T) {
 		}
 		defer fs.Close()
 		stores[i] = fs
+		ticks[i] = make(chan time.Time)
 		nodes[i] = cluster.New(cluster.Config{
 			Engine: raftstar.New(raftstar.Config{
 				ID: peers[i], Peers: peers, ElectionTicks: 20, HeartbeatTicks: 2,
 				Seed: 51, ReadIndex: true,
 			}),
-			Transport:    net,
-			Stable:       fs,
-			TickInterval: 2 * time.Millisecond,
+			Transport: net,
+			Stable:    fs,
+			Ticks:     ticks[i],
 		})
-		net.Listen(peers[i], nodes[i].HandleMessage)
+		net.inner.Listen(peers[i], nodes[i].HandleMessage)
 	}
 	for _, nd := range nodes {
 		nd.Start()
@@ -54,7 +92,29 @@ func TestReadIndexSkipsLogAndFsync(t *testing.T) {
 			nd.Stop()
 		}
 	}()
-	leader := waitLeader(t, nodes)
+	// tickAll advances every node's clock by k ticks, 2 ms apart.
+	tickAll := func(k int) {
+		for ; k > 0; k-- {
+			for _, ch := range ticks {
+				ch <- time.Time{}
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	var leader, follower *cluster.Node
+	for i := 0; leader == nil; i++ {
+		if i == 2000 {
+			t.Fatal("no leader after 2000 injected ticks")
+		}
+		tickAll(1)
+		for _, nd := range nodes {
+			if nd.IsLeader() {
+				leader = nd
+			} else {
+				follower = nd
+			}
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -63,8 +123,10 @@ func TestReadIndexSkipsLogAndFsync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Quiesce past the commit-save throttle so the only storage activity
-	// left is whatever the reads cause — which must be nothing.
+	// Let heartbeats spread the commit index, then quiesce past the
+	// commit-save throttle with the clocks stopped: the only storage and
+	// transport activity left is whatever the reads cause.
+	tickAll(10)
 	time.Sleep(100 * time.Millisecond)
 	var entries, syncs, appends uint64
 	for _, fs := range stores {
@@ -72,14 +134,8 @@ func TestReadIndexSkipsLogAndFsync(t *testing.T) {
 		syncs += fs.SyncCount()
 		appends += fs.AppendCount()
 	}
+	sent := counter.since(nil) // everything counted so far
 
-	var follower *cluster.Node
-	for _, nd := range nodes {
-		if nd != leader {
-			follower = nd
-			break
-		}
-	}
 	const reads = 100
 	for i := 0; i < reads; i++ {
 		at := leader
@@ -93,6 +149,17 @@ func TestReadIndexSkipsLogAndFsync(t *testing.T) {
 		if want := fmt.Sprintf("v%d", i%3); string(got) != want {
 			t.Fatalf("read %d = %q, want %s", i, got, want)
 		}
+	}
+
+	// A leader read completes on its first echo; give the second one time
+	// to land before counting.
+	time.Sleep(50 * time.Millisecond)
+	want := map[string]int{
+		"*protocol.MsgReadForward": reads / 2, "*cluster.MsgReply": reads / 2, // follower reads
+		"*raftstar.MsgAppendReq": reads, "*raftstar.MsgAppendResp": reads, // leader reads: 2 followers each
+	}
+	if got := counter.since(sent); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d leader + %d follower reads sent %v, want %v", reads/2, reads/2, got, want)
 	}
 
 	var entries2, syncs2, appends2 uint64
@@ -123,6 +190,168 @@ func TestReadIndexSkipsLogAndFsync(t *testing.T) {
 		t.Fatalf("%d reads replicated through the log, want 0", logged)
 	}
 }
+
+// TestReadsDoNotQueueBehindPersister: a confirmed read depends on nothing
+// the persister is making durable, so it must not wait for it. The
+// leader's persister is parked inside its store on a write that cannot
+// commit (the filter keeps its entries from the followers, so the read
+// index stays at what is already applied); Gets at the leader and at a
+// follower still complete, while the Put stays blocked until the store
+// lets go.
+func TestReadsDoNotQueueBehindPersister(t *testing.T) {
+	gated := &gateStore{Store: storage.NewMem()}
+	stores := []storage.Store{gated, storage.NewMem(), storage.NewMem()}
+	fn := &filterNet{inner: transport.NewChanNetwork()}
+	nodes, stop := buildPipelineCluster(t, stores, fn, 0)
+	defer stop()
+	defer gated.Release() // before stop, also when a check below fails
+	leader := waitLeader(t, nodes)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := leader.Put(ctx, "warm", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	fn.SetDrop(func(_, _ protocol.NodeID, msg protocol.Message) bool {
+		m, ok := msg.(*raftstar.MsgAppendReq)
+		return ok && len(m.Entries) > 0
+	})
+	gated.Arm()
+	put := make(chan error, 1)
+	go func() { put <- leader.Put(ctx, "held", []byte("v")) }()
+	waitBlocked(t, gated)
+
+	for i, nd := range nodes[:2] { // the leader, and a follower forwarding to it
+		rctx, rcancel := context.WithTimeout(ctx, 5*time.Second)
+		got, err := nd.Get(rctx, "warm")
+		rcancel()
+		if err != nil || string(got) != "v" {
+			t.Fatalf("Get at node %d while the leader's persister is parked: %q, %v", i, got, err)
+		}
+	}
+	select {
+	case err := <-put:
+		t.Fatalf("the gated Put completed (err=%v): the persister was not parked", err)
+	default:
+	}
+
+	fn.SetDrop(nil)
+	gated.Release()
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplyBypassesBackedUpInbox: a MsgReply is for a waiting client, not
+// for the engine, so the transport reader completes it directly. With the
+// node's event loop held (it waits on a persistence round parked in the
+// store) and its inbox full, HandleMessage must still hand the reply to
+// its waiter and return, instead of blocking the transport reader behind
+// the backlog.
+func TestReplyBypassesBackedUpInbox(t *testing.T) {
+	gated := &gateStore{Store: storage.NewMem()}
+	forwards := make(chan *protocol.MsgReadForward, 1)
+	node := cluster.New(cluster.Config{
+		Engine: raftstar.New(raftstar.Config{
+			ID: 1, Peers: []protocol.NodeID{0, 1, 2}, ElectionTicks: 10, HeartbeatTicks: 2,
+			Seed: 81, ReadIndex: true, Passive: true,
+		}),
+		Transport: sendFunc(func(_, _ protocol.NodeID, msg protocol.Message) {
+			if m, ok := msg.(*protocol.MsgReadForward); ok {
+				forwards <- m
+			}
+		}),
+		Stable:      gated,
+		SyncPersist: true, // the loop waits for each staged round: a parked store holds it
+		Ticks:       make(chan time.Time),
+	})
+	node.Start()
+	stopped := false
+	var pushers sync.WaitGroup
+	defer func() {
+		if !stopped {
+			gated.Release()
+			node.Stop()
+		}
+		pushers.Wait()
+	}()
+
+	// Node 0 announces itself leader of term 1; a Get at this follower then
+	// forwards, and the captured forward names the command the reply must
+	// carry.
+	node.HandleMessage(0, &raftstar.MsgAppendReq{Term: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	type result struct {
+		v   []byte
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, err := node.Get(ctx, "k")
+		got <- result{v, err}
+	}()
+	var fwd *protocol.MsgReadForward
+	select {
+	case fwd = <-forwards:
+	case <-ctx.Done():
+		t.Fatal("the follower never forwarded the read")
+	}
+
+	// Hold the loop: an append whose persistence round parks in the store.
+	gated.Arm()
+	node.HandleMessage(0, &raftstar.MsgAppendReq{Term: 1, Entries: []protocol.Entry{
+		{Index: 1, Term: 1, Bal: 1, Cmd: protocol.Command{ID: 1, Op: protocol.OpPut, Key: "x"}},
+	}})
+	waitBlocked(t, gated)
+	// Fill the inbox: push heartbeats until the pusher itself blocks.
+	var pushed atomic.Int64
+	pushers.Add(1)
+	go func() {
+		defer pushers.Done()
+		for i := 0; i < 1<<20; i++ {
+			node.HandleMessage(0, &raftstar.MsgAppendReq{Term: 1})
+			pushed.Add(1)
+		}
+	}()
+	for last, still := int64(-1), 0; still < 20; time.Sleep(5 * time.Millisecond) {
+		if cur := pushed.Load(); cur == last && cur > 0 {
+			still++
+		} else {
+			last, still = cur, 0
+		}
+	}
+
+	delivered := make(chan struct{})
+	go func() {
+		node.HandleMessage(0, &cluster.MsgReply{CmdID: fwd.Cmds[0].ID, Value: []byte("v")})
+		close(delivered)
+	}()
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HandleMessage blocked on a MsgReply behind a full inbox")
+	}
+	select {
+	case r := <-got:
+		if r.err != nil || string(r.v) != "v" {
+			t.Fatalf("Get = %q, %v", r.v, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reply did not reach its waiter while the loop was held")
+	}
+
+	gated.Release()
+	node.Stop()
+	stopped = true
+}
+
+// sendFunc adapts a function to transport.Transport.
+type sendFunc func(from, to protocol.NodeID, msg protocol.Message)
+
+func (f sendFunc) Send(from, to protocol.NodeID, msg protocol.Message) { f(from, to, msg) }
+func (f sendFunc) Close() error                                        { return nil }
 
 // TestReadIndexAcrossFullClusterKillRestart reuses the durability
 // harness's construction: writes replicate and persist on every node but

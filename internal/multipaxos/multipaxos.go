@@ -582,7 +582,7 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	case *MsgForward:
 		out.Merge(e.SubmitBatch(m.Cmds))
 	case *protocol.MsgReadForward:
-		out.Merge(e.SubmitReadBatch(m.Cmds))
+		e.stepReadForward(from, m, &out)
 	case *protocol.MsgFastAccept:
 		e.stepFastAccept(from, m, &out)
 	case *protocol.MsgFastAck:
@@ -591,18 +591,29 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	return out
 }
 
+// observeBallot adopts a higher ballot seen on any message: this replica's
+// leadership or candidacy at the old one is over, its pending reads fail,
+// and snapshot transfers (which carry the old ballot) restart on demand.
+// It reports whether bal was higher.
+func (e *Engine) observeBallot(bal uint64, out *protocol.Output) bool {
+	if bal <= e.ballot {
+		return false
+	}
+	e.ballot = bal
+	e.phase1OK = false
+	e.reads.FailAll(out)
+	e.preparing = false
+	e.xfers = nil
+	out.StateChanged = true
+	return true
+}
+
 // stepPrepare is Phase1b: promise if the ballot is the highest seen.
 func (e *Engine) stepPrepare(from protocol.NodeID, m *MsgPrepare, out *protocol.Output) {
-	if m.Bal <= e.ballot {
+	if !e.observeBallot(m.Bal, out) {
 		return // stale prepare; proposer retries with a higher ballot
 	}
-	e.ballot = m.Bal
-	e.phase1OK = false
-	e.reads.FailAll(out) // a higher ballot deposed us: pending reads fail
-	e.preparing = false
-	e.xfers = nil // transfers carry the old ballot: restart on demand
 	e.resetTimeout()
-	out.StateChanged = true
 	resp := &MsgPrepareOK{Bal: m.Bal, Insts: e.instancesFrom(m.Unchosen), Base: e.instBase}
 	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
 	if m.Unchosen <= e.instBase {
@@ -812,35 +823,49 @@ func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
 // shares one read index and one confirmation round.
 func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
 	var out protocol.Output
+	e.submitReads(cmds, protocol.None, &out)
+	return out
+}
+
+// stepReadForward handles reads another replica forwarded. The stamp is
+// the highest ballot the forwarder had seen when it sent them — the
+// paper's term ≙ ballot mapping applied to the Raft family's rule: higher
+// than ours deposes us like any higher-ballot message (the reads then
+// re-route, never served here); equal to ours at the leader makes the
+// forwarder a quorum witness for exactly these reads
+// (protocol.ReadTracker); lower proves nothing and gets the full round.
+func (e *Engine) stepReadForward(from protocol.NodeID, m *protocol.MsgReadForward, out *protocol.Output) {
+	e.observeBallot(m.Term, out)
+	witness := protocol.None
+	if m.Term == e.ballot {
+		witness = from
+	}
+	e.submitReads(m.Cmds, witness, out)
+}
+
+// submitReads serves cmds through ReadIndex at the leader — the read index
+// is the chosen prefix clamped up to the phase-1 barrier, and an empty
+// accept broadcast carrying the batch's ctx starts the confirmation
+// immediately instead of waiting out the heartbeat interval, unless leader
+// + witness already confirmed it — and routes them toward the leader
+// elsewhere.
+func (e *Engine) submitReads(cmds []protocol.Command, witness protocol.NodeID, out *protocol.Output) {
 	if len(cmds) == 0 {
-		return out
+		return
 	}
 	for i := range cmds {
 		cmds[i].Op = protocol.OpGet
 	}
-	if !e.cfg.ReadIndex {
-		return e.SubmitBatch(cmds)
-	}
-	if e.phase1OK {
-		e.addReads(cmds, &out)
-	} else {
-		protocol.RouteReads(e.cfg.ID, e.leader, &e.pendingReads, cmds, &out)
-	}
-	return out
-}
-
-// addReads opens a ReadIndex confirmation round at the leader: the read
-// index is the chosen prefix clamped up to the phase-1 barrier, and an
-// empty accept broadcast carrying the batch's ctx starts the
-// confirmation immediately instead of waiting out the heartbeat interval.
-func (e *Engine) addReads(cmds []protocol.Command, out *protocol.Output) {
-	idx := e.chosenPrefix
-	if e.readBarrier > idx {
-		idx = e.readBarrier
-	}
-	e.reads.Add(cmds, idx, out)
-	if e.reads.Pending() > 0 {
-		e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
+	switch {
+	case !e.cfg.ReadIndex:
+		out.Merge(e.SubmitBatch(cmds))
+	case e.phase1OK:
+		e.reads.Add(cmds, max(e.chosenPrefix, e.readBarrier), witness, out)
+		if e.reads.Unsent() {
+			e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
+		}
+	default:
+		protocol.RouteReads(e.cfg.ID, e.leader, e.ballot, &e.pendingReads, cmds, out)
 	}
 }
 
@@ -896,14 +921,7 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 	if m.Bal < e.ballot {
 		return // reject silently; sender will learn the higher ballot
 	}
-	if m.Bal > e.ballot {
-		e.ballot = m.Bal
-		e.phase1OK = false
-		e.reads.FailAll(out) // a higher ballot deposed us: pending reads fail
-		e.preparing = false
-		e.xfers = nil // transfers carry the old ballot: restart on demand
-		out.StateChanged = true
-	}
+	e.observeBallot(m.Bal, out)
 	e.leader = from
 	e.resetTimeout()
 	var idxs []int64
@@ -1111,14 +1129,7 @@ func (e *Engine) stepInstallSnapshot(from protocol.NodeID, m *protocol.MsgInstal
 		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
 		return
 	}
-	if m.Term > e.ballot {
-		e.ballot = m.Term
-		e.phase1OK = false
-		e.reads.FailAll(out)
-		e.preparing = false
-		e.xfers = nil
-		out.StateChanged = true
-	}
+	e.observeBallot(m.Term, out)
 	resp.Term = e.ballot
 	e.resetTimeout()
 	if m.Index <= e.chosenPrefix {
@@ -1190,13 +1201,7 @@ func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Outpu
 // instance run above the boundary so the receiver resumes execution
 // without waiting for the next gap report.
 func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgInstallSnapshotResp, out *protocol.Output) {
-	if m.Term > e.ballot {
-		e.ballot = m.Term
-		e.phase1OK = false
-		e.reads.FailAll(out)
-		e.preparing = false
-		e.xfers = nil
-		out.StateChanged = true
+	if e.observeBallot(m.Term, out) {
 		return
 	}
 	x := e.xfers[from]
@@ -1385,14 +1390,7 @@ func (e *Engine) stepFastAck(from protocol.NodeID, m *protocol.MsgFastAck, out *
 	if e.fast == nil {
 		return
 	}
-	if m.Term > e.ballot {
-		e.ballot = m.Term
-		e.phase1OK = false
-		e.reads.FailAll(out)
-		e.preparing = false
-		e.xfers = nil
-		out.StateChanged = true
-	}
+	e.observeBallot(m.Term, out)
 	e.fast.Ack(from, m.Term, m.Base, m.IDs, m.Leader)
 	if e.phase1OK && m.Term == e.ballot {
 		resendFrom := int64(0)

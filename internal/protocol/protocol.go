@@ -396,11 +396,16 @@ func SubmitReads(e Engine, cmds []Command) Output {
 // field ORDER is the encoded layout and is frozen.
 type MsgReadForward struct {
 	Cmds []Command
+	// Term is the sender's current term (Raft family) or highest seen
+	// ballot (MultiPaxos) when it sent the forward. A leader at exactly
+	// this term counts the sender as a quorum witness for these reads (see
+	// ReadTracker); a higher stamp deposes it like any higher-term message.
+	Term uint64
 }
 
 // WireSize implements Message.
 func (m *MsgReadForward) WireSize() int {
-	n := 8
+	n := 16
 	for i := range m.Cmds {
 		n += m.Cmds[i].WireSize()
 	}

@@ -1,5 +1,7 @@
 package protocol
 
+import "slices"
+
 // ReadTracker is the leader half of the ReadIndex read path, built once
 // here and shared by the raft, raftstar, and multipaxos engines the same
 // way the snapshot-transfer machinery is (the paper's porting direction:
@@ -15,7 +17,7 @@ package protocol
 // term/ballot when it processed a message sent AFTER every batch with
 // ctx <= c was opened — which is exactly what rules out a newer leader
 // having committed writes this leader has not seen before the read was
-// invoked. Once a quorum (the leader included) has echoed a batch's ctx,
+// invoked. Once a quorum (the leader included) has vouched for a batch,
 // the batch is released as an Output.ReadState; the driver serves it from
 // the state machine as soon as its applied watermark reaches the read
 // index. No log append, no fsync.
@@ -25,6 +27,23 @@ package protocol
 // the read arrived would prove leadership only up to a point BEFORE the
 // read's invocation, and a leader deposed in between could then serve a
 // stale value. MarkSent closes the open batch; later reads open a new ctx.
+//
+// The witness rule: a read forwarded by a follower (MsgReadForward)
+// arrives stamped with the forwarder's term (its highest seen ballot in
+// MultiPaxos — the paper's term ≙ ballot mapping). When the stamp equals
+// the leader's own term the forwarder is itself a quorum member that
+// recognized this term after the read was invoked, which is all an echo
+// proves — so the batch opens with the forwarder pre-counted. With three
+// replicas leader + witness is a quorum and the ReadState is released on
+// the spot, no broadcast; with five it needs one echo instead of two.
+// Safety: any later leader needs a vote/promise from a member of {leader,
+// witness, echoers}; the witness gave none above Term before it sent the
+// forward (which was after the read's invocation) and the leader none
+// before it received it, so every write a later leader completes,
+// completes after the read was invoked — and the read index (commit
+// clamped up to the election barrier) covers everything earlier. The
+// witness vouches only for the reads it forwarded: a witnessed batch never
+// joins another batch and is never joined.
 type ReadTracker struct {
 	// quorum is the confirmation threshold, counting the leader itself.
 	quorum int
@@ -35,15 +54,22 @@ type ReadTracker struct {
 	unsafeNoQuorum bool
 
 	nextCtx uint64
-	batches []*readBatch
+	batches []readBatch
+	// pending counts the commands parked in batches (bounded by
+	// maxPendingReads).
+	pending int
 }
 
 type readBatch struct {
 	ctx   uint64
 	index int64
 	cmds  []Command
-	acks  map[NodeID]bool
-	sent  bool
+	// acks are the distinct replicas vouching for the batch besides the
+	// leader: the witness first (when there is one), then echoers.
+	acks []NodeID
+	// sent: a message carrying ctx has left the replica. witnessed: the
+	// batch was opened by a forward. Either closes the batch to joiners.
+	sent, witnessed bool
 }
 
 // Reset arms the tracker for a new leadership: quorum is the confirmation
@@ -55,47 +81,67 @@ func (t *ReadTracker) Reset(quorum int, unsafeNoQuorum bool) {
 	t.quorum = quorum
 	t.unsafeNoQuorum = unsafeNoQuorum
 	t.batches = nil
+	t.pending = 0
 }
 
-// Add opens (or joins) a confirmation batch for cmds at read index. When
-// no confirmation round is needed — a single-replica cluster, or the
-// sabotaged test mode — the ReadState is released into out immediately.
-func (t *ReadTracker) Add(cmds []Command, index int64, out *Output) {
+// Add opens (or joins) a confirmation batch for cmds at read index.
+// witness is the replica that forwarded cmds stamped with the leader's own
+// term — another member, pre-counted toward the quorum — or None for reads
+// submitted at the leader. When nothing more is needed (leader + witness is
+// already a quorum, a single-replica cluster, the sabotaged test mode) the
+// ReadState is released into out immediately. At most maxPendingReads
+// commands park: there is no check-quorum, so a partitioned leader that
+// has not yet heard a higher term would otherwise hold every read sent to
+// it; overflow is rejected with ErrNotLeader like RouteReads' buffer.
+func (t *ReadTracker) Add(cmds []Command, index int64, witness NodeID, out *Output) {
 	if len(cmds) == 0 {
 		return
 	}
 	cmds = append([]Command(nil), cmds...)
-	if t.quorum <= 1 || t.unsafeNoQuorum {
+	vouched := 1 // the leader itself
+	if witness != None {
+		vouched++
+	}
+	if t.unsafeNoQuorum || vouched >= t.quorum {
 		out.ReadStates = append(out.ReadStates, ReadState{Index: index, Cmds: cmds})
 		return
 	}
-	if n := len(t.batches); n > 0 && !t.batches[n-1].sent {
+	if room := maxPendingReads - t.pending; len(cmds) > room {
+		for _, cmd := range cmds[room:] {
+			failRead(cmd, out)
+		}
+		cmds = cmds[:room]
+	}
+	if len(cmds) == 0 {
+		return
+	}
+	t.pending += len(cmds)
+	if n := len(t.batches); witness == None && n > 0 && !t.batches[n-1].sent && !t.batches[n-1].witnessed {
 		// The open batch's ctx has not been broadcast yet, so its eventual
 		// echoes postdate this read too; raising the index to the current
 		// commit only makes the earlier reads in the batch fresher.
-		b := t.batches[n-1]
-		if index > b.index {
-			b.index = index
-		}
-		b.cmds = append(b.cmds, cmds...)
+		open := &t.batches[n-1]
+		open.index = max(open.index, index)
+		open.cmds = append(open.cmds, cmds...)
 		return
 	}
 	t.nextCtx++
-	t.batches = append(t.batches, &readBatch{
-		ctx:   t.nextCtx,
-		index: index,
-		cmds:  cmds,
-		acks:  make(map[NodeID]bool),
-	})
+	b := readBatch{ctx: t.nextCtx, index: index, cmds: cmds, witnessed: witness != None}
+	if b.witnessed {
+		b.acks = []NodeID{witness}
+	}
+	t.batches = append(t.batches, b)
 }
 
 // Pending reports how many unconfirmed read commands the tracker holds.
-func (t *ReadTracker) Pending() int {
-	n := 0
-	for _, b := range t.batches {
-		n += len(b.cmds)
-	}
-	return n
+func (t *ReadTracker) Pending() int { return t.pending }
+
+// Unsent reports whether a batch is waiting for its ctx to be broadcast:
+// the engine's cue to start a confirmation round now instead of waiting
+// out the heartbeat interval.
+func (t *ReadTracker) Unsent() bool {
+	n := len(t.batches)
+	return n > 0 && !t.batches[n-1].sent
 }
 
 // MaxCtx returns the context to piggyback on outgoing appends/accepts (0
@@ -110,23 +156,26 @@ func (t *ReadTracker) MaxCtx() uint64 {
 
 // MarkSent records that a message carrying MaxCtx left the replica: every
 // open batch is now closed to joiners (see the type comment for why).
+// Unsent batches are a suffix, so the walk stops at the first sent one.
 func (t *ReadTracker) MarkSent() {
-	for _, b := range t.batches {
-		b.sent = true
+	for i := len(t.batches) - 1; i >= 0 && !t.batches[i].sent; i-- {
+		t.batches[i].sent = true
 	}
 }
 
 // Ack records a follower's echo of ctx, confirming every batch at or
 // below it; batches reaching quorum (the leader's implicit
-// self-acknowledgement included) release their ReadState into out.
+// self-acknowledgement and a witness included) release their ReadState
+// into out.
 func (t *ReadTracker) Ack(from NodeID, ctx uint64, out *Output) {
 	kept := t.batches[:0]
 	for _, b := range t.batches {
-		if b.ctx <= ctx {
-			b.acks[from] = true
+		if b.ctx <= ctx && !slices.Contains(b.acks, from) {
+			b.acks = append(b.acks, from)
 		}
 		if len(b.acks)+1 >= t.quorum {
 			out.ReadStates = append(out.ReadStates, ReadState{Index: b.index, Cmds: b.cmds})
+			t.pending -= len(b.cmds)
 			continue
 		}
 		kept = append(kept, b)
@@ -134,21 +183,33 @@ func (t *ReadTracker) Ack(from NodeID, ctx uint64, out *Output) {
 	t.batches = kept
 }
 
-// maxPendingReads bounds the reads an engine buffers while no leader is
-// known; overflow rejects with ErrNotLeader, like the write-side cap.
+// maxPendingReads bounds the reads an engine holds unanswered: buffered
+// while no leader is known (RouteReads), or parked at the leader awaiting
+// confirmation (ReadTracker.Add). Overflow rejects with ErrNotLeader, like
+// the write-side cap.
 const maxPendingReads = 4096
 
+// failRead rejects one read with ErrNotLeader.
+func failRead(cmd Command, out *Output) {
+	out.Replies = append(out.Replies, ClientReply{
+		Kind: ReplyRead, CmdID: cmd.ID, Client: cmd.Client, Key: cmd.Key,
+		Err: ErrNotLeader,
+	})
+}
+
 // RouteReads is the non-leader half of SubmitReadBatch, shared by every
-// engine with a ReadIndex port: forward the batch to a known leader, or
-// buffer it (bounded) until one is discovered and flushPending re-routes.
-// A leader view still pointing at self (a deposed leader that has only
-// seen a higher term, not the new leader) counts as unknown — forwarding
-// to self would loop the batch through the transport forever.
-func RouteReads(self, leader NodeID, pending *[]Command, cmds []Command, out *Output) {
+// engine with a ReadIndex port: forward the batch to a known leader,
+// stamped with term — the sender's current term/highest seen ballot, which
+// is what lets the leader count it as a quorum witness — or buffer it
+// (bounded) until one is discovered and flushPending re-routes. A leader
+// view still pointing at self (a deposed leader that has only seen a
+// higher term, not the new leader) counts as unknown — forwarding to self
+// would loop the batch through the transport forever.
+func RouteReads(self, leader NodeID, term uint64, pending *[]Command, cmds []Command, out *Output) {
 	if leader != None && leader != self {
 		out.Msgs = append(out.Msgs, Envelope{
 			From: self, To: leader,
-			Msg: &MsgReadForward{Cmds: append([]Command(nil), cmds...)},
+			Msg: &MsgReadForward{Cmds: append([]Command(nil), cmds...), Term: term},
 		})
 		return
 	}
@@ -157,10 +218,7 @@ func RouteReads(self, leader NodeID, pending *[]Command, cmds []Command, out *Ou
 			*pending = append(*pending, cmd)
 			continue
 		}
-		out.Replies = append(out.Replies, ClientReply{
-			Kind: ReplyRead, CmdID: cmd.ID, Client: cmd.Client, Key: cmd.Key,
-			Err: ErrNotLeader,
-		})
+		failRead(cmd, out)
 	}
 }
 
@@ -170,11 +228,9 @@ func RouteReads(self, leader NodeID, pending *[]Command, cmds []Command, out *Ou
 func (t *ReadTracker) FailAll(out *Output) {
 	for _, b := range t.batches {
 		for _, cmd := range b.cmds {
-			out.Replies = append(out.Replies, ClientReply{
-				Kind: ReplyRead, CmdID: cmd.ID, Client: cmd.Client, Key: cmd.Key,
-				Err: ErrNotLeader,
-			})
+			failRead(cmd, out)
 		}
 	}
 	t.batches = nil
+	t.pending = 0
 }

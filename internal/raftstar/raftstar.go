@@ -485,7 +485,7 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	case *MsgForward:
 		out.Merge(e.SubmitBatch(m.Cmds))
 	case *protocol.MsgReadForward:
-		out.Merge(e.SubmitReadBatch(m.Cmds))
+		e.stepReadForward(from, m, &out)
 	case *protocol.MsgFastAccept:
 		e.stepFastAccept(from, m, &out)
 	case *protocol.MsgFastAck:
@@ -674,35 +674,49 @@ func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
 // shares one read index and one confirmation round.
 func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
 	var out protocol.Output
+	e.submitReads(cmds, protocol.None, &out)
+	return out
+}
+
+// stepReadForward handles reads a follower forwarded. The stamp is the
+// forwarder's term when it sent them: higher than ours deposes us like
+// any higher-term message (the reads then re-route, never served here);
+// equal to ours at the leader makes the forwarder a quorum witness for
+// exactly these reads (protocol.ReadTracker); lower proves nothing and
+// gets the full confirmation round.
+func (e *Engine) stepReadForward(from protocol.NodeID, m *protocol.MsgReadForward, out *protocol.Output) {
+	if m.Term > e.term {
+		e.becomeFollower(m.Term, protocol.None, out)
+	}
+	witness := protocol.None
+	if m.Term == e.term {
+		witness = from
+	}
+	e.submitReads(m.Cmds, witness, out)
+}
+
+// submitReads serves cmds through ReadIndex at the leader — the read index
+// is the commit index clamped up to the election barrier, and a heartbeat
+// broadcast carrying the batch's ctx starts the confirmation immediately
+// instead of waiting out the heartbeat interval, unless leader + witness
+// already confirmed it — and routes them toward the leader elsewhere.
+func (e *Engine) submitReads(cmds []protocol.Command, witness protocol.NodeID, out *protocol.Output) {
 	if len(cmds) == 0 {
-		return out
+		return
 	}
 	for i := range cmds {
 		cmds[i].Op = protocol.OpGet
 	}
-	if !e.cfg.ReadIndex {
-		return e.SubmitBatch(cmds)
-	}
-	if e.role == Leader {
-		e.addReads(cmds, &out)
-	} else {
-		protocol.RouteReads(e.cfg.ID, e.leader, &e.pendingReads, cmds, &out)
-	}
-	return out
-}
-
-// addReads opens a ReadIndex confirmation round at the leader: the read
-// index is the commit index clamped up to the election barrier, and a
-// heartbeat broadcast carrying the batch's ctx starts the confirmation
-// immediately instead of waiting out the heartbeat interval.
-func (e *Engine) addReads(cmds []protocol.Command, out *protocol.Output) {
-	idx := e.commit
-	if e.readBarrier > idx {
-		idx = e.readBarrier
-	}
-	e.reads.Add(cmds, idx, out)
-	if e.reads.Pending() > 0 {
-		e.broadcastAppend(out, true)
+	switch {
+	case !e.cfg.ReadIndex:
+		out.Merge(e.SubmitBatch(cmds))
+	case e.role == Leader:
+		e.reads.Add(cmds, max(e.commit, e.readBarrier), witness, out)
+		if e.reads.Unsent() {
+			e.broadcastAppend(out, true)
+		}
+	default:
+		protocol.RouteReads(e.cfg.ID, e.leader, e.term, &e.pendingReads, cmds, out)
 	}
 }
 

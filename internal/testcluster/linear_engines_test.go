@@ -18,7 +18,15 @@ import (
 // exists (raft, raftstar, multipaxos) and quorum leases where they do
 // (rql, pql — whose inner engines also get the ReadIndex fallback).
 func linearEngines(name string, seed int64) []protocol.Engine {
-	peers := []protocol.NodeID{0, 1, 2}
+	return linearEnginesN(name, seed, 3)
+}
+
+// linearEnginesN is linearEngines for a group of n replicas.
+func linearEnginesN(name string, seed int64, n int) []protocol.Engine {
+	peers := make([]protocol.NodeID, n)
+	for i := range peers {
+		peers[i] = protocol.NodeID(i)
+	}
 	engines := make([]protocol.Engine, len(peers))
 	for i, id := range peers {
 		switch name {

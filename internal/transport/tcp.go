@@ -41,12 +41,14 @@ import (
 // (bounded by maxBatchBytes), so a burst of messages costs one encode
 // pass, at most one compression, and one syscall.
 const (
-	// wireVersion 4 added the fast-path message tags and the trailing
+	// wireVersion 5 added the trailing Term on MsgReadForward (the
+	// forwarder's term/ballot, which makes it a ReadIndex quorum witness);
+	// version 4 added the fast-path message tags and the trailing
 	// vote/append fields they ride on (Commit, Extra, PrevID); version 3
 	// added the per-record group prefix, version 2 was the group-less
 	// binary record layout, version 1 the gob stream the codec retired.
 	// Mixed-version clusters fail loudly at the handshake.
-	wireVersion    = 4
+	wireVersion    = 5
 	frameHeaderLen = 5
 	flagSnappy     = 0x01
 	// maxFrameBytes bounds what a reader will allocate for one frame

@@ -350,10 +350,11 @@ func TestTCPCompressionDisabled(t *testing.T) {
 }
 
 // wireHandshakeBytes pins the on-wire connection preamble: magic "RPXW"
-// plus wire-format version 4 (version 3's group-prefixed record layout
-// plus the fast-path tags and trailing vote/append fields). A format
-// change must bump the version byte here and in the transport.
-var wireHandshakeBytes = []byte{'R', 'P', 'X', 'W', 0x04}
+// plus wire-format version 5 (version 3's group-prefixed record layout,
+// version 4's fast-path tags and trailing vote/append fields, plus the
+// trailing Term on MsgReadForward). A format change must bump the version
+// byte here and in the transport.
+var wireHandshakeBytes = []byte{'R', 'P', 'X', 'W', 0x05}
 
 // TestTCPHandshakeRejectsWrongVersion dials a live listener raw and sends
 // mismatched preambles: a stale version byte and a gob-era stream (no
@@ -382,6 +383,7 @@ func TestTCPHandshakeRejectsWrongVersion(t *testing.T) {
 	badPreambles := [][]byte{
 		{'R', 'P', 'X', 'W', 0x01},     // stale wire version (gob era)
 		{'R', 'P', 'X', 'W', 0x02},     // stale wire version (pre-group records)
+		{'R', 'P', 'X', 'W', 0x04},     // previous wire version (MsgReadForward without Term)
 		{0x0e, 0xff, 0x81, 0x03, 0x01}, // gob-era stream: no preamble, typeId bytes
 	}
 	for i, pre := range badPreambles {

@@ -696,10 +696,13 @@ func registerBuiltin() {
 	Register(TagReadForward, &protocol.MsgReadForward{}, Codec{
 		New: func() protocol.Message { return &protocol.MsgReadForward{} },
 		Append: func(b []byte, msg protocol.Message) []byte {
-			return appendCommands(b, msg.(*protocol.MsgReadForward).Cmds)
+			m := msg.(*protocol.MsgReadForward)
+			b = appendCommands(b, m.Cmds)
+			return AppendUvarint(b, m.Term)
 		},
 		Decode: func(r *Reader) (protocol.Message, error) {
 			m := &protocol.MsgReadForward{Cmds: readCommands(r)}
+			m.Term = r.Uvarint()
 			return m, r.Err()
 		},
 	})

@@ -24,7 +24,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		&multipaxos.MsgPrepareOK{Bal: 8, Insts: []multipaxos.InstanceInfo{{Idx: 3, Bal: 8, Chosen: true}}},
 		&mencius.MsgPropose{Owner: 1, Proposer: 1, Bal: 1, Slots: []mencius.SlotCmd{{Slot: 4}}, Barrier: 2, Frontier: []int64{1, 2, 3}},
 		&protocol.MsgInstallSnapshot{Term: 9, Index: 100, SnapTerm: 8, Data: []byte{1, 2, 3}, Done: true},
-		&protocol.MsgReadForward{Cmds: []protocol.Command{{Op: protocol.OpGet, Key: "x"}}},
+		&protocol.MsgReadForward{Cmds: []protocol.Command{{Op: protocol.OpGet, Key: "x"}}, Term: 7},
 		&raft.MsgVoteResp{Term: math.MaxUint64, Granted: true},
 		&protocol.MsgFastAccept{Cmds: []protocol.Command{
 			{ID: 3, Client: 5, Op: protocol.OpPut, Key: "hot", Value: []byte("w")}}},

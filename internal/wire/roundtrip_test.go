@@ -161,7 +161,7 @@ func TestRoundTripEdgeValues(t *testing.T) {
 		&mencius.MsgPropose{Owner: protocol.None, Proposer: 2, Slots: []mencius.SlotCmd{{Slot: 5}}},
 		&mencius.MsgCoordHB{Barrier: -1, Frontier: []int64{}}, // empty-but-non-nil flattens to nil
 		&protocol.MsgInstallSnapshot{Data: []byte{}, Done: true},
-		&protocol.MsgReadForward{Cmds: []protocol.Command{{Op: protocol.OpGet, Key: "", Value: nil}}},
+		&protocol.MsgReadForward{Cmds: []protocol.Command{{Op: protocol.OpGet, Key: "", Value: nil}}, Term: math.MaxUint64},
 		&raft.MsgForward{Cmds: []protocol.Command{{ID: math.MaxUint64, Client: protocol.None, Op: protocol.OpPut, Key: "k", Value: []byte{0}, Size: -1}}},
 		&protocol.MsgFastAccept{}, // empty fast round: no commands
 		&protocol.MsgFastAccept{Cmds: []protocol.Command{{ID: math.MaxUint64, Client: protocol.None, Op: protocol.OpPut, Key: "hot", Value: []byte{}}}},

@@ -60,7 +60,7 @@ var specVectors = []struct {
 	{&pql.MsgReadReq{Cmd: specCmd}, "0618070401026b3102763116"},
 	{&protocol.MsgInstallSnapshot{Term: 4, Index: 9, SnapTerm: 4, Offset: 512, Data: []byte{0xAA, 0xBB}, Done: true}, "0619041204800802aabb01"},
 	{&protocol.MsgInstallSnapshotResp{Term: 4, Index: 9, NextOffset: 514, Installed: false}, "061a0412840800"},
-	{&protocol.MsgReadForward{Cmds: []protocol.Command{specCmd}}, "061b01070401026b3102763116"},
+	{&protocol.MsgReadForward{Cmds: []protocol.Command{specCmd}, Term: 4}, "061b01070401026b310276311604"},
 	{&protocol.MsgFastAccept{Cmds: []protocol.Command{specCmd}}, "061c01070401026b3102763116"},
 	{&protocol.MsgFastAck{Term: 4, Base: 9, IDs: []uint64{7}, Leader: true}, "061d0412010701"},
 }
