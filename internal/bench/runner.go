@@ -11,13 +11,12 @@ import (
 
 	"raftpaxos/internal/coorraft"
 	"raftpaxos/internal/kvstore"
+	"raftpaxos/internal/lease"
 	"raftpaxos/internal/metrics"
 	"raftpaxos/internal/multipaxos"
-	"raftpaxos/internal/pql"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
 	"raftpaxos/internal/raftstar"
-	"raftpaxos/internal/rql"
 	"raftpaxos/internal/simnet"
 	"raftpaxos/internal/workload"
 )
@@ -391,6 +390,10 @@ func buildEngine(sc Scenario, id protocol.NodeID, peers []protocol.NodeID) proto
 	electionTicks := ticks(2 * time.Second)
 	hbTicks := ticks(100 * time.Millisecond)
 	passive := int(id) != sc.LeaderSite
+	leases := lease.Config{
+		Self: id, Peers: peers,
+		DurationTicks: ticks(sc.LeaseDuration), RenewTicks: ticks(sc.LeaseRenew),
+	}
 
 	switch sc.Protocol {
 	case Raft:
@@ -406,18 +409,15 @@ func buildEngine(sc Scenario, id protocol.NodeID, peers []protocol.NodeID) proto
 			FastPath: sc.FastPath,
 		})
 	case RaftStarPQL, RaftStarLL:
-		mode := rql.QuorumLease
+		mode := lease.QuorumLease
 		if sc.Protocol == RaftStarLL {
-			mode = rql.LeaderLease
+			mode = lease.LeaderLease
 		}
-		return rql.New(rql.Config{
-			Raft: raftstar.Config{
+		return lease.NewEngine(leases, mode, func(h protocol.Hooks) lease.Inner {
+			return raftstar.New(raftstar.Config{
 				ID: id, Peers: peers, ElectionTicks: electionTicks,
-				HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive,
-			},
-			Mode:       mode,
-			LeaseTicks: ticks(sc.LeaseDuration),
-			RenewTicks: ticks(sc.LeaseRenew),
+				HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive, Hooks: h,
+			})
 		})
 	case RaftStarMencius:
 		policy := coorraft.ReplyAtCommit
@@ -435,13 +435,11 @@ func buildEngine(sc Scenario, id protocol.NodeID, peers []protocol.NodeID) proto
 			FastPath: sc.FastPath,
 		})
 	case PaxosPQL:
-		return pql.New(pql.Config{
-			Paxos: multipaxos.Config{
+		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+			return multipaxos.New(multipaxos.Config{
 				ID: id, Peers: peers, ElectionTicks: electionTicks,
-				HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive,
-			},
-			LeaseTicks: ticks(sc.LeaseDuration),
-			RenewTicks: ticks(sc.LeaseRenew),
+				HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive, Hooks: h,
+			})
 		})
 	default:
 		panic(fmt.Sprintf("bench: unknown protocol %d", sc.Protocol))
@@ -490,16 +488,7 @@ func Run(raw Scenario) (*Result, error) {
 	if sc.Protocol != RaftStarMencius {
 		leaderNode := nodes[sc.LeaderSite]
 		sim.At(0, func() {
-			type campaigner interface{ Campaign() protocol.Output }
-			if c, ok := leaderNode.eng.(interface {
-				Inner() *raftstar.Engine
-			}); ok {
-				leaderNode.handle(c.Inner().Campaign())
-			} else if c, ok := leaderNode.eng.(interface {
-				Inner() *multipaxos.Engine
-			}); ok {
-				leaderNode.handle(c.Inner().Campaign())
-			} else if c, ok := leaderNode.eng.(campaigner); ok {
+			if c, ok := leaderNode.eng.(interface{ Campaign() protocol.Output }); ok {
 				leaderNode.handle(c.Campaign())
 			}
 		})

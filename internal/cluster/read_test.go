@@ -11,11 +11,10 @@ import (
 	"time"
 
 	"raftpaxos/internal/cluster"
+	"raftpaxos/internal/lease"
 	"raftpaxos/internal/multipaxos"
-	"raftpaxos/internal/pql"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raftstar"
-	"raftpaxos/internal/rql"
 	"raftpaxos/internal/storage"
 	"raftpaxos/internal/transport"
 )
@@ -499,26 +498,27 @@ func TestReadIndexAcrossFullClusterKillRestart(t *testing.T) {
 // measured in ticks delivered, not wall time: a loaded machine slows
 // the test down but cannot starve the lease circulation into a timeout.
 func TestQuorumLeaseReadsOverTCP(t *testing.T) {
+	leaseCfg := func(id protocol.NodeID, peers []protocol.NodeID) lease.Config {
+		return lease.Config{Self: id, Peers: peers, DurationTicks: 150, RenewTicks: 15}
+	}
 	for _, tc := range []struct {
 		name string
 		mk   func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine
 	}{
 		{"rql", func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
-			return rql.New(rql.Config{
-				Raft: raftstar.Config{
+			return lease.NewEngine(leaseCfg(id, peers), lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+				return raftstar.New(raftstar.Config{
 					ID: id, Peers: peers, ElectionTicks: 20, HeartbeatTicks: 2,
-					Seed: 61, ReadIndex: true,
-				},
-				Mode: rql.QuorumLease, LeaseTicks: 150, RenewTicks: 15,
+					Seed: 61, ReadIndex: true, Hooks: h,
+				})
 			})
 		}},
 		{"pql", func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
-			return pql.New(pql.Config{
-				Paxos: multipaxos.Config{
+			return lease.NewEngine(leaseCfg(id, peers), lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+				return multipaxos.New(multipaxos.Config{
 					ID: id, Peers: peers, ElectionTicks: 20, HeartbeatTicks: 2,
-					Seed: 61, ReadIndex: true,
-				},
-				LeaseTicks: 150, RenewTicks: 15,
+					Seed: 61, ReadIndex: true, Hooks: h,
+				})
 			})
 		}},
 	} {

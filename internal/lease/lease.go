@@ -1,7 +1,9 @@
-// Package lease implements the quorum-lease bookkeeping shared by Paxos
-// Quorum Lease (PQL), its Raft* port, and the leader-lease baseline. Time
-// is logical ticks, driven by the host engine, so the same code runs under
-// the simulator and live drivers.
+// Package lease implements Paxos Quorum Leases once for both engine
+// families: Table is the lease bookkeeping (this file), Engine the
+// decorator that turns a MultiPaxos or Raft* replica into PQL, Raft*-PQL or
+// the leader-lease baseline through the four protocol.Hooks (engine.go).
+// Time is logical ticks, driven by the host engine, so the same code runs
+// under the simulator and live drivers.
 //
 // Model (Moraru et al., "Paxos Quorum Leases"): every replica may grant a
 // lease to any other replica. A grantor renews its grants every renew
@@ -38,6 +40,23 @@
 //     grantee is sent in full (there is no ack history yet); send
 //     anchoring caps the cost of granting to a dead node at one duration.
 //
+// The three rules bound how long a lease is trusted; a fourth bounds what it
+// is trusted about:
+//
+//  4. Activation floor: while a replica holds no lease from a grantor, that
+//     grantor does not name it on its acks, so writes commit without the
+//     replica ever seeing them. Every grant therefore carries the grantor's
+//     last accepted log index at send; a grant that arrives while the lease
+//     from that grantor is not held records it as the lease's floor, and the
+//     holder serves no local read until it has committed through the floor
+//     of every lease it holds. Everything the grantor acknowledges after the
+//     send names the holder, so a renewal of a continuously held lease adds
+//     no obligation — the floor is per activation (first grant, re-grant
+//     after expiry or probation, restart), not per renewal. Reads below a
+//     floor do not wait for it; they take the host engine's read path: an
+//     accepted index is not a committed one (a deposed leader stamps a tail
+//     it proposed to nobody), and the log may never get there.
+//
 // A fully paused holder clock is outside this model: a holder that never
 // ticks never expires its own lease. The margin assumes bounded drift and
 // bounded pauses (shorter than the margin); the campaign harness attacks
@@ -62,10 +81,13 @@ type MsgGrant struct {
 	// Seq numbers the grant so acknowledgements can be matched and stale
 	// (delayed or replayed) grants discarded by the holder.
 	Seq uint64
+	// Accepted is the grantor's last accepted log index (highest accepted
+	// instance) when it sent the grant: the activation floor, rule 4.
+	Accepted int64
 }
 
 // WireSize implements protocol.Message.
-func (m *MsgGrant) WireSize() int { return 12 }
+func (m *MsgGrant) WireSize() int { return 20 }
 
 // MsgGrantAck acknowledges a grant.
 type MsgGrantAck struct {
@@ -109,6 +131,9 @@ type Table struct {
 	// held[g] is the expiry tick of the lease granted by g to us
 	// (guard band already subtracted).
 	held map[protocol.NodeID]int
+	// floor[g] is the Accepted index of the grant that last activated the
+	// lease from g (rule 4); it binds while that lease is held.
+	floor map[protocol.NodeID]int64
 	// lastGrantSeq[g] is the highest grant Seq seen from grantor g; grants
 	// at or below it are stale (delayed or replayed) and ignored.
 	lastGrantSeq map[protocol.NodeID]uint64
@@ -144,6 +169,7 @@ func NewTable(cfg Config) *Table {
 		// later: grantors start granting as soon as they are up.
 		sinceRenew:   cfg.RenewTicks,
 		held:         make(map[protocol.NodeID]int),
+		floor:        make(map[protocol.NodeID]int64),
 		lastGrantSeq: make(map[protocol.NodeID]uint64),
 		ackedAt:      make(map[protocol.NodeID]int),
 		grantedUntil: make(map[protocol.NodeID]int),
@@ -185,8 +211,9 @@ func (t *Table) ackFresh(h protocol.NodeID) bool {
 }
 
 // Tick advances logical time and returns the grant messages to send this
-// tick (empty unless the renew period elapsed).
-func (t *Table) Tick() []protocol.Envelope {
+// tick (empty unless the renew period elapsed). accepted is the host
+// engine's last accepted log index, stamped on every grant (rule 4).
+func (t *Table) Tick(accepted int64) []protocol.Envelope {
 	t.now++
 	t.sinceRenew++
 	if t.sinceRenew < t.cfg.RenewTicks {
@@ -217,7 +244,7 @@ func (t *Table) Tick() []protocol.Envelope {
 		}
 		msgs = append(msgs, protocol.Envelope{
 			From: t.cfg.Self, To: p,
-			Msg: &MsgGrant{Duration: dur, Seq: t.seq},
+			Msg: &MsgGrant{Duration: dur, Seq: t.seq, Accepted: accepted},
 		})
 	}
 	return msgs
@@ -235,6 +262,9 @@ func (t *Table) Step(from protocol.NodeID, msg protocol.Message) ([]protocol.Env
 			return nil, true
 		}
 		t.lastGrantSeq[from] = m.Seq
+		if t.held[from] <= t.now {
+			t.floor[from] = m.Accepted // activation, not renewal
+		}
 		t.held[from] = t.now + m.Duration - t.margin()
 		return []protocol.Envelope{{
 			From: t.cfg.Self, To: from, Msg: &MsgGrantAck{Seq: m.Seq},
@@ -267,11 +297,16 @@ func (t *Table) HasQuorumLease() bool {
 	return t.HeldCount() >= protocol.Quorum(len(t.cfg.Peers))
 }
 
-// HeldUntil returns the expiry tick of the lease held from grantor g (the
-// guard band already subtracted) and whether any grant from g was seen.
-func (t *Table) HeldUntil(g protocol.NodeID) (int, bool) {
-	exp, ok := t.held[g]
-	return exp, ok
+// Floor returns the highest activation floor among the leases currently
+// held (rule 4): no local read is served until the commit index reaches it.
+func (t *Table) Floor() int64 {
+	var f int64
+	for g, exp := range t.held {
+		if exp > t.now {
+			f = max(f, t.floor[g])
+		}
+	}
+	return f
 }
 
 // Holders returns the replicas currently holding an active lease granted
@@ -297,7 +332,3 @@ func (t *Table) Holders() []protocol.NodeID {
 	}
 	return holders
 }
-
-// Expire drops the lease held from grantor g (tests use it to simulate
-// clock-driven expiry without waiting).
-func (t *Table) Expire(g protocol.NodeID) { delete(t.held, g) }

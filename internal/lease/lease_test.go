@@ -49,7 +49,7 @@ func newMesh(n, duration, renew int) (*wire, []*lease.Table) {
 
 func tickAll(w *wire, tables []*lease.Table) {
 	for _, t := range tables {
-		w.route(t.Tick())
+		w.route(t.Tick(0))
 	}
 }
 
@@ -82,7 +82,7 @@ func TestLeaseExpiresWithoutRenewal(t *testing.T) {
 		tickAll(w, tables[:1])
 		tickAll(w, tables[2:])
 		// Table 1 ticks alone; its messages go nowhere.
-		tables[1].Tick()
+		tables[1].Tick(0)
 	}
 	if tables[1].HasQuorumLease() {
 		t.Fatal("lease should have expired without renewals")
@@ -131,11 +131,15 @@ func TestStaleGrantReplayIgnored(t *testing.T) {
 	if len(acks) != 1 {
 		t.Fatal("fresh grant should be acked")
 	}
-	if exp, ok := h.HeldUntil(0); !ok || exp != 8 {
-		t.Fatalf("held until %d, want 8 (receipt + duration - margin)", exp)
+	// Trusted until receipt + duration − margin = tick 8, exclusive.
+	for h.Now() < 7 {
+		h.Tick(0)
 	}
-	for i := 0; i < 12; i++ {
-		h.Tick()
+	if h.HeldCount() != 2 {
+		t.Fatal("lease should be trusted through tick 7")
+	}
+	for h.Now() < 12 {
+		h.Tick(0)
 	}
 	if h.HeldCount() != 1 {
 		t.Fatal("lease should have expired")
@@ -177,12 +181,12 @@ func TestGuardBandTrustEndsBeforeHonor(t *testing.T) {
 		return out
 	}
 	// Bootstrap: first contact is a full grant; its ack keeps renewals full.
-	h.Tick()
-	deliver(deliver(g.Tick(), h), g)
+	h.Tick(0)
+	deliver(deliver(g.Tick(0), h), g)
 	var grant []protocol.Envelope
 	for i := 0; i < 5; i++ {
-		h.Tick()
-		grant = g.Tick()
+		h.Tick(0)
+		grant = g.Tick(0)
 	}
 	if len(grant) != 1 {
 		t.Fatalf("expected one renewal grant, got %d msgs", len(grant))
@@ -191,25 +195,27 @@ func TestGuardBandTrustEndsBeforeHonor(t *testing.T) {
 		t.Fatalf("renewal after an ack should carry the full duration, got %d", d)
 	}
 	deliver(grant, h) // the ack is dropped: honor must anchor at send
-	if exp, _ := h.HeldUntil(0); exp != 22 {
-		t.Fatalf("holder trusts until %d, want 22 (receipt 6 + 20 - 4)", exp)
-	}
 	// The grantor honors the unacked grant for the full duration from send
 	// (tick 6): through tick 25 inclusive.
 	for g.Now() < 25 {
-		g.Tick()
+		g.Tick(0)
 	}
 	if len(g.Holders()) != 2 {
 		t.Fatal("grantor must honor an unacked grant through send+Duration")
 	}
-	g.Tick()
+	g.Tick(0)
 	if len(g.Holders()) != 1 {
 		t.Fatal("grantor must drop the holder after send+Duration")
 	}
-	// The holder's trust ended four ticks earlier on its own clock.
-	for h.Now() < 22 {
-		h.Tick()
+	// The holder's trust ended four ticks earlier on its own clock: at
+	// receipt 6 + 20 − 4 = tick 22.
+	for h.Now() < 21 {
+		h.Tick(0)
 	}
+	if h.HeldCount() != 2 {
+		t.Fatal("holder must trust through receipt+Duration-margin-1")
+	}
+	h.Tick(0)
 	if h.HeldCount() != 1 {
 		t.Fatal("holder must stop trusting at receipt+Duration-margin")
 	}
@@ -249,12 +255,12 @@ func skewViolationOccurs(t *testing.T, unsafe bool) bool {
 			linked = false
 		}
 		for i := 0; i < 2; i++ { // grantor's clock runs 2× the holder's
-			envs := g.Tick()
+			envs := g.Tick(0)
 			if linked {
 				route(route(envs, h), g)
 			}
 		}
-		envs := h.Tick()
+		envs := h.Tick(0)
 		if linked {
 			route(route(envs, g), h)
 		}
@@ -298,7 +304,7 @@ func TestHolderRecoversAfterProbation(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		tickAll(w, tables[:1])
 		tickAll(w, tables[2:])
-		tables[1].Tick()
+		tables[1].Tick(0)
 	}
 	if tables[1].HasQuorumLease() {
 		t.Fatal("cut-off holder should have expired")
@@ -317,14 +323,40 @@ func TestHolderRecoversAfterProbation(t *testing.T) {
 	}
 }
 
-func TestExpireHelper(t *testing.T) {
-	w, tables := newMesh(3, 20, 5)
-	for i := 0; i < 6; i++ {
-		tickAll(w, tables)
+// TestActivationFloor pins rule 4: the floor is the Accepted index of the
+// grant that (re)activates a lease, binds while that lease is held, and is
+// not raised by renewals of a lease held without interruption.
+func TestActivationFloor(t *testing.T) {
+	h := lease.NewTable(lease.Config{
+		Self: 1, Peers: peers(3), DurationTicks: 10, RenewTicks: 4, SkewMarginTicks: 2,
+	})
+	h.Step(0, &lease.MsgGrant{Duration: 10, Seq: 1, Accepted: 50})
+	if got := h.Floor(); got != 50 {
+		t.Fatalf("first grant: floor %d, want 50", got)
 	}
-	tables[0].Expire(1)
-	tables[0].Expire(2)
-	if tables[0].HasQuorumLease() {
-		t.Fatal("manual expiry should drop the quorum lease")
+	h.Tick(0)
+	h.Step(0, &lease.MsgGrant{Duration: 10, Seq: 2, Accepted: 90})
+	if got := h.Floor(); got != 50 {
+		t.Fatalf("renewal of a held lease moved the floor to %d", got)
+	}
+	for i := 0; i < 12; i++ {
+		h.Tick(0)
+	}
+	if got := h.Floor(); got != 0 {
+		t.Fatalf("expired lease still imposes floor %d", got)
+	}
+	// A probe conveys no trust; the full grant after it is an activation.
+	h.Step(0, &lease.MsgGrant{Duration: 0, Seq: 3, Accepted: 95})
+	if h.HeldCount() != 1 || h.Floor() != 0 {
+		t.Fatal("probe must neither activate the lease nor impose a floor")
+	}
+	h.Step(0, &lease.MsgGrant{Duration: 10, Seq: 4, Accepted: 97})
+	if got := h.Floor(); got != 97 {
+		t.Fatalf("re-grant after expiry: floor %d, want 97", got)
+	}
+	// The floor is the maximum over the held leases.
+	h.Step(2, &lease.MsgGrant{Duration: 10, Seq: 1, Accepted: 120})
+	if got := h.Floor(); got != 120 {
+		t.Fatalf("two held leases: floor %d, want 120", got)
 	}
 }

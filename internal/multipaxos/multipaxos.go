@@ -9,6 +9,7 @@ package multipaxos
 
 import (
 	"math/rand"
+	"slices"
 
 	"raftpaxos/internal/protocol"
 )
@@ -137,25 +138,6 @@ func (m *MsgForward) WireSize() int {
 // CmdCount implements simnet.CmdCounter.
 func (m *MsgForward) CmdCount() int { return len(m.Cmds) }
 
-// Hooks are optional extension points for non-mutating optimizations
-// (the engine-level analogue of the paper's porting framework): every hook
-// reads MultiPaxos state and maintains only new state of its own.
-type Hooks struct {
-	// LocalHolders is attached to acceptOK replies (PQL: leases granted by
-	// this acceptor, Figure 11 line 16).
-	LocalHolders func() []protocol.NodeID
-	// OnAcceptOK observes phase-2b acknowledgements at the proposer
-	// (PQL's Learn collects reported lease holders, Figure 11 line 21).
-	OnAcceptOK func(from protocol.NodeID, idxs []int64, holders []protocol.NodeID)
-	// GateChosen vetoes declaring an instance chosen until the
-	// optimization's extra condition holds (PQL: every lease holder
-	// acknowledged, Figure 11 line 23).
-	GateChosen func(idx int64, acks map[protocol.NodeID]bool) bool
-	// OnAccept observes instances accepted locally, on the proposer and on
-	// acceptors (PQL tracks per-key writes; Mencius marks skip tags).
-	OnAccept func(insts []InstanceInfo)
-}
-
 // Config configures a MultiPaxos replica.
 type Config struct {
 	ID    protocol.NodeID
@@ -186,7 +168,9 @@ type Config struct {
 	// every fast accept as a forwarded submission.
 	FastPath bool
 
-	Hooks Hooks
+	// Hooks are the extension points of non-mutating optimizations
+	// (package lease installs PQL through them).
+	Hooks protocol.Hooks
 }
 
 func (c *Config) withDefaults() Config {
@@ -234,6 +218,9 @@ type Engine struct {
 	// Leader phase-2 bookkeeping: per-instance acceptances at the current
 	// ballot (the leader's own acceptance is implicit).
 	acks map[int64]map[protocol.NodeID]bool
+	// sentHolders is the Hooks.Holders set this acceptor last attached to
+	// an acceptOK.
+	sentHolders []protocol.NodeID
 
 	// provider supplies the durable snapshot image shipped to peers
 	// stranded behind this replica's compaction base (a lagging acceptor,
@@ -313,6 +300,10 @@ func (e *Engine) Ballot() uint64 { return e.ballot }
 // Term reports the ballot under the name live drivers persist it as
 // (MultiPaxos's promised ballot is the term analogue).
 func (e *Engine) Term() uint64 { return e.ballot }
+
+// VotedFor is always None: MultiPaxos has no vote separate from the
+// promise, which is the ballot itself (see RestoreHardState).
+func (e *Engine) VotedFor() protocol.NodeID { return protocol.None }
 
 // CommitIndex reports the contiguous chosen prefix under the name live
 // drivers persist it as.
@@ -601,6 +592,9 @@ func (e *Engine) observeBallot(bal uint64, out *protocol.Output) bool {
 	}
 	e.ballot = bal
 	e.phase1OK = false
+	// Nobody leads the new ballot yet — least of all us, if we led the old
+	// one: a stale pointer here forwards commands to ourselves.
+	e.leader = protocol.None
 	e.reads.FailAll(out)
 	e.preparing = false
 	e.xfers = nil
@@ -757,9 +751,7 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	e.readBarrier = e.LastIndex()
 	e.reads.Reset(e.quorum(), e.cfg.UnsafeSkipReadQuorum)
 	if len(reproposal) > 0 {
-		if h := e.cfg.Hooks.OnAccept; h != nil {
-			h(reproposal)
-		}
+		e.observeAccepted(reproposal)
 		e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, Insts: reproposal, ChosenPrefix: e.chosenPrefix})
 	} else {
 		// Announce leadership.
@@ -885,15 +877,22 @@ func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
 	// made durable before the Phase2a broadcast leaves.
 	e.emitAppended(firstNew, out)
 	out.StateChanged = true
-	if h := e.cfg.Hooks.OnAccept; h != nil {
-		h(insts)
-	}
+	e.observeAccepted(insts)
 	e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, Insts: insts, ChosenPrefix: e.chosenPrefix})
 	if len(e.cfg.Peers) == 1 {
 		for _, info := range insts {
 			e.insts[info.Idx-e.instBase-1].chosen = true
 		}
 		e.advanceChosen(out)
+	}
+}
+
+// observeAccepted reports insts, now accepted locally, to Hooks.OnAccept.
+func (e *Engine) observeAccepted(insts []InstanceInfo) {
+	if h := e.cfg.Hooks.OnAccept; h != nil {
+		for i := range insts {
+			h(insts[i].Idx, insts[i].Cmd)
+		}
 	}
 }
 
@@ -969,9 +968,7 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 		}
 		e.emitAppended(firstTouched, out)
 	}
-	if h := e.cfg.Hooks.OnAccept; h != nil && len(m.Insts) > 0 {
-		h(m.Insts)
-	}
+	e.observeAccepted(m.Insts)
 	if m.ChosenPrefix > e.chosenPrefix {
 		e.markChosenUpTo(m.ChosenPrefix, m.Bal)
 		e.advanceChosen(out)
@@ -986,15 +983,24 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 	var needFrom int64
 	if m.ChosenPrefix > e.chosenPrefix {
 		needFrom = e.chosenPrefix + 1
+	} else if len(m.Insts) == 0 {
+		needFrom = e.firstHole(m.Bal)
+	}
+	var holders []protocol.NodeID
+	if h := e.cfg.Hooks.Holders; h != nil {
+		holders = h()
 	}
 	// A ReadCtx demands a response even when nothing was accepted: the
 	// echo is the ballot confirmation the leader's pending reads wait on.
-	if len(idxs) > 0 || needFrom > 0 || m.ReadCtx > 0 {
-		resp := &MsgAcceptOK{Bal: m.Bal, Idxs: idxs, NeedFrom: needFrom, ReadCtx: m.ReadCtx}
-		if h := e.cfg.Hooks.LocalHolders; h != nil {
-			resp.Holders = h()
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
+	// So does a holder set that lost a member: the leader holds our votes
+	// to the last set we reported (Hooks.MustAck), heartbeats are otherwise
+	// unanswered, and a lapsed lease would block its instances until the
+	// next accept.
+	if len(idxs) > 0 || needFrom > 0 || m.ReadCtx > 0 || lostMember(e.sentHolders, holders) {
+		e.sentHolders = holders
+		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: &MsgAcceptOK{
+			Bal: m.Bal, Idxs: idxs, NeedFrom: needFrom, ReadCtx: m.ReadCtx, Holders: holders,
+		}})
 	}
 	if len(lost) > 0 {
 		out.Msgs = append(out.Msgs, protocol.Envelope{
@@ -1003,6 +1009,38 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 	}
 	e.tryFastCommit(out)
 	e.flushPending(out)
+}
+
+// lostMember reports whether some member of was is missing from now.
+func lostMember(was, now []protocol.NodeID) bool {
+	for _, p := range was {
+		if !slices.Contains(now, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// firstHole returns the first instance above the chosen prefix that this
+// acceptor does not hold at ballot bal while holding a later one at it —
+// an accept that was lost while its successors arrived — or 0 when there
+// is none. Checked on heartbeats (empty accepts) only, so accepts merely
+// in flight behind one another are not mistaken for losses. The leader's
+// prefix cannot report this gap: with Hooks.MustAck naming this acceptor
+// the instance is never chosen without our ack, so the prefix stalls
+// below it and every later instance stalls behind it.
+func (e *Engine) firstHole(bal uint64) int64 {
+	hole := int64(0)
+	for i := e.chosenPrefix + 1; i <= e.LastIndex(); i++ {
+		in := &e.insts[i-e.instBase-1]
+		held := in.used && in.bal == bal
+		if !held && hole == 0 {
+			hole = i
+		} else if held && hole > 0 {
+			return hole
+		}
+	}
+	return 0
 }
 
 // markChosenUpTo marks held instances at or below the leader's announced
@@ -1031,16 +1069,14 @@ func (e *Engine) stepAcceptOK(from protocol.NodeID, m *MsgAcceptOK, out *protoco
 		// that confirms every read batch at or below the echoed ctx.
 		e.reads.Ack(from, m.ReadCtx, out)
 	}
-	if h := e.cfg.Hooks.OnAcceptOK; h != nil {
-		h(from, m.Idxs, m.Holders)
+	if h := e.cfg.Hooks.OnAck; h != nil {
+		h(from, m.Holders)
 	}
 	for _, idx := range m.Idxs {
-		set, ok := e.acks[idx]
-		if !ok {
-			continue
+		if set, ok := e.acks[idx]; ok {
+			set[from] = true
+			e.tryChoose(idx, set)
 		}
-		set[from] = true
-		e.tryChoose(idx, set)
 	}
 	e.advanceChosen(out)
 	if m.NeedFrom > 0 {
@@ -1221,13 +1257,27 @@ func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgIn
 	}
 }
 
-// tryChoose declares instance idx chosen if a quorum voted and the
-// optimization gate (if any) passes.
+// tryChoose declares instance idx chosen if a quorum voted for it — under
+// Hooks.MustAck, a quorum of votes that count: one where every replica the
+// hook names for the voter voted for this instance too, in its own ack
+// set. Paxos has no log matching: an acceptor's ack of a later instance
+// says nothing about an earlier one, whose accept may have been lost, so a
+// high-water mark must never stand in for set.
 func (e *Engine) tryChoose(idx int64, set map[protocol.NodeID]bool) {
-	if len(set) < e.quorum() {
-		return
+	counted := len(set)
+	if must := e.cfg.Hooks.MustAck; must != nil && counted >= e.quorum() {
+		counted = 0
+	voters:
+		for p := range set {
+			for _, h := range must(p) {
+				if !set[h] {
+					continue voters
+				}
+			}
+			counted++
+		}
 	}
-	if gate := e.cfg.Hooks.GateChosen; gate != nil && !gate(idx, set) {
+	if counted < e.quorum() {
 		return
 	}
 	delete(e.acks, idx)
@@ -1236,10 +1286,10 @@ func (e *Engine) tryChoose(idx int64, set map[protocol.NodeID]bool) {
 	}
 }
 
-// RecheckChosen re-evaluates the chosen gate for every pending instance
-// (PQL calls it when a lease expires, possibly unblocking commits that
-// were waiting on a dead lease holder).
-func (e *Engine) RecheckChosen() protocol.Output {
+// Recheck re-evaluates every pending instance without new input: what
+// Hooks.MustAck names shrinks as leases expire, which may unblock
+// instances that were waiting on a dead holder.
+func (e *Engine) Recheck() protocol.Output {
 	var out protocol.Output
 	for idx, set := range e.acks {
 		e.tryChoose(idx, set)

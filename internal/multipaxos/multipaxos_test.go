@@ -612,3 +612,55 @@ func TestStalePrefixAnnouncementDoesNotChooseLocalValue(t *testing.T) {
 		t.Fatalf("node 0 executed %q at the contested instance, want B", got)
 	}
 }
+
+// lostAcceptRun drives seven puts through plain MultiPaxos, the second
+// one's accept to one acceptor lost if lose is set, and counts the
+// value-carrying accepts the whole run delivers.
+func lostAcceptRun(t *testing.T, lose bool) (c *testcluster.Cluster, accepts int) {
+	t.Helper()
+	c = newCluster(t, 3, 10)
+	c.Collect(0, c.Engines[0].(*multipaxos.Engine).Campaign())
+	c.Settle(3)
+	deliver := func() {
+		for len(c.Queue) > 0 {
+			if m, ok := c.Queue[0].Msg.(*multipaxos.MsgAccept); ok && len(m.Insts) > 0 {
+				accepts++
+			}
+			c.DeliverAll(1)
+		}
+	}
+	for i := uint64(1); i <= 7; i++ {
+		c.Partition(0, 1, lose && i == 2)
+		c.Submit(0, protocol.Command{ID: i, Client: 900, Op: protocol.OpPut, Key: "k"})
+		deliver()
+	}
+	for r := 0; r < 10; r++ {
+		c.Tick()
+		deliver()
+	}
+	return c, accepts
+}
+
+// TestLostAcceptHoleReport: an acceptor that holds a later instance at the
+// leader's ballot but not an earlier one reports the hole on the next
+// heartbeat and has the run re-sent — and when no accept was lost the
+// report never fires, so the steady state pays nothing for it.
+func TestLostAcceptHoleReport(t *testing.T) {
+	c, accepts := lostAcceptRun(t, false)
+	if want := 7 * 2; accepts != want {
+		t.Fatalf("%d value-carrying accepts with nothing lost, want %d (one per put and acceptor)", accepts, want)
+	}
+	if got := len(c.Applied[1]); got != 7 {
+		t.Fatalf("acceptor applied %d of 7", got)
+	}
+	c, accepts = lostAcceptRun(t, true)
+	if want := 7*2 + 1; accepts != want {
+		t.Fatalf("%d value-carrying accepts with one lost, want %d (one re-send of the run)", accepts, want)
+	}
+	if got := len(c.Applied[1]); got != 7 {
+		t.Fatalf("acceptor applied %d of 7 after its hole was refilled", got)
+	}
+	if err := c.CheckAgreement(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -134,7 +134,7 @@ var _ protocol.Engine = (*Engine)(nil)
 // points Paxos optimizations port through, which needs the refinement Raft
 // lacks (and Raft's append response has no room for lease holders).
 func New(cfg raftstar.Config) *Engine {
-	cfg.Hooks = raftstar.Hooks{}
+	cfg.Hooks = protocol.Hooks{}
 	return &Engine{raftstar.NewWithRules(cfg, rules{})}
 }
 

@@ -53,27 +53,6 @@ func (r Role) String() string {
 	}
 }
 
-// Hooks are optional extension points used to port Paxos optimizations
-// onto Raft* without modifying the base protocol's state — the engine-level
-// analogue of the paper's non-mutating optimizations: every hook reads
-// Raft* state and maintains only new state of its own.
-type Hooks struct {
-	// LocalHolders is attached to append responses (Raft*-PQL: leases
-	// granted by this replica).
-	LocalHolders func() []protocol.NodeID
-	// OnAppendResp observes successful append acknowledgements at the
-	// leader (Raft*-PQL: collect reported lease holders).
-	OnAppendResp func(from protocol.NodeID, lastIndex int64, holders []protocol.NodeID)
-	// GateCommit clamps the leader's proposed commit index (Raft*-PQL:
-	// wait for every lease holder to acknowledge).
-	GateCommit func(proposed int64) int64
-	// OnAccept observes entries accepted into the local log, both on the
-	// leader when appending and on followers when receiving appends
-	// (lease conflict tracking; Mencius skip tags must hook both sides —
-	// the paper's example of a multi-action Phase2b correspondence).
-	OnAccept func(ents []protocol.Entry)
-}
-
 // Config configures a replica of either variant (raft.New takes it too).
 type Config struct {
 	ID    protocol.NodeID
@@ -111,7 +90,9 @@ type Config struct {
 	// leader treats every fast accept as a forwarded submission.
 	FastPath bool
 
-	Hooks Hooks
+	// Hooks port non-mutating Paxos optimizations onto Raft* (package
+	// lease); package raft drops them.
+	Hooks protocol.Hooks
 }
 
 func (c *Config) withDefaults() Config {
@@ -451,6 +432,9 @@ func (e *Engine) becomeFollower(term uint64, leader protocol.NodeID, out *protoc
 	if term > e.term {
 		e.term = term
 		e.votedFor = protocol.None
+		// Nobody leads the new term yet — least of all us, if we led the
+		// old one: a stale pointer here forwards commands to ourselves.
+		e.leader = protocol.None
 		out.StateChanged = true
 	}
 	e.role = Follower
@@ -591,8 +575,8 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 		e.match[p] = 0
 	}
 	e.match[e.cfg.ID] = e.LastIndex()
-	if h := e.cfg.Hooks.OnAccept; h != nil && e.log.Len() > 0 {
-		h(e.log.Tail(e.log.FirstIndex()))
+	if e.cfg.Hooks.OnAccept != nil && e.log.Len() > 0 {
+		e.observeAccepted(e.log.Tail(e.log.FirstIndex()))
 	}
 	out.StateChanged = true
 	e.hbElapsed = 0
@@ -752,10 +736,19 @@ func (e *Engine) appendLocal(cmd protocol.Command, out *protocol.Output) {
 	out.AppendedEntries = append(out.AppendedEntries, ent)
 	out.StateChanged = true
 	if h := e.cfg.Hooks.OnAccept; h != nil {
-		h([]protocol.Entry{ent})
+		h(ent.Index, ent.Cmd)
 	}
 	if len(e.cfg.Peers) == 1 {
 		e.maybeCommit(out)
+	}
+}
+
+// observeAccepted reports ents, now held in the local log, to Hooks.OnAccept.
+func (e *Engine) observeAccepted(ents []protocol.Entry) {
+	if h := e.cfg.Hooks.OnAccept; h != nil {
+		for i := range ents {
+			h(ents[i].Index, ents[i].Cmd)
+		}
 	}
 }
 
@@ -852,7 +845,7 @@ func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *proto
 		}
 		resp.Ok = true
 		resp.LastIndex = e.accept(m, v, out)
-		if h := e.cfg.Hooks.LocalHolders; h != nil {
+		if h := e.cfg.Hooks.Holders; h != nil {
 			resp.Holders = h()
 		}
 		if c := min(m.Commit, resp.LastIndex); c > e.commit {
@@ -933,9 +926,7 @@ func (e *Engine) accept(m *MsgAppendReq, v Verdict, out *protocol.Output) int64 
 			e.specFrom = 0
 		}
 	}
-	if h := e.cfg.Hooks.OnAccept; h != nil && len(m.Entries) > 0 {
-		h(m.Entries)
-	}
+	e.observeAccepted(m.Entries)
 	out.StateChanged = true
 	// Report the verified prefix: with a speculative tail left beyond this
 	// append's end, or an unverified stretch below its start, only entries
@@ -991,8 +982,8 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 	if e.next[from] <= e.match[from] {
 		e.next[from] = e.match[from] + 1
 	}
-	if h := e.cfg.Hooks.OnAppendResp; h != nil {
-		h(from, m.LastIndex, m.Holders)
+	if h := e.cfg.Hooks.OnAck; h != nil {
+		h(from, m.Holders)
 	}
 	e.maybeCommit(out)
 	// Continue pipelining if the follower is still behind.
@@ -1149,13 +1140,44 @@ func (e *Engine) maybeCommit(out *protocol.Output) {
 		matches = append(matches, e.match[p])
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidate := e.rules.Commit(e, matches[e.quorum()-1])
-	if gate := e.cfg.Hooks.GateCommit; gate != nil {
-		candidate = gate(candidate)
+	quorum := matches[e.quorum()-1]
+	if must := e.cfg.Hooks.MustAck; must != nil {
+		quorum = e.countedQuorum(matches[e.quorum()-1:], must)
 	}
+	candidate := e.rules.Commit(e, quorum)
 	if candidate > e.commit {
 		e.advanceCommit(candidate, out)
 	}
+}
+
+// countedQuorum is the quorum-replicated watermark under Hooks.MustAck: the
+// highest of the candidate indexes (descending) that a quorum of replicas
+// match with a match that counts — one where everybody must names for that
+// replica matches the index too. Lower indexes only gain matches, so what
+// holds for the one returned holds for every entry beneath it.
+func (e *Engine) countedQuorum(candidates []int64, must func(protocol.NodeID) []protocol.NodeID) int64 {
+	for _, n := range candidates {
+		if n <= e.commit {
+			break
+		}
+		counted := 0
+	peers:
+		for _, p := range e.cfg.Peers {
+			if e.match[p] < n {
+				continue
+			}
+			for _, h := range must(p) {
+				if e.match[h] < n {
+					continue peers
+				}
+			}
+			counted++
+		}
+		if counted >= e.quorum() {
+			return n
+		}
+	}
+	return e.commit
 }
 
 func (e *Engine) advanceCommit(to int64, out *protocol.Output) {
@@ -1469,9 +1491,10 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 	}
 }
 
-// RecheckCommit re-evaluates the commit gate (Raft*-PQL calls it when a
-// lease expires, which may unblock writes waiting on a dead holder).
-func (e *Engine) RecheckCommit() protocol.Output {
+// Recheck re-evaluates the commit rule without new input: the set
+// Hooks.MustAck names shrinks as leases expire, which may unblock writes
+// that were waiting on a dead holder.
+func (e *Engine) Recheck() protocol.Output {
 	var out protocol.Output
 	e.maybeCommit(&out)
 	return out

@@ -20,12 +20,11 @@ import (
 	"fmt"
 	"math/rand"
 
+	"raftpaxos/internal/lease"
 	"raftpaxos/internal/multipaxos"
-	"raftpaxos/internal/pql"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
 	"raftpaxos/internal/raftstar"
-	"raftpaxos/internal/rql"
 )
 
 // CampaignEngines is the engine set -campaign covers.
@@ -76,6 +75,10 @@ type CampaignResult struct {
 // campaign's lease geometry. Each incarnation gets its own seed so a
 // restarted replica re-randomizes its election jitter.
 func buildCampaignEngine(name string, id protocol.NodeID, peers []protocol.NodeID, seed int64, sabotage bool) protocol.Engine {
+	leases := lease.Config{
+		Self: id, Peers: peers, DurationTicks: campaignLeaseTicks, RenewTicks: campaignRenewTicks,
+		SkewMarginTicks: campaignLeaseMargin, UnsafeNoGuard: sabotage,
+	}
 	switch name {
 	case "raft":
 		return raft.New(raftstar.Config{
@@ -93,24 +96,18 @@ func buildCampaignEngine(name string, id protocol.NodeID, peers []protocol.NodeI
 			Seed: seed, ReadIndex: true,
 		})
 	case "rql":
-		return rql.New(rql.Config{
-			Raft: raftstar.Config{
+		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+			return raftstar.New(raftstar.Config{
 				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true,
-			},
-			Mode: rql.QuorumLease, LeaseTicks: campaignLeaseTicks,
-			RenewTicks: campaignRenewTicks, SkewMarginTicks: campaignLeaseMargin,
-			UnsafeNoLeaseGuard: sabotage,
+				Seed: seed, ReadIndex: true, Hooks: h,
+			})
 		})
 	case "pql":
-		return pql.New(pql.Config{
-			Paxos: multipaxos.Config{
+		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+			return multipaxos.New(multipaxos.Config{
 				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true,
-			},
-			LeaseTicks: campaignLeaseTicks, RenewTicks: campaignRenewTicks,
-			SkewMarginTicks:    campaignLeaseMargin,
-			UnsafeNoLeaseGuard: sabotage,
+				Seed: seed, ReadIndex: true, Hooks: h,
+			})
 		})
 	default:
 		panic("unknown campaign engine " + name)

@@ -5,12 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"raftpaxos/internal/lease"
 	"raftpaxos/internal/multipaxos"
-	"raftpaxos/internal/pql"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
 	"raftpaxos/internal/raftstar"
-	"raftpaxos/internal/rql"
 	"raftpaxos/internal/testcluster"
 )
 
@@ -29,6 +28,7 @@ func linearEnginesN(name string, seed int64, n int) []protocol.Engine {
 	}
 	engines := make([]protocol.Engine, len(peers))
 	for i, id := range peers {
+		leases := lease.Config{Self: id, Peers: peers, DurationTicks: 40, RenewTicks: 10}
 		switch name {
 		case "raft":
 			engines[i] = raft.New(raftstar.Config{
@@ -61,20 +61,18 @@ func linearEnginesN(name string, seed int64, n int) []protocol.Engine {
 				Seed: seed, ReadIndex: true, FastPath: true,
 			})
 		case "rql":
-			engines[i] = rql.New(rql.Config{
-				Raft: raftstar.Config{
+			engines[i] = lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+				return raftstar.New(raftstar.Config{
 					ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-					Seed: seed, ReadIndex: true,
-				},
-				Mode: rql.QuorumLease, LeaseTicks: 40, RenewTicks: 10,
+					Seed: seed, ReadIndex: true, Hooks: h,
+				})
 			})
 		case "pql":
-			engines[i] = pql.New(pql.Config{
-				Paxos: multipaxos.Config{
+			engines[i] = lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+				return multipaxos.New(multipaxos.Config{
 					ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-					Seed: seed, ReadIndex: true,
-				},
-				LeaseTicks: 40, RenewTicks: 10,
+					Seed: seed, ReadIndex: true, Hooks: h,
+				})
 			})
 		default:
 			panic("unknown engine " + name)
@@ -96,15 +94,23 @@ type linearClient struct {
 	cooldown int
 }
 
-// runLinearWorkload drives a mixed put/get workload against the cluster
-// under message drops, a leader partition, and the resulting churn, then
-// verifies the recorded history with the linearizability checker and the
-// per-index agreement invariant.
+// runLinearWorkload is linearWorkload as a test body.
 func runLinearWorkload(t *testing.T, name string, seed int64) {
 	t.Helper()
+	if _, err := linearWorkload(name, seed); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// linearWorkload drives a mixed put/get workload against the cluster
+// under message drops, a leader partition, and the resulting churn, then
+// verifies the recorded history with the linearizability checker and the
+// per-index agreement invariant. It returns every client reply in order,
+// the fingerprint two runs of one seed must share.
+func linearWorkload(name string, seed int64) ([]protocol.ClientReply, error) {
 	c := testcluster.New(seed, linearEngines(name, seed)...)
 	if _, err := c.ElectLeader(300); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	h := testcluster.NewHistory()
 	rng := rand.New(rand.NewSource(seed * 7))
@@ -226,15 +232,15 @@ func runLinearWorkload(t *testing.T, name string, seed int64) {
 	scan()
 
 	if err := c.CheckAgreement(); err != nil {
-		t.Fatalf("%s agreement: %v", name, err)
+		return c.Replies, fmt.Errorf("%s agreement: %v", name, err)
 	}
 	if err := h.Check(); err != nil {
-		t.Fatalf("%s linearizability: %v", name, err)
+		return c.Replies, fmt.Errorf("%s linearizability: %v", name, err)
 	}
 	if h.Len() < clients*opsPerClient {
-		t.Fatalf("%s recorded %d ops, want %d", name, h.Len(), clients*opsPerClient)
+		return c.Replies, fmt.Errorf("%s recorded %d ops, want %d", name, h.Len(), clients*opsPerClient)
 	}
-	t.Logf("%s: %d ops linearizable (%d never completed)", name, h.Len(), h.Outstanding())
+	return c.Replies, nil
 }
 
 func TestLinearizableRaft(t *testing.T)       { runLinearWorkload(t, "raft", 11) }
@@ -242,6 +248,24 @@ func TestLinearizableRaftStar(t *testing.T)   { runLinearWorkload(t, "raftstar",
 func TestLinearizableMultiPaxos(t *testing.T) { runLinearWorkload(t, "multipaxos", 13) }
 func TestLinearizableRQL(t *testing.T)        { runLinearWorkload(t, "rql", 14) }
 func TestLinearizablePQL(t *testing.T)        { runLinearWorkload(t, "pql", 15) }
+
+// TestLinearizablePinnedSeeds replays the sweep finds that stood for the
+// three stale lease reads fixed in PR 17. rql 4007 / 4024 and pql 4359: a
+// replica trusted a lease the moment it re-acquired it, before catching up
+// with what its grantors accepted while it was not a holder (lease rule 4).
+// pql 4225: a lost accept was counted as acknowledged because the holder
+// acked a later instance (multipaxos.tryChoose). rql 8977: an isolated
+// leader dropped a follower's holder report after one lease duration, kept
+// the follower's vote, and committed past a holder whose lease that
+// follower was still renewing (Hooks.MustAck is per vote, with no clock).
+func TestLinearizablePinnedSeeds(t *testing.T) {
+	for _, tc := range []struct {
+		engine string
+		seed   int64
+	}{{"rql", 4007}, {"rql", 4024}, {"pql", 4359}, {"pql", 4225}, {"rql", 8977}} {
+		runLinearWorkload(t, tc.engine, tc.seed)
+	}
+}
 
 // depose partitions the current leader away and elects a new one among
 // the rest, returning (old, new). The old leader keeps believing it
@@ -255,14 +279,14 @@ func depose(t *testing.T, c *testcluster.Cluster) (old, next protocol.NodeID) {
 	old = l.ID()
 	c.Isolate(old, true)
 	for r := 0; r < 300; r++ {
-		for id, e := range c.Engines {
+		for _, id := range c.IDs() {
 			if id != old {
-				c.Collect(id, e.Tick())
+				c.Collect(id, c.Engines[id].Tick())
 			}
 		}
 		c.DeliverAll(100000)
-		for id, e := range c.Engines {
-			if id != old && e.IsLeader() {
+		for _, id := range c.IDs() {
+			if id != old && c.Engines[id].IsLeader() {
 				return old, id
 			}
 		}
@@ -338,11 +362,39 @@ func mustReturn(t *testing.T, c *testcluster.Cluster, h *testcluster.History, cm
 // perpetually campaigning candidate).
 func settleBehindPartition(c *testcluster.Cluster, isolated protocol.NodeID, rounds int) {
 	for r := 0; r < rounds; r++ {
-		for id, e := range c.Engines {
+		for _, id := range c.IDs() {
 			if id != isolated {
-				c.Collect(id, e.Tick())
+				c.Collect(id, c.Engines[id].Tick())
 			}
 		}
 		c.DeliverAll(100000)
+	}
+}
+
+// A leader deposed by a message that names no successor — a vote request, a
+// prepare — must forget that it led. One that keeps pointing at itself
+// forwards every command submitted before the next leader announces itself
+// from the replica to the replica, once per delivery, for as long as the
+// election takes (8.7 million deliveries in one rql campaign).
+func TestDeposedLeaderDoesNotForwardToItself(t *testing.T) {
+	for name, higher := range map[string]protocol.Message{
+		"raftstar":   &raftstar.MsgVoteReq{Term: 1 << 20},
+		"multipaxos": &multipaxos.MsgPrepare{Bal: 1 << 40},
+	} {
+		c := testcluster.New(1, linearEngines(name, 1)...)
+		l, err := c.ElectLeader(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Step((l.ID()+1)%3, higher)
+		if l.IsLeader() || l.Leader() != protocol.None {
+			t.Fatalf("%s: deposed leader still names leader %d", name, l.Leader())
+		}
+		out := l.Submit(protocol.Command{ID: 1, Client: 900, Op: protocol.OpPut, Key: "k", Value: []byte("v")})
+		for _, env := range out.Msgs {
+			if env.To == l.ID() {
+				t.Fatalf("%s: deposed leader sent itself %T", name, env.Msg)
+			}
+		}
 	}
 }

@@ -3,9 +3,8 @@ package testcluster_test
 import (
 	"testing"
 
-	"raftpaxos/internal/pql"
+	"raftpaxos/internal/lease"
 	"raftpaxos/internal/protocol"
-	"raftpaxos/internal/rql"
 	"raftpaxos/internal/testcluster"
 )
 
@@ -99,13 +98,7 @@ func runExpiredLeaseRefusesLocalReads(t *testing.T, name string, seed int64) {
 	// Let grants circulate until a follower holds a quorum lease.
 	var holder protocol.NodeID = protocol.None
 	hasLease := func(id protocol.NodeID) bool {
-		switch e := c.Engines[id].(type) {
-		case *rql.Engine:
-			return e.Leases().HasQuorumLease()
-		case *pql.Engine:
-			return e.Leases().HasQuorumLease()
-		}
-		return false
+		return c.Engines[id].(*lease.Engine).HasQuorumLease()
 	}
 	for r := 0; r < 60 && holder == protocol.None; r++ {
 		c.Settle(1)

@@ -8,6 +8,7 @@ package testcluster
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"raftpaxos/internal/protocol"
 )
@@ -166,10 +167,23 @@ func (c *Cluster) serveReads(id protocol.NodeID) {
 	c.parkedReads[id] = keep
 }
 
-// Tick ticks every engine once.
+// IDs returns the node IDs in ascending order. Everything that drives
+// the engines iterates this, never the Engines map: Go randomizes map
+// order per run, and a seed that ticks nodes in a different order each
+// time does not replay.
+func (c *Cluster) IDs() []protocol.NodeID {
+	ids := make([]protocol.NodeID, 0, len(c.Engines))
+	for id := range c.Engines {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// Tick ticks every engine once, in ID order.
 func (c *Cluster) Tick() {
-	for id, e := range c.Engines {
-		c.Collect(id, e.Tick())
+	for _, id := range c.IDs() {
+		c.Collect(id, c.Engines[id].Tick())
 	}
 }
 

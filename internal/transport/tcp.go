@@ -41,14 +41,17 @@ import (
 // (bounded by maxBatchBytes), so a burst of messages costs one encode
 // pass, at most one compression, and one syscall.
 const (
-	// wireVersion 5 added the trailing Term on MsgReadForward (the
+	// wireVersion 6 added the trailing Accepted on lease.MsgGrant (the
+	// grantor's last accepted index: the lease's activation floor) and
+	// retired tag 24, pql's never-sent copy of the lease read forward;
+	// version 5 added the trailing Term on MsgReadForward (the
 	// forwarder's term/ballot, which makes it a ReadIndex quorum witness);
 	// version 4 added the fast-path message tags and the trailing
 	// vote/append fields they ride on (Commit, Extra, PrevID); version 3
 	// added the per-record group prefix, version 2 was the group-less
 	// binary record layout, version 1 the gob stream the codec retired.
 	// Mixed-version clusters fail loudly at the handshake.
-	wireVersion    = 5
+	wireVersion    = 6
 	frameHeaderLen = 5
 	flagSnappy     = 0x01
 	// maxFrameBytes bounds what a reader will allocate for one frame

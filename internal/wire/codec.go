@@ -4,11 +4,9 @@ import (
 	"raftpaxos/internal/lease"
 	"raftpaxos/internal/mencius"
 	"raftpaxos/internal/multipaxos"
-	"raftpaxos/internal/pql"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
 	"raftpaxos/internal/raftstar"
-	"raftpaxos/internal/rql"
 )
 
 // The type-tag table. Tags are wire format: never renumber or reuse one
@@ -47,8 +45,10 @@ const (
 	TagLeaseGrant    Tag = 21
 	TagLeaseGrantAck Tag = 22
 
-	TagRQLReadReq Tag = 23
-	TagPQLReadReq Tag = 24
+	// TagLeaseReadReq was rql's read forward before the two lease wrappers
+	// became lease.Engine; 24 was pql's copy, which no code ever sent —
+	// retired, never to be reused.
+	TagLeaseReadReq Tag = 23
 
 	TagInstallSnapshot     Tag = 25
 	TagInstallSnapshotResp Tag = 26
@@ -607,12 +607,14 @@ func registerBuiltin() {
 		Append: func(b []byte, msg protocol.Message) []byte {
 			m := msg.(*lease.MsgGrant)
 			b = AppendVarint(b, int64(m.Duration))
-			return AppendUvarint(b, m.Seq)
+			b = AppendUvarint(b, m.Seq)
+			return AppendVarint(b, m.Accepted)
 		},
 		Decode: func(r *Reader) (protocol.Message, error) {
 			m := &lease.MsgGrant{}
 			m.Duration = int(r.Varint())
 			m.Seq = r.Uvarint()
+			m.Accepted = r.Varint()
 			return m, r.Err()
 		},
 	})
@@ -627,26 +629,15 @@ func registerBuiltin() {
 		},
 	})
 
-	// rql / pql: read forwarding of a single command.
-	Register(TagRQLReadReq, &rql.MsgReadReq{}, Codec{
-		New: func() protocol.Message { return &rql.MsgReadReq{} },
+	// lease.Engine: read forwarding of a single command.
+	Register(TagLeaseReadReq, &lease.MsgReadReq{}, Codec{
+		New: func() protocol.Message { return &lease.MsgReadReq{} },
 		Append: func(b []byte, msg protocol.Message) []byte {
-			m := msg.(*rql.MsgReadReq)
+			m := msg.(*lease.MsgReadReq)
 			return AppendCommand(b, &m.Cmd)
 		},
 		Decode: func(r *Reader) (protocol.Message, error) {
-			m := &rql.MsgReadReq{Cmd: ReadCommand(r)}
-			return m, r.Err()
-		},
-	})
-	Register(TagPQLReadReq, &pql.MsgReadReq{}, Codec{
-		New: func() protocol.Message { return &pql.MsgReadReq{} },
-		Append: func(b []byte, msg protocol.Message) []byte {
-			m := msg.(*pql.MsgReadReq)
-			return AppendCommand(b, &m.Cmd)
-		},
-		Decode: func(r *Reader) (protocol.Message, error) {
-			m := &pql.MsgReadReq{Cmd: ReadCommand(r)}
+			m := &lease.MsgReadReq{Cmd: ReadCommand(r)}
 			return m, r.Err()
 		},
 	})

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"raftpaxos/internal/lease"
 	"raftpaxos/internal/mencius"
 	"raftpaxos/internal/multipaxos"
 	"raftpaxos/internal/protocol"
@@ -29,6 +30,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		&protocol.MsgFastAccept{Cmds: []protocol.Command{
 			{ID: 3, Client: 5, Op: protocol.OpPut, Key: "hot", Value: []byte("w")}}},
 		&protocol.MsgFastAck{Term: 6, Base: 11, IDs: []uint64{3, math.MaxUint64}, Leader: true},
+		&lease.MsgGrant{Duration: 40, Seq: 3, Accepted: math.MaxInt64},
 	}
 	var seeds [][]byte
 	for _, m := range msgs {

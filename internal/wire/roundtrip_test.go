@@ -16,7 +16,7 @@ import (
 // builtinTypeCount pins how many message types the built-in registry
 // carries: adding an engine message without registering a codec (or
 // registering one twice) fails here before it fails on a live wire.
-const builtinTypeCount = 29
+const builtinTypeCount = 28
 
 func TestRegistryCoversAllBuiltinTypes(t *testing.T) {
 	if n := len(registered()); n != builtinTypeCount {

@@ -9,11 +9,9 @@ import (
 	"raftpaxos/internal/lease"
 	"raftpaxos/internal/mencius"
 	"raftpaxos/internal/multipaxos"
-	"raftpaxos/internal/pql"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
 	"raftpaxos/internal/raftstar"
-	"raftpaxos/internal/rql"
 )
 
 // specVectors pins the exact bytes AppendMessage produces for one fixed
@@ -54,10 +52,9 @@ var specVectors = []struct {
 	{&mencius.MsgCoordHB{Barrier: 2, Frontier: []int64{3, 1, 4}}, "06120403060208"},
 	{&mencius.MsgRevokePrep{Owner: 2, Bal: 7, From: 5}, "061304070a"},
 	{&mencius.MsgRevokePromise{Owner: 2, Bal: 7, Props: []mencius.SlotProp{{Slot: 5, Bal: 6, Cmd: specCmd}}, MaxSlot: 8}, "06140407010a06070401026b310276311610"},
-	{&lease.MsgGrant{Duration: 40, Seq: 12}, "0615500c"},
+	{&lease.MsgGrant{Duration: 40, Seq: 12, Accepted: 9}, "0615500c12"},
 	{&lease.MsgGrantAck{Seq: 12}, "06160c"},
-	{&rql.MsgReadReq{Cmd: specCmd}, "0617070401026b3102763116"},
-	{&pql.MsgReadReq{Cmd: specCmd}, "0618070401026b3102763116"},
+	{&lease.MsgReadReq{Cmd: specCmd}, "0617070401026b3102763116"},
 	{&protocol.MsgInstallSnapshot{Term: 4, Index: 9, SnapTerm: 4, Offset: 512, Data: []byte{0xAA, 0xBB}, Done: true}, "0619041204800802aabb01"},
 	{&protocol.MsgInstallSnapshotResp{Term: 4, Index: 9, NextOffset: 514, Installed: false}, "061a0412840800"},
 	{&protocol.MsgReadForward{Cmds: []protocol.Command{specCmd}, Term: 4}, "061b01070401026b310276311604"},

@@ -31,12 +31,11 @@ import (
 
 	"raftpaxos/internal/cluster"
 	"raftpaxos/internal/coorraft"
+	"raftpaxos/internal/lease"
 	"raftpaxos/internal/multipaxos"
-	"raftpaxos/internal/pql"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
 	"raftpaxos/internal/raftstar"
-	"raftpaxos/internal/rql"
 	"raftpaxos/internal/transport"
 )
 
@@ -182,6 +181,10 @@ func NewEngine(cfg ClusterConfig, id protocol.NodeID, peers []protocol.NodeID) p
 		return n
 	}
 	election, hb := ticks(c.ElectionTimeout), ticks(c.HeartbeatInterval)
+	leases := lease.Config{
+		Self: id, Peers: peers, DurationTicks: ticks(c.LeaseDuration),
+		RenewTicks: ticks(c.LeaseRenew), SkewMarginTicks: skewTicks(c),
+	}
 	switch c.Protocol {
 	case ProtoRaft:
 		return raft.New(raftstar.Config{
@@ -194,19 +197,15 @@ func NewEngine(cfg ClusterConfig, id protocol.NodeID, peers []protocol.NodeID) p
 			ReadIndex: !c.DisableFastReads, FastPath: c.FastPathWrites,
 		})
 	case ProtoRaftStarPQL, ProtoRaftStarLL:
-		mode := rql.QuorumLease
+		mode := lease.QuorumLease
 		if c.Protocol == ProtoRaftStarLL {
-			mode = rql.LeaderLease
+			mode = lease.LeaderLease
 		}
-		return rql.New(rql.Config{
-			Raft: raftstar.Config{
+		return lease.NewEngine(leases, mode, func(h protocol.Hooks) lease.Inner {
+			return raftstar.New(raftstar.Config{
 				ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
-				ReadIndex: !c.DisableFastReads,
-			},
-			Mode:            mode,
-			LeaseTicks:      ticks(c.LeaseDuration),
-			RenewTicks:      ticks(c.LeaseRenew),
-			SkewMarginTicks: skewTicks(c),
+				ReadIndex: !c.DisableFastReads, Hooks: h,
+			})
 		})
 	case ProtoRaftStarMencius:
 		policy := coorraft.ReplyAtCommit
@@ -218,14 +217,11 @@ func NewEngine(cfg ClusterConfig, id protocol.NodeID, peers []protocol.NodeID) p
 			RevokeTicks: 4 * election, Policy: policy, Seed: c.Seed,
 		})
 	case ProtoPaxosPQL:
-		return pql.New(pql.Config{
-			Paxos: multipaxos.Config{
+		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
+			return multipaxos.New(multipaxos.Config{
 				ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
-				ReadIndex: !c.DisableFastReads,
-			},
-			LeaseTicks:      ticks(c.LeaseDuration),
-			RenewTicks:      ticks(c.LeaseRenew),
-			SkewMarginTicks: skewTicks(c),
+				ReadIndex: !c.DisableFastReads, Hooks: h,
+			})
 		})
 	default: // ProtoRaftStar and zero value
 		return raftstar.New(raftstar.Config{
