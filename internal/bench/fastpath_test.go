@@ -69,6 +69,14 @@ func TestFastPathWANHighConflict(t *testing.T) {
 			if float64(fast) > 2.0*float64(classic) {
 				t.Fatalf("%v: high-conflict fast p50 %v > 2x classic p50 %v", p, fast, classic)
 			}
+			// The counts are honest: on a lossless network every command put
+			// on the fast path commits, once, as a fast commit or a fallback —
+			// all but the one each of the 8 follower-site clients has in
+			// flight when the run ends.
+			if decided := st.FastCommits + st.ClassicFallbacks; decided > st.Submitted || decided < st.Submitted-8 {
+				t.Fatalf("%v: %d fast + %d fallback commits for %d fast-path submissions",
+					p, st.FastCommits, st.ClassicFallbacks, st.Submitted)
+			}
 		})
 	}
 }

@@ -325,8 +325,10 @@ func (c *client) start() { c.send() }
 
 func (c *client) send() {
 	req := c.gen.Next()
+	// IDs are unique across clients, as protocol.Command requires: the fast
+	// path and the state machine's exactly-once window key on them.
 	c.nextID++
-	c.pending = c.nextID
+	c.pending = uint64(c.id)<<32 | c.nextID
 	c.isRead = req.Read
 	c.sentAt = c.sim.Now()
 	cmd := protocol.Command{
@@ -537,6 +539,7 @@ func Run(raw Scenario) (*Result, error) {
 	for _, n := range nodes {
 		if s, ok := n.eng.(protocol.FastStatser); ok {
 			fs := s.FastStats()
+			res.FastStats.Submitted += fs.Submitted
 			res.FastStats.FastCommits += fs.FastCommits
 			res.FastStats.ClassicFallbacks += fs.ClassicFallbacks
 			res.FastStats.Conflicts += fs.Conflicts

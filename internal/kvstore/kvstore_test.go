@@ -113,6 +113,81 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestApplyOncePerCommandID is the shape the fast write path leaves in a
+// log when election recovery adopts a speculative copy of a command chosen
+// two slots earlier (multipaxos-fast seed 30061: 42, 43, 44): X, Y, X. The
+// second X must not undo Y, on a replica that applied all three and on one
+// restored from an image taken between them alike.
+func TestApplyOncePerCommandID(t *testing.T) {
+	put := func(idx int64, id uint64, val string) protocol.Entry {
+		return protocol.Entry{Index: idx, Cmd: protocol.Command{ID: id, Op: protocol.OpPut, Key: "k3", Value: []byte(val)}}
+	}
+	s := kvstore.New()
+	s.Apply(put(42, 19, "c0-19"))
+	s.Apply(put(43, 25, "c2-25"))
+	img, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := kvstore.New()
+	if err := restored.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*kvstore.Store{"applied": s, "restored": restored} {
+		st.Apply(put(44, 19, "c0-19"))
+		if v, _ := st.GetVersioned("k3"); string(v.Value) != "c2-25" || v.Index != 43 {
+			t.Fatalf("%s: k3 = %q written at %d after X, Y, X; want Y (c2-25 at 43) to stand", name, v.Value, v.Index)
+		}
+		if st.AppliedIndex() != 44 || st.Skipped() != 1 {
+			t.Fatalf("%s: applied %d skipped %d, want 44 and 1", name, st.AppliedIndex(), st.Skipped())
+		}
+	}
+	a, _ := s.Snapshot()
+	b, _ := restored.Snapshot()
+	if !bytes.Equal(a, b) {
+		t.Fatal("a restored replica's image differs from the image of the replica that applied everything")
+	}
+	// Commands without an ID are not deduplicated.
+	s.Apply(protocol.Entry{Index: 45, Cmd: protocol.Command{Op: protocol.OpPut, Key: "k3", Value: []byte("a")}})
+	s.Apply(protocol.Entry{Index: 46, Cmd: protocol.Command{Op: protocol.OpPut, Key: "k3", Value: []byte("b")}})
+	if v, _ := s.Get("k3"); string(v) != "b" {
+		t.Fatalf("k3 = %q, want b: puts with ID 0 must all apply", v)
+	}
+}
+
+// TestDedupWindowSlides: the window is the last 4096 puts, in the image as
+// in memory — an ID older than that applies again.
+func TestDedupWindowSlides(t *testing.T) {
+	s := kvstore.New()
+	for i := int64(1); i <= 5000; i++ {
+		s.Apply(protocol.Entry{Index: i, Cmd: protocol.Command{ID: uint64(i), Op: protocol.OpPut, Key: "k", Value: []byte("v")}})
+	}
+	img, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := kvstore.New()
+	if err := re.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*kvstore.Store{s, re} {
+		st.Apply(protocol.Entry{Index: 5001, Cmd: protocol.Command{ID: 5000 - 4095, Op: protocol.OpPut, Key: "k", Value: []byte("in")}})
+		st.Apply(protocol.Entry{Index: 5002, Cmd: protocol.Command{ID: 5000 - 4096, Op: protocol.OpPut, Key: "k", Value: []byte("out")}})
+		if v, _ := st.Get("k"); string(v) != "out" || st.Skipped() != 1 {
+			t.Fatalf("k = %q skipped %d; want the ID inside the window skipped and the one outside applied", v, st.Skipped())
+		}
+	}
+}
+
+// TestRestoreRefusesVersion1: images written before the applied-ID window
+// existed cannot say what to skip.
+func TestRestoreRefusesVersion1(t *testing.T) {
+	v1 := append([]byte{1}, make([]byte, 12)...) // version 1, applied 0, no keys
+	if err := kvstore.New().Restore(v1); err == nil {
+		t.Fatal("version 1 image accepted")
+	}
+}
+
 // TestRestoreRejectsGarbage must fail cleanly, never panic or half-apply.
 func TestRestoreRejectsGarbage(t *testing.T) {
 	s := kvstore.New()

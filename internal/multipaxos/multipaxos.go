@@ -159,13 +159,14 @@ type Config struct {
 	// confirmation round (testing only: the linearizability checker's
 	// sabotage regression). Never enable in a deployment.
 	UnsafeSkipReadQuorum bool
-	// FastPath enables the one-RTT Fast Paxos write path: a non-leader
-	// replica broadcasts submissions to every replica, which accept
-	// speculatively (instance ballot 0 — no proposer ran phase 2 for it)
-	// and ack everyone; ⌈3n/4⌉ matching acks including the leader's choose
-	// the command without the forward-to-leader round trip. Collisions fall
-	// back to the classic path automatically because the leader treats
-	// every fast accept as a forwarded submission.
+	// FastPath enables the one-RTT Fast Paxos write path
+	// (protocol.FastPath): a non-leader replica broadcasts submissions to
+	// every replica, which accept speculatively (instance ballot 0 — no
+	// proposer ran phase 2 for it) and ack everyone; ⌈3n/4⌉ matching acks
+	// including the leader's choose the command without the
+	// forward-to-leader round trip. Collisions fall back to the classic path
+	// automatically because the leader treats every fast accept as a
+	// forwarded submission.
 	FastPath bool
 
 	// Hooks are the extension points of non-mutating optimizations
@@ -246,18 +247,10 @@ type Engine struct {
 	readBarrier  int64
 	pendingReads []protocol.Command
 
-	// Fast write path state (nil/zero unless cfg.FastPath), mirroring the
-	// raft engines': a speculative instance holds bal 0 until a classic
-	// accept ratifies or replaces it. fastMine = commands this replica
-	// fast-submitted, fastRemote = commands the leader adopted from others'
-	// fast accepts, fastSeen = instance each fast command occupies locally
-	// (replay dedup), fastDone = instances chosen through a fast quorum.
-	fast       *protocol.FastTracker
-	fastMine   map[uint64]bool
-	fastRemote map[uint64]bool
-	fastSeen   map[uint64]int64
-	fastDone   map[int64]bool
-	stats      protocol.FastStats
+	// fast is the shared fast write path (nil unless cfg.FastPath). A
+	// speculative instance holds bal 0 until a classic accept ratifies or
+	// replaces it.
+	fast *protocol.FastPath
 }
 
 var _ protocol.Engine = (*Engine)(nil)
@@ -272,18 +265,18 @@ func New(cfg Config) *Engine {
 		acks:   make(map[int64]map[protocol.NodeID]bool),
 	}
 	if c.FastPath {
-		e.fast = protocol.NewFastTracker(len(c.Peers))
-		e.fastMine = make(map[uint64]bool)
-		e.fastRemote = make(map[uint64]bool)
-		e.fastSeen = make(map[uint64]int64)
-		e.fastDone = make(map[int64]bool)
+		e.fast = protocol.NewFastPath(c.ID, c.Peers, protocol.FastHost{
+			Term: e.Term, IsLeader: e.IsLeader, LastIndex: e.LastIndex, Commit: e.CommitIndex,
+			HeldID: e.heldID, Speculate: e.speculate, Propose: e.propose,
+			Repair: e.resendInstances, Choose: e.choose,
+		})
 	}
 	e.resetTimeout()
 	return e
 }
 
 // FastStats implements protocol.FastStatser.
-func (e *Engine) FastStats() protocol.FastStats { return e.stats }
+func (e *Engine) FastStats() protocol.FastStats { return e.fast.Stats() }
 
 // ID implements protocol.Engine.
 func (e *Engine) ID() protocol.NodeID { return e.cfg.ID }
@@ -575,9 +568,12 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	case *protocol.MsgReadForward:
 		e.stepReadForward(from, m, &out)
 	case *protocol.MsgFastAccept:
-		e.stepFastAccept(from, m, &out)
+		return e.fast.StepAccept(m)
 	case *protocol.MsgFastAck:
-		e.stepFastAck(from, m, &out)
+		if e.fast != nil {
+			e.observeBallot(m.Term, &out)
+			out.Merge(e.fast.StepAck(from, m))
+		}
 	}
 	return out
 }
@@ -671,8 +667,6 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	e.prepareOKs = nil
 
 	var reproposal []InstanceInfo
-	var displaced []protocol.Command
-	adoptedIDs := map[uint64]bool{}
 	oldLast := e.LastIndex()
 	firstTouched := int64(0)
 	for i := e.chosenPrefix + 1; i <= maxIdx; i++ {
@@ -683,57 +677,32 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 		if in == nil {
 			continue // below the compaction base: chosen and snapshotted
 		}
-		if e.fast != nil {
-			// Fast-path recovery (protocol.ChooseFast): a chosen report is
-			// definitive; otherwise ratified copies win by highest ballot —
-			// the base safe-value rule — and speculative copies by the count
-			// rule. Displaced speculative commands of our own fall back to
-			// the classic path through the pending queue.
-			pick, picked := protocol.Command{}, false
-			if info, ok := safe[i]; ok && info.Chosen {
-				pick, picked = info.Cmd, true
-				in.chosen = true
-			} else if cmd, ok := protocol.ChooseFast(fastReports[i], participants, len(e.cfg.Peers)); ok {
-				pick, picked = cmd, true
+		info, ok := safe[i]
+		if ok && !info.Chosen && e.fast != nil {
+			// Fast-path recovery (protocol.ChooseFast) widens the safe-value
+			// rule for an instance nobody reports chosen: ratified copies
+			// still win by highest ballot, speculative ones by the count rule.
+			info.Cmd, _ = protocol.ChooseFast(fastReports[i], participants, len(e.cfg.Peers))
+		}
+		switch {
+		case ok:
+			if in.used && in.bal == 0 && in.cmd.ID != info.Cmd.ID {
+				e.fast.Displaced(in.cmd.ID)
 			}
-			switch {
-			case picked:
-				if in.used && in.bal == 0 && in.cmd.ID != pick.ID {
-					delete(e.fastSeen, in.cmd.ID)
-					delete(e.fastDone, i)
-					if e.fastMine[in.cmd.ID] {
-						displaced = append(displaced, in.cmd)
-					}
-				}
-				in.cmd = pick
-			case !in.used:
-				in.cmd = protocol.Command{Op: protocol.OpNop}
-			}
-		} else if info, ok := safe[i]; ok {
 			in.cmd = info.Cmd
 			in.chosen = in.chosen || info.Chosen
-		} else if !in.used {
+		case !in.used:
 			in.cmd = protocol.Command{Op: protocol.OpNop}
 		}
 		in.used = true
 		in.bal = e.ballot
-		if e.fast != nil {
-			adoptedIDs[in.cmd.ID] = true
-		}
 		if firstTouched == 0 {
 			firstTouched = i
 		}
 		e.acks[i] = map[protocol.NodeID]bool{e.cfg.ID: true}
 		reproposal = append(reproposal, InstanceInfo{Idx: i, Bal: e.ballot, Cmd: in.cmd})
 	}
-	if e.fast != nil {
-		for _, cmd := range displaced {
-			if !adoptedIDs[cmd.ID] && len(e.pending) < 4096 {
-				e.pending = append(e.pending, cmd)
-			}
-		}
-		e.fast.Reset(e.ballot)
-	}
+	e.fast.Reset(e.ballot)
 	if firstTouched > 0 {
 		// The new leader self-accepts its re-proposals: durable before the
 		// Phase2a broadcast below announces them. Growth past the old tail
@@ -778,7 +747,7 @@ func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
 	case e.phase1OK:
 		e.propose(cmds, &out)
 	case e.fast != nil && e.leader != protocol.None:
-		e.fastSubmit(cmds, &out)
+		return e.fast.Submit(cmds)
 	case e.leader != protocol.None:
 		out.Msgs = append(out.Msgs, protocol.Envelope{
 			From: e.cfg.ID, To: e.leader,
@@ -836,7 +805,8 @@ func (e *Engine) stepReadForward(from protocol.NodeID, m *protocol.MsgReadForwar
 }
 
 // submitReads serves cmds through ReadIndex at the leader — the read index
-// is the chosen prefix clamped up to the phase-1 barrier, and an empty
+// is the chosen prefix clamped up to the phase-1 barrier (the last instance
+// with the fast path on: protocol.FastPath.ReadIndex), and an empty
 // accept broadcast carrying the batch's ctx starts the confirmation
 // immediately instead of waiting out the heartbeat interval, unless leader
 // + witness already confirmed it — and routes them toward the leader
@@ -852,7 +822,7 @@ func (e *Engine) submitReads(cmds []protocol.Command, witness protocol.NodeID, o
 	case !e.cfg.ReadIndex:
 		out.Merge(e.SubmitBatch(cmds))
 	case e.phase1OK:
-		e.reads.Add(cmds, max(e.chosenPrefix, e.readBarrier), witness, out)
+		e.reads.Add(cmds, e.fast.ReadIndex(max(e.chosenPrefix, e.readBarrier)), witness, out)
 		if e.reads.Unsent() {
 			e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
 		}
@@ -924,14 +894,6 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 	e.leader = from
 	e.resetTimeout()
 	var idxs []int64
-	var keep map[uint64]bool
-	var lost []protocol.Command
-	if e.fast != nil && len(m.Insts) > 0 {
-		keep = make(map[uint64]bool, len(m.Insts))
-		for i := range m.Insts {
-			keep[m.Insts[i].Cmd.ID] = true
-		}
-	}
 	oldLast := e.LastIndex()
 	firstTouched := int64(0)
 	for _, info := range m.Insts {
@@ -939,15 +901,10 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 		if in == nil {
 			continue // already chosen and compacted here: stale accept
 		}
-		if e.fast != nil && in.used && in.bal == 0 && in.cmd.ID != info.Cmd.ID {
-			// A classic accept displaces a speculative command: clean its
-			// bookkeeping, and re-route our own fast submission through the
-			// classic path unless this very accept carries it elsewhere.
-			delete(e.fastSeen, in.cmd.ID)
-			delete(e.fastDone, info.Idx)
-			if e.fastMine[in.cmd.ID] && !keep[in.cmd.ID] {
-				lost = append(lost, in.cmd)
-			}
+		if in.used && in.bal == 0 && in.cmd.ID != info.Cmd.ID {
+			// A classic accept displaces a speculative command, which
+			// reaches the log through the leader or not at all.
+			e.fast.Displaced(in.cmd.ID)
 		}
 		in.used = true
 		in.bal = m.Bal
@@ -1002,12 +959,9 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 			Bal: m.Bal, Idxs: idxs, NeedFrom: needFrom, ReadCtx: m.ReadCtx, Holders: holders,
 		}})
 	}
-	if len(lost) > 0 {
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: from, Msg: &MsgForward{Cmds: lost},
-		})
+	if e.fast != nil {
+		out.Merge(e.fast.TryCommit())
 	}
-	e.tryFastCommit(out)
 	e.flushPending(out)
 }
 
@@ -1210,23 +1164,7 @@ func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Outpu
 			delete(e.acks, idx)
 		}
 	}
-	if e.fast != nil {
-		// Fast bookkeeping below the boundary is stale: those instances are
-		// chosen in the image (or gone for good).
-		for id, slot := range e.fastSeen {
-			if slot <= img.Index {
-				delete(e.fastSeen, id)
-				delete(e.fastMine, id)
-				delete(e.fastRemote, id)
-			}
-		}
-		for idx := range e.fastDone {
-			if idx <= img.Index {
-				delete(e.fastDone, idx)
-			}
-		}
-		e.fast.Forget(img.Index)
-	}
+	e.fast.Forget(img.Index)
 	out.StateChanged = true
 	out.InstalledSnapshot = &img
 	e.advanceChosen(out)
@@ -1309,176 +1247,45 @@ func (e *Engine) advanceChosen(out *protocol.Output) {
 		}
 		e.chosenPrefix++
 		moved = true
-		// Reply routing with the fast path on: the submitter answers for
-		// its own fast commands (it holds the client connection); the
-		// leader stays quiet for fast commands it adopted from others, and
-		// answers for everything else as usual.
-		reply := e.phase1OK && in.cmd.Client != protocol.None
-		if e.fast != nil {
-			id := in.cmd.ID
-			switch {
-			case e.fastMine[id]:
-				reply = in.cmd.Client != protocol.None
-				if e.fastDone[e.chosenPrefix] {
-					e.stats.FastCommits++
-				} else {
-					e.stats.ClassicFallbacks++
-				}
-			case e.fastRemote[id]:
-				reply = false
-			}
-			delete(e.fastMine, id)
-			delete(e.fastRemote, id)
-			delete(e.fastSeen, id)
-			delete(e.fastDone, e.chosenPrefix)
-		}
 		out.Commits = append(out.Commits, protocol.CommitInfo{
 			Entry: protocol.Entry{
 				Index: e.chosenPrefix, Term: in.bal, Bal: in.bal, Cmd: in.cmd,
 			},
-			Reply: reply,
+			Reply: e.fast.Reply(e.chosenPrefix, in.cmd, e.phase1OK && in.cmd.Client != protocol.None),
 		})
 	}
-	if e.fast != nil && moved {
+	if moved {
 		e.fast.Forget(e.chosenPrefix)
-	}
-	if moved && e.phase1OK {
-		e.hbElapsed = e.cfg.HeartbeatTicks // piggyback the new prefix soon
+		if e.phase1OK {
+			e.hbElapsed = e.cfg.HeartbeatTicks // piggyback the new prefix soon
+		}
 	}
 }
 
-// fastSubmit runs the one-RTT write path as a submitter: accept the batch
-// speculatively (instance ballot 0 — no proposer ran phase 2 for it),
-// broadcast the proposal to every replica, and ack it ourselves. The
-// instances ride the persist barrier like any accepted instance: our own
-// ack counts toward the fast quorum, so our copy must be durable first.
-func (e *Engine) fastSubmit(cmds []protocol.Command, out *protocol.Output) {
+// The moves this family lends protocol.FastPath (protocol.FastHost), beside
+// propose and resendInstances.
+
+func (e *Engine) heldID(i int64) (uint64, bool) {
+	info, ok := e.InstanceAt(i)
+	return info.Cmd.ID, ok
+}
+
+// speculate accepts cmds at the end of the instance space at ballot 0: no
+// proposer ran phase 2 for them.
+func (e *Engine) speculate(cmds []protocol.Command, out *protocol.Output) {
 	base := e.LastIndex() + 1
-	ids := make([]uint64, len(cmds))
 	for i, cmd := range cmds {
-		idx := base + int64(i)
-		in := e.inst(idx)
+		in := e.inst(base + int64(i))
 		in.used = true
 		in.bal = 0
 		in.cmd = cmd
-		ids[i] = cmd.ID
-		e.fastMine[cmd.ID] = true
-		e.fastSeen[cmd.ID] = idx
 	}
 	e.emitAppended(base, out)
 	out.StateChanged = true
-	e.broadcast(out, &protocol.MsgFastAccept{Cmds: append([]protocol.Command(nil), cmds...)})
-	e.fastAck(base, ids, out)
 }
 
-// stepFastAccept accepts a submitter's broadcast. The leader runs its
-// classic phase 2 on the commands (arbitration and fallback in one move);
-// a non-leader accepts them speculatively at its own instance-space end.
-// Replays never duplicate instances: a command already held is only
-// re-acked, and only if its recorded instance still holds it — acking an
-// instance we no longer hold would poison the quorum count.
-func (e *Engine) stepFastAccept(from protocol.NodeID, m *protocol.MsgFastAccept, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	var fresh []protocol.Command
-	for _, cmd := range m.Cmds {
-		if slot, seen := e.fastSeen[cmd.ID]; seen {
-			if info, ok := e.InstanceAt(slot); ok && info.Cmd.ID == cmd.ID {
-				e.fastAck(slot, []uint64{cmd.ID}, out)
-			}
-			continue
-		}
-		fresh = append(fresh, cmd)
-	}
-	if len(fresh) == 0 {
-		return
-	}
-	base := e.LastIndex() + 1
-	ids := make([]uint64, len(fresh))
-	if e.phase1OK {
-		for i, cmd := range fresh {
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = base + int64(i)
-			e.fastRemote[cmd.ID] = true
-		}
-		e.propose(fresh, out)
-	} else {
-		if e.ballot == 0 {
-			return // no ballot yet: a fast round has no leader to arbitrate it
-		}
-		for i, cmd := range fresh {
-			idx := base + int64(i)
-			in := e.inst(idx)
-			in.used = true
-			in.bal = 0
-			in.cmd = cmd
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = idx
-		}
-		e.emitAppended(base, out)
-		out.StateChanged = true
-	}
-	e.fastAck(base, ids, out)
-}
-
-// fastAck broadcasts this replica's fast ack for ids at the contiguous
-// instances base, base+1, ... and records it in the local tracker.
-// MsgFastAck is a BarrierMessage: the persist pipeline holds it until the
-// instances it covers are durable, exactly like a Phase2b ack.
-func (e *Engine) fastAck(base int64, ids []uint64, out *protocol.Output) {
-	e.broadcast(out, &protocol.MsgFastAck{Term: e.ballot, Base: base, IDs: ids, Leader: e.phase1OK})
-	e.fast.Ack(e.cfg.ID, e.ballot, base, ids, e.phase1OK)
-	e.tryFastCommit(out)
-}
-
-// stepFastAck records a peer's fast ack and checks for a fast choice. At
-// the leader it doubles as conflict detection: a peer acking a different
-// command at an instance we hold means its speculative run diverged, so
-// the classic re-accept run repairs it from the divergence point.
-func (e *Engine) stepFastAck(from protocol.NodeID, m *protocol.MsgFastAck, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	e.observeBallot(m.Term, out)
-	e.fast.Ack(from, m.Term, m.Base, m.IDs, m.Leader)
-	if e.phase1OK && m.Term == e.ballot {
-		resendFrom := int64(0)
-		for i, id := range m.IDs {
-			slot := m.Base + int64(i)
-			if info, ok := e.InstanceAt(slot); ok && info.Cmd.ID != id {
-				e.stats.Conflicts++
-				if resendFrom == 0 || slot < resendFrom {
-					resendFrom = slot
-				}
-			}
-		}
-		if resendFrom > e.instBase {
-			e.resendInstances(from, resendFrom, out)
-		}
-	}
-	e.tryFastCommit(out)
-}
-
-// tryFastCommit extends the chosen prefix through contiguously
-// fast-confirmed instances: an instance is chosen the moment a fast
-// quorum — leader included — acked the command our own copy holds there,
-// at the current ballot. The leader's mandatory participation is what
-// makes this safe: its classic copy of the instance can never name a
-// different command afterwards, so phase 2 can only re-confirm the choice.
-func (e *Engine) tryFastCommit(out *protocol.Output) {
-	if e.fast == nil || e.fast.Term() != e.ballot {
-		return
-	}
-	for {
-		slot := e.chosenPrefix + 1
-		info, ok := e.InstanceAt(slot)
-		if !ok || !e.fast.Confirmed(slot, info.Cmd.ID) {
-			return
-		}
-		e.fastDone[slot] = true
-		e.insts[slot-e.instBase-1].chosen = true
-		e.advanceChosen(out)
-		out.StateChanged = true
-	}
+// choose marks the held instance slot chosen and executes what that frees.
+func (e *Engine) choose(slot int64, out *protocol.Output) {
+	e.insts[slot-e.instBase-1].chosen = true
+	e.advanceChosen(out)
 }

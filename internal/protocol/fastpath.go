@@ -12,13 +12,26 @@ package protocol
 // writes commit in one WAN round trip at the submitter instead of two
 // (forward to leader + classic accept round).
 //
-// Collisions never need a separate arbitration protocol: the leader
-// treats every incoming MsgFastAccept as a forwarded submission and runs
-// its normal classic path concurrently, so the slot a colliding command
-// lost is repaired by the engine's existing recovery rule (raft/raftstar:
-// leader re-append at its term; multipaxos: phase-2 re-proposal at a
-// classic ballot) and the command still commits — classically, within
-// ~2 classic RTTs.
+// FastPath is that path as one component; FastHost is the little an
+// engine lends it. Collisions need no separate arbitration protocol, and
+// three rules keep them safe (README "Fast path semantics" has the trace
+// behind each):
+//
+//  1. The leader is the only re-proposer. It treats every MsgFastAccept
+//     as a forwarded submission and runs its classic path concurrently,
+//     so a command that loses its slot anywhere still commits through the
+//     leader, within ~2 classic RTTs. A replica whose copy is displaced
+//     only cleans its bookkeeping (Displaced): the leader usually holds
+//     the command one slot further on, and forwarding it again is a second
+//     apply. A fast accept lost on its way to the leader is a lost
+//     forward, and the client's timeout covers both.
+//  2. The leader's read index is its last index (ReadIndex): a submitter
+//     completes a write the moment it sees the fast quorum, before the
+//     leader's commit index covers the slot. The leader has acked the slot
+//     by then, and its own tail is classic at its term, so it commits.
+//  3. The state machine applies a command ID once (kvstore): election
+//     recovery can adopt a speculative copy of a command already chosen a
+//     slot earlier, and no engine can see that from inside.
 //
 // Why ⌈3n/4⌉: any two fast quorums intersect with any classic majority in
 // at least one non-faulty replica (2·⌈3n/4⌉ + ⌊n/2⌋+1 > 2n), which is
@@ -87,8 +100,12 @@ func (m *MsgFastAck) CmdCount() int { return len(m.IDs) }
 // classic append/accept ack.
 func (m *MsgFastAck) RequiresBarrier() {}
 
-// FastStats counts the fast path's outcomes on one replica.
+// FastStats counts the fast path's outcomes on one replica. Every command
+// counted in Submitted ends in exactly one of FastCommits and
+// ClassicFallbacks, or never commits here at all.
 type FastStats struct {
+	// Submitted counts commands this replica put on the fast path.
+	Submitted int64
 	// FastCommits counts commands this replica committed through a fast
 	// quorum (one-RTT path).
 	FastCommits int64
@@ -103,6 +120,302 @@ type FastStats struct {
 // FastStatser is implemented by engines that run the fast write path.
 type FastStatser interface {
 	FastStats() FastStats
+}
+
+// FastHost is what an engine lends the fast path: a view of its log, and
+// the four moves the Raft*/MultiPaxos mapping says differ between the
+// families. (The fifth, election recovery, stays in the engine and calls
+// ChooseFast.)
+type FastHost struct {
+	Term      func() uint64 // term, or ballot
+	IsLeader  func() bool
+	LastIndex func() int64
+	Commit    func() int64 // commit index, or chosen prefix
+	HeldID    func(slot int64) (id uint64, ok bool)
+
+	// Speculate accepts cmds at the end of the log at ballot 0 — no leader
+	// has accepted them — and emits them for persistence.
+	Speculate func(cmds []Command, out *Output)
+	// Propose is the leader's classic path for cmds, starting at the end of
+	// its log (raft: append at its term and replicate; multipaxos: phase 2).
+	Propose func(cmds []Command, out *Output)
+	// Repair re-sends the leader's copy from slot on to a peer whose fast
+	// ack named another command there.
+	Repair func(peer NodeID, slot int64, out *Output)
+	// Choose commits slot, the one right above the commit index.
+	Choose func(slot int64, out *Output)
+}
+
+// fastWindow is how many of its own fast submissions a replica remembers.
+const fastWindow = 4096
+
+// FastPath runs the fast write path for one replica. A nil *FastPath is
+// the path switched off: Stats, ReadIndex, Reset, StepAccept, Reply,
+// Displaced and Forget then leave the classic answer standing, so engines
+// call those unconditionally. What a step produces comes back as an Output
+// of its own rather than through the caller's: the host's moves are
+// indirect calls, and an Output handed through them would move every
+// engine step's Output to the heap, fast path or not.
+//
+// Bookkeeping is bounded by the uncommitted tail plus one window. seen and
+// remote name a slot: an entry goes when its command commits (Reply), when
+// another command takes the slot (Displaced), or when the commit index
+// passes it (Forget). mine must outlive the slot — a displaced command
+// still commits through the leader, and its submitter answers it — so it
+// is the newest fastWindow submissions instead: an older one that has not
+// committed never reached the leader, and its client has long timed out.
+type FastPath struct {
+	id    NodeID
+	peers []NodeID
+	host  FastHost
+	acks  *FastTracker
+	stats FastStats
+
+	// mine = commands this replica fast-submitted (it answers its own
+	// client), recent the ring that evicts them; remote = commands the
+	// leader took from others' fast accepts (the submitter replies, not the
+	// arbiter); seen = slot each fast command occupies locally (replay
+	// dedup); choosing = the slot TryCommit is committing right now.
+	mine     map[uint64]bool
+	recent   []uint64
+	next     int
+	remote   map[uint64]bool
+	seen     map[uint64]int64
+	choosing int64
+}
+
+// NewFastPath builds the fast path of replica id among peers over host.
+func NewFastPath(id NodeID, peers []NodeID, host FastHost) *FastPath {
+	return &FastPath{
+		id: id, peers: peers, host: host,
+		acks:   NewFastTracker(len(peers)),
+		mine:   make(map[uint64]bool),
+		recent: make([]uint64, fastWindow),
+		remote: make(map[uint64]bool),
+		seen:   make(map[uint64]int64),
+	}
+}
+
+// Stats returns the replica's counters.
+func (f *FastPath) Stats() FastStats {
+	if f == nil {
+		return FastStats{}
+	}
+	return f.stats
+}
+
+// ReadIndex is rule 2: the index a leader serves ReadIndex reads at, given
+// the classic one (commit index clamped up to the election barrier).
+func (f *FastPath) ReadIndex(classic int64) int64 {
+	if f == nil {
+		return classic
+	}
+	return f.host.LastIndex()
+}
+
+// Reset re-arms ack counting at a new leadership's term.
+func (f *FastPath) Reset(term uint64) {
+	if f != nil {
+		f.acks.Reset(term)
+	}
+}
+
+func (f *FastPath) broadcast(msg Message, out *Output) {
+	for _, p := range f.peers {
+		if p != f.id {
+			out.Msgs = append(out.Msgs, Envelope{From: f.id, To: p, Msg: msg})
+		}
+	}
+}
+
+// Submit runs the one-RTT write path as a submitter, at a replica that
+// knows a leader and is not it: broadcast the proposal to every replica,
+// then accept and ack it like any of them. The entries ride the persist
+// barrier like any accepted entry: our own ack counts toward the fast
+// quorum, so our copy must be durable first.
+func (f *FastPath) Submit(cmds []Command) Output {
+	for _, cmd := range cmds {
+		if old := f.recent[f.next]; old != 0 {
+			delete(f.mine, old)
+		}
+		f.recent[f.next] = cmd.ID
+		f.next = (f.next + 1) % fastWindow
+		f.mine[cmd.ID] = true
+	}
+	f.stats.Submitted += int64(len(cmds))
+	m := &MsgFastAccept{Cmds: append([]Command(nil), cmds...)}
+	var out Output
+	f.broadcast(m, &out)
+	f.accept(m, &out)
+	return out
+}
+
+// StepAccept accepts a submitter's broadcast. The leader runs its classic
+// path on the commands (arbitration and fallback in one move); any other
+// replica accepts them speculatively at its own log end. Replays never
+// duplicate entries: a command already held is only re-acked, and only if
+// its recorded slot still holds it — acking a slot we no longer hold would
+// poison the quorum count.
+func (f *FastPath) StepAccept(m *MsgFastAccept) Output {
+	if f == nil {
+		return Output{}
+	}
+	var out Output
+	f.accept(m, &out)
+	return out
+}
+
+func (f *FastPath) accept(m *MsgFastAccept, out *Output) {
+	var fresh []Command
+	for _, cmd := range m.Cmds {
+		if slot, seen := f.seen[cmd.ID]; seen {
+			if id, ok := f.host.HeldID(slot); ok && id == cmd.ID {
+				f.ack(slot, []uint64{cmd.ID}, out)
+			}
+			continue
+		}
+		fresh = append(fresh, cmd)
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	leader := f.host.IsLeader()
+	if !leader && f.host.Term() == 0 {
+		return // no term yet: a fast round has no leader to arbitrate it
+	}
+	base := f.host.LastIndex() + 1
+	ids := make([]uint64, len(fresh))
+	for i, cmd := range fresh {
+		ids[i] = cmd.ID
+		f.seen[cmd.ID] = base + int64(i)
+		if leader {
+			f.remote[cmd.ID] = true
+		}
+	}
+	if leader {
+		f.host.Propose(fresh, out)
+	} else {
+		f.host.Speculate(fresh, out)
+	}
+	f.ack(base, ids, out)
+}
+
+// ack broadcasts this replica's fast ack for ids at the contiguous slots
+// base, base+1, ... and records it in the local tracker. MsgFastAck is a
+// BarrierMessage: the persist pipeline holds it until the entries it
+// covers are durable, exactly like a classic append ack.
+func (f *FastPath) ack(base int64, ids []uint64, out *Output) {
+	term, leader := f.host.Term(), f.host.IsLeader()
+	f.broadcast(&MsgFastAck{Term: term, Base: base, IDs: ids, Leader: leader}, out)
+	f.acks.Ack(f.id, term, base, ids, leader)
+	f.tryCommit(out)
+}
+
+// StepAck records a peer's fast ack and checks for a fast commit; the
+// engine has already adopted the ack's term if it was higher. At the
+// leader it doubles as conflict detection: a peer acking a different
+// command at a slot we hold means its speculative suffix diverged, so the
+// leader's copy is re-sent from the divergence point.
+func (f *FastPath) StepAck(from NodeID, m *MsgFastAck) Output {
+	var out Output
+	f.acks.Ack(from, m.Term, m.Base, m.IDs, m.Leader)
+	if f.host.IsLeader() && m.Term == f.host.Term() {
+		diverged := int64(0)
+		for i, id := range m.IDs {
+			slot := m.Base + int64(i)
+			if held, ok := f.host.HeldID(slot); ok && held != id {
+				f.stats.Conflicts++
+				if diverged == 0 {
+					diverged = slot
+				}
+			}
+		}
+		if diverged > 0 {
+			f.host.Repair(from, diverged, &out)
+		}
+	}
+	f.tryCommit(&out)
+	return out
+}
+
+// TryCommit advances the commit index through contiguously fast-confirmed
+// slots: a slot commits the moment a fast quorum — leader included — acked
+// the command our own log holds there, at the current term. The leader's
+// mandatory participation is what makes this safe: its classic copy of the
+// slot can never name a different command afterwards, so the classic path
+// can only re-confirm the choice. Engines call it after a classic accept
+// too, which can put the confirmed command under the commit index's nose.
+func (f *FastPath) TryCommit() Output {
+	var out Output
+	f.tryCommit(&out)
+	return out
+}
+
+func (f *FastPath) tryCommit(out *Output) {
+	if f.acks.Term() != f.host.Term() {
+		return
+	}
+	for {
+		slot := f.host.Commit() + 1
+		id, ok := f.host.HeldID(slot)
+		if !ok || !f.acks.Confirmed(slot, id) {
+			return
+		}
+		f.choosing = slot
+		f.host.Choose(slot, out)
+		f.choosing = 0
+		out.StateChanged = true
+	}
+}
+
+// Reply routes the client reply for cmd, committing at slot, given what
+// the engine would do without the fast path: the submitter answers for its
+// own fast commands (it holds the client connection), the leader stays
+// quiet for fast commands it took from others, and everything else is
+// answered as usual.
+func (f *FastPath) Reply(slot int64, cmd Command, reply bool) bool {
+	if f == nil {
+		return reply
+	}
+	switch {
+	case f.mine[cmd.ID]:
+		reply = cmd.Client != None
+		if slot == f.choosing {
+			f.stats.FastCommits++
+		} else {
+			f.stats.ClassicFallbacks++
+		}
+	case f.remote[cmd.ID]:
+		reply = false
+	}
+	delete(f.mine, cmd.ID)
+	delete(f.remote, cmd.ID)
+	delete(f.seen, cmd.ID)
+	return reply
+}
+
+// Displaced cleans up after the command id, whose slot the engine is
+// handing to another command (rule 1: nothing is re-routed).
+func (f *FastPath) Displaced(id uint64) {
+	if f != nil {
+		delete(f.seen, id)
+		delete(f.remote, id)
+	}
+}
+
+// Forget drops everything kept for slots at or below through, which are
+// committed here or covered by an installed snapshot.
+func (f *FastPath) Forget(through int64) {
+	if f == nil {
+		return
+	}
+	for id, slot := range f.seen {
+		if slot <= through {
+			delete(f.seen, id)
+			delete(f.remote, id)
+		}
+	}
+	f.acks.Forget(through)
 }
 
 // fastSlot accumulates acks for one slot at the tracker's current term.
@@ -120,7 +433,6 @@ type fastSlot struct {
 // fast quorum is only meaningful when all its acks name the same term —
 // mixed-term acks may disagree about the leader whose copy arbitrates.
 type FastTracker struct {
-	n          int
 	fastQuorum int
 	term       uint64
 	slots      map[int64]*fastSlot
@@ -128,7 +440,7 @@ type FastTracker struct {
 
 // NewFastTracker sizes the tracker for an n-replica group.
 func NewFastTracker(n int) *FastTracker {
-	return &FastTracker{n: n, fastQuorum: FastQuorum(n), slots: make(map[int64]*fastSlot)}
+	return &FastTracker{fastQuorum: FastQuorum(n), slots: make(map[int64]*fastSlot)}
 }
 
 // Reset discards every pending ack window and re-arms the tracker at
@@ -179,13 +491,6 @@ func (t *FastTracker) Confirmed(slot int64, id uint64) bool {
 		return false
 	}
 	return len(s.acks[id]) >= t.fastQuorum
-}
-
-// Conflicted reports whether the slot has acks for more than one command
-// — the collision signal the stats surface.
-func (t *FastTracker) Conflicted(slot int64) bool {
-	s := t.slots[slot]
-	return s != nil && len(s.acks) > 1
 }
 
 // Forget drops every window at or below slot (committed: the window is

@@ -52,9 +52,6 @@ func TestFastTrackerLeaderArbitration(t *testing.T) {
 	if tr.Confirmed(5, 1) {
 		t.Fatal("confirmed against the leader's arbitration")
 	}
-	if !tr.Conflicted(5) {
-		t.Fatal("collision not reported")
-	}
 }
 
 func TestFastTrackerTermWindows(t *testing.T) {
@@ -140,5 +137,133 @@ func TestChooseFastThresholdUnique(t *testing.T) {
 				t.Errorf("n=%d participants=%d: threshold %d reachable twice", n, p, thr)
 			}
 		}
+	}
+}
+
+// fakeFastLog is the least an engine lends FastPath: a log of command IDs
+// with a commit index, the classic path reduced to an append.
+type fakeFastLog struct {
+	ids      []uint64 // ids[i] is slot i+1
+	commit   int64
+	term     uint64
+	leader   bool
+	path     *FastPath
+	replies  map[uint64]bool // cmd ID → Reply's verdict at commit
+	repaired []int64
+}
+
+func newFakeFastLog(id NodeID, leader bool) *fakeFastLog {
+	l := &fakeFastLog{term: 1, leader: leader, replies: map[uint64]bool{}}
+	accept := func(cmds []Command, _ *Output) {
+		for _, cmd := range cmds {
+			l.ids = append(l.ids, cmd.ID)
+		}
+	}
+	l.path = NewFastPath(id, []NodeID{0, 1, 2}, FastHost{
+		Term:      func() uint64 { return l.term },
+		IsLeader:  func() bool { return l.leader },
+		LastIndex: func() int64 { return int64(len(l.ids)) },
+		Commit:    func() int64 { return l.commit },
+		HeldID: func(slot int64) (uint64, bool) {
+			if slot < 1 || slot > int64(len(l.ids)) {
+				return 0, false
+			}
+			return l.ids[slot-1], true
+		},
+		Speculate: accept,
+		Propose:   accept,
+		Repair:    func(_ NodeID, slot int64, _ *Output) { l.repaired = append(l.repaired, slot) },
+		Choose:    func(slot int64, _ *Output) { l.commitThrough(slot) },
+	})
+	return l
+}
+
+// commitThrough commits like an engine does: Reply per slot, then Forget.
+func (l *fakeFastLog) commitThrough(to int64) {
+	for s := l.commit + 1; s <= to; s++ {
+		id := l.ids[s-1]
+		l.replies[id] = l.path.Reply(s, Command{ID: id, Client: 900}, l.leader)
+	}
+	l.commit = to
+	l.path.Forget(to)
+}
+
+// TestFastPathReplyRouting: the submitter answers its own fast command
+// whichever way it commits, the arbiter stays quiet for it, and the counts
+// add up — every submitted command is a fast commit or a fallback, once.
+func TestFastPathReplyRouting(t *testing.T) {
+	sub, lead := newFakeFastLog(1, false), newFakeFastLog(0, true)
+	x, y := Command{ID: 7, Client: 900}, Command{ID: 8, Client: 900}
+	sub.path.Submit([]Command{x})
+	lead.path.StepAccept(&MsgFastAccept{Cmds: []Command{x}})
+	lead.path.StepAccept(&MsgFastAccept{Cmds: []Command{x}}) // replay: re-acked, not re-proposed
+	if len(lead.ids) != 1 {
+		t.Fatalf("leader holds %d entries after a replayed fast accept, want 1", len(lead.ids))
+	}
+	// Fast quorum at the submitter: its own ack is in, the other two arrive.
+	sub.path.StepAck(0, &MsgFastAck{Term: 1, Base: 1, IDs: []uint64{7}, Leader: true})
+	sub.path.StepAck(2, &MsgFastAck{Term: 1, Base: 1, IDs: []uint64{7}})
+	if sub.commit != 1 || !sub.replies[7] {
+		t.Fatalf("submitter: commit %d reply %v, want fast commit answered by the submitter", sub.commit, sub.replies[7])
+	}
+	lead.commitThrough(1)
+	if lead.replies[7] {
+		t.Fatal("the arbiter answered a command its submitter answers")
+	}
+	// y loses its slot at the submitter and commits classically one slot on.
+	sub.path.Submit([]Command{y})
+	sub.path.Displaced(8)
+	sub.ids[1] = 99
+	sub.ids = append(sub.ids, 8)
+	sub.commitThrough(3)
+	if !sub.replies[8] {
+		t.Fatal("submitter did not answer its displaced command when it committed classically")
+	}
+	if st := sub.path.Stats(); st.Submitted != 2 || st.FastCommits != 1 || st.ClassicFallbacks != 1 {
+		t.Fatalf("stats %+v, want 2 submitted = 1 fast + 1 fallback", st)
+	}
+	// A peer acking another command at a held slot is repaired from there.
+	lead.path.StepAck(2, &MsgFastAck{Term: 1, Base: 1, IDs: []uint64{5}})
+	if len(lead.repaired) != 1 || lead.repaired[0] != 1 || lead.path.Stats().Conflicts != 1 {
+		t.Fatalf("repairs %v conflicts %d, want one repair from slot 1", lead.repaired, lead.path.Stats().Conflicts)
+	}
+	if got := lead.path.ReadIndex(0); got != 1 {
+		t.Fatalf("leader read index %d, want its last index 1", got)
+	}
+	if got := (*FastPath)(nil).ReadIndex(5); got != 5 {
+		t.Fatalf("read index with the fast path off = %d, want the classic 5", got)
+	}
+}
+
+// TestFastPathBookkeepingBounded is the submitter whose every fast accept
+// is dropped: nothing it submits ever commits. What it keeps per command is
+// bounded by the window for mine and by the uncommitted tail for the rest,
+// and the tail's share goes when the leader's entries take the slots.
+func TestFastPathBookkeepingBounded(t *testing.T) {
+	sub := newFakeFastLog(1, false)
+	const n = 3 * fastWindow
+	for i := 1; i <= n; i++ {
+		sub.path.Submit([]Command{{ID: uint64(i), Client: 900}}) // fast accepts and acks all lost
+	}
+	f := sub.path
+	if len(f.mine) != fastWindow || !f.mine[n] || f.mine[n-fastWindow] {
+		t.Fatalf("mine holds %d commands, want the newest %d", len(f.mine), fastWindow)
+	}
+	if len(f.seen) != n {
+		t.Fatalf("seen holds %d commands for an uncommitted tail of %d", len(f.seen), n)
+	}
+	// The leader's log, which never held any of them, overwrites the tail
+	// and commits.
+	for i := range sub.ids {
+		f.Displaced(sub.ids[i])
+		sub.ids[i] = 0
+	}
+	sub.commitThrough(n)
+	if len(f.seen)+len(f.remote)+len(f.acks.slots) != 0 {
+		t.Fatalf("after the tail committed: seen %d remote %d ack windows %d, want 0",
+			len(f.seen), len(f.remote), len(f.acks.slots))
+	}
+	if len(f.mine) != fastWindow {
+		t.Fatalf("mine holds %d commands, want %d", len(f.mine), fastWindow)
 	}
 }

@@ -82,12 +82,13 @@ type Config struct {
 	// confirmation round (testing only: the linearizability checker's
 	// sabotage regression). Never enable in a deployment.
 	UnsafeSkipReadQuorum bool
-	// FastPath enables the one-RTT Fast Paxos write path: a follower
-	// broadcasts submissions to every replica, which accept speculatively
-	// (entry Bal 0) and ack everyone; ⌈3n/4⌉ matching acks including the
-	// leader's commit the command without the forward-to-leader round trip.
-	// Collisions fall back to the classic path automatically because the
-	// leader treats every fast accept as a forwarded submission.
+	// FastPath enables the one-RTT Fast Paxos write path
+	// (protocol.FastPath): a follower broadcasts submissions to every
+	// replica, which accept speculatively (entry Bal 0) and ack everyone;
+	// ⌈3n/4⌉ matching acks including the leader's commit the command without
+	// the forward-to-leader round trip. Collisions fall back to the classic
+	// path automatically because the leader treats every fast accept as a
+	// forwarded submission.
 	FastPath bool
 
 	// Hooks port non-mutating Paxos optimizations onto Raft* (package
@@ -171,27 +172,18 @@ type Engine struct {
 	readBarrier  int64
 	pendingReads []protocol.Command
 
-	// Fast write path state (nil/zero unless cfg.FastPath). specFrom is
-	// the fast path's amendment to the classic ballot: speculative
+	// Fast write path state (nil/zero unless cfg.FastPath): fast is the
+	// shared path, the rest is what this family adds to it. specFrom is the
+	// fast path's amendment to the classic ballot: speculative
 	// (fast-accepted) entries land at the log end, and an accepted classic
 	// append verifies everything it covers, so one watermark separates the
 	// classic prefix from a tail that is speculative or not yet verified
 	// against a leader — entries at or above specFrom carry ballot 0 on
 	// emission, everything below its classic ballot; specFrom 0 means no
-	// speculation. fastMine = commands this replica fast-submitted (it
-	// answers its own client), fastRemote = commands the leader adopted
-	// from others' fast accepts (the submitter replies, not the arbiter),
-	// fastSeen = slot each fast command occupies locally (replay dedup),
-	// fastDone = slots committed through a fast quorum (stats), fastVotes =
-	// voters' reports for election recovery.
-	fast       *protocol.FastTracker
-	specFrom   int64
-	fastMine   map[uint64]bool
-	fastRemote map[uint64]bool
-	fastSeen   map[uint64]int64
-	fastDone   map[int64]bool
-	fastVotes  map[protocol.NodeID][]protocol.Entry
-	stats      protocol.FastStats
+	// speculation. fastVotes = voters' reports for election recovery.
+	fast      *protocol.FastPath
+	specFrom  int64
+	fastVotes map[protocol.NodeID][]protocol.Entry
 }
 
 var _ protocol.Engine = (*Engine)(nil)
@@ -213,18 +205,18 @@ func NewWithRules(cfg Config, rules Rules) *Engine {
 		leader:   protocol.None,
 	}
 	if c.FastPath {
-		e.fast = protocol.NewFastTracker(len(c.Peers))
-		e.fastMine = make(map[uint64]bool)
-		e.fastRemote = make(map[uint64]bool)
-		e.fastSeen = make(map[uint64]int64)
-		e.fastDone = make(map[int64]bool)
+		e.fast = protocol.NewFastPath(c.ID, c.Peers, protocol.FastHost{
+			Term: e.Term, IsLeader: e.IsLeader, LastIndex: e.LastIndex, Commit: e.CommitIndex,
+			HeldID: e.heldID, Speculate: e.speculate, Propose: e.propose,
+			Repair: e.repair, Choose: e.advanceCommit,
+		})
 	}
 	e.resetTimeout()
 	return e
 }
 
 // FastStats implements protocol.FastStatser.
-func (e *Engine) FastStats() protocol.FastStats { return e.stats }
+func (e *Engine) FastStats() protocol.FastStats { return e.fast.Stats() }
 
 // speculative reports whether index i lies in the speculative tail.
 func (e *Engine) speculative(i int64) bool { return e.specFrom > 0 && i >= e.specFrom }
@@ -471,9 +463,14 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	case *protocol.MsgReadForward:
 		e.stepReadForward(from, m, &out)
 	case *protocol.MsgFastAccept:
-		e.stepFastAccept(from, m, &out)
+		return e.fast.StepAccept(m)
 	case *protocol.MsgFastAck:
-		e.stepFastAck(from, m, &out)
+		if e.fast != nil {
+			if m.Term > e.term {
+				e.becomeFollower(m.Term, protocol.None, &out)
+			}
+			out.Merge(e.fast.StepAck(from, m))
+		}
 	}
 	return out
 }
@@ -611,12 +608,9 @@ func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
 	}
 	switch {
 	case e.role == Leader:
-		for _, cmd := range cmds {
-			e.appendLocal(cmd, &out)
-		}
-		e.broadcastAppend(&out, false)
+		e.propose(cmds, &out)
 	case e.fast != nil && e.leader != protocol.None:
-		e.fastSubmit(cmds, &out)
+		return e.fast.Submit(cmds)
 	case e.leader != protocol.None:
 		// etcd-style follower forwarding.
 		out.Msgs = append(out.Msgs, protocol.Envelope{
@@ -680,7 +674,8 @@ func (e *Engine) stepReadForward(from protocol.NodeID, m *protocol.MsgReadForwar
 }
 
 // submitReads serves cmds through ReadIndex at the leader — the read index
-// is the commit index clamped up to the election barrier, and a heartbeat
+// is the commit index clamped up to the election barrier (the last index
+// with the fast path on: protocol.FastPath.ReadIndex), and a heartbeat
 // broadcast carrying the batch's ctx starts the confirmation immediately
 // instead of waiting out the heartbeat interval, unless leader + witness
 // already confirmed it — and routes them toward the leader elsewhere.
@@ -695,7 +690,7 @@ func (e *Engine) submitReads(cmds []protocol.Command, witness protocol.NodeID, o
 	case !e.cfg.ReadIndex:
 		out.Merge(e.SubmitBatch(cmds))
 	case e.role == Leader:
-		e.reads.Add(cmds, max(e.commit, e.readBarrier), witness, out)
+		e.reads.Add(cmds, e.fast.ReadIndex(max(e.commit, e.readBarrier)), witness, out)
 		if e.reads.Unsent() {
 			e.broadcastAppend(out, true)
 		}
@@ -715,15 +710,21 @@ func (e *Engine) flushPending(out *protocol.Output) {
 	cmds := e.pending
 	e.pending = nil
 	if e.role == Leader {
-		for _, c := range cmds {
-			e.appendLocal(c, out)
-		}
-		e.broadcastAppend(out, false)
+		e.propose(cmds, out)
 		return
 	}
 	out.Msgs = append(out.Msgs, protocol.Envelope{
 		From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: cmds},
 	})
+}
+
+// propose is the leader's classic write path: append the batch locally and
+// replicate it in one append broadcast.
+func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
+	for _, cmd := range cmds {
+		e.appendLocal(cmd, out)
+	}
+	e.broadcastAppend(out, false)
 }
 
 func (e *Engine) appendLocal(cmd protocol.Command, out *protocol.Output) {
@@ -851,7 +852,9 @@ func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *proto
 		if c := min(m.Commit, resp.LastIndex); c > e.commit {
 			e.advanceCommit(c, out)
 		}
-		e.tryFastCommit(out)
+		if e.fast != nil {
+			out.Merge(e.fast.TryCommit())
+		}
 	}
 	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
 }
@@ -870,33 +873,18 @@ func (e *Engine) accept(m *MsgAppendReq, v Verdict, out *protocol.Output) int64 
 	end := m.PrevIndex + int64(len(m.Entries))
 	if e.specFrom > 0 {
 		// Speculative slots the append overwrites or erases leave
-		// speculation now: clean the bookkeeping for commands the leader's
-		// copies displace, and re-route any fast submission of our own that
-		// lost its slot and is not carried elsewhere in this append.
+		// speculation now; a command the leader's copy displaces reaches the
+		// log through the leader or not at all.
 		lo, hi := max(e.specFrom, v.From), min(end, e.LastIndex())
 		if v.Erase {
 			hi = e.LastIndex()
 		}
-		var keep map[uint64]bool
-		var lost []protocol.Command
 		for slot := lo; slot <= hi; slot++ {
 			old, _ := e.log.At(slot)
-			if slot <= end && old.Cmd.ID == m.Entries[slot-m.PrevIndex-1].Cmd.ID {
-				continue // ratified in place
-			}
-			if keep == nil {
-				keep = make(map[uint64]bool, len(m.Entries))
-				for j := range m.Entries {
-					keep[m.Entries[j].Cmd.ID] = true
-				}
-			}
-			delete(e.fastSeen, old.Cmd.ID)
-			delete(e.fastDone, slot)
-			if e.fastMine[old.Cmd.ID] && !keep[old.Cmd.ID] {
-				lost = append(lost, old.Cmd)
+			if slot > end || old.Cmd.ID != m.Entries[slot-m.PrevIndex-1].Cmd.ID {
+				e.fast.Displaced(old.Cmd.ID)
 			}
 		}
-		e.routeLost(lost, out)
 	}
 	if v.Erase {
 		e.log.TruncateSuffix(v.From - 1)
@@ -1088,6 +1076,7 @@ func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Outpu
 			e.specFrom = 0
 		}
 	}
+	e.fast.Forget(e.commit)
 	out.StateChanged = true
 	out.InstalledSnapshot = &img
 }
@@ -1184,211 +1173,49 @@ func (e *Engine) advanceCommit(to int64, out *protocol.Output) {
 	for i := e.commit + 1; i <= to; i++ {
 		ent, _ := e.log.At(i)
 		ent.Bal = e.bal(ent)
-		// Reply routing with the fast path on: the submitter answers for its
-		// own fast commands (it holds the client connection); the leader
-		// stays quiet for fast commands it adopted from others, and answers
-		// for everything else as usual.
-		reply := e.role == Leader && ent.Cmd.Client != protocol.None
-		if e.fast != nil {
-			id := ent.Cmd.ID
-			switch {
-			case e.fastMine[id]:
-				reply = ent.Cmd.Client != protocol.None
-				if e.fastDone[i] {
-					e.stats.FastCommits++
-				} else {
-					e.stats.ClassicFallbacks++
-				}
-			case e.fastRemote[id]:
-				reply = false
-			}
-			delete(e.fastMine, id)
-			delete(e.fastRemote, id)
-			delete(e.fastSeen, id)
-			delete(e.fastDone, i)
-		}
+		reply := e.fast.Reply(i, ent.Cmd, e.role == Leader && ent.Cmd.Client != protocol.None)
 		out.Commits = append(out.Commits, protocol.CommitInfo{Entry: ent, Reply: reply})
 	}
 	e.commit = to
-	if e.fast != nil {
-		// Committed slots are chosen and leave speculation by definition.
-		if e.specFrom > 0 && e.specFrom <= to {
-			e.specFrom = to + 1
-			if e.specFrom > e.LastIndex() {
-				e.specFrom = 0
-			}
+	// Committed slots are chosen and leave speculation by definition.
+	if e.specFrom > 0 && e.specFrom <= to {
+		e.specFrom = to + 1
+		if e.specFrom > e.LastIndex() {
+			e.specFrom = 0
 		}
-		e.fast.Forget(to)
 	}
+	e.fast.Forget(to)
 }
 
-// fastSubmit runs the one-RTT write path as a submitter: append the batch
-// speculatively (ballot 0 — no leader has accepted it), broadcast the
-// proposal to every replica, and ack it ourselves. The entries ride the
-// persist barrier like any accepted entry: our own ack counts toward the
-// fast quorum, so our copy must be durable first.
-func (e *Engine) fastSubmit(cmds []protocol.Command, out *protocol.Output) {
+// The moves this family lends protocol.FastPath (protocol.FastHost), beside
+// propose and advanceCommit.
+
+func (e *Engine) heldID(i int64) (uint64, bool) {
+	ent, ok := e.log.At(i)
+	return ent.Cmd.ID, ok
+}
+
+// speculate appends cmds at the log end at ballot 0 and starts the
+// speculative tail there if there was none.
+func (e *Engine) speculate(cmds []protocol.Command, out *protocol.Output) {
 	base := e.LastIndex() + 1
-	ids := make([]uint64, len(cmds))
 	for i, cmd := range cmds {
 		ent := protocol.Entry{Index: base + int64(i), Term: e.term, Bal: 0, Cmd: cmd}
 		e.log.Append(ent)
 		out.AppendedEntries = append(out.AppendedEntries, ent)
-		ids[i] = cmd.ID
-		e.fastMine[cmd.ID] = true
-		e.fastSeen[cmd.ID] = ent.Index
 	}
 	if e.specFrom == 0 {
 		e.specFrom = base
 	}
 	out.StateChanged = true
-	acc := &protocol.MsgFastAccept{Cmds: append([]protocol.Command(nil), cmds...)}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: acc})
-	}
-	e.fastAck(base, ids, out)
 }
 
-// stepFastAccept accepts a submitter's broadcast. The leader runs its
-// classic path on the commands (arbitration and fallback in one move); a
-// follower appends them speculatively at its own log end. Replays never
-// duplicate entries: a command already held is only re-acked, and only if
-// its recorded slot still holds it — acking a slot we no longer hold
-// would poison the quorum count.
-func (e *Engine) stepFastAccept(from protocol.NodeID, m *protocol.MsgFastAccept, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	var fresh []protocol.Command
-	for _, cmd := range m.Cmds {
-		if slot, seen := e.fastSeen[cmd.ID]; seen {
-			if ent, ok := e.log.At(slot); ok && ent.Cmd.ID == cmd.ID {
-				e.fastAck(slot, []uint64{cmd.ID}, out)
-			}
-			continue
-		}
-		fresh = append(fresh, cmd)
-	}
-	if len(fresh) == 0 {
-		return
-	}
-	base := e.LastIndex() + 1
-	ids := make([]uint64, len(fresh))
-	if e.role == Leader {
-		for i, cmd := range fresh {
-			e.appendLocal(cmd, out)
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = base + int64(i)
-			e.fastRemote[cmd.ID] = true
-		}
-		e.broadcastAppend(out, false)
-	} else {
-		if e.term == 0 {
-			return // no term yet: a fast round has no leader to arbitrate it
-		}
-		for i, cmd := range fresh {
-			ent := protocol.Entry{Index: base + int64(i), Term: e.term, Bal: 0, Cmd: cmd}
-			e.log.Append(ent)
-			out.AppendedEntries = append(out.AppendedEntries, ent)
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = ent.Index
-		}
-		if e.specFrom == 0 {
-			e.specFrom = base
-		}
-		out.StateChanged = true
-	}
-	e.fastAck(base, ids, out)
-}
-
-// fastAck broadcasts this replica's fast ack for ids at the contiguous
-// slots base, base+1, ... and records it in the local tracker. MsgFastAck
-// is a BarrierMessage: the persist pipeline holds it until the entries it
-// covers are durable, exactly like a classic append ack.
-func (e *Engine) fastAck(base int64, ids []uint64, out *protocol.Output) {
-	ack := &protocol.MsgFastAck{Term: e.term, Base: base, IDs: ids, Leader: e.role == Leader}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: ack})
-	}
-	e.fast.Ack(e.cfg.ID, e.term, base, ids, e.role == Leader)
-	e.tryFastCommit(out)
-}
-
-// stepFastAck records a peer's fast ack and checks for a fast commit. At
-// the leader it doubles as conflict detection: a peer acking a different
-// command at a slot we hold means its speculative suffix diverged, so
-// replication backs up to the divergence point to repair it.
-func (e *Engine) stepFastAck(from protocol.NodeID, m *protocol.MsgFastAck, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-	}
-	e.fast.Ack(from, m.Term, m.Base, m.IDs, m.Leader)
-	if e.role == Leader && m.Term == e.term {
-		clamped := false
-		for i, id := range m.IDs {
-			slot := m.Base + int64(i)
-			if ent, ok := e.log.At(slot); ok && ent.Cmd.ID != id {
-				e.stats.Conflicts++
-				if e.next[from] > slot && slot >= e.log.FirstIndex() {
-					e.next[from] = slot
-					clamped = true
-				}
-			}
-		}
-		if clamped {
-			e.sendAppend(from, out, false)
-		}
-	}
-	e.tryFastCommit(out)
-}
-
-// tryFastCommit advances the commit index through contiguously
-// fast-confirmed slots: a slot commits the moment a fast quorum —
-// leader included — acked the command our own log holds there, at the
-// current term. The leader's mandatory participation is what makes this
-// safe: its classic copy of the slot can never name a different command
-// afterwards, so the classic path can only re-confirm the choice.
-func (e *Engine) tryFastCommit(out *protocol.Output) {
-	if e.fast == nil || e.fast.Term() != e.term {
-		return
-	}
-	for {
-		slot := e.commit + 1
-		ent, ok := e.log.At(slot)
-		if !ok || !e.fast.Confirmed(slot, ent.Cmd.ID) {
-			return
-		}
-		e.fastDone[slot] = true
-		e.advanceCommit(slot, out)
-		out.StateChanged = true
-	}
-}
-
-// routeLost re-routes fast submissions of our own that lost their log
-// position through the classic path, so the commands still commit.
-func (e *Engine) routeLost(lost []protocol.Command, out *protocol.Output) {
-	if len(lost) == 0 {
-		return
-	}
-	if e.role != Leader && e.leader != protocol.None {
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: lost},
-		})
-		return
-	}
-	for _, cmd := range lost {
-		if len(e.pending) < 4096 {
-			e.pending = append(e.pending, cmd)
-		}
+// repair backs replication to p up to slot, where its speculative suffix
+// diverged from our log.
+func (e *Engine) repair(p protocol.NodeID, slot int64, out *protocol.Output) {
+	if e.next[p] > slot {
+		e.next[p] = slot
+		e.sendAppend(p, out, false)
 	}
 }
 
@@ -1421,8 +1248,6 @@ func (e *Engine) specConflict(idx int64, id uint64) bool {
 func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 	participants := len(e.votes)
 	n := len(e.cfg.Peers)
-	var displaced []protocol.Command
-	chosen := make(map[uint64]bool)
 	rewriting := false
 	for slot := e.commit + 1; slot <= e.extraMax; slot++ {
 		var reports []protocol.FastReport
@@ -1442,7 +1267,6 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 		if !ok {
 			break // nobody reported anything at or above this slot
 		}
-		chosen[cmd.ID] = true
 		if !rewriting && ownHeld && own.Cmd.ID == cmd.ID && e.bal(own) > 0 {
 			// Ratified in place: classic entries are unique per (index, term),
 			// so the entry's term history can stand and the uniform re-stamp
@@ -1462,11 +1286,7 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 		adopted := protocol.Entry{Index: slot, Term: e.term, Bal: e.term, Cmd: cmd}
 		if ownHeld {
 			if own.Cmd.ID != cmd.ID {
-				delete(e.fastSeen, own.Cmd.ID)
-				delete(e.fastDone, slot)
-				if e.fastMine[own.Cmd.ID] {
-					displaced = append(displaced, own.Cmd)
-				}
+				e.fast.Displaced(own.Cmd.ID)
 			}
 			e.log.Set(slot, adopted)
 		} else {
@@ -1479,13 +1299,6 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 	e.fastVotes = nil
 	e.extraMax = e.LastIndex()
 	e.specFrom = 0 // every slot above our commit index is now ratified or rewritten
-	var lost []protocol.Command
-	for _, cmd := range displaced {
-		if !chosen[cmd.ID] {
-			lost = append(lost, cmd)
-		}
-	}
-	e.routeLost(lost, out)
 	if rewriting {
 		out.StateChanged = true
 	}

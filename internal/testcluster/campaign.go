@@ -314,7 +314,7 @@ func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
 	// everything its previous incarnation already applied so the mirror
 	// is not double-applied and the agreement check sees one contiguous
 	// run per node.
-	if applied := cp.c.AppliedIdx[id]; applied > 0 && len(out.Commits) > 0 {
+	if applied := cp.c.Stores[id].AppliedIndex(); applied > 0 && len(out.Commits) > 0 {
 		kept := out.Commits[:0]
 		for _, ci := range out.Commits {
 			if ci.Entry.Index > applied {

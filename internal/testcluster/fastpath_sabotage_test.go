@@ -133,8 +133,17 @@ func runFastCollisionStorm(t *testing.T, name string, seed int64) {
 	if h.Len() < clients*opsPerClient {
 		t.Fatalf("%s storm: recorded %d ops, want %d", name, h.Len(), clients*opsPerClient)
 	}
-	t.Logf("%s storm: %d ops on one key linearizable (%d never completed)",
-		name, h.Len(), h.Outstanding())
+	// Under replays and a leader change too: no put takes effect twice, and
+	// the fast path's counters add up.
+	repeats, puts, err := checkAppliedOnce(c)
+	if err != nil {
+		t.Fatalf("%s storm: %v", name, err)
+	}
+	if err := checkFastCounts(c); err != nil {
+		t.Fatalf("%s storm: %v", name, err)
+	}
+	t.Logf("%s storm: %d ops on one key linearizable (%d never completed; %d of %d committed puts repeats, skipped)",
+		name, h.Len(), h.Outstanding(), repeats, puts)
 }
 
 func TestFastCollisionStormRaft(t *testing.T)       { runFastCollisionStorm(t, "raft-fast", 41) }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"raftpaxos/internal/kvstore"
 	"raftpaxos/internal/protocol"
 )
 
@@ -27,7 +28,7 @@ type Cluster struct {
 	// Observed behaviour.
 	Applied map[protocol.NodeID][]protocol.Entry
 	// Replies records client completions. Read replies carry the value the
-	// serving node returned (from its KV mirror below), so tests can check
+	// serving node returned (from its store below), so tests can check
 	// what a client actually observed — the raw material of the
 	// linearizability checker.
 	Replies []protocol.ClientReply
@@ -44,14 +45,12 @@ type Cluster struct {
 	// node already applied in a previous incarnation.
 	observe func(id protocol.NodeID, out *protocol.Output)
 
-	// KV mirrors each node's applied state machine and AppliedIdx its
-	// applied watermark — the driver-side apply loop a live cluster.Node
-	// runs, reduced to a map. Read paths that serve from the local store
-	// (ReadIndex states, lease-read replies) are answered from here, so a
-	// stale local store yields a stale observable read, exactly like the
-	// real runtime.
-	KV         map[protocol.NodeID]map[string][]byte
-	AppliedIdx map[protocol.NodeID]int64
+	// Stores holds each node's state machine, the one that ships: commits
+	// are applied to it in order, the driver-side apply loop of a live
+	// cluster.Node. Read paths that serve from the local store (ReadIndex
+	// states, lease-read replies) are answered from here, so a stale local
+	// store yields a stale observable read, exactly like the real runtime.
+	Stores map[protocol.NodeID]*kvstore.Store
 	// parkedReads holds confirmed ReadIndex states whose read index is
 	// still ahead of the node's applied watermark (rare in this
 	// synchronous harness: commits precede their read states).
@@ -66,13 +65,12 @@ func New(seed int64, engines ...protocol.Engine) *Cluster {
 		cut:         make(map[[2]protocol.NodeID]bool),
 		Applied:     make(map[protocol.NodeID][]protocol.Entry),
 		Installed:   make(map[protocol.NodeID][]protocol.SnapshotImage),
-		KV:          make(map[protocol.NodeID]map[string][]byte),
-		AppliedIdx:  make(map[protocol.NodeID]int64),
+		Stores:      make(map[protocol.NodeID]*kvstore.Store),
 		parkedReads: make(map[protocol.NodeID][]protocol.ReadState),
 	}
 	for _, e := range engines {
 		c.Engines[e.ID()] = e
-		c.KV[e.ID()] = make(map[string][]byte)
+		c.Stores[e.ID()] = kvstore.New()
 	}
 	return c
 }
@@ -93,7 +91,7 @@ func (c *Cluster) Isolate(n protocol.NodeID, cut bool) {
 }
 
 // Collect absorbs an engine output produced at node id, mirroring a real
-// driver: commits are applied in order (into the node's KV mirror),
+// driver: commits are applied in order (to the node's store),
 // Reply-flagged commits are answered to the client on the engine's
 // behalf, read replies are filled from the node's local state, and
 // confirmed ReadIndex states are served once the applied watermark
@@ -106,22 +104,16 @@ func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 	if out.InstalledSnapshot != nil {
 		c.Installed[id] = append(c.Installed[id], *out.InstalledSnapshot)
 	}
+	store := c.Stores[id]
 	for _, ci := range out.Commits {
 		c.Applied[id] = append(c.Applied[id], ci.Entry)
-		if kv := c.KV[id]; kv != nil {
-			if ci.Entry.Cmd.Op == protocol.OpPut {
-				kv[ci.Entry.Cmd.Key] = ci.Entry.Cmd.Value
-			}
-			if ci.Entry.Index > c.AppliedIdx[id] {
-				c.AppliedIdx[id] = ci.Entry.Index
-			}
-		}
+		store.Apply(ci.Entry)
 		if ci.Reply {
 			kind := protocol.ReplyWrite
 			var val []byte
 			if ci.Entry.Cmd.Op == protocol.OpGet {
 				kind = protocol.ReplyRead
-				val = c.KV[id][ci.Entry.Cmd.Key]
+				val, _ = store.Get(ci.Entry.Cmd.Key)
 			}
 			c.Replies = append(c.Replies, protocol.ClientReply{
 				Kind: kind, CmdID: ci.Entry.Cmd.ID, Client: ci.Entry.Cmd.Client,
@@ -133,7 +125,7 @@ func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 		if rep.Kind == protocol.ReplyRead && rep.Err == nil && rep.Value == nil {
 			// Engine-level read replies (lease local reads) are served from
 			// the replying node's own applied state, like the live applier.
-			rep.Value = c.KV[id][rep.Key]
+			rep.Value, _ = store.Get(rep.Key)
 		}
 		c.Replies = append(c.Replies, rep)
 	}
@@ -144,13 +136,14 @@ func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 }
 
 // serveReads answers every parked ReadIndex state whose read index the
-// node's applied watermark has reached, from the node's local KV mirror.
+// node's applied watermark has reached, from the node's store.
 func (c *Cluster) serveReads(id protocol.NodeID) {
 	parked := c.parkedReads[id]
 	if len(parked) == 0 {
 		return
 	}
-	applied := c.AppliedIdx[id]
+	store := c.Stores[id]
+	applied := store.AppliedIndex()
 	keep := parked[:0]
 	for _, rs := range parked {
 		if rs.Index > applied {
@@ -158,9 +151,10 @@ func (c *Cluster) serveReads(id protocol.NodeID) {
 			continue
 		}
 		for _, cmd := range rs.Cmds {
+			val, _ := store.Get(cmd.Key)
 			c.Replies = append(c.Replies, protocol.ClientReply{
 				Kind: protocol.ReplyRead, CmdID: cmd.ID, Client: cmd.Client,
-				Key: cmd.Key, Value: c.KV[id][cmd.Key],
+				Key: cmd.Key, Value: val,
 			})
 		}
 	}
