@@ -272,25 +272,43 @@ func (n *node) handle(out protocol.Output) {
 		}
 		n.pendingReads = keep
 	}
-	release := n.net.Clock().Now()
-	if barrier > release {
-		release = barrier
-	}
-	if n.sendFloor > release {
-		release = n.sendFloor
-	}
+	now := n.net.Clock().Now()
+	durable := max(now, barrier)
+	release := max(durable, n.sendFloor)
 	n.sendFloor = release
-	if release > n.net.Clock().Now() {
-		msgs := out.Msgs
-		n.net.Clock().At(release, func() {
-			for _, env := range msgs {
-				n.net.Send(env.From, env.To, env.Msg)
-			}
-		})
-		return
+	msgs := out.Msgs
+	if release > now {
+		n.net.Clock().At(release, func() { n.send(msgs) })
+	} else {
+		n.send(msgs)
 	}
-	for _, env := range out.Msgs {
-		n.net.Send(env.From, env.To, env.Msg)
+	// Self-addressed envelopes — the replica's own acks — never reach
+	// simnet (no message, byte or CPU charge) and are stepped at this step's
+	// durability point: the send floor orders network sends only, and an
+	// entry a peer's ack makes decisive left after its own fsync.
+	if durable > now {
+		n.net.Clock().At(durable, func() { n.stepSelf(msgs) })
+	} else {
+		n.stepSelf(msgs)
+	}
+}
+
+// send puts one step's messages, bar the self-addressed ones, on the
+// network.
+func (n *node) send(msgs []protocol.Envelope) {
+	for _, env := range msgs {
+		if env.To != n.id {
+			n.net.Send(env.From, env.To, env.Msg)
+		}
+	}
+}
+
+// stepSelf delivers one step's self-addressed messages to the engine.
+func (n *node) stepSelf(msgs []protocol.Envelope) {
+	for _, env := range msgs {
+		if env.To == n.id {
+			n.handle(n.eng.Step(n.id, env.Msg))
+		}
 	}
 }
 

@@ -9,21 +9,23 @@
 // wire protocols carry multi-entry accepts/appends turn that into one
 // broadcast via protocol.BatchSubmitter. Persistence is accept-time and
 // asynchronous: the event loop stages each iteration's persistence work
-// (accepted entries, hard-state save, installed snapshot, the withheld
-// promise-bearing messages and the apply hand-off) onto an ordered
-// pipeline with a bounded in-flight window and keeps stepping the engine
-// while a dedicated persister goroutine runs the fsync. The persister
-// realizes the protocol.Output durability barrier per staged round, in
-// staging order: a round's entries and hard state are durable before its
-// BarrierMessages release or its commits reach the applier — so every
-// vote grant and append/accept ack a peer receives still refers to state
-// that survives a full-cluster power loss (quorum ack ⇒ durable), while
-// consecutive rounds with no intervening promise share one fsync (group
-// commit across the window). Commit application and client reply routing
-// run on a dedicated applier goroutine, so the consensus loop never
-// blocks on the state machine or on waiting clients. All engine access
-// stays serialized through the one event loop, matching the engines'
-// single-threaded contract.
+// (accepted entries, hard-state save, installed snapshot and the withheld
+// promise-bearing messages) onto an ordered pipeline with a bounded
+// in-flight window and keeps stepping the engine while a dedicated
+// persister goroutine runs the fsync. The persister realizes the
+// protocol.Output durability barrier per staged round, in staging order: a
+// round's entries and hard state are durable before its BarrierMessages
+// release — so every vote grant and append/accept ack, the leader's ack to
+// itself included, refers to state that survives a full-cluster power loss
+// (quorum ack ⇒ durable), while consecutive rounds with no intervening
+// promise share one fsync (group commit across the window). Because no
+// engine counts a copy toward its commit quorum before such an ack proved
+// it durable, a commit needs no barrier of its own: commits, client
+// replies and confirmed reads go from the loop straight to a dedicated
+// applier goroutine, so the consensus loop never blocks on the state
+// machine or on waiting clients. All engine access stays serialized
+// through the one event loop, matching the engines' single-threaded
+// contract.
 package cluster
 
 import (
@@ -165,15 +167,14 @@ type applyBatch struct {
 	// the wire this iteration: the applier restores the state machine from
 	// it strictly before applying the batch's commits (which continue
 	// above the image boundary). The durable half — persisting the image
-	// and jumping the WAL's compaction base — already ran on the event
-	// loop, before any entry above the boundary was appended.
+	// and jumping the WAL's compaction base — runs on the persister, before
+	// any entry above the boundary is appended.
 	install *protocol.SnapshotImage
-	// persistErr records a failed WAL append / hard-state save for the
-	// batch: the iteration's outbound messages were withheld (no ack may
-	// reference state that is not durable), commits already chosen
-	// cluster-wide are still applied, but client acks become errors so no
-	// client is told success for a write this replica failed to log.
-	persistErr error
+	// seq is the newest persistence round staged when the batch left the
+	// loop: every entry the batch applies was staged in it or before it, so
+	// a snapshot of the state the batch leaves may be saved once that round
+	// is durable (Node.durableSeq).
+	seq int64
 }
 
 // Optional engine views the driver persists and restores; engines expose
@@ -264,21 +265,35 @@ type Node struct {
 	// stay withheld meanwhile) rather than let a later ack release over
 	// entries that reached no disk. Persister only.
 	redo []protocol.Entry
+	// walLast is the newest index written to the log store, buffered or
+	// not: what the next successful sync makes durable. A released self-ack
+	// is raised to it (release). Persister only.
+	walLast int64
+	// heldSelf are self-acks whose round failed to persist. Unlike a peer,
+	// the engine asks for its own ack once per index and never again, so
+	// the persister keeps them for the next durable point instead of
+	// dropping them. Persister only.
+	heldSelf []protocol.Envelope
 
 	// The asynchronous persistence pipeline (see pipeline.go). stageCh
 	// carries one persistJob per load-bearing event-loop iteration to the
 	// persister goroutine, in staging order; its capacity is the in-flight
-	// window. durableIdx is the highest log index known durable (advanced
-	// by the persister after each successful fsync), read by the event
-	// loop to decide whether a non-promise message may release before the
-	// round it rides on is durable.
+	// window. stagedSeq numbers the rounds as the loop stages them (loop
+	// only); durableSeq is the newest round whose entries the persister has
+	// made durable, read by the applier, which saves a snapshot only once
+	// the state it captured is durable in its own WAL — a restart must never
+	// anchor the engine below a state machine that is ahead of it.
 	stageCh     chan persistJob
 	persistDone chan struct{}
-	durableIdx  atomic.Int64
-	// com caches the engine's optional commit-index view for the event
-	// loop's early-release check (engines are single-threaded; only the
-	// loop calls it).
-	com comitter
+	stagedSeq   int64
+	durableSeq  atomic.Int64
+	// selfMsgs are self-addressed barrier messages — the engine's own acks
+	// — that the persister released; the loop steps them as if a peer sent
+	// them, woken by selfCh (capacity 1). The hand-back never blocks: the
+	// loop may itself be blocked staging into a full window.
+	selfMu   sync.Mutex
+	selfMsgs []protocol.Message
+	selfCh   chan struct{}
 
 	// Pipeline observability: nanoseconds inside sync/save calls, sync
 	// batches issued, event-loop nanoseconds blocked on a full staging
@@ -335,13 +350,13 @@ func New(cfg Config) *Node {
 		applyCh:     make(chan applyBatch, 256),
 		truncCh:     make(chan int64, 1),
 		stageCh:     make(chan persistJob, cfg.PersistWindow),
+		selfCh:      make(chan struct{}, 1),
 		waiters:     make(map[uint64]chan Response),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 		applyDone:   make(chan struct{}),
 		persistDone: make(chan struct{}),
 	}
-	n.com, _ = cfg.Engine.(comitter)
 	return n
 }
 
@@ -441,11 +456,6 @@ func (n *Node) run() {
 		close(n.stageCh)
 		return
 	}
-	if n.cfg.Stable != nil {
-		if last, err := n.cfg.Stable.LastIndex(); err == nil {
-			n.durableIdx.Store(last)
-		}
-	}
 	// Shutdown of the pipeline: stage one final forced hard-state save —
 	// commit-only movement is throttled (see processRounds), so without
 	// it a clean restart would re-commit the last interval — then close
@@ -478,8 +488,22 @@ func (n *Node) run() {
 				continue
 			}
 			out = n.cfg.Engine.Tick()
+			if n.persistFailStreak.Load() > 0 {
+				// Persistence is failing: a leader's held self-ack and the
+				// redo backlog need a round to retry in even when no
+				// traffic stages one.
+				n.stage(persistJob{})
+			}
 		case in := <-n.inbox:
 			out = n.cfg.Engine.Step(in.from, in.msg)
+		case <-n.selfCh:
+			n.selfMu.Lock()
+			msgs := n.selfMsgs
+			n.selfMsgs = nil
+			n.selfMu.Unlock()
+			for _, m := range msgs {
+				out.Merge(n.cfg.Engine.Step(n.id, m))
+			}
 		case req := <-n.submits:
 			n.stepSubmit(req, &out, &writes, &reads)
 		case through := <-n.truncCh:
@@ -663,129 +687,59 @@ func (n *Node) drain(out *protocol.Output, writes, reads *[]protocol.Command) {
 // re-applies) the last interval through the normal protocol.
 const commitSaveInterval = 25 * time.Millisecond
 
-// finish stages one iteration's merged output onto the persistence
-// pipeline under the durability barrier (see protocol.Output): the
-// persister makes the round's accepted entries and hard state durable —
-// coalescing the fsync with neighboring rounds — and only then releases
-// the round's promises (vote grants, append/accept acks, the commit
-// hand-off that will answer a client), strictly in staging order. The
-// event loop itself never blocks on the disk while the window has room:
-// it stages and keeps stepping.
+// finish realizes one iteration's merged output. Messages that promise
+// nothing about stable storage (proposals, requests, heartbeats, snapshot
+// chunks) leave at once. The round's accepted entries, hard state,
+// installed snapshot and BarrierMessages are staged onto the persistence
+// pipeline, which makes the round durable — coalescing the fsync with
+// neighbouring rounds — and only then releases the barrier messages,
+// strictly in staging order (see protocol.Output). A round with no
+// barrier message carries no sync obligation: the persister buffers its
+// write (storage.DeferredSync) until a later round in the window carries a
+// promise — group commit across the in-flight window. The loop never
+// blocks on the disk while the window has room.
 //
-// Two release refinements keep even the pipelined barrier off paths it
-// does not protect:
+// Commits, client replies, confirmed reads and an adopted snapshot go
+// from here straight to the applier. No engine commits on a copy that no
+// barrier has proved durable — a leader's own vote counts only once its
+// self-addressed ack comes back through the pipeline — so a committed
+// entry is durable on a quorum, and its reply is true whether or not this
+// replica's own WAL write has landed, or ever will.
 //
-//   - Messages that promise nothing about stable storage (proposals,
-//     requests, heartbeats, snapshot chunks) are released immediately —
-//     before rounds already in the pipeline complete — when no commit
-//     advanced this step AND the engine's commit index is already
-//     durable. The second check is what the pipeline adds: with rounds in
-//     flight, a heartbeat could otherwise carry a commit index whose
-//     quorum counts this replica's own not-yet-synced copy, and a
-//     follower would apply and serve a value with fewer durable copies
-//     than quorum.
-//   - An iteration that only appends (no ack to send, no commit) stages
-//     its round with no sync obligation: the persister buffers the write
-//     (storage.DeferredSync) and the fsync happens when a later round in
-//     the window carries a promise — group commit across the in-flight
-//     window, subsuming the old leader-only DeferredSync staging.
-//
-// On a persistence failure every message of the failed round and of all
-// rounds staged after it is withheld (peers retry) and the error travels
-// with each batch so the applier fails the client acks instead of
-// reporting success for writes this replica could not log.
+// On a persistence failure the barrier messages of the failed round and
+// of every round staged after it are withheld: peers retry, and the
+// persister keeps a self-ack for the next durable point (heldSelf).
 func (n *Node) finish(out protocol.Output) {
-	// Anything observable that depends on this iteration's durability:
-	// acks in the message batch, or commits/replies about to be handed to
-	// the applier (whose client responses are promises too).
-	hasAck := false
+	durable := n.cfg.Stable != nil
+	acks := out.Msgs[:0] // filtered in place: out.Msgs is ours
 	for _, env := range out.Msgs {
-		if _, ok := env.Msg.(protocol.BarrierMessage); ok {
-			hasAck = true
-			break
+		if _, ok := env.Msg.(protocol.BarrierMessage); ok && durable {
+			acks = append(acks, env)
+			continue
 		}
+		n.send(env)
 	}
-	committing := len(out.Commits) > 0 || len(out.Replies) > 0 || out.InstalledSnapshot != nil
-	if len(out.ReadStates) > 0 && !committing {
-		// Confirmed reads with nothing else to hand off go straight to the
-		// applier instead of queueing behind whatever sync the persister is
-		// in: a ReadState depends on nothing this or any staged round makes
-		// durable, and the applier parks it until the state machine has
-		// applied through its read index — which is the whole ordering
-		// guarantee (the commits it waits for still release through the
-		// pipeline, after their durability point).
-		n.handOff(applyBatch{reads: out.ReadStates})
-		out.ReadStates = nil
-	}
-	if n.cfg.Stable == nil {
-		// Volatile node: no barrier to realize, release everything on the
-		// spot and keep the pipeline out of the picture.
-		n.sendDirect(out.Msgs)
-		if committing {
-			n.handOff(applyBatch{
-				commits: out.Commits, replies: out.Replies, reads: out.ReadStates,
-				install: out.InstalledSnapshot,
-			})
+	if durable {
+		job := persistJob{entries: out.AppendedEntries, install: out.InstalledSnapshot, msgs: acks}
+		if out.StateChanged || len(out.Commits) > 0 {
+			// Snapshot the hard state on the loop (engines are
+			// single-threaded); the persister only writes it.
+			job.hs = n.hardState()
+			job.saveHS = true
 		}
-		return
+		if len(job.entries) > 0 || job.install != nil || job.saveHS || len(job.msgs) > 0 {
+			n.stage(job)
+		} // else nothing to persist: ticks and idle drains stay free
 	}
-
-	// The commit index this iteration would leak — in piggybacked message
-	// fields and in client replies — is durable exactly when the engine's
-	// commit is inside the persister's durable watermark. In steady state
-	// that holds even on committing rounds: an entry's quorum acks arrive
-	// a network round-trip after the leader buffered it, and the pipeline
-	// synced it somewhere inside that window. Then nothing beyond the
-	// ack barrier needs this round's fsync: non-promise messages (append
-	// broadcasts, heartbeats) release immediately, and the commit
-	// hand-off stages with no sync obligation — the leader's own fsync
-	// drops out of the client-reply latency chain entirely. When the
-	// check fails (burst start, follower whose copy was counted before
-	// its sync), the round withholds everything and forces the fsync,
-	// which is what re-arms the watermark.
-	commitDurable := n.commitDurable()
-	job := persistJob{
-		entries: out.AppendedEntries,
-		install: out.InstalledSnapshot,
-		msgs:    out.Msgs,
-		barrier: hasAck || (committing && !commitDurable),
-		handoff: committing,
-	}
-	if commitDurable {
-		n.sendEarly(out.Msgs)
-		job.msgs = nil
-		if hasAck {
-			withheld := make([]protocol.Envelope, 0, len(out.Msgs))
-			for _, env := range out.Msgs {
-				if _, ack := env.Msg.(protocol.BarrierMessage); ack {
-					withheld = append(withheld, env)
-				}
-			}
-			job.msgs = withheld
-		}
-	}
-	if out.StateChanged || len(out.Commits) > 0 {
-		// Snapshot the hard state on the loop (engines are
-		// single-threaded); the persister only writes it.
-		job.hs = n.hardState()
-		job.saveHS = true
-	}
-	if committing {
-		job.batch = applyBatch{
+	if len(out.Commits) > 0 || len(out.Replies) > 0 || len(out.ReadStates) > 0 || out.InstalledSnapshot != nil {
+		n.handOff(applyBatch{
 			commits: out.Commits, replies: out.Replies, reads: out.ReadStates,
-			install: out.InstalledSnapshot,
-		}
+			install: out.InstalledSnapshot, seq: n.stagedSeq,
+		})
 	}
-	if len(job.entries) == 0 && job.install == nil && !job.saveHS &&
-		len(job.msgs) == 0 && !job.handoff {
-		return // nothing staged: ticks and idle drains stay free
-	}
-	n.stage(job)
 }
 
-// handOff passes a batch to the applier from the event loop. (The
-// persister hands off with a plain send: it outlives the loop and Stop
-// keeps the applier draining until it has exited.)
+// handOff passes a batch to the applier.
 func (n *Node) handOff(b applyBatch) {
 	select {
 	case n.applyCh <- b:
@@ -793,41 +747,21 @@ func (n *Node) handOff(b applyBatch) {
 	}
 }
 
-// commitDurable reports whether the engine's current commit index is
-// covered by the durable prefix of the local log. False means a commit
-// was advanced counting this replica's own not-yet-synced copy — any
-// message released now could carry that commit index to a follower that
-// would apply the value while fewer than a quorum of durable copies
-// exist. Event loop only (reads the engine).
-func (n *Node) commitDurable() bool {
-	if n.com == nil {
-		return true // engine exposes no commit index to leak
-	}
-	return n.com.CommitIndex() <= n.durableIdx.Load()
-}
-
-// sendEarly releases the non-promise half of a message batch before the
-// durability barrier.
-func (n *Node) sendEarly(msgs []protocol.Envelope) {
-	for _, env := range msgs {
-		if _, ack := env.Msg.(protocol.BarrierMessage); ack {
-			continue
-		}
-		n.send(env)
-	}
-}
-
-// sendDirect releases a whole message batch (volatile nodes: no barrier).
-func (n *Node) sendDirect(msgs []protocol.Envelope) {
-	for _, env := range msgs {
-		n.send(env)
-	}
-}
-
-// send puts one envelope on the transport, counting snapshot chunks.
-// Safe from both the event loop and the persister (transports are
-// concurrency-safe; the counters are atomics).
+// send puts one envelope on the transport, counting snapshot chunks; a
+// self-addressed one — the engine's own ack — is handed back to the event
+// loop instead. Safe from both the event loop and the persister
+// (transports are concurrency-safe; the counters are atomics).
 func (n *Node) send(env protocol.Envelope) {
+	if env.To == n.id {
+		n.selfMu.Lock()
+		n.selfMsgs = append(n.selfMsgs, env.Msg)
+		n.selfMu.Unlock()
+		select {
+		case n.selfCh <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+		return
+	}
 	if chunk, ok := env.Msg.(*protocol.MsgInstallSnapshot); ok {
 		n.snapChunksSent.Add(1)
 		n.snapBytesSent.Add(int64(len(chunk.Data)))
@@ -920,6 +854,11 @@ func (n *Node) applier() {
 		// guarantee that a read never observes a quorum-acked suffix the
 		// applier has not executed yet.
 		parked []protocol.ReadState
+		// snap is a serialized snapshot waiting for the rounds its state
+		// was staged in (snapSeq) to become durable locally: commits reach
+		// the applier without waiting on this replica's own WAL.
+		snap    *storage.Snapshot
+		snapSeq int64
 	)
 	if n.cfg.SnapshotInterval > 0 {
 		if ss, ok := n.cfg.Stable.(storage.SnapshotStore); ok {
@@ -944,6 +883,7 @@ func (n *Node) applier() {
 			} else {
 				lastApply = protocol.Entry{Index: b.install.Index, Term: b.install.Term}
 				sinceSnap = 0
+				snap = nil // the installed image supersedes it
 			}
 		}
 		for _, ci := range b.commits {
@@ -956,16 +896,8 @@ func (n *Node) applier() {
 			if ci.Entry.Cmd.Op == protocol.OpGet {
 				n.readsLog.Add(1) // a read that replicated as a log entry
 			}
-			m := &MsgReply{CmdID: ci.Entry.Cmd.ID}
-			if b.persistErr != nil {
-				m.ErrText = b.persistErr.Error()
-			} else {
-				m.Value = n.readFor(ci.Entry.Cmd)
-			}
-			n.respond(ci.Entry.Cmd.Client, m)
+			n.respond(ci.Entry.Cmd.Client, &MsgReply{CmdID: ci.Entry.Cmd.ID, Value: n.readFor(ci.Entry.Cmd)})
 		}
-		// Engine-level replies (redirects, rejections, lease reads) never
-		// depend on the failed append, so persistErr does not taint them.
 		for _, rep := range b.replies {
 			m := &MsgReply{CmdID: rep.CmdID, Redirect: rep.Redirect}
 			if rep.Err != nil {
@@ -984,37 +916,43 @@ func (n *Node) applier() {
 			parked = n.serveReads(parked)
 		}
 		// Snapshot after replying, between batches: clients never wait on
-		// serialization or the snapshot fsync. A persist failure skips the
-		// round — compacting the WAL below an unpersistable snapshot would
-		// lose the only durable copy of those entries.
-		if snapStore != nil && sinceSnap >= n.cfg.SnapshotInterval && b.persistErr == nil {
+		// serialization or the snapshot fsync. The state is serialized now
+		// but saved only once this replica's own WAL durably holds every
+		// entry it reflects — a restart must never anchor the engine below
+		// a state machine that is ahead of it, nor compact entries that
+		// reached no disk here.
+		if snapStore != nil && snap == nil && sinceSnap >= n.cfg.SnapshotInterval {
 			sinceSnap = 0
-			n.snapshotAndCompact(snapStore, lastApply)
+			if state, err := n.store.Snapshot(); err != nil {
+				n.noteSnapshotFailure("serialize", err)
+			} else {
+				snap = &storage.Snapshot{Index: lastApply.Index, Term: lastApply.Term, State: state}
+				snapSeq = b.seq
+			}
+		}
+		if snap != nil && snapSeq <= n.durableSeq.Load() {
+			n.saveAndCompact(snapStore, *snap)
+			snap = nil
 		}
 	}
 }
 
-// snapshotAndCompact persists one snapshot at the last applied entry,
-// drops the WAL one full interval behind it, and passes that watermark to
-// the event loop so the engine can release its in-memory prefix. The
-// margin keeps the last interval of entries individually readable, so a
-// replica (or peer) that stopped slightly behind the snapshot can catch up
-// by log replay instead of needing a snapshot transfer. A failed round is
-// skipped (nothing is compacted without a durable snapshot covering it)
-// and retried next interval — but never silently: consecutive failures
-// are counted, surfaced through SnapshotFailures, and logged once per
-// wedged/recovered transition.
-func (n *Node) snapshotAndCompact(ss storage.SnapshotStore, last protocol.Entry) {
-	state, err := n.store.Snapshot()
-	if err != nil {
-		n.noteSnapshotFailure("serialize", err)
-		return
-	}
-	if err := ss.SaveSnapshot(storage.Snapshot{Index: last.Index, Term: last.Term, State: state}); err != nil {
+// saveAndCompact persists one snapshot, drops the WAL one full interval
+// behind it, and passes that watermark to the event loop so the engine
+// can release its in-memory prefix. The margin keeps the last interval of
+// entries individually readable, so a replica (or peer) that stopped
+// slightly behind the snapshot can catch up by log replay instead of
+// needing a snapshot transfer. A failed round is skipped (nothing is
+// compacted without a durable snapshot covering it) and retried next
+// interval — but never silently: consecutive failures are counted,
+// surfaced through SnapshotFailures, and logged once per wedged/recovered
+// transition.
+func (n *Node) saveAndCompact(ss storage.SnapshotStore, snap storage.Snapshot) {
+	if err := ss.SaveSnapshot(snap); err != nil {
 		n.noteSnapshotFailure("save", err)
 		return
 	}
-	through := last.Index - int64(n.cfg.SnapshotInterval)
+	through := snap.Index - int64(n.cfg.SnapshotInterval)
 	if through <= 0 {
 		n.noteSnapshotSuccess()
 		return
@@ -1072,8 +1010,8 @@ func (n *Node) ReadStats() (fast, logged int64) {
 // state machine from a snapshot image received over the wire. It runs on
 // the applier, strictly ordered between the apply batches before and
 // after the install; the durable half (SnapshotStore.InstallSnapshot —
-// persisting the image and jumping the WAL base) already ran on the event
-// loop before any entry above the boundary was appended.
+// persisting the image and jumping the WAL base) runs on the persister,
+// before any entry above the boundary is appended.
 func (n *Node) InstallSnapshot(img protocol.SnapshotImage) error {
 	if err := n.store.Restore(img.Data); err != nil {
 		return err

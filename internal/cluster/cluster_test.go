@@ -344,9 +344,12 @@ func TestSnapshotCompactionBoundsLogAndWAL(t *testing.T) {
 	if tail := last - first + 1; tail > 3*interval {
 		t.Fatalf("WAL tail = %d entries, want bounded near the interval", tail)
 	}
+	// The engine drops its prefix when the watermark reaches the event loop
+	// over truncCh, after the applier compacted the store; Stop can land in
+	// between, so the engine's base may trail the store's by one round.
 	eng := leader.Engine().(*raftstar.Engine)
-	if eng.FirstIndex() != first {
-		t.Fatalf("engine FirstIndex = %d, want %d (storage first)", eng.FirstIndex(), first)
+	if got := eng.FirstIndex(); got < first-interval || got > first {
+		t.Fatalf("engine FirstIndex = %d, want within one interval below the storage first %d", got, first)
 	}
 	if eng.LogLen() > 3*interval {
 		t.Fatalf("engine log len = %d after %d writes, want bounded near the interval", eng.LogLen(), writes)

@@ -413,14 +413,19 @@ func (f *flakyStore) Append(entries []protocol.Entry) error {
 // path: an engine never re-emits entries it already holds in memory, so
 // a batch the store rejected must be carried forward by the driver and
 // re-appended until it lands — otherwise a later retransmission's ack
-// would release over entries on no disk. While the store is down the
-// replica's acks are withheld (the cluster keeps committing through the
-// healthy quorum); once it heals, the backlog must drain and the store
-// must converge to the full log.
+// would release over entries on no disk. While a store is down its
+// replica's acks are withheld — the leader's ack to itself included — and
+// the cluster keeps committing through the healthy quorum: with a
+// follower's WAL down, through the leader's own durable vote; with the
+// leader's WAL down, through both followers', and the client is told
+// success, because a quorum holds the write durably whether or not the
+// leader's own copy ever lands. Once the stores heal, the backlog must
+// drain and each store must converge to the full log.
 func TestPersistFailureRetriesAndWithholdsAcks(t *testing.T) {
 	peers := []protocol.NodeID{0, 1, 2}
+	flakyLeader := &flakyStore{Store: storage.NewMem()}
 	flaky := &flakyStore{Store: storage.NewMem()}
-	stores := []storage.Store{storage.NewMem(), flaky, storage.NewMem()}
+	stores := []storage.Store{flakyLeader, flaky, storage.NewMem()}
 	fn := &filterNet{inner: transport.NewChanNetwork()}
 	nodes := make([]*cluster.Node, 3)
 	for i := range peers {
@@ -465,34 +470,46 @@ func TestPersistFailureRetriesAndWithholdsAcks(t *testing.T) {
 		t.Fatal("persist failures not observable on the broken replica")
 	}
 
-	// Heal. The redo backlog must drain: node 1's store converges to the
-	// leader's log even though the engine never re-emitted the failed
-	// batch.
+	// Heal node 1 and break the leader's own WAL instead: the writes still
+	// succeed, on the followers' durable copies alone.
 	flaky.failing.Store(false)
+	flakyLeader.failing.Store(true)
 	for i := 5; i < 8; i++ {
 		if err := leader.Put(ctx, fmt.Sprintf("fk-%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
+			t.Fatalf("put with the leader's WAL down: %v", err)
 		}
 	}
+	if _, total := nodes[0].PersistFailures(); total == 0 || flakyLeader.fails.Load() == 0 {
+		t.Fatal("persist failures not observable on the leader")
+	}
+
+	// Heal. The redo backlogs must drain: both stores converge to the full
+	// log even though the engines never re-emitted the failed batches.
+	flakyLeader.failing.Store(false)
+	if err := leader.Put(ctx, "fk-healed", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := stores[2].LastIndex()
 	deadline = time.Now().Add(10 * time.Second)
-	for {
-		leadLast, _ := stores[leader.ID()].LastIndex()
-		flakyLast, _ := flaky.Store.LastIndex()
-		if leadLast > 0 && flakyLast >= leadLast {
-			ents, err := flaky.Store.Entries(1, flakyLast)
-			if err != nil {
-				t.Fatalf("healed store unreadable: %v", err)
-			}
-			for i, ent := range ents {
-				if ent.Index != int64(i+1) {
-					t.Fatalf("healed store has a hole at %d: %+v", i+1, ent)
+	for _, st := range []*flakyStore{flakyLeader, flaky} {
+		for {
+			last, _ := st.Store.LastIndex()
+			if last >= want {
+				ents, err := st.Store.Entries(1, last)
+				if err != nil {
+					t.Fatalf("healed store unreadable: %v", err)
 				}
+				for i, ent := range ents {
+					if ent.Index != int64(i+1) {
+						t.Fatalf("healed store has a hole at %d: %+v", i+1, ent)
+					}
+				}
+				break
 			}
-			return
+			if time.Now().After(deadline) {
+				t.Fatalf("healed store never converged: at %d, healthy follower at %d", last, want)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("healed store never converged: flaky at %d, leader at %d", flakyLast, leadLast)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -8,12 +8,10 @@
 // store sync (storage.File: one fdatasync into a preallocated segment), the
 // newest hard state folds into the same flush (storage.GroupSync) — and
 // then walks the drained jobs strictly in staging order, releasing each
-// job's withheld BarrierMessages and its applyCh hand-off only once
-// everything the job accepted is durable. (Confirmed reads with nothing
-// else to hand off never enter the pipeline: see Node.finish.)
-// That keeps the protocol.Output barrier (entries synced → hard state
-// synced → acks released → commits applied) intact per round while the
-// sync itself overlaps with message processing.
+// job's withheld BarrierMessages only once everything the job accepted is
+// durable. That keeps the protocol.Output barrier (entries synced → hard
+// state synced → acks released) intact per round while the sync itself
+// overlaps with message processing.
 package cluster
 
 import (
@@ -25,6 +23,8 @@ import (
 
 // persistJob is one event-loop iteration's persistence round.
 type persistJob struct {
+	// seq numbers the round in staging order (Node.stagedSeq).
+	seq int64
 	// entries are the iteration's accepted entries (value copies emitted
 	// by the engine; the loop never mutates them after staging).
 	entries []protocol.Entry
@@ -32,22 +32,15 @@ type persistJob struct {
 	// iteration: it must be durable — and the WAL base jumped — before
 	// any entry above its boundary is appended.
 	install *protocol.SnapshotImage
-	// msgs are the iteration's withheld messages, released only when this
-	// round (and every round staged before it) is durable. Iterations
-	// that qualified for early release stage only their BarrierMessages.
+	// msgs are the iteration's BarrierMessages, released only when this
+	// round (and every round staged before it) is durable. A round that
+	// has any must sync; rounds without stay buffered — group commit
+	// across the window.
 	msgs []protocol.Envelope
 	// hs/saveHS carry the engine's hard state, snapshotted on the event
 	// loop, when this iteration moved it (term, vote, or commits).
 	hs     storage.HardState
 	saveHS bool
-	// barrier marks a round some promise depends on (an ack in msgs or a
-	// commit in batch): the drain containing it must sync. Rounds
-	// without it stay buffered — group commit across the window.
-	barrier bool
-	// handoff/batch carry the iteration's commits, replies, and confirmed
-	// reads to the applier, strictly after the round's durability point.
-	handoff bool
-	batch   applyBatch
 	// force is the shutdown flush: save hs even inside the commit-only
 	// throttle window.
 	force bool
@@ -62,6 +55,8 @@ func (n *Node) stage(job persistJob) {
 	if n.cfg.SyncPersist || n.cfg.DisableBatching {
 		job.done = make(chan struct{})
 	}
+	n.stagedSeq++
+	job.seq = n.stagedSeq
 	if cur := n.inflightCur.Add(1); cur > n.inflightMax.Load() {
 		n.inflightMax.Store(cur) // loop is the only writer; no CAS needed
 	}
@@ -81,10 +76,9 @@ func (n *Node) stage(job persistJob) {
 }
 
 // persister is the pipeline's completion half: it drains staged rounds,
-// group-commits their writes, and releases their effects in staging
+// group-commits their writes, and releases their promises in staging
 // order. It exits when the event loop closes stageCh (after staging the
-// shutdown flush), having completed every staged round — Stop waits for
-// that before closing applyCh, so no hand-off is ever dropped.
+// shutdown flush), having completed every staged round.
 func (n *Node) persister() {
 	defer close(n.persistDone)
 	var jobs []persistJob
@@ -117,9 +111,8 @@ func (n *Node) persister() {
 // processRounds is one group-committed drain: write every job's entries
 // (and snapshot install), sync once if any job carries a promise, fold
 // the newest hard state into the same flush, then complete the jobs in
-// staging order — withheld messages and applyCh hand-offs release per
-// job, and a failure at job i fails jobs i.. while jobs before i still
-// complete.
+// staging order — withheld messages release per job, and a failure at job
+// i fails jobs i.. while jobs before i still complete.
 func (n *Node) processRounds(jobs []persistJob) {
 	var (
 		perr     error
@@ -149,6 +142,7 @@ func (n *Node) processRounds(jobs []persistJob) {
 					n.redo = append(n.redo, n.persistable(job.entries)...)
 					continue
 				}
+				n.walLast = img.Index
 			}
 		}
 		ents := job.entries
@@ -164,7 +158,10 @@ func (n *Node) processRounds(jobs []persistJob) {
 			n.redo = append([]protocol.Entry(nil), ents...)
 			continue
 		}
-		if job.barrier {
+		if len(ents) > 0 {
+			n.walLast = ents[len(ents)-1].Index
+		}
+		if len(job.msgs) > 0 {
 			needSync = true
 		}
 	}
@@ -195,54 +192,64 @@ func (n *Node) processRounds(jobs []persistJob) {
 		}
 	}
 
-	// Completion, strictly in staging order — but the sync waits until
-	// the first job that actually needs it. Jobs before the drain's first
-	// barrier round owe nothing to this drain's sync (their commits were
-	// durability-checked at staging), so their withheld hand-offs release
-	// while the disk is still quiet; one sync then retires every barrier
-	// round in the drain at once. The sync runs even when a later round's
-	// append failed: successful rounds' promises need the buffered
-	// entries on disk (the failed batch is in redo, not the buffer, so
-	// the sync covers exactly what succeeded).
-	synced := false
+	// One sync retires every promise in the drain. It runs even when a
+	// later round's append failed: successful rounds' promises need the
+	// buffered entries on disk (the failed batch is in redo, not the
+	// buffer, so the sync covers exactly what succeeded). Held self-acks
+	// oblige it too: they wait for this durability point.
+	_, deferred := n.deferredSync()
+	durable := !deferred // a plain store is durable per append
+	if needSync || len(n.heldSelf) > 0 {
+		if serr := n.syncAndSave(hs, save, true); serr != nil {
+			// The group sync (or hard-state save) failed: no round reached
+			// its durability point, so all of them fail and their acks stay
+			// withheld. Buffered entries survive in the store's write
+			// buffer (or redo) and retry under a future drain's sync.
+			perr, failIdx, durable = serr, 0, false
+		} else {
+			save, durable = false, true
+		}
+	}
+	// Self-acks held by earlier drains: their entries rode the redo (or the
+	// store's write buffer) that this drain's first round appended before
+	// the sync, so this drain's durability point covers them. The rounds
+	// that fail below are not covered and hold theirs for the next one.
+	prior := n.heldSelf
+	n.heldSelf = nil
+	// Completion, strictly in staging order.
 	for i := range jobs {
 		job := &jobs[i]
-		if job.barrier && !synced && needSync {
-			synced = true
-			if serr := n.syncAndSave(hs, save, true); serr != nil {
-				// The group sync (or hard-state save) failed: no round
-				// from here on reached its durability point, so all of
-				// them fail and their acks stay withheld. Buffered
-				// entries survive in the store's write buffer (or redo)
-				// and retry under a future drain's sync.
-				if i < failIdx {
-					perr, failIdx = serr, i
-				}
-			} else {
-				save = false
-			}
-		}
-		failed := i >= failIdx
-		if failed {
+		if i >= failIdx {
 			n.notePersistFailure(perr)
+			// Peers retry their withheld acks; the engine asks for its own
+			// once per index, so a self-ack waits for the next durable
+			// point instead of being lost.
+			for _, env := range job.msgs {
+				if env.To == n.id {
+					n.heldSelf = append(n.heldSelf, env)
+				}
+			}
 		} else {
 			n.notePersistSuccess()
 			for _, env := range job.msgs {
-				n.send(env)
+				n.release(env)
 			}
-		}
-		if job.handoff {
-			if failed {
-				job.batch.persistErr = perr
-			}
-			// Plain send: the applier drains applyCh until Stop closes it,
-			// which happens only after this goroutine exits.
-			n.applyCh <- job.batch
 		}
 		if job.done != nil {
 			close(job.done)
 		}
 		n.inflightCur.Add(-1)
+	}
+	if durable && failIdx > 0 {
+		// Every entry of the rounds before the first failure — redo
+		// included — was appended before the sync, so all of them are
+		// durable now.
+		n.durableSeq.Store(jobs[failIdx-1].seq)
+		for _, env := range prior {
+			n.release(env)
+		}
+	} else {
+		n.heldSelf = append(prior, n.heldSelf...)
 	}
 	if save {
 		// No barrier round consumed the save: persist the watermark (or
@@ -251,6 +258,34 @@ func (n *Node) processRounds(jobs []persistJob) {
 			n.notePersistFailure(serr)
 		}
 	}
+}
+
+// prefixAck is an ack that vouches for a log prefix: Raft*'s append ack
+// claims every entry through its LastIndex.
+type prefixAck interface {
+	CoverDurable(last int64)
+}
+
+// release hands on one barrier message of a round that is durable, with
+// every round written before the drain's sync. A self-ack that vouches for
+// a log prefix claims all the store now holds, not only what the engine
+// had appended when it asked: writes proposed later in the same loop
+// iteration rode the same sync and need no ask of their own. The store is
+// the leader's own log; a peer's ack is never raised, since a follower's
+// log may hold a stale suffix beyond what its leader sent.
+func (n *Node) release(env protocol.Envelope) {
+	if a, ok := env.Msg.(prefixAck); ok && env.To == n.id {
+		a.CoverDurable(n.walLast)
+	}
+	n.send(env)
+}
+
+// deferredSync returns the store's deferred-sync view when the persister
+// buffers appends through it (never under DisableBatching, whose
+// per-entry Appends sync themselves).
+func (n *Node) deferredSync() (storage.DeferredSync, bool) {
+	ds, ok := n.cfg.Stable.(storage.DeferredSync)
+	return ds, ok && !n.cfg.DisableBatching
 }
 
 // appendRound writes one round's entries to the log store: buffered when
@@ -268,7 +303,7 @@ func (n *Node) appendRound(ents []protocol.Entry) error {
 	if len(ents) == 0 {
 		return nil
 	}
-	if ds, ok := n.cfg.Stable.(storage.DeferredSync); ok {
+	if ds, ok := n.deferredSync(); ok {
 		return ds.AppendBuffered(ents)
 	}
 	return n.cfg.Stable.Append(ents)
@@ -277,16 +312,11 @@ func (n *Node) appendRound(ents []protocol.Entry) error {
 // syncAndSave retires the drain's durability obligations: flush buffered
 // entries when a promise depends on them (doSync), then persist the hard
 // state when it moved (save) — fused into one storage.GroupSync call when
-// the store offers it. On success the durable watermark (durableIdx)
-// advances, re-arming the event loop's early-release check.
+// the store offers it.
 func (n *Node) syncAndSave(hs storage.HardState, save, doSync bool) error {
-	ds, deferred := n.cfg.Stable.(storage.DeferredSync)
-	// Under DisableBatching the persister never buffers (per-entry
-	// Appends sync themselves), so the store is effectively plain.
-	deferred = deferred && !n.cfg.DisableBatching
+	ds, deferred := n.deferredSync()
 	doSync = doSync && deferred
 	if !doSync && !save {
-		n.advanceDurable(deferred, false)
 		return nil
 	}
 	start := time.Now()
@@ -317,21 +347,7 @@ func (n *Node) syncAndSave(hs storage.HardState, save, doSync bool) error {
 		n.lastSaved, n.hardSaved = hs, true
 		n.lastCommitSave = start
 	}
-	n.advanceDurable(deferred, doSync)
 	return nil
-}
-
-// advanceDurable publishes the store's last index as the durable
-// watermark. For a deferred-sync store that is only true after a
-// successful sync (the tail may sit in the write buffer); plain stores
-// are durable per append.
-func (n *Node) advanceDurable(deferred, synced bool) {
-	if deferred && !synced {
-		return
-	}
-	if last, err := n.cfg.Stable.LastIndex(); err == nil {
-		n.durableIdx.Store(last)
-	}
 }
 
 // PersistStats reports the pipeline's counters: total nanoseconds inside

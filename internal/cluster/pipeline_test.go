@@ -161,47 +161,74 @@ func TestGatedPersistWithholdsLaterAcks(t *testing.T) {
 	}
 }
 
-// TestGatedLeaderWithholdsReplies pins the other release path: a client
-// reply is a promise about the leader's own durable state, so a reply
-// staged after a stalled WAL round must not reach the client until that
-// round completes — even though the commit itself already happened via
-// the followers' acks.
-func TestGatedLeaderWithholdsReplies(t *testing.T) {
-	gated := &gateStore{Store: storage.NewMem()}
-	stores := []storage.Store{gated, storage.NewMem(), storage.NewMem()}
-	fn := &filterNet{inner: transport.NewChanNetwork()}
-	nodes, stop := buildPipelineCluster(t, stores, fn, 0)
-	defer stop()
-	leader := waitLeader(t, nodes)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := leader.Put(ctx, "warm", []byte("v")); err != nil {
-		t.Fatal(err)
+// TestGatedLeaderCommitsOnDurableQuorum pins the commit rule on the
+// runtime: a write commits once a quorum of replicas holds it durably, and
+// the leader's copy is one vote among three, counted only once its own
+// WAL round completes. A stalled leader WAL delays nothing while both
+// followers are healthy, a stalled leader plus one stalled follower holds
+// the write until either recovers, and two stalled followers hold it
+// although the leader's disk is free.
+func TestGatedLeaderCommitsOnDurableQuorum(t *testing.T) {
+	cases := []struct {
+		name    string
+		gated   []protocol.NodeID
+		release protocol.NodeID // the gate whose release lets the put complete; None: it completes gated
+	}{
+		{"leader", []protocol.NodeID{0}, protocol.None},
+		{"leader+follower/release-leader", []protocol.NodeID{0, 1}, 0},
+		{"leader+follower/release-follower", []protocol.NodeID{0, 1}, 1},
+		{"followers", []protocol.NodeID{1, 2}, 2},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gates := make([]*gateStore, 3)
+			stores := make([]storage.Store, 3)
+			for i := range gates {
+				gates[i] = &gateStore{Store: storage.NewMem()}
+				stores[i] = gates[i]
+			}
+			fn := &filterNet{inner: transport.NewChanNetwork()}
+			nodes, stop := buildPipelineCluster(t, stores, fn, 0)
+			defer stop()
+			defer func() {
+				for _, g := range gates {
+					g.Release() // a parked persister would hang Stop
+				}
+			}()
+			leader := waitLeader(t, nodes)
 
-	gated.Arm()
-	done := make(chan error, 1)
-	go func() { done <- leader.Put(ctx, "held", []byte("v")) }()
-	waitBlocked(t, gated)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := leader.Put(ctx, "warm", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
 
-	// The proposal fans out early (sends owe nothing to the local fsync),
-	// the followers ack, the engine commits — but the reply round is
-	// staged behind the stalled append and must stay withheld.
-	select {
-	case err := <-done:
-		t.Fatalf("client reply released while the leader's WAL write was stalled (err=%v)", err)
-	case <-time.After(300 * time.Millisecond):
-	}
+			for _, id := range tc.gated {
+				gates[id].Arm()
+			}
+			done := make(chan error, 1)
+			go func() { done <- leader.Put(ctx, "held", []byte("v")) }()
+			for _, id := range tc.gated {
+				waitBlocked(t, gates[id])
+			}
 
-	gated.Release()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("client reply never released after the WAL write completed")
+			if tc.release != protocol.None {
+				select {
+				case err := <-done:
+					t.Fatalf("put completed without a durable quorum (err=%v)", err)
+				case <-time.After(300 * time.Millisecond):
+				}
+				gates[tc.release].Release()
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("put never completed on a durable quorum")
+			}
+		})
 	}
 }
 

@@ -63,8 +63,8 @@ type Inner interface {
 //   - Holders: an acceptor attaches the leases it granted to every ack.
 //   - OnAck / MustAck: a vote counts toward the leader's commit quorum only
 //     once every holder its voter last reported has voted for the entry
-//     too — for the leader's own implicit vote, the holders of its own
-//     grants. That last clause is what the paper's derivation adds over a
+//     too — for the leader's own vote, its self-addressed ack, the holders
+//     of its own grants. That last clause is what the paper's derivation adds over a
 //     hand port: Paxos's f+1 acceptOKs map to f appendOKs plus the
 //     leader's self-ack.
 //   - OnAccept: every replica tracks the last write it accepted per key.

@@ -1,6 +1,7 @@
 package mencius
 
 import (
+	"slices"
 	"sort"
 
 	"raftpaxos/internal/protocol"
@@ -68,8 +69,11 @@ type Engine struct {
 
 	board *Board
 	// acks[slot] collects phase-2b votes for proposals this replica made
-	// (as owner, or as revoker).
-	acks map[int64]map[protocol.NodeID]bool
+	// (as owner, or as revoker). Its own vote enters like any acceptor's,
+	// when its self-addressed ProposeOK comes back durable; asked marks the
+	// slots such an ack is in flight for.
+	acks  map[int64]map[protocol.NodeID]bool
+	asked map[int64]bool
 	// mine[slot] remembers own in-flight client commands for reply
 	// tracking and post-revocation resubmission.
 	mine map[int64]protocol.Command
@@ -105,6 +109,7 @@ func New(cfg Config) *Engine {
 		n:           n,
 		board:       NewBoard(c.ID, n),
 		acks:        make(map[int64]map[protocol.NodeID]bool),
+		asked:       make(map[int64]bool),
 		mine:        make(map[int64]protocol.Command),
 		owed:        make(map[int64]bool),
 		promisedRev: make([]uint64, n),
@@ -211,6 +216,7 @@ func (e *Engine) TruncatePrefix(through int64) {
 	for s := range e.acks {
 		if s <= through {
 			delete(e.acks, s)
+			delete(e.asked, s)
 		}
 	}
 }
@@ -283,11 +289,11 @@ func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
 	slot := e.board.Barrier()
 	e.board.AdvanceBarrier(e.cfg.ID, NextOwned(slot, e.cfg.ID, e.n))
 	e.board.ObserveProposal(slot, cmd, 0)
-	// Self-accept: the owner counts toward its slot's quorum, so its copy
-	// is durable before the proposal broadcast below leaves.
+	// Self-accept: the owner is one acceptor among n; its copy is persisted
+	// like any other and votes once askSelf proves it durable.
 	e.emitSlots(slot, slot, &out)
 	e.mine[slot] = cmd
-	e.acks[slot] = map[protocol.NodeID]bool{e.cfg.ID: true}
+	e.acks[slot] = map[protocol.NodeID]bool{}
 	if cmd.Client != protocol.None {
 		e.owed[slot] = true
 	}
@@ -298,8 +304,8 @@ func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
 		Barrier:  e.board.Barrier(),
 		Frontier: e.board.Frontier(),
 	})
-	if e.n == 1 {
-		e.board.MarkCommitted(slot)
+	if e.decisive(slot) {
+		e.askSelf(&out) // a lone replica's own vote is the quorum
 	}
 	e.settle(&out)
 	return out
@@ -398,6 +404,7 @@ func (e *Engine) stepPropose(from protocol.NodeID, m *MsgPropose, out *protocol.
 func (e *Engine) stepProposeOK(from protocol.NodeID, m *MsgProposeOK, out *protocol.Output) {
 	e.board.AdvanceBarrier(from, m.Barrier)
 	e.board.MergeFrontier(m.Frontier)
+	ask := false
 	for _, s := range m.Slots {
 		set, ok := e.acks[s]
 		if !ok {
@@ -406,9 +413,38 @@ func (e *Engine) stepProposeOK(from protocol.NodeID, m *MsgProposeOK, out *proto
 		set[from] = true
 		if len(set) >= protocol.Quorum(e.n) {
 			delete(e.acks, s)
+			delete(e.asked, s)
 			e.board.MarkCommitted(s)
+			continue
+		}
+		ask = ask || e.decisive(s)
+	}
+	if ask {
+		e.askSelf(out)
+	}
+}
+
+// decisive reports whether this replica's own vote, not yet asked for,
+// would commit its pending proposal for slot s.
+func (e *Engine) decisive(s int64) bool {
+	set, pending := e.acks[s]
+	return pending && !set[e.cfg.ID] && !e.asked[s] && len(set)+1 >= protocol.Quorum(e.n)
+}
+
+// askSelf asks, for every pending proposal of ours not yet asked for, for
+// our own ProposeOK: addressed to ourselves, handed back by the runtime once
+// the round it rides is durable.
+func (e *Engine) askSelf(out *protocol.Output) {
+	var slots []int64
+	for s, set := range e.acks {
+		if !set[e.cfg.ID] && !e.asked[s] {
+			e.asked[s] = true
+			slots = append(slots, s)
 		}
 	}
+	slices.Sort(slots)
+	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: e.cfg.ID,
+		Msg: &MsgProposeOK{Slots: slots}})
 }
 
 // settle advances frontiers, emits executable entries and any due client
@@ -606,7 +642,8 @@ func (e *Engine) stepRevokePromise(from protocol.NodeID, m *MsgRevokePromise, ou
 				maxS = s
 			}
 		}
-		e.acks[s] = map[protocol.NodeID]bool{e.cfg.ID: true}
+		e.acks[s] = map[protocol.NodeID]bool{}
+		delete(e.asked, s)
 		slots = append(slots, SlotCmd{Slot: s, Cmd: cmd})
 	}
 	if len(slots) == 0 {
@@ -614,7 +651,7 @@ func (e *Engine) stepRevokePromise(from protocol.NodeID, m *MsgRevokePromise, ou
 	}
 	if minS > 0 {
 		// The revoker self-accepts its re-proposals at the revocation
-		// ballot: durable before the proposal broadcast leaves.
+		// ballot and persists them like any acceptor.
 		e.emitSlots(minS, maxS, out)
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })

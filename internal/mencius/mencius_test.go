@@ -310,8 +310,14 @@ func TestEmissionCoversTrailingSkips(t *testing.T) {
 
 	// Own slot 2: emission [1 filler, 2].
 	persist(e.Submit(protocol.Command{ID: 1, Client: 1, Op: protocol.OpPut, Key: "a"}))
-	// A peer ack commits slot 2.
-	persist(e.Step(0, &mencius.MsgProposeOK{Slots: []int64{2}, Barrier: 1, Frontier: []int64{0, 0, 0}}))
+	// A peer ack and the owner's own, handed back durable, commit slot 2.
+	out := e.Step(0, &mencius.MsgProposeOK{Slots: []int64{2}, Barrier: 1, Frontier: []int64{0, 0, 0}})
+	persist(out)
+	for _, env := range out.Msgs {
+		if env.To == 1 {
+			persist(e.Step(1, env.Msg))
+		}
+	}
 	// Peer heartbeats advance their barriers: slots 1, 3, 4 become skips
 	// and the executable prefix runs to 4 — past the durable watermark.
 	persist(e.Step(0, &mencius.MsgCoordHB{Barrier: 7, Frontier: []int64{0, 0, 0}}))
@@ -321,7 +327,7 @@ func TestEmissionCoversTrailingSkips(t *testing.T) {
 	}
 	// The next own submission lands at slot 5: its emission must cover
 	// the skipped 3 and 4 as fillers, not jump the gap.
-	out := e.Submit(protocol.Command{ID: 2, Client: 1, Op: protocol.OpPut, Key: "b"})
+	out = e.Submit(protocol.Command{ID: 2, Client: 1, Op: protocol.OpPut, Key: "b"})
 	if len(out.AppendedEntries) < 3 || out.AppendedEntries[0].Index != 3 {
 		t.Fatalf("emission after trailing skips = %+v, want to start at slot 3", out.AppendedEntries)
 	}

@@ -217,8 +217,11 @@ type Engine struct {
 	prepareOKs map[protocol.NodeID]*MsgPrepareOK
 
 	// Leader phase-2 bookkeeping: per-instance acceptances at the current
-	// ballot (the leader's own acceptance is implicit).
-	acks map[int64]map[protocol.NodeID]bool
+	// ballot. The leader's own enters like any acceptor's, when its
+	// self-addressed acceptOK comes back durable (askSelf); selfAsked is the
+	// highest instance one was asked for at this ballot.
+	acks      map[int64]map[protocol.NodeID]bool
+	selfAsked int64
 	// sentHolders is the Hooks.Holders set this acceptor last attached to
 	// an acceptOK.
 	sentHolders []protocol.NodeID
@@ -669,6 +672,7 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	var reproposal []InstanceInfo
 	oldLast := e.LastIndex()
 	firstTouched := int64(0)
+	e.selfAsked = e.chosenPrefix
 	for i := e.chosenPrefix + 1; i <= maxIdx; i++ {
 		if i <= maxBase {
 			continue // compacted on a quorum member: arrives via snapshot
@@ -699,19 +703,22 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 		if firstTouched == 0 {
 			firstTouched = i
 		}
-		e.acks[i] = map[protocol.NodeID]bool{e.cfg.ID: true}
+		e.acks[i] = map[protocol.NodeID]bool{}
 		reproposal = append(reproposal, InstanceInfo{Idx: i, Bal: e.ballot, Cmd: in.cmd})
 	}
 	e.fast.Reset(e.ballot)
 	if firstTouched > 0 {
-		// The new leader self-accepts its re-proposals: durable before the
-		// Phase2a broadcast below announces them. Growth past the old tail
-		// (a quorum member's compaction base beyond it) emits the grown
-		// holes too, keeping the durable log contiguous.
+		// The new leader self-accepts its re-proposals and persists them
+		// like any acceptor. Growth past the old tail (a quorum member's
+		// compaction base beyond it) emits the grown holes too, keeping the
+		// durable log contiguous.
 		if firstTouched > oldLast+1 {
 			firstTouched = oldLast + 1
 		}
 		e.emitAppended(firstTouched, out)
+	}
+	if len(reproposal) > 0 && e.decisive(reproposal[0].Idx) {
+		e.askSelf(out) // a lone replica's own vote is the quorum
 	}
 	// ReadIndex reads may not be served below the phase-1 re-proposals:
 	// anything a predecessor might have chosen was re-proposed at or below
@@ -840,20 +847,17 @@ func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
 		in.used = true
 		in.bal = e.ballot
 		in.cmd = cmd
-		e.acks[idx] = map[protocol.NodeID]bool{e.cfg.ID: true}
+		e.acks[idx] = map[protocol.NodeID]bool{}
 		insts = append(insts, InstanceInfo{Idx: idx, Bal: e.ballot, Cmd: cmd})
 	}
-	// Self-accept: the proposer counts toward the quorum, so its copy is
-	// made durable before the Phase2a broadcast leaves.
+	// Self-accept: the proposer is one acceptor among n; its copy is
+	// persisted like any other and votes once askSelf proves it durable.
 	e.emitAppended(firstNew, out)
 	out.StateChanged = true
 	e.observeAccepted(insts)
 	e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, Insts: insts, ChosenPrefix: e.chosenPrefix})
-	if len(e.cfg.Peers) == 1 {
-		for _, info := range insts {
-			e.insts[info.Idx-e.instBase-1].chosen = true
-		}
-		e.advanceChosen(out)
+	if e.decisive(firstNew) {
+		e.askSelf(out) // a lone replica's own vote is the quorum
 	}
 }
 
@@ -1018,19 +1022,26 @@ func (e *Engine) stepAcceptOK(from protocol.NodeID, m *MsgAcceptOK, out *protoco
 	if !e.phase1OK || m.Bal != e.ballot {
 		return
 	}
-	if m.ReadCtx > 0 {
-		// The acceptor processed an accept we sent while still leading:
-		// that confirms every read batch at or below the echoed ctx.
-		e.reads.Ack(from, m.ReadCtx, out)
+	if from != e.cfg.ID { // our own acceptOK carries only the vote
+		if m.ReadCtx > 0 {
+			// The acceptor processed an accept we sent while still leading:
+			// that confirms every read batch at or below the echoed ctx.
+			e.reads.Ack(from, m.ReadCtx, out)
+		}
+		if h := e.cfg.Hooks.OnAck; h != nil {
+			h(from, m.Holders)
+		}
 	}
-	if h := e.cfg.Hooks.OnAck; h != nil {
-		h(from, m.Holders)
-	}
+	ask := false
 	for _, idx := range m.Idxs {
 		if set, ok := e.acks[idx]; ok {
 			set[from] = true
 			e.tryChoose(idx, set)
+			ask = ask || e.decisive(idx)
 		}
+	}
+	if ask {
+		e.askSelf(out)
 	}
 	e.advanceChosen(out)
 	if m.NeedFrom > 0 {
@@ -1202,20 +1213,7 @@ func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgIn
 // says nothing about an earlier one, whose accept may have been lost, so a
 // high-water mark must never stand in for set.
 func (e *Engine) tryChoose(idx int64, set map[protocol.NodeID]bool) {
-	counted := len(set)
-	if must := e.cfg.Hooks.MustAck; must != nil && counted >= e.quorum() {
-		counted = 0
-	voters:
-		for p := range set {
-			for _, h := range must(p) {
-				if !set[h] {
-					continue voters
-				}
-			}
-			counted++
-		}
-	}
-	if counted < e.quorum() {
+	if e.counted(set) < e.quorum() {
 		return
 	}
 	delete(e.acks, idx)
@@ -1224,13 +1222,65 @@ func (e *Engine) tryChoose(idx int64, set map[protocol.NodeID]bool) {
 	}
 }
 
+// counted is how many votes in set count toward a quorum.
+func (e *Engine) counted(set map[protocol.NodeID]bool) int {
+	must := e.cfg.Hooks.MustAck
+	if must == nil || len(set) < e.quorum() {
+		return len(set)
+	}
+	counted := 0
+voters:
+	for p := range set {
+		for _, h := range must(p) {
+			if !set[h] {
+				continue voters
+			}
+		}
+		counted++
+	}
+	return counted
+}
+
+// decisive reports whether the leader's own vote, not yet asked for, would
+// choose pending instance idx.
+func (e *Engine) decisive(idx int64) bool {
+	set, pending := e.acks[idx]
+	if !e.phase1OK || !pending || idx <= e.selfAsked || set[e.cfg.ID] {
+		return false
+	}
+	set[e.cfg.ID] = true
+	ok := e.counted(set) >= e.quorum()
+	delete(set, e.cfg.ID)
+	return ok
+}
+
+// askSelf asks, for every instance this ballot accepted and has not asked
+// for yet, for the leader's own acceptOK: addressed to itself, handed back
+// by the runtime once the round it rides is durable.
+func (e *Engine) askSelf(out *protocol.Output) {
+	var own []int64
+	for i := max(e.selfAsked, e.instBase) + 1; i <= e.LastIndex(); i++ {
+		if _, pending := e.acks[i]; pending && e.insts[i-e.instBase-1].bal == e.ballot {
+			own = append(own, i)
+		}
+	}
+	e.selfAsked = e.LastIndex()
+	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: e.cfg.ID,
+		Msg: &MsgAcceptOK{Bal: e.ballot, Idxs: own}})
+}
+
 // Recheck re-evaluates every pending instance without new input: what
 // Hooks.MustAck names shrinks as leases expire, which may unblock
 // instances that were waiting on a dead holder.
 func (e *Engine) Recheck() protocol.Output {
 	var out protocol.Output
+	ask := false
 	for idx, set := range e.acks {
 		e.tryChoose(idx, set)
+		ask = ask || e.decisive(idx)
+	}
+	if ask {
+		e.askSelf(&out)
 	}
 	e.advanceChosen(&out)
 	return out

@@ -300,26 +300,29 @@ func (f *FastPath) accept(m *MsgFastAccept, out *Output) {
 	f.ack(base, ids, out)
 }
 
-// ack broadcasts this replica's fast ack for ids at the contiguous slots
-// base, base+1, ... and records it in the local tracker. MsgFastAck is a
-// BarrierMessage: the persist pipeline holds it until the entries it
-// covers are durable, exactly like a classic append ack.
+// ack sends this replica's fast ack for ids at the contiguous slots base,
+// base+1, ... to every replica, itself included. MsgFastAck is a
+// BarrierMessage: the runtime holds it until the entries it covers are
+// durable, and hands the self-addressed copy back only then, so our own
+// vote reaches the local tracker exactly when a peer's would. That copy
+// costs no sync of its own: it rides the round the broadcast already
+// syncs.
 func (f *FastPath) ack(base int64, ids []uint64, out *Output) {
-	term, leader := f.host.Term(), f.host.IsLeader()
-	f.broadcast(&MsgFastAck{Term: term, Base: base, IDs: ids, Leader: leader}, out)
-	f.acks.Ack(f.id, term, base, ids, leader)
-	f.tryCommit(out)
+	m := &MsgFastAck{Term: f.host.Term(), Base: base, IDs: ids, Leader: f.host.IsLeader()}
+	f.broadcast(m, out)
+	out.Msgs = append(out.Msgs, Envelope{From: f.id, To: f.id, Msg: m})
 }
 
-// StepAck records a peer's fast ack and checks for a fast commit; the
-// engine has already adopted the ack's term if it was higher. At the
-// leader it doubles as conflict detection: a peer acking a different
-// command at a slot we hold means its speculative suffix diverged, so the
-// leader's copy is re-sent from the divergence point.
+// StepAck records a replica's fast ack — a peer's, or our own handed back
+// durable — and checks for a fast commit; the engine has already adopted
+// the ack's term if it was higher. At the leader a peer's ack doubles as
+// conflict detection: a peer acking a different command at a slot we hold
+// means its speculative suffix diverged, so the leader's copy is re-sent
+// from the divergence point.
 func (f *FastPath) StepAck(from NodeID, m *MsgFastAck) Output {
 	var out Output
 	f.acks.Ack(from, m.Term, m.Base, m.IDs, m.Leader)
-	if f.host.IsLeader() && m.Term == f.host.Term() {
+	if from != f.id && f.host.IsLeader() && m.Term == f.host.Term() {
 		diverged := int64(0)
 		for i, id := range m.IDs {
 			slot := m.Base + int64(i)

@@ -152,14 +152,17 @@ type fakeFastLog struct {
 	repaired []int64
 }
 
-func newFakeFastLog(id NodeID, leader bool) *fakeFastLog {
+func newFakeFastLog(id NodeID, leader bool, peers ...NodeID) *fakeFastLog {
+	if len(peers) == 0 {
+		peers = []NodeID{0, 1, 2}
+	}
 	l := &fakeFastLog{term: 1, leader: leader, replies: map[uint64]bool{}}
 	accept := func(cmds []Command, _ *Output) {
 		for _, cmd := range cmds {
 			l.ids = append(l.ids, cmd.ID)
 		}
 	}
-	l.path = NewFastPath(id, []NodeID{0, 1, 2}, FastHost{
+	l.path = NewFastPath(id, peers, FastHost{
 		Term:      func() uint64 { return l.term },
 		IsLeader:  func() bool { return l.leader },
 		LastIndex: func() int64 { return int64(len(l.ids)) },
@@ -188,21 +191,45 @@ func (l *fakeFastLog) commitThrough(to int64) {
 	l.path.Forget(to)
 }
 
+// selfAck returns the one self-addressed fast ack in out: a replica's own
+// vote, which its runtime hands back once the round is durable.
+func selfAck(t *testing.T, id NodeID, out Output) *MsgFastAck {
+	t.Helper()
+	var own *MsgFastAck
+	for _, env := range out.Msgs {
+		if env.To == id {
+			if own != nil {
+				t.Fatal("more than one self-addressed ack in one output")
+			}
+			own = env.Msg.(*MsgFastAck)
+		}
+	}
+	if own == nil {
+		t.Fatal("no self-addressed ack")
+	}
+	return own
+}
+
 // TestFastPathReplyRouting: the submitter answers its own fast command
 // whichever way it commits, the arbiter stays quiet for it, and the counts
 // add up — every submitted command is a fast commit or a fallback, once.
 func TestFastPathReplyRouting(t *testing.T) {
 	sub, lead := newFakeFastLog(1, false), newFakeFastLog(0, true)
 	x, y := Command{ID: 7, Client: 900}, Command{ID: 8, Client: 900}
-	sub.path.Submit([]Command{x})
+	own := selfAck(t, 1, sub.path.Submit([]Command{x}))
 	lead.path.StepAccept(&MsgFastAccept{Cmds: []Command{x}})
 	lead.path.StepAccept(&MsgFastAccept{Cmds: []Command{x}}) // replay: re-acked, not re-proposed
 	if len(lead.ids) != 1 {
 		t.Fatalf("leader holds %d entries after a replayed fast accept, want 1", len(lead.ids))
 	}
-	// Fast quorum at the submitter: its own ack is in, the other two arrive.
+	// Fast quorum at the submitter: the other two acks arrive first, and
+	// its own completes it only once handed back durable.
 	sub.path.StepAck(0, &MsgFastAck{Term: 1, Base: 1, IDs: []uint64{7}, Leader: true})
 	sub.path.StepAck(2, &MsgFastAck{Term: 1, Base: 1, IDs: []uint64{7}})
+	if sub.commit != 0 {
+		t.Fatal("submitter committed before its own copy was durable")
+	}
+	sub.path.StepAck(1, own)
 	if sub.commit != 1 || !sub.replies[7] {
 		t.Fatalf("submitter: commit %d reply %v, want fast commit answered by the submitter", sub.commit, sub.replies[7])
 	}
@@ -232,6 +259,44 @@ func TestFastPathReplyRouting(t *testing.T) {
 	}
 	if got := (*FastPath)(nil).ReadIndex(5); got != 5 {
 		t.Fatalf("read index with the fast path off = %d, want the classic 5", got)
+	}
+}
+
+// TestFastPathSelfAckRule: every fast accept — submitted or stepped —
+// yields exactly one self-addressed ack, and a replica's own vote counts
+// toward the fast quorum only when that ack comes back. With five
+// replicas (fast quorum 4) the other four, leader included, choose without
+// it; with only three others the submitter's own durable copy decides.
+func TestFastPathSelfAckRule(t *testing.T) {
+	peers := []NodeID{0, 1, 2, 3, 4}
+	sub := newFakeFastLog(1, false, peers...)
+	others := map[NodeID]*fakeFastLog{0: newFakeFastLog(0, true, peers...)}
+	for _, id := range []NodeID{2, 3, 4} {
+		others[id] = newFakeFastLog(id, false, peers...)
+	}
+	x, y := Command{ID: 7, Client: 900}, Command{ID: 8, Client: 900}
+	ackOf := func(id NodeID, cmd Command) *MsgFastAck {
+		return selfAck(t, id, others[id].path.StepAccept(&MsgFastAccept{Cmds: []Command{cmd}}))
+	}
+
+	selfAck(t, 1, sub.path.Submit([]Command{x}))
+	for _, id := range []NodeID{0, 2, 3, 4} {
+		sub.path.StepAck(id, ackOf(id, x))
+	}
+	if sub.commit != 1 {
+		t.Fatalf("submitter commit %d, want the four others' fast quorum to choose without its own ack", sub.commit)
+	}
+
+	own := selfAck(t, 1, sub.path.Submit([]Command{y}))
+	for _, id := range []NodeID{0, 2, 3} {
+		sub.path.StepAck(id, ackOf(id, y))
+	}
+	if sub.commit != 1 {
+		t.Fatal("submitter committed on three of four fast acks")
+	}
+	sub.path.StepAck(1, own)
+	if sub.commit != 2 {
+		t.Fatalf("submitter commit %d after its own ack came back, want 2", sub.commit)
 	}
 }
 

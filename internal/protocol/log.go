@@ -86,8 +86,8 @@ func (l *Log) TruncateSuffix(i int64) {
 // TruncatePrefix drops every entry with index <= through, recording the
 // dropped boundary's term so consistency checks against the compacted
 // prefix still answer. through beyond LastIndex is clamped; through at or
-// below base is a no-op. The retained tail is copied so the backing array
-// of the compacted prefix can be collected.
+// below base is a no-op. The retained tail moves down within the backing
+// array, whose capacity the next appends reuse instead of regrowing it.
 func (l *Log) TruncatePrefix(through int64) {
 	if through <= l.base {
 		return
@@ -96,7 +96,9 @@ func (l *Log) TruncatePrefix(through int64) {
 		through = l.LastIndex()
 	}
 	l.baseTerm = l.TermAt(through)
-	l.ents = append([]Entry(nil), l.ents[through-l.base:]...)
+	n := copy(l.ents, l.ents[through-l.base:])
+	clear(l.ents[n:])
+	l.ents = l.ents[:n]
 	l.base = through
 }
 

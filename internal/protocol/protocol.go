@@ -161,28 +161,35 @@ type ClientReply struct {
 // Durability barrier (the accept-time persistence contract): both protocol
 // formulations assume an acceptor/follower makes accepted state durable
 // BEFORE answering — that is what lets a quorum of acks imply a chosen
-// value survives a full-cluster crash. Drivers therefore realize an Output
-// strictly in this order:
+// value survives a full-cluster crash. Runtimes therefore realize an
+// Output's promises strictly in this order:
 //
 //  1. AppendedEntries are fsynced to the log store (one group-committed
 //     append for the whole batch; suffix overwrite on conflict),
 //  2. hard state (term/vote/commit) is fsynced,
-//  3. Msgs are released — only now can a vote grant, append/accept ack, or
-//     any other promise leave the replica,
-//  4. Commits are applied and Replies delivered.
+//  3. BarrierMessages are released — only now can a vote grant,
+//     append/accept ack, or any other promise leave the replica.
+//
+// A leader is one acceptor among n, and its own vote is such a promise:
+// an engine counts its copy toward a commit quorum only through an ack it
+// addresses to itself (From == To == its ID), which the runtime releases at
+// step 3 like any other and delivers back to the same engine, without the
+// network. So no engine commits on a copy no barrier has proved durable,
+// and Commits and Replies need no barrier of their own: a runtime applies
+// and answers them at once.
 //
 // The order is a per-Output contract, not a whole-driver serialization: a
 // pipelined driver may stage several Outputs' persistence rounds and keep
 // stepping the engine while their fsyncs are in flight, as long as each
-// round's steps 1–4 complete in order and rounds release in staging order
-// (an Output staged later never releases a promise or reply before an
-// earlier one reaches its durability point). Two refinements keep the
-// contract cheap without weakening it: messages that are not
-// BarrierMessages claim nothing about stable storage and may leave before
-// steps 1–2 (see BarrierMessage), and step 2's fsync may be folded into
-// step 1's (storage.GroupSync) since nothing observes the gap between
-// them. Engines tolerate the resulting cross-iteration reorder of
-// non-barrier messages; they survive arbitrary network reordering anyway.
+// round's steps 1–3 complete in order and rounds release in staging order
+// (an Output staged later never releases a promise before an earlier one
+// reaches its durability point). Two refinements keep the contract cheap
+// without weakening it: messages that are not BarrierMessages claim
+// nothing about stable storage and may leave before steps 1–2 (see
+// BarrierMessage), and step 2's fsync may be folded into step 1's
+// (storage.GroupSync) since nothing observes the gap between them. Engines
+// tolerate the resulting cross-iteration reorder of non-barrier messages;
+// they survive arbitrary network reordering anyway.
 //
 // The simulator models steps 1–2 as latency on the ack edge so its figures
 // stay honest about the fsync a real deployment pays.
@@ -261,7 +268,9 @@ func (e Entry) IsFiller() bool { return e.Bal == 0 && e.Term == 0 && e.Cmd.Op ==
 // sender's durable state: vote grants, prepare promises, append/accept
 // acknowledgements, snapshot-install acks. Drivers must hold these until
 // the durability barrier completes (entries fsynced, hard state fsynced)
-// — that is the whole persist-before-ack contract. Every other message
+// — that is the whole persist-before-ack contract. A self-addressed one
+// is the sender's own vote (see Output): held the same way, then handed
+// back to the sender's engine instead of the network. Every other message
 // (proposals, requests, forwards, heartbeats, snapshot chunks) claims
 // nothing about stable storage and may be released concurrently with the
 // fsync, which keeps the leader's disk off the replication round trip:

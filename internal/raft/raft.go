@@ -63,6 +63,9 @@ func (m *MsgAppendResp) WireSize() int { return (*raftstar.MsgAppendResp)(m).Wir
 // promises the accepted entries are durable.
 func (m *MsgAppendResp) RequiresBarrier() {}
 
+// CoverDurable is raftstar.MsgAppendResp.CoverDurable.
+func (m *MsgAppendResp) CoverDurable(last int64) { (*raftstar.MsgAppendResp)(m).CoverDurable(last) }
+
 // WireSize implements protocol.Message.
 func (m *MsgForward) WireSize() int { return (*raftstar.MsgForward)(m).WireSize() }
 

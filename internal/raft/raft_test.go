@@ -123,8 +123,13 @@ func TestCommitRestriction542(t *testing.T) {
 	if len(out.Commits) != 0 || x.CommitIndex() != 0 {
 		t.Fatalf("committed %d entries (commit=%d) by counting replicas of a term-1 entry", len(out.Commits), x.CommitIndex())
 	}
-	// Once the barrier is quorum-replicated, both commit.
+	// Once the barrier is quorum-replicated — node 1's ack plus X's own,
+	// which X asks for now and its runtime hands back durable — both commit.
 	out = x.Step(1, &raft.MsgAppendResp{Term: 2, Ok: true, LastIndex: 2})
+	if len(out.Msgs) != 1 || out.Msgs[0].To != 0 || x.CommitIndex() != 0 {
+		t.Fatalf("msgs = %+v (commit=%d), want only X's self-ack", out.Msgs, x.CommitIndex())
+	}
+	out = x.Step(0, out.Msgs[0].Msg)
 	if len(out.Commits) != 2 || x.CommitIndex() != 2 || out.Commits[0].Entry.Cmd.ID != 1 {
 		t.Fatalf("commits = %+v (commit=%d), want the old entry then the barrier", out.Commits, x.CommitIndex())
 	}

@@ -115,6 +115,11 @@ func (m *MsgAppendResp) WireSize() int { return 32 + 4*len(m.Holders) }
 // promises the accepted (re-stamped) entries are durable.
 func (m *MsgAppendResp) RequiresBarrier() {}
 
+// CoverDurable raises a self-ack's claim to last, the newest index the
+// driver's store holds durably when it releases the ack (a follower's ack
+// is never raised).
+func (m *MsgAppendResp) CoverDurable(last int64) { m.LastIndex = max(m.LastIndex, last) }
+
 // MsgForward carries client commands from a follower to the leader,
 // batched as in etcd.
 type MsgForward struct {

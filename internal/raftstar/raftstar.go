@@ -24,7 +24,7 @@ package raftstar
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"raftpaxos/internal/protocol"
 )
@@ -144,10 +144,14 @@ type Engine struct {
 	extras   map[int64]protocol.Entry // safest entry seen per index
 	extraMax int64
 
-	// Leader state.
-	next     map[protocol.NodeID]int64
-	match    map[protocol.NodeID]int64
-	inflight map[protocol.NodeID]int
+	// Leader state. match[ID] is the leader's own vote, raised only by its
+	// self-ack (maybeCommit); selfAsked is the highest index one was asked
+	// for this term; scratch is maybeCommit's sorting buffer.
+	next      map[protocol.NodeID]int64
+	match     map[protocol.NodeID]int64
+	inflight  map[protocol.NodeID]int
+	selfAsked int64
+	scratch   []int64
 
 	// provider supplies the durable snapshot image a leader ships to a
 	// peer stranded below the compaction base; xfers tracks one chunked
@@ -203,6 +207,7 @@ func NewWithRules(cfg Config, rules Rules) *Engine {
 		votedFor: protocol.None,
 		role:     Follower,
 		leader:   protocol.None,
+		scratch:  make([]int64, 0, len(c.Peers)),
 	}
 	if c.FastPath {
 		e.fast = protocol.NewFastPath(c.ID, c.Peers, protocol.FastHost{
@@ -571,7 +576,7 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 		e.next[p] = next
 		e.match[p] = 0
 	}
-	e.match[e.cfg.ID] = e.LastIndex()
+	e.selfAsked = 0
 	if e.cfg.Hooks.OnAccept != nil && e.log.Len() > 0 {
 		e.observeAccepted(e.log.Tail(e.log.FirstIndex()))
 	}
@@ -724,23 +729,22 @@ func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
 	for _, cmd := range cmds {
 		e.appendLocal(cmd, out)
 	}
+	if len(e.cfg.Peers) == 1 {
+		e.maybeCommit(out) // a lone replica's own vote is the quorum
+	}
 	e.broadcastAppend(out, false)
 }
 
 func (e *Engine) appendLocal(cmd protocol.Command, out *protocol.Output) {
 	ent := protocol.Entry{Index: e.LastIndex() + 1, Term: e.term, Bal: e.term, Cmd: cmd}
 	e.log.Append(ent)
-	e.match[e.cfg.ID] = e.LastIndex()
-	// Leader-local appends ride the persist-before-ack barrier too: the
-	// leader counts itself toward the commit quorum, so its copy must be
-	// durable before any follower ack can complete that quorum.
+	// The leader's copy is one acceptor's vote among n: it is persisted like
+	// a follower's and counts toward the commit quorum only once the self-ack
+	// riding a later round proves it durable (maybeCommit).
 	out.AppendedEntries = append(out.AppendedEntries, ent)
 	out.StateChanged = true
 	if h := e.cfg.Hooks.OnAccept; h != nil {
 		h(ent.Index, ent.Cmd)
-	}
-	if len(e.cfg.Peers) == 1 {
-		e.maybeCommit(out)
 	}
 }
 
@@ -934,6 +938,15 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 	if e.role != Leader || m.Term != e.term {
 		return
 	}
+	if from == e.cfg.ID {
+		// Our own vote, handed back once the round it rode was durable. The
+		// driver may have raised LastIndex to all its store holds durably
+		// (CoverDurable): a leader's log only grows within its term,
+		// so that is still a prefix of this log.
+		e.match[from] = max(e.match[from], m.LastIndex)
+		e.maybeCommit(out)
+		return
+	}
 	if m.ReadCtx > 0 {
 		// The follower processed a message we sent while still leading:
 		// that confirms every read batch at or below the echoed ctx.
@@ -1119,24 +1132,55 @@ func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgIn
 }
 
 // maybeCommit advances the leader's commit index to what the commit rule
-// allows of the quorum-replicated watermark.
+// allows of the quorum-replicated watermark, counting the leader's own copy
+// only as far as its self-ack proved durable, like a follower's. When
+// counting its whole log would commit more — n = 1, a follower down, or one
+// follower's ack in before the other's — it asks for that ack, once per
+// index: a MsgAppendResp addressed to itself, which the runtime hands back
+// once the round it rides is durable.
 func (e *Engine) maybeCommit(out *protocol.Output) {
 	if e.role != Leader {
 		return
 	}
-	matches := make([]int64, 0, len(e.cfg.Peers))
+	if c := e.rules.Commit(e, e.watermark(e.match[e.cfg.ID])); c > e.commit {
+		e.advanceCommit(c, out)
+	}
+	last := e.LastIndex()
+	if e.selfAsked >= last {
+		return
+	}
+	if c := e.rules.Commit(e, e.watermark(last)); c > e.commit && c > e.selfAsked {
+		e.selfAsked = last
+		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: e.cfg.ID,
+			Msg: &MsgAppendResp{Term: e.term, Ok: true, LastIndex: last}})
+	}
+}
+
+// watermark is the highest index a quorum of replicas match, counting the
+// leader's own copy through self — under Hooks.MustAck, a quorum of matches
+// that count. The matches are insertion-sorted into the engine's scratch
+// array (n is small), so evaluating it allocates nothing.
+func (e *Engine) watermark(self int64) int64 {
+	m := e.scratch[:0]
 	for _, p := range e.cfg.Peers {
-		matches = append(matches, e.match[p])
+		m = append(m, e.matchOf(p, self))
+		for i := len(m) - 1; i > 0 && m[i] > m[i-1]; i-- {
+			m[i], m[i-1] = m[i-1], m[i]
+		}
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	quorum := matches[e.quorum()-1]
+	e.scratch = m
 	if must := e.cfg.Hooks.MustAck; must != nil {
-		quorum = e.countedQuorum(matches[e.quorum()-1:], must)
+		return e.countedQuorum(m[e.quorum()-1:], must, self)
 	}
-	candidate := e.rules.Commit(e, quorum)
-	if candidate > e.commit {
-		e.advanceCommit(candidate, out)
+	return m[e.quorum()-1]
+}
+
+// matchOf is p's match index, with self standing in for the leader's own.
+func (e *Engine) matchOf(p protocol.NodeID, self int64) int64 {
+	if p == e.cfg.ID {
+		return self
 	}
+	return e.match[p]
 }
 
 // countedQuorum is the quorum-replicated watermark under Hooks.MustAck: the
@@ -1144,7 +1188,7 @@ func (e *Engine) maybeCommit(out *protocol.Output) {
 // match with a match that counts — one where everybody must names for that
 // replica matches the index too. Lower indexes only gain matches, so what
 // holds for the one returned holds for every entry beneath it.
-func (e *Engine) countedQuorum(candidates []int64, must func(protocol.NodeID) []protocol.NodeID) int64 {
+func (e *Engine) countedQuorum(candidates []int64, must func(protocol.NodeID) []protocol.NodeID, self int64) int64 {
 	for _, n := range candidates {
 		if n <= e.commit {
 			break
@@ -1152,11 +1196,11 @@ func (e *Engine) countedQuorum(candidates []int64, must func(protocol.NodeID) []
 		counted := 0
 	peers:
 		for _, p := range e.cfg.Peers {
-			if e.match[p] < n {
+			if e.matchOf(p, self) < n {
 				continue
 			}
 			for _, h := range must(p) {
-				if e.match[h] < n {
+				if e.matchOf(h, self) < n {
 					continue peers
 				}
 			}
@@ -1248,6 +1292,14 @@ func (e *Engine) specConflict(idx int64, id uint64) bool {
 func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 	participants := len(e.votes)
 	n := len(e.cfg.Peers)
+	// Reports are gathered in voter ID order: below the recovery threshold
+	// ChooseFast adopts the first one, and map order would make that pick —
+	// and with it the replay of a seed — vary from run to run.
+	voters := make([]protocol.NodeID, 0, len(e.fastVotes))
+	for id := range e.fastVotes {
+		voters = append(voters, id)
+	}
+	slices.Sort(voters)
 	rewriting := false
 	for slot := e.commit + 1; slot <= e.extraMax; slot++ {
 		var reports []protocol.FastReport
@@ -1255,7 +1307,8 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 		if ownHeld {
 			reports = append(reports, protocol.FastReport{Bal: e.bal(own), Cmd: own.Cmd})
 		}
-		for _, ents := range e.fastVotes {
+		for _, id := range voters {
+			ents := e.fastVotes[id]
 			for i := range ents {
 				if ents[i].Index == slot {
 					reports = append(reports, protocol.FastReport{Bal: ents[i].Bal, Cmd: ents[i].Cmd})

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"raftpaxos/internal/protocol"
+	"raftpaxos/internal/raft"
 	"raftpaxos/internal/raftstar"
 )
 
@@ -168,4 +169,40 @@ func agreementProperty(t *testing.T, v variant) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFastRecoveryReplaysInVoterOrder: with five replicas, two voters
+// that report different speculative commands for one slot leave both below
+// the recovery threshold (2 of 3 participants), so ChooseFast adopts the
+// first report — which must be the same one on every run, or a seed does
+// not replay. Reports are gathered in voter ID order: voter 1's command.
+func TestFastRecoveryReplaysInVoterOrder(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2, 3, 4}
+	a, b := protocol.Command{ID: 101, Op: protocol.OpPut, Key: "k"}, protocol.Command{ID: 102, Op: protocol.OpPut, Key: "k"}
+	eachVariant(t, func(t *testing.T, v variant) {
+		for run := 0; run < 100; run++ {
+			cfg := config(0, peers, int64(run), false)
+			cfg.FastPath = true
+			x := v.new(cfg)
+			x.Campaign()
+			for _, voter := range []struct {
+				id  protocol.NodeID
+				cmd protocol.Command
+			}{{2, b}, {1, a}} {
+				resp := raftstar.MsgVoteResp{Term: x.Term(), Granted: true,
+					Extra: []protocol.Entry{{Index: 1, Term: 1, Bal: 0, Cmd: voter.cmd}}}
+				var msg protocol.Message = &resp
+				if v.name == "raft" {
+					msg = (*raft.MsgVoteResp)(&resp)
+				}
+				x.Step(voter.id, msg)
+			}
+			if !x.IsLeader() {
+				t.Fatal("candidate not elected by three of five")
+			}
+			if ent, _ := x.EntryAt(1); ent.Cmd.ID != a.ID {
+				t.Fatalf("run %d adopted command %d at slot 1, want voter 1's %d", run, ent.Cmd.ID, a.ID)
+			}
+		}
+	})
 }

@@ -1110,11 +1110,12 @@ func (f *File) compactToLocked(base int64, term uint64) error {
 	if err := f.saveCompactionBaseLocked(base, term); err != nil {
 		return err
 	}
+	kept := f.cached[:0]
 	if last := f.base + int64(len(f.cached)); base < last {
-		f.cached = append([]protocol.Entry(nil), f.cached[base-f.base:]...)
-	} else {
-		f.cached = nil
+		kept = f.cached[:copy(f.cached, f.cached[base-f.base:])]
 	}
+	clear(f.cached[len(kept):])
+	f.cached = kept
 	f.base = base
 	f.baseTerm = term
 

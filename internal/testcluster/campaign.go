@@ -10,7 +10,7 @@
 // a live cluster.Node provides (persist-before-ack, restart from hard
 // state + log tail) is modeled here with a per-node crash disk: appended
 // entries and hard state land on the disk as rounds complete, a round
-// whose append fails releases no messages or replies (the PR 4 barrier),
+// whose append fails releases no barrier message,
 // a process kill keeps everything written, and a torn restart falls back
 // to the last synced watermark — forcing the restarted engine to recover
 // through RestoreHardState/RestoreLog exactly like the live runtime.
@@ -124,12 +124,12 @@ type campaignHS struct {
 
 // crashDisk models one node's persistent store at round granularity: the
 // written log and hard state survive a process kill; only the synced
-// prefix survives a torn (power-loss) restart. A round that releases
-// externally visible effects — barrier messages, client replies, commits
-// — forces a sync first, which is exactly the live pipeline's rule
-// ("quorum ack ⇒ durable"); append-only rounds may stay in the page
-// cache, and commit-only hard-state movement is throttled, so a torn
-// restart re-commits the last interval.
+// prefix survives a torn (power-loss) restart. A round that releases a
+// barrier message forces a sync first, which is exactly the live
+// pipeline's rule ("quorum ack ⇒ durable"); every other round — appends,
+// commits, replies — may stay in the page cache, so a torn restart can
+// drop a leader's committed tail, which its followers' durable copies
+// carry.
 type crashDisk struct {
 	log       []protocol.Entry // contiguous from index 1 (campaigns never compact)
 	hs        campaignHS
@@ -216,6 +216,9 @@ type campaign struct {
 	peers []protocol.NodeID
 
 	disks map[protocol.NodeID]*crashDisk
+	// held are self-acks withheld by a failed round, released with the
+	// node's next round that syncs.
+	held  map[protocol.NodeID][]protocol.Envelope
 	dead  map[protocol.NodeID]bool // killed, awaiting restart
 	tornP map[protocol.NodeID]bool // pending restart is a torn one
 	// Clock rates in half-ticks per step: 2 = nominal, 4 = 2× fast,
@@ -255,6 +258,7 @@ func RunCampaign(cfg CampaignConfig) CampaignResult {
 		rng:    rand.New(rand.NewSource(cfg.Seed*31 + 7)),
 		peers:  peers,
 		disks:  make(map[protocol.NodeID]*crashDisk),
+		held:   make(map[protocol.NodeID][]protocol.Envelope),
 		dead:   make(map[protocol.NodeID]bool),
 		tornP:  make(map[protocol.NodeID]bool),
 		rate:   make(map[protocol.NodeID]int),
@@ -280,16 +284,19 @@ func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
 	if d == nil {
 		return
 	}
-	// Sync decision BEFORE any mutation: does this round release
-	// externally visible effects?
-	released := len(out.Replies) > 0 || len(out.Commits) > 0 || anyBarrier(out.Msgs)
+	// Sync decision BEFORE any mutation: does this round release a
+	// promise? Commits and replies do not force a sync: every engine counts
+	// a copy toward its commit quorum only once an ack, its own included,
+	// proved it durable.
+	released := anyBarrier(out.Msgs) || len(cp.held[id]) > 0
 	okAppend := true
 	if len(out.AppendedEntries) > 0 {
 		if okAppend = d.append(out.AppendedEntries); !okAppend {
 			cp.faults["disk-write-failed"]++
 		}
 	}
-	if okAppend && !d.faulty {
+	peersOK := okAppend && !d.faulty
+	if peersOK {
 		if len(out.AppendedEntries) > 0 || out.StateChanged {
 			d.hs = engineHS(cp.c.Engines[id])
 		}
@@ -297,18 +304,28 @@ func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
 			d.syncedLen = len(d.log)
 			d.syncedHS = d.hs
 		}
+	}
+	// Persist-before-ack: a failed or wedged WAL withholds this round's
+	// barrier messages, as the live persister does. A self-ack vouches for
+	// the leader's own log, so it also waits while an earlier failed append
+	// left a hole below this round (the live persister's redo): it is held
+	// for the next round that syncs with no hole. Everything else leaves: a
+	// commit's reply is true once a quorum holds the entry durably.
+	if peersOK && d.brokenAt == 0 {
+		out.Msgs = append(out.Msgs, cp.held[id]...)
+		cp.held[id] = nil
 	} else {
-		// Persist-before-ack: the pipeline releases rounds in order, so a
-		// failed or wedged WAL withholds this round's messages, and the
-		// client replies of its commits fail (the op stays open — it may
-		// still have committed cluster-wide). Commits are still applied
-		// locally, like the live applier, and engine-level replies
-		// (rejections, lease reads) still leave: they claim nothing about
-		// stable storage.
-		out.Msgs = nil
-		for i := range out.Commits {
-			out.Commits[i].Reply = false
+		kept := out.Msgs[:0]
+		for _, env := range out.Msgs {
+			_, barrier := env.Msg.(protocol.BarrierMessage)
+			switch {
+			case !barrier || (peersOK && env.To != id):
+				kept = append(kept, env)
+			case env.To == id:
+				cp.held[id] = append(cp.held[id], env)
+			}
 		}
+		out.Msgs = kept
 	}
 	// A restarted node re-commits from its restored commit anchor; drop
 	// everything its previous incarnation already applied so the mirror
@@ -344,6 +361,7 @@ func (cp *campaign) tickClocks() {
 func (cp *campaign) kill(id protocol.NodeID, torn bool) {
 	delete(cp.c.Engines, id)
 	cp.c.parkedReads[id] = nil
+	cp.held[id] = nil
 	cp.dead[id] = true
 	cp.tornP[id] = torn
 	cp.rate[id] = 2

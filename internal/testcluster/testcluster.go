@@ -40,8 +40,8 @@ type Cluster struct {
 	// observe, when set, intercepts every engine output before Collect
 	// absorbs it, and may mutate it in place. The campaign harness
 	// implements its durability model there: recording appended entries
-	// on a per-node crash disk, withholding barrier messages and replies
-	// of rounds whose persist failed, and dropping re-commits a restarted
+	// on a per-node crash disk, withholding the barrier messages of rounds
+	// whose persist failed, and dropping re-commits a restarted
 	// node already applied in a previous incarnation.
 	observe func(id protocol.NodeID, out *protocol.Output)
 
@@ -197,10 +197,19 @@ func (c *Cluster) SubmitRead(id protocol.NodeID, cmd protocol.Command) {
 }
 
 // deliver pops the queued envelope at position i and delivers it,
-// honouring partitions, drops and duplication.
+// honouring partitions, drops and duplication. A self-addressed envelope
+// is a replica's own ack, which its runtime hands back once the round it
+// rode is durable: it never crosses the network, so no fault touches it,
+// but it waits in the queue like the persist round it stands for.
 func (c *Cluster) deliver(i int) {
 	env := c.Queue[i]
 	c.Queue = append(c.Queue[:i], c.Queue[i+1:]...)
+	if env.From == env.To {
+		if dst, ok := c.Engines[env.To]; ok {
+			c.Collect(env.To, dst.Step(env.From, env.Msg))
+		}
+		return
+	}
 	if c.cut[[2]protocol.NodeID{env.From, env.To}] {
 		return
 	}
