@@ -150,40 +150,6 @@ func maxOf(s []float64) float64 {
 	return m
 }
 
-// --- Live-runtime throughput (the batched hot path) ---
-
-func benchClusterThroughput(b *testing.B, unbatched bool) {
-	for i := 0; i < b.N; i++ {
-		dirs := make([]string, 3)
-		for k := range dirs {
-			dirs[k] = b.TempDir()
-		}
-		res, err := bench.RunLive(bench.LiveConfig{
-			Clients:         32,
-			Ops:             2000,
-			Dirs:            dirs,
-			DisableBatching: unbatched,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Throughput, "commits/s")
-		b.ReportMetric(res.SyncsPerEntry(), "fsyncs/entry")
-	}
-}
-
-// BenchmarkClusterThroughput drives 32 closed-loop clients against a
-// live 3-replica Raft* cluster (in-process transport, file-backed WALs)
-// through the batched hot path: per-iteration drains, one group-committed
-// fsync per batch, queued outbound sends, async apply.
-func BenchmarkClusterThroughput(b *testing.B) { benchClusterThroughput(b, false) }
-
-// BenchmarkClusterThroughputUnbatched is the seed-equivalent baseline:
-// one input per event-loop iteration and one fsync per committed entry.
-// Compare commits/s against BenchmarkClusterThroughput for the group
-// commit speedup and fsyncs/entry for the amortization.
-func BenchmarkClusterThroughputUnbatched(b *testing.B) { benchClusterThroughput(b, true) }
-
 // --- Ablation and micro benchmarks ---
 
 // BenchmarkAblationCostModel compares the single-leader peak with and

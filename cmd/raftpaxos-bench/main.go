@@ -37,8 +37,6 @@ func main() {
 	jsonPath := flag.String("json", "", "output path for the -live JSON result (default BENCH_<ops>.json)")
 	useTCP := flag.Bool("tcp", false, "run -live over the real TCP transport on loopback (adds framing/compression stats)")
 	reads := flag.Float64("reads", 0, "fraction of -live ops issued as ReadIndex reads (0..1)")
-	syncPersist := flag.Bool("sync-persist", false, "run -live with the synchronous accept-time fsync (pre-pipeline baseline)")
-	persistWindow := flag.Int("persist-window", 0, "staged-persistence in-flight window for -live (0 = cluster default)")
 	groups := flag.Int("groups", 1, "consensus groups per replica for -live (keys shard across groups by hash)")
 	fastPath := flag.Bool("fast-path", false, "run -live with one-RTT fast-path writes submitted at a follower")
 	fastWAN := flag.Bool("fast-wan", false, "run the WAN fast-vs-classic latency comparison and emit JSON")
@@ -51,7 +49,7 @@ func main() {
 		return
 	}
 	if *live {
-		if err := runLive(*ops, *snapInterval, *segmentBytes, *clients, *groups, *jsonPath, *useTCP, *reads, *syncPersist, *persistWindow, *fastPath); err != nil {
+		if err := runLive(*ops, *snapInterval, *segmentBytes, *clients, *groups, *jsonPath, *useTCP, *reads, *fastPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -98,7 +96,7 @@ func runFastWAN(seed int64, jsonPath string) error {
 
 // runLive drives the sustained-load trial on temp storage and writes the
 // result JSON (commits/s, fsyncs/entry, restart-ms, wal-bytes, …).
-func runLive(ops, snapInterval int, segmentBytes int64, clients, groups int, jsonPath string, useTCP bool, readRatio float64, syncPersist bool, persistWindow int, fastPath bool) error {
+func runLive(ops, snapInterval int, segmentBytes int64, clients, groups int, jsonPath string, useTCP bool, readRatio float64, fastPath bool) error {
 	dirs := make([]string, 3)
 	for i := range dirs {
 		d, err := os.MkdirTemp("", fmt.Sprintf("raftpaxos-bench-%d-", i))
@@ -117,8 +115,6 @@ func runLive(ops, snapInterval int, segmentBytes int64, clients, groups int, jso
 		Dirs:             dirs,
 		UseTCP:           useTCP,
 		ReadRatio:        readRatio,
-		SyncPersist:      syncPersist,
-		PersistWindow:    persistWindow,
 		FastPath:         fastPath,
 	})
 	if err != nil {

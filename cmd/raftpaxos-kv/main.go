@@ -78,10 +78,8 @@ func main() {
 	demo := flag.Bool("demo", false, "run a self-contained 3-node TCP cluster and a demo workload")
 	dataDir := flag.String("data", "", "data directory for the WALs (empty = volatile); each group persists under node-<id>/group-<g>/")
 	snapEvery := flag.Int("snapshot-interval", 0, "snapshot+compact every N applied entries (0 = never; needs -data)")
-	syncPersist := flag.Bool("sync-persist", false, "persist synchronously on the event loop (pre-pipeline behavior)")
-	persistWindow := flag.Int("persist-window", 0, "staged-persistence in-flight window (0 = cluster default)")
 	flag.Parse()
-	if err := run(*id, *peersFlag, *proto, *groups, *demo, *dataDir, *snapEvery, *syncPersist, *persistWindow); err != nil {
+	if err := run(*id, *peersFlag, *proto, *groups, *demo, *dataDir, *snapEvery); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -112,19 +110,14 @@ func protosLabel(protos []raftpaxos.Proto) string {
 
 // startHost assembles and starts one replica: a multi-group host (group g
 // runs protos[g % len(protos)]) multiplexed over a single TCP transport.
-// With dataDir set, group g persists under dataDir/node-<id>/group-<g>/;
-// a pre-multi-group node-<id> directory is migrated into group-0/
-// automatically.
+// With dataDir set, group g persists under dataDir/node-<id>/group-<g>/.
 func startHost(protos []raftpaxos.Proto, id protocol.NodeID, peers []protocol.NodeID,
-	addrs map[protocol.NodeID]string, groups int, dataDir string, snapEvery int,
-	syncPersist bool, persistWindow int) (*cluster.Host, *transport.TCP, error) {
+	addrs map[protocol.NodeID]string, groups int, dataDir string, snapEvery int) (*cluster.Host, *transport.TCP, error) {
 	lazy := &lazyTransport{}
 	hcfg := cluster.HostConfig{
 		Groups:           groups,
 		Transport:        lazy,
 		SnapshotInterval: snapEvery,
-		SyncPersist:      syncPersist,
-		PersistWindow:    persistWindow,
 		NewEngine: func(g int) protocol.Engine {
 			p := protos[g%len(protos)]
 			return raftpaxos.NewEngine(raftpaxos.ClusterConfig{Protocol: p, Nodes: len(peers)}, id, peers)
@@ -147,8 +140,7 @@ func startHost(protos []raftpaxos.Proto, id protocol.NodeID, peers []protocol.No
 	return h, tcp, nil
 }
 
-func run(id int, peersFlag, protoName string, groups int, demo bool, dataDir string, snapEvery int,
-	syncPersist bool, persistWindow int) error {
+func run(id int, peersFlag, protoName string, groups int, demo bool, dataDir string, snapEvery int) error {
 	cluster.RegisterMessages()
 	protos, err := parseProtos(protoName)
 	if err != nil {
@@ -174,7 +166,7 @@ func run(id int, peersFlag, protoName string, groups int, demo bool, dataDir str
 	if id < 0 || id >= len(peers) {
 		return fmt.Errorf("-id %d out of range for %d peers", id, len(peers))
 	}
-	host, tcp, err := startHost(protos, protocol.NodeID(id), peers, addrs, groups, dataDir, snapEvery, syncPersist, persistWindow)
+	host, tcp, err := startHost(protos, protocol.NodeID(id), peers, addrs, groups, dataDir, snapEvery)
 	if err != nil {
 		return err
 	}
@@ -213,7 +205,7 @@ func runDemo(protos []raftpaxos.Proto, groups int) error {
 	}
 	// Second pass: start for real with the final address map.
 	for _, id := range peers {
-		h, tcp, err := startHost(protos, id, peers, addrs, groups, "", 0, false, 0)
+		h, tcp, err := startHost(protos, id, peers, addrs, groups, "", 0)
 		if err != nil {
 			return err
 		}

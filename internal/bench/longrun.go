@@ -17,11 +17,11 @@ import (
 	"raftpaxos/internal/transport"
 )
 
-// LongRunConfig configures a sustained-load trial whose point is what the
-// hot-path trial cannot show: that with snapshots + segmented-WAL
-// compaction enabled, disk usage and engine memory stay bounded, the last
-// window of commits is as fast as the first (no degradation with history),
-// and a restart replays only the tail above the snapshot.
+// LongRunConfig configures a sustained-load trial against the live
+// runtime. Its point is that with snapshots + segmented-WAL compaction
+// enabled, disk usage and engine memory stay bounded, the last window of
+// commits is as fast as the first (no degradation with history), and a
+// restart replays only the tail above the snapshot.
 type LongRunConfig struct {
 	// Replicas is the cluster size (default 3).
 	Replicas int
@@ -70,13 +70,6 @@ type LongRunConfig struct {
 	// entering away from the leader, so a leader-routed run would never
 	// exercise it.
 	FastPath bool
-	// SyncPersist reverts the nodes to the synchronous accept-time fsync
-	// (the pre-pipeline behavior): each persistence round completes
-	// before the event loop continues. The before/after comparison knob.
-	SyncPersist bool
-	// PersistWindow overrides the nodes' staged-persistence in-flight
-	// window (0 = the cluster default).
-	PersistWindow int
 }
 
 func (c *LongRunConfig) withDefaults() LongRunConfig {
@@ -212,7 +205,7 @@ type LongRunResult struct {
 	AllocBytesPerOp float64 `json:"alloc_bytes_per_op"`
 	// Persistence-pipeline counters, summed over all replicas (see
 	// cluster.Node.PersistStats). SyncNSTotal is wall time inside
-	// sync/save calls — off the event loop unless SyncPersist;
+	// sync/save calls — off the event loop;
 	// SyncBatches counts group-committed flushes (rounds-per-batch is the
 	// pipeline's coalescing win); LoopStallNS is event-loop time blocked
 	// on a full staging window (non-zero means the disk, not the loop, is
@@ -279,8 +272,6 @@ func RunLongRun(raw LongRunConfig) (*LongRunResult, error) {
 			},
 			TickInterval:     cfg.TickInterval,
 			SnapshotInterval: cfg.SnapshotInterval,
-			SyncPersist:      cfg.SyncPersist,
-			PersistWindow:    cfg.PersistWindow,
 			NewEngine: func(g int) protocol.Engine {
 				return raftstar.New(raftstar.Config{
 					ID: peers[i], Peers: peers, ElectionTicks: 20, HeartbeatTicks: 2,

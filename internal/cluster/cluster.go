@@ -4,7 +4,7 @@
 // store, and offers a blocking client API (Put/Get).
 //
 // The hot path is batched and pipelined end to end. Each event-loop
-// iteration drains the submit and inbox channels (bounded by MaxBatch)
+// iteration drains the submit and inbox channels (bounded by maxBatch)
 // and feeds the engine a whole batch of writes at once — engines whose
 // wire protocols carry multi-entry accepts/appends turn that into one
 // broadcast via protocol.BatchSubmitter. Persistence is accept-time and
@@ -107,36 +107,26 @@ type Config struct {
 	// or deterministic per-node clocks; closing the channel stops ticking
 	// (the node keeps processing messages).
 	Ticks <-chan time.Time
-	// MaxBatch bounds how many queued inputs (submissions + messages) one
-	// event-loop iteration drains into a single engine batch and a single
-	// persistence round (default 256).
-	MaxBatch int
-	// SnapshotInterval, when > 0 and Stable implements
-	// storage.SnapshotStore, makes the applier snapshot the state machine
-	// every SnapshotInterval applied entries, persist the image off the
-	// consensus loop's critical path, compact the WAL below it, and ask
-	// the event loop to drop the engine's in-memory prefix. 0 disables
-	// snapshotting (the seed behavior: unbounded log and WAL).
+	// SnapshotInterval, when > 0 and Stable is set, makes the applier
+	// snapshot the state machine every SnapshotInterval applied entries,
+	// persist the image off the consensus loop's critical path, compact
+	// the WAL below it, and ask the event loop to drop the engine's
+	// in-memory prefix. 0 disables snapshotting (unbounded log and WAL).
 	SnapshotInterval int
-	// DisableBatching reverts the event loop to the unbatched behavior:
-	// one input per iteration, one storage.Append (and fsync) per
-	// accepted entry, each round completing before the loop continues
-	// (implies SyncPersist). Kept as the baseline for throughput
-	// comparisons.
-	DisableBatching bool
-	// PersistWindow bounds how many staged persistence rounds may sit in
-	// the pipeline between the event loop and the persister goroutine
-	// (default 64). The loop stages rounds without waiting while the
-	// window has room and blocks (counted in PersistStats loop-stall
-	// time) when the disk falls behind — natural backpressure instead of
-	// unbounded queueing.
-	PersistWindow int
-	// SyncPersist makes the event loop wait for each staged round to
-	// complete before continuing — the synchronous accept-time-fsync
-	// behavior of earlier revisions, kept as the baseline for pipeline
-	// comparisons.
-	SyncPersist bool
 }
+
+const (
+	// maxBatch bounds how many queued inputs (submissions + messages) one
+	// event-loop iteration drains into a single engine batch and a single
+	// persistence round.
+	maxBatch = 256
+	// persistWindow bounds how many staged persistence rounds may sit in
+	// the pipeline between the event loop and the persister goroutine. The
+	// loop stages rounds without waiting while the window has room and
+	// blocks (counted in PersistStats loop-stall time) when the disk falls
+	// behind — backpressure instead of unbounded queueing.
+	persistWindow = 64
+)
 
 // Response completes a client call.
 type Response struct {
@@ -319,25 +309,17 @@ func New(cfg Config) *Node {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 10 * time.Millisecond
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.PersistWindow <= 0 {
-		cfg.PersistWindow = 64
-	}
 	// Wire the snapshot provider before the engine processes any input:
 	// a leader whose compaction stranded a peer ships the newest durable
 	// image over the wire instead of probing forever.
-	if ss, ok := cfg.Stable.(storage.SnapshotStore); ok {
-		if sender, ok := cfg.Engine.(protocol.SnapshotSender); ok {
-			sender.SetSnapshotProvider(protocol.SnapshotProviderFunc(func() (protocol.SnapshotImage, bool) {
-				snap, ok, err := ss.LatestSnapshot()
-				if err != nil || !ok {
-					return protocol.SnapshotImage{}, false
-				}
-				return protocol.SnapshotImage{Index: snap.Index, Term: snap.Term, Data: snap.State}, true
-			}))
-		}
+	if sender, ok := cfg.Engine.(protocol.SnapshotSender); ok && cfg.Stable != nil {
+		sender.SetSnapshotProvider(protocol.SnapshotProviderFunc(func() (protocol.SnapshotImage, bool) {
+			snap, ok, err := cfg.Stable.LatestSnapshot()
+			if err != nil || !ok {
+				return protocol.SnapshotImage{}, false
+			}
+			return protocol.SnapshotImage{Index: snap.Index, Term: snap.Term, Data: snap.State}, true
+		}))
 	}
 	n := &Node{
 		cfg:         cfg,
@@ -349,7 +331,7 @@ func New(cfg Config) *Node {
 		submits:     make(chan submitReq, 1024),
 		applyCh:     make(chan applyBatch, 256),
 		truncCh:     make(chan int64, 1),
-		stageCh:     make(chan persistJob, cfg.PersistWindow),
+		stageCh:     make(chan persistJob, persistWindow),
 		selfCh:      make(chan struct{}, 1),
 		waiters:     make(map[uint64]chan Response),
 		stop:        make(chan struct{}),
@@ -505,7 +487,7 @@ func (n *Node) run() {
 				out.Merge(n.cfg.Engine.Step(n.id, m))
 			}
 		case req := <-n.submits:
-			n.stepSubmit(req, &out, &writes, &reads)
+			n.stepSubmit(req, &writes, &reads)
 		case through := <-n.truncCh:
 			// The applier persisted a snapshot at `through` and compacted
 			// the WAL; drop the engine's in-memory prefix on the loop that
@@ -514,9 +496,7 @@ func (n *Node) run() {
 				tp.TruncatePrefix(through)
 			}
 		}
-		if !n.cfg.DisableBatching {
-			n.drain(&out, &writes, &reads)
-		}
+		n.drain(&out, &writes, &reads)
 		out.Merge(protocol.SubmitAll(n.cfg.Engine, writes))
 		// Reads after writes: the batch's reads share one read index and
 		// one confirmation round (ReadIndex engines), or hit the lease
@@ -612,11 +592,7 @@ func (n *Node) restoreHardState() error {
 // directory was compacted but nothing decodable covers the compacted
 // prefix, so any restore would be partial.
 func (n *Node) restoreSnapshot() (snapIdx, base int64, restorable bool) {
-	ss, ok := n.cfg.Stable.(storage.SnapshotStore)
-	if !ok {
-		return 0, 0, true
-	}
-	base, baseTerm, err := ss.CompactionBase()
+	base, baseTerm, err := n.cfg.Stable.CompactionBase()
 	if err != nil {
 		return 0, 0, false
 	}
@@ -626,7 +602,7 @@ func (n *Node) restoreSnapshot() (snapIdx, base int64, restorable bool) {
 		// index 1; that only reconstructs history on an uncompacted store.
 		return 0, 0, base == 0
 	}
-	snap, ok, err := ss.LatestSnapshot()
+	snap, ok, err := n.cfg.Stable.LatestSnapshot()
 	if err != nil || !ok {
 		return 0, 0, base == 0
 	}
@@ -647,15 +623,7 @@ func (n *Node) restoreSnapshot() (snapIdx, base int64, restorable bool) {
 // stepSubmit collects writes and reads for one batched submission each at
 // the end of the drain (a read never extends the proposal batch; batched
 // reads share one ReadIndex confirmation round).
-func (n *Node) stepSubmit(req submitReq, out *protocol.Output, writes, reads *[]protocol.Command) {
-	if n.cfg.DisableBatching {
-		if req.read {
-			out.Merge(n.cfg.Engine.SubmitRead(req.cmd))
-		} else {
-			out.Merge(n.cfg.Engine.Submit(req.cmd))
-		}
-		return
-	}
+func (n *Node) stepSubmit(req submitReq, writes, reads *[]protocol.Command) {
 	if req.read {
 		*reads = append(*reads, req.cmd)
 		return
@@ -663,16 +631,16 @@ func (n *Node) stepSubmit(req submitReq, out *protocol.Output, writes, reads *[]
 	*writes = append(*writes, req.cmd)
 }
 
-// drain pulls whatever else is already queued — bounded by MaxBatch — into
+// drain pulls whatever else is already queued — bounded by maxBatch — into
 // the same iteration, so one persistence round and one broadcast cover
 // the whole burst. Inbox order is preserved (per-pair FIFO depends on it).
 func (n *Node) drain(out *protocol.Output, writes, reads *[]protocol.Command) {
-	for budget := n.cfg.MaxBatch; budget > 0; budget-- {
+	for budget := maxBatch; budget > 0; budget-- {
 		select {
 		case in := <-n.inbox:
 			out.Merge(n.cfg.Engine.Step(in.from, in.msg))
 		case req := <-n.submits:
-			n.stepSubmit(req, out, writes, reads)
+			n.stepSubmit(req, writes, reads)
 		default:
 			return
 		}
@@ -843,8 +811,11 @@ func (n *Node) hardState() storage.HardState {
 // the consensus loop's critical path.
 func (n *Node) applier() {
 	defer close(n.applyDone)
+	// Snapshots are only safe when the engine can restart from a boundary;
+	// otherwise recovery would need the compacted prefix.
+	_, restorer := n.cfg.Engine.(protocol.SnapshotRestorer)
+	snapshots := n.cfg.SnapshotInterval > 0 && n.cfg.Stable != nil && restorer
 	var (
-		snapStore storage.SnapshotStore
 		sinceSnap int
 		lastApply protocol.Entry
 		// parked holds confirmed ReadIndex states whose read index is
@@ -860,15 +831,6 @@ func (n *Node) applier() {
 		snap    *storage.Snapshot
 		snapSeq int64
 	)
-	if n.cfg.SnapshotInterval > 0 {
-		if ss, ok := n.cfg.Stable.(storage.SnapshotStore); ok {
-			// Snapshots are only safe when the engine can restart from a
-			// boundary; otherwise recovery would need the compacted prefix.
-			if _, ok := n.cfg.Engine.(protocol.SnapshotRestorer); ok {
-				snapStore = ss
-			}
-		}
-	}
 	for b := range n.applyCh {
 		if b.install != nil {
 			// A snapshot arrived over the wire: rebuild the state machine
@@ -921,7 +883,7 @@ func (n *Node) applier() {
 		// entry it reflects — a restart must never anchor the engine below
 		// a state machine that is ahead of it, nor compact entries that
 		// reached no disk here.
-		if snapStore != nil && snap == nil && sinceSnap >= n.cfg.SnapshotInterval {
+		if snapshots && snap == nil && sinceSnap >= n.cfg.SnapshotInterval {
 			sinceSnap = 0
 			if state, err := n.store.Snapshot(); err != nil {
 				n.noteSnapshotFailure("serialize", err)
@@ -931,7 +893,7 @@ func (n *Node) applier() {
 			}
 		}
 		if snap != nil && snapSeq <= n.durableSeq.Load() {
-			n.saveAndCompact(snapStore, *snap)
+			n.saveAndCompact(*snap)
 			snap = nil
 		}
 	}
@@ -947,8 +909,8 @@ func (n *Node) applier() {
 // interval — but never silently: consecutive failures are counted,
 // surfaced through SnapshotFailures, and logged once per wedged/recovered
 // transition.
-func (n *Node) saveAndCompact(ss storage.SnapshotStore, snap storage.Snapshot) {
-	if err := ss.SaveSnapshot(snap); err != nil {
+func (n *Node) saveAndCompact(snap storage.Snapshot) {
+	if err := n.cfg.Stable.SaveSnapshot(snap); err != nil {
 		n.noteSnapshotFailure("save", err)
 		return
 	}
@@ -957,7 +919,7 @@ func (n *Node) saveAndCompact(ss storage.SnapshotStore, snap storage.Snapshot) {
 		n.noteSnapshotSuccess()
 		return
 	}
-	if err := ss.Compact(through); err != nil {
+	if err := n.cfg.Stable.Compact(through); err != nil {
 		n.noteSnapshotFailure("compact", err)
 		return
 	}

@@ -311,10 +311,8 @@ func testConflictingSuffixCrash(t *testing.T,
 	// DID reach disk (reachable live whenever any committing iteration
 	// follows the appends) — then crash without Close, so only fsynced
 	// bytes survive into the reopened directories.
-	if ds, ok := stores[0].(storage.DeferredSync); ok {
-		if err := ds.Sync(); err != nil {
-			t.Fatal(err)
-		}
+	if err := stores[0].Sync(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Restart with node 1 campaigning instead: its shorter committed log
@@ -391,8 +389,9 @@ func TestConflictingSuffixCrashRaftStar(t *testing.T) {
 	})
 }
 
-// flakyStore injects append failures: while failing is set, every Append
-// errors (the WAL write path is down); reads and hard state still work.
+// flakyStore injects append failures: while failing is set, every
+// AppendBuffered — the persister's write — errors (the WAL write path is
+// down); reads and hard state still work.
 type flakyStore struct {
 	storage.Store
 	failing atomic.Bool
@@ -401,12 +400,12 @@ type flakyStore struct {
 
 var errDiskDown = fmt.Errorf("flaky: disk down")
 
-func (f *flakyStore) Append(entries []protocol.Entry) error {
+func (f *flakyStore) AppendBuffered(entries []protocol.Entry) error {
 	if f.failing.Load() {
 		f.fails.Add(1)
 		return errDiskDown
 	}
-	return f.Store.Append(entries)
+	return f.Store.AppendBuffered(entries)
 }
 
 // TestPersistFailureRetriesAndWithholdsAcks pins the failed-append redo

@@ -22,10 +22,9 @@ func (m *ackMsg) CoverDurable(last int64) { m.covered = max(m.covered, last) }
 
 var errAppendDown = errors.New("append down")
 
-// drainStore is Mem whose append fails while it would write index failAt,
-// and which tracks the synced watermark: everything a successful Append
-// wrote (plain variant) or everything buffered before a Sync (deferred
-// variant, bufferedDrainStore).
+// drainStore is Mem whose buffered append fails while it would write index
+// failAt, and which tracks the synced watermark: everything buffered before
+// a sync.
 type drainStore struct {
 	*storage.Mem
 	mu     sync.Mutex
@@ -33,7 +32,7 @@ type drainStore struct {
 	synced int64
 }
 
-func (s *drainStore) write(ents []protocol.Entry) error {
+func (s *drainStore) AppendBuffered(ents []protocol.Entry) error {
 	s.mu.Lock()
 	failAt := s.failAt
 	s.mu.Unlock()
@@ -42,22 +41,22 @@ func (s *drainStore) write(ents []protocol.Entry) error {
 			return errAppendDown
 		}
 	}
-	return s.Mem.Append(ents)
+	return s.Mem.AppendBuffered(ents)
 }
 
-func (s *drainStore) sync() {
+func (s *drainStore) Sync() error {
 	last, _ := s.Mem.LastIndex()
 	s.mu.Lock()
 	s.synced = last
 	s.mu.Unlock()
+	return nil
 }
 
-func (s *drainStore) Append(ents []protocol.Entry) error {
-	if err := s.write(ents); err != nil {
+func (s *drainStore) SyncBatch(hs storage.HardState, save bool) error {
+	if err := s.Sync(); err != nil {
 		return err
 	}
-	s.sync()
-	return nil
+	return s.Mem.SyncBatch(hs, save)
 }
 
 func (s *drainStore) setFailAt(i int64) {
@@ -72,12 +71,6 @@ func (s *drainStore) durable() int64 {
 	return s.synced
 }
 
-type bufferedDrainStore struct{ *drainStore }
-
-func (s bufferedDrainStore) AppendBuffered(ents []protocol.Entry) error { return s.write(ents) }
-
-func (s bufferedDrainStore) Sync() error { s.sync(); return nil }
-
 // TestHeldSelfAckWaitsForItsOwnDurablePoint drives processRounds by hand
 // through drains whose later round fails its append. A self-ack held by a
 // failed round must not ride the durable point of the rounds before it —
@@ -88,63 +81,55 @@ func (s bufferedDrainStore) Sync() error { s.sync(); return nil }
 // exactly the store's synced watermark (prefixAck): no more, and
 // no less than it.
 func TestHeldSelfAckWaitsForItsOwnDurablePoint(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		store func(*drainStore) storage.Store
-	}{
-		{"plain", func(s *drainStore) storage.Store { return s }},
-		{"deferred", func(s *drainStore) storage.Store { return bufferedDrainStore{s} }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st := &drainStore{Mem: storage.NewMem()}
-			n := &Node{cfg: Config{Stable: tc.store(st)}, selfCh: make(chan struct{}, 1)}
-			var seq int64
-			round := func(index int64) persistJob {
-				seq++
-				job := persistJob{seq: seq}
-				if index > 0 {
-					job.entries = []protocol.Entry{{Index: index, Term: 1}}
-					job.msgs = []protocol.Envelope{{From: n.id, To: n.id, Msg: &ackMsg{asked: index, covered: index}}}
-				}
-				return job
+	t.Run("deferred", func(t *testing.T) {
+		st := &drainStore{Mem: storage.NewMem()}
+		n := &Node{cfg: Config{Stable: st}, selfCh: make(chan struct{}, 1)}
+		var seq int64
+		round := func(index int64) persistJob {
+			seq++
+			job := persistJob{seq: seq}
+			if index > 0 {
+				job.entries = []protocol.Entry{{Index: index, Term: 1}}
+				job.msgs = []protocol.Envelope{{From: n.id, To: n.id, Msg: &ackMsg{asked: index, covered: index}}}
 			}
-			var got []int64
-			drain := func(jobs []persistJob, wantBack []int64, wantDurableSeq int64) {
-				t.Helper()
-				n.processRounds(jobs)
-				n.selfMu.Lock()
-				back := n.selfMsgs
-				n.selfMsgs = nil
-				n.selfMu.Unlock()
-				var idx []int64
-				for _, m := range back {
-					a := m.(*ackMsg)
-					if a.asked > st.durable() || a.covered != st.durable() {
-						t.Fatalf("self-ack for %d handed back claiming %d with the WAL durable through %d",
-							a.asked, a.covered, st.durable())
-					}
-					idx = append(idx, a.asked)
+			return job
+		}
+		var got []int64
+		drain := func(jobs []persistJob, wantBack []int64, wantDurableSeq int64) {
+			t.Helper()
+			n.processRounds(jobs)
+			n.selfMu.Lock()
+			back := n.selfMsgs
+			n.selfMsgs = nil
+			n.selfMu.Unlock()
+			var idx []int64
+			for _, m := range back {
+				a := m.(*ackMsg)
+				if a.asked > st.durable() || a.covered != st.durable() {
+					t.Fatalf("self-ack for %d handed back claiming %d with the WAL durable through %d",
+						a.asked, a.covered, st.durable())
 				}
-				if fmt.Sprint(idx) != fmt.Sprint(wantBack) {
-					t.Fatalf("handed back self-acks %v, want %v", idx, wantBack)
-				}
-				got = append(got, idx...)
-				if d := n.durableSeq.Load(); d != wantDurableSeq {
-					t.Fatalf("durable round %d, want %d", d, wantDurableSeq)
-				}
+				idx = append(idx, a.asked)
 			}
+			if fmt.Sprint(idx) != fmt.Sprint(wantBack) {
+				t.Fatalf("handed back self-acks %v, want %v", idx, wantBack)
+			}
+			got = append(got, idx...)
+			if d := n.durableSeq.Load(); d != wantDurableSeq {
+				t.Fatalf("durable round %d, want %d", d, wantDurableSeq)
+			}
+		}
 
-			st.setFailAt(2)
-			drain([]persistJob{round(1), round(2)}, []int64{1}, 1)
-			drain([]persistJob{round(0)}, nil, 1) // the redo fails again
-			st.setFailAt(4)
-			drain([]persistJob{round(3), round(4)}, []int64{3, 2}, 4)
-			st.setFailAt(0)
-			drain([]persistJob{round(0)}, []int64{4}, 6)
+		st.setFailAt(2)
+		drain([]persistJob{round(1), round(2)}, []int64{1}, 1)
+		drain([]persistJob{round(0)}, nil, 1) // the redo fails again
+		st.setFailAt(4)
+		drain([]persistJob{round(3), round(4)}, []int64{3, 2}, 4)
+		st.setFailAt(0)
+		drain([]persistJob{round(0)}, []int64{4}, 6)
 
-			if fmt.Sprint(got) != "[1 3 2 4]" || len(n.heldSelf) != 0 || len(n.redo) != 0 {
-				t.Fatalf("self-acks %v, held %d, redo %d: want every ack once and nothing left", got, len(n.heldSelf), len(n.redo))
-			}
-		})
-	}
+		if fmt.Sprint(got) != "[1 3 2 4]" || len(n.heldSelf) != 0 || len(n.redo) != 0 {
+			t.Fatalf("self-acks %v, held %d, redo %d: want every ack once and nothing left", got, len(n.heldSelf), len(n.redo))
+		}
+	})
 }

@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,11 +35,8 @@ type HostConfig struct {
 	// host's HandleMessage as the inbound GroupHandler.
 	Transport transport.GroupTransport
 	// DataDir, when non-empty, roots per-group durable storage: group g
-	// persists under DataDir/group-<g>/ with its own segmented WAL and
-	// snapshots. A pre-multi-group directory (WAL segments, snapshots,
-	// hard state at the top level) is migrated into group-0/ on open — a
-	// single-group deployment upgrades in place with no data loss. Empty
-	// means volatile groups (unless OpenStore is set).
+	// persists under GroupDir(DataDir, g) with its own segmented WAL and
+	// snapshots. Empty means volatile groups (unless OpenStore is set).
 	DataDir string
 	// StorageOptions applies to every group's file store.
 	StorageOptions storage.Options
@@ -53,11 +48,7 @@ type HostConfig struct {
 
 	// The remaining knobs mirror Config and apply to every group.
 	TickInterval     time.Duration
-	MaxBatch         int
 	SnapshotInterval int
-	DisableBatching  bool
-	PersistWindow    int
-	SyncPersist      bool
 }
 
 // Host runs one replica of each of N consensus groups in a single
@@ -104,11 +95,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		groups: make([]*Node, cfg.Groups),
 		stores: make([]storage.Store, cfg.Groups),
 	}
-	if cfg.OpenStore == nil && cfg.DataDir != "" {
-		if err := MigrateSingleGroupDir(cfg.DataDir); err != nil {
-			return nil, err
-		}
-	}
 	for g := 0; g < cfg.Groups; g++ {
 		var (
 			st  storage.Store
@@ -136,11 +122,7 @@ func NewHost(cfg HostConfig) (*Host, error) {
 			Stable:           st,
 			Group:            uint64(g),
 			TickInterval:     cfg.TickInterval,
-			MaxBatch:         cfg.MaxBatch,
 			SnapshotInterval: cfg.SnapshotInterval,
-			DisableBatching:  cfg.DisableBatching,
-			PersistWindow:    cfg.PersistWindow,
-			SyncPersist:      cfg.SyncPersist,
 		})
 	}
 	h.id = h.groups[0].ID()
@@ -281,62 +263,4 @@ func (h *Host) PutAll(ctx context.Context, kvs []KV) error {
 // data directory.
 func GroupDir(dataDir string, group uint64) string {
 	return filepath.Join(dataDir, fmt.Sprintf("group-%d", group))
-}
-
-// MigrateSingleGroupDir upgrades a pre-multi-group data directory in
-// place: storage files written by a single-group deployment at the top
-// level (segmented WAL, snapshots, hard state, compaction watermark) move
-// into group-0/, where the host's group 0 — which owns the whole key space
-// under any group count of 1 — reopens them. Idempotent: a directory
-// already in group layout (or empty) is untouched, and a partially moved
-// directory finishes moving.
-// No data is deleted, only renamed within the same directory tree.
-func MigrateSingleGroupDir(dataDir string) error {
-	entries, err := os.ReadDir(dataDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // fresh deployment: OpenFileWith creates the tree
-		}
-		return fmt.Errorf("cluster: migrate %s: %w", dataDir, err)
-	}
-	var legacy []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		switch {
-		case name == "hardstate", name == "compact",
-			strings.HasPrefix(name, "wal-"), strings.HasPrefix(name, "snapshot-"):
-			legacy = append(legacy, name)
-		}
-	}
-	if len(legacy) == 0 {
-		return nil
-	}
-	dst := GroupDir(dataDir, 0)
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return fmt.Errorf("cluster: migrate %s: %w", dataDir, err)
-	}
-	for _, name := range legacy {
-		if err := os.Rename(filepath.Join(dataDir, name), filepath.Join(dst, name)); err != nil {
-			return fmt.Errorf("cluster: migrate %s into group-0: %w", name, err)
-		}
-	}
-	// Make the renames durable before any group store opens: fsync the
-	// destination then the parent, the same create-then-parent order the
-	// storage layer uses.
-	for _, dir := range []string{dst, dataDir} {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		syncErr := d.Sync()
-		d.Close()
-		if syncErr != nil {
-			return fmt.Errorf("cluster: migrate %s: fsync %s: %w", dataDir, dir, syncErr)
-		}
-	}
-	log.Printf("cluster: migrated single-group data dir %s into %s (%d files)", dataDir, dst, len(legacy))
-	return nil
 }

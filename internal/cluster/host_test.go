@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,106 +215,6 @@ func TestHostUnknownGroupDropped(t *testing.T) {
 	defer cancel()
 	if err := hosts[0].Put(ctx, "still-alive", []byte("v")); err != nil {
 		t.Fatalf("put after stray records: %v", err)
-	}
-}
-
-// TestMigrateSingleGroupDir upgrades a data directory written by the
-// single-group runtime into the per-group layout: the old top-level
-// storage files move into group-0/, the reopened host serves every old
-// key, and re-running the migration is a no-op.
-func TestMigrateSingleGroupDir(t *testing.T) {
-	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-
-	// Phase 1: a pre-multi-group cluster writes at the top level of each
-	// data dir, exactly like the runtime before group subdirectories.
-	stores := make([]storage.Store, 3)
-	for i, d := range dirs {
-		fs, err := storage.OpenFile(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = fs
-	}
-	nodes, stopNodes := newLiveCluster(t, 3, stores)
-	waitLeader(t, nodes)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i := 0; i < 8; i++ {
-		if err := nodes[0].Put(ctx, fmt.Sprintf("old-%d", i), []byte("v1")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stopNodes()
-	for _, st := range stores {
-		st.Close()
-	}
-	if _, err := os.Stat(filepath.Join(dirs[0], "hardstate")); err != nil {
-		t.Fatalf("expected top-level hardstate in legacy layout: %v", err)
-	}
-
-	// Phase 2: reopen the same directories through hosts running TWO
-	// groups. Migration moves the legacy files into group-0/, which owns
-	// the whole legacy key space; group 1 starts empty.
-	peers := []protocol.NodeID{0, 1, 2}
-	net := transport.NewChanNetwork()
-	hosts := make([]*cluster.Host, 3)
-	for i := range peers {
-		i := i
-		h, err := cluster.NewHost(cluster.HostConfig{
-			Groups:       2,
-			Transport:    net,
-			DataDir:      dirs[i],
-			TickInterval: 2 * time.Millisecond,
-			NewEngine: func(g int) protocol.Engine {
-				return raftstarEngine(i, g, peers)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[i] = h
-		net.ListenGroups(peers[i], h.HandleMessage)
-	}
-	for _, h := range hosts {
-		h.Start()
-	}
-	defer func() {
-		for _, h := range hosts {
-			h.Stop()
-		}
-		net.Close()
-	}()
-
-	// Layout: legacy files are gone from the top level, present in group-0/.
-	entries, err := os.ReadDir(dirs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			t.Fatalf("legacy file %s left at top level after migration", e.Name())
-		}
-	}
-	if _, err := os.Stat(filepath.Join(cluster.GroupDir(dirs[0], 0), "hardstate")); err != nil {
-		t.Fatalf("migrated hardstate missing from group-0/: %v", err)
-	}
-
-	// Every pre-migration write is served by group 0 after recovery.
-	waitGroupLeader(t, hosts, 0)
-	for i := 0; i < 8; i++ {
-		key := fmt.Sprintf("old-%d", i)
-		got, err := hosts[i%3].Group(0).Get(ctx, key)
-		if err != nil {
-			t.Fatalf("get %s after migration: %v", key, err)
-		}
-		if string(got) != "v1" {
-			t.Fatalf("get %s = %q, want v1", key, got)
-		}
-	}
-
-	// Idempotent: a directory already in group layout migrates to itself.
-	if err := cluster.MigrateSingleGroupDir(dirs[1]); err != nil {
-		t.Fatalf("re-migration of group layout: %v", err)
 	}
 }
 

@@ -2,7 +2,7 @@
 // stage/complete split around Node.finish.
 //
 // The event loop stages one persistJob per load-bearing iteration
-// (stageCh, capacity = Config.PersistWindow) and keeps stepping the
+// (stageCh, capacity = persistWindow) and keeps stepping the
 // engine; the persister goroutine drains whatever is staged into one
 // group-committed round — entries from every drained job share a single
 // store sync (storage.File: one fdatasync into a preallocated segment), the
@@ -44,17 +44,11 @@ type persistJob struct {
 	// force is the shutdown flush: save hs even inside the commit-only
 	// throttle window.
 	force bool
-	// done, when non-nil, is closed once the round completes
-	// (Config.SyncPersist: the loop waits on it).
-	done chan struct{}
 }
 
 // stage hands one round to the persister, blocking — and counting the
 // stall — only when the in-flight window is full. Event loop only.
 func (n *Node) stage(job persistJob) {
-	if n.cfg.SyncPersist || n.cfg.DisableBatching {
-		job.done = make(chan struct{})
-	}
 	n.stagedSeq++
 	job.seq = n.stagedSeq
 	if cur := n.inflightCur.Add(1); cur > n.inflightMax.Load() {
@@ -69,9 +63,6 @@ func (n *Node) stage(job persistJob) {
 		start := time.Now()
 		n.stageCh <- job
 		n.loopStallNs.Add(time.Since(start).Nanoseconds())
-	}
-	if job.done != nil {
-		<-job.done
 	}
 }
 
@@ -134,31 +125,30 @@ func (n *Node) processRounds(jobs []persistJob) {
 			// the WAL's compaction base first, so this round's entries
 			// (and every later round's, above the boundary) land on a
 			// store whose log starts at the image.
-			if ss, ok := n.cfg.Stable.(storage.SnapshotStore); ok {
-				if err := ss.InstallSnapshot(storage.Snapshot{
-					Index: img.Index, Term: img.Term, State: img.Data,
-				}); err != nil {
-					perr, failIdx = err, i
-					n.redo = append(n.redo, n.persistable(job.entries)...)
-					continue
-				}
-				n.walLast = img.Index
+			if err := n.cfg.Stable.InstallSnapshot(storage.Snapshot{
+				Index: img.Index, Term: img.Term, State: img.Data,
+			}); err != nil {
+				perr, failIdx = err, i
+				n.redo = append(n.redo, n.persistable(job.entries)...)
+				continue
 			}
+			n.walLast = img.Index
 		}
 		ents := job.entries
 		if len(n.redo) > 0 {
 			ents = append(n.redo, ents...)
 			n.redo = nil
 		}
-		ents = n.persistable(ents)
-		if err := n.appendRound(ents); err != nil {
-			// Carried forward, not dropped: see the redo field's contract.
-			// The copy owns its backing array (ents may alias job slices).
-			perr, failIdx = err, i
-			n.redo = append([]protocol.Entry(nil), ents...)
-			continue
-		}
-		if len(ents) > 0 {
+		if ents = n.persistable(ents); len(ents) > 0 {
+			// Buffered: the drain's single sync below covers every round.
+			if err := n.cfg.Stable.AppendBuffered(ents); err != nil {
+				// Carried forward, not dropped: see the redo field's
+				// contract. The copy owns its backing array (ents may alias
+				// job slices).
+				perr, failIdx = err, i
+				n.redo = append([]protocol.Entry(nil), ents...)
+				continue
+			}
 			n.walLast = ents[len(ents)-1].Index
 		}
 		if len(job.msgs) > 0 {
@@ -197,15 +187,14 @@ func (n *Node) processRounds(jobs []persistJob) {
 	// buffered entries on disk (the failed batch is in redo, not the
 	// buffer, so the sync covers exactly what succeeded). Held self-acks
 	// oblige it too: they wait for this durability point.
-	_, deferred := n.deferredSync()
-	durable := !deferred // a plain store is durable per append
+	var durable bool
 	if needSync || len(n.heldSelf) > 0 {
 		if serr := n.syncAndSave(hs, save, true); serr != nil {
 			// The group sync (or hard-state save) failed: no round reached
 			// its durability point, so all of them fail and their acks stay
 			// withheld. Buffered entries survive in the store's write
 			// buffer (or redo) and retry under a future drain's sync.
-			perr, failIdx, durable = serr, 0, false
+			perr, failIdx = serr, 0
 		} else {
 			save, durable = false, true
 		}
@@ -234,9 +223,6 @@ func (n *Node) processRounds(jobs []persistJob) {
 			for _, env := range job.msgs {
 				n.release(env)
 			}
-		}
-		if job.done != nil {
-			close(job.done)
 		}
 		n.inflightCur.Add(-1)
 	}
@@ -280,66 +266,23 @@ func (n *Node) release(env protocol.Envelope) {
 	n.send(env)
 }
 
-// deferredSync returns the store's deferred-sync view when the persister
-// buffers appends through it (never under DisableBatching, whose
-// per-entry Appends sync themselves).
-func (n *Node) deferredSync() (storage.DeferredSync, bool) {
-	ds, ok := n.cfg.Stable.(storage.DeferredSync)
-	return ds, ok && !n.cfg.DisableBatching
-}
-
-// appendRound writes one round's entries to the log store: buffered when
-// the store defers syncs (the drain's single sync covers them), plain
-// otherwise, per-entry under DisableBatching (the measured baseline).
-func (n *Node) appendRound(ents []protocol.Entry) error {
-	if n.cfg.DisableBatching {
-		for _, ent := range ents {
-			if err := n.cfg.Stable.Append([]protocol.Entry{ent}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if len(ents) == 0 {
-		return nil
-	}
-	if ds, ok := n.deferredSync(); ok {
-		return ds.AppendBuffered(ents)
-	}
-	return n.cfg.Stable.Append(ents)
-}
-
 // syncAndSave retires the drain's durability obligations: flush buffered
 // entries when a promise depends on them (doSync), then persist the hard
-// state when it moved (save) — fused into one storage.GroupSync call when
-// the store offers it.
+// state when it moved (save).
 func (n *Node) syncAndSave(hs storage.HardState, save, doSync bool) error {
-	ds, deferred := n.deferredSync()
-	doSync = doSync && deferred
-	if !doSync && !save {
-		return nil
-	}
 	start := time.Now()
 	var err error
-	if gs, ok := n.cfg.Stable.(storage.GroupSync); ok && doSync {
+	if doSync {
 		// One lock acquisition retires the whole window: entries first,
 		// then hard state — the barrier's steps 1 and 2.
-		err = gs.SyncBatch(hs, save)
+		err = n.cfg.Stable.SyncBatch(hs, save)
+		n.syncBatches.Add(1)
 	} else {
-		if doSync {
-			err = ds.Sync()
-		}
-		if err == nil && save {
-			// save without doSync reaches here on purpose: a save-only
-			// drain (commit watermark, shutdown flush) must not drag
-			// promise-free buffered entries to disk with it.
-			err = n.cfg.Stable.SaveHardState(hs)
-		}
+		// A save-only drain (commit watermark, shutdown flush) must not
+		// drag promise-free buffered entries to disk with it.
+		err = n.cfg.Stable.SaveHardState(hs)
 	}
 	n.syncNs.Add(time.Since(start).Nanoseconds())
-	if doSync {
-		n.syncBatches.Add(1)
-	}
 	if err != nil {
 		return err
 	}

@@ -17,10 +17,9 @@ import (
 )
 
 // gateStore delays one node's WAL writes on demand: while armed, every
-// Append parks until Release. It exposes only the plain Store surface
-// (no DeferredSync promotion), so the persister takes the direct-append
-// path and the gate models a single slow fsync-equivalent round — the
-// sabotage the in-order release tests below are built on.
+// AppendBuffered — the persister's write — parks until Release, modelling
+// one slow write round: the sabotage the in-order release tests below are
+// built on.
 type gateStore struct {
 	storage.Store
 	mu      sync.Mutex
@@ -43,7 +42,7 @@ func (g *gateStore) Release() {
 	g.mu.Unlock()
 }
 
-func (g *gateStore) Append(entries []protocol.Entry) error {
+func (g *gateStore) AppendBuffered(entries []protocol.Entry) error {
 	g.mu.Lock()
 	gate := g.gate
 	g.mu.Unlock()
@@ -51,7 +50,7 @@ func (g *gateStore) Append(entries []protocol.Entry) error {
 		g.blocked.Add(1)
 		<-gate
 	}
-	return g.Store.Append(entries)
+	return g.Store.AppendBuffered(entries)
 }
 
 func buildPipelineCluster(t *testing.T, stores []storage.Store, fn *filterNet, active protocol.NodeID) ([]*cluster.Node, func()) {
@@ -113,6 +112,7 @@ func TestGatedPersistWithholdsLaterAcks(t *testing.T) {
 	})
 	nodes, stop := buildPipelineCluster(t, stores, fn, 0)
 	defer stop()
+	defer gated.Release() // a parked persister would hang stop
 	leader := waitLeader(t, nodes)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -233,8 +233,9 @@ func TestGatedLeaderCommitsOnDurableQuorum(t *testing.T) {
 }
 
 // hsErrStore simulates an unreadable hard-state record: HardState always
-// errors while the rest of the store works, and every SaveHardState is
-// counted so the test can prove the node never overwrote the evidence.
+// errors while the rest of the store works, and every hard-state write —
+// SaveHardState, or SyncBatch with save set — is counted so the test can
+// prove the node never overwrote the evidence.
 type hsErrStore struct {
 	storage.Store
 	saves atomic.Int64
@@ -249,6 +250,13 @@ func (s *hsErrStore) HardState() (storage.HardState, error) {
 func (s *hsErrStore) SaveHardState(hs storage.HardState) error {
 	s.saves.Add(1)
 	return s.Store.SaveHardState(hs)
+}
+
+func (s *hsErrStore) SyncBatch(hs storage.HardState, save bool) error {
+	if save {
+		s.saves.Add(1)
+	}
+	return s.Store.SyncBatch(hs, save)
 }
 
 // TestUnreadableHardStateRefusesToStart pins the recovery contract: a

@@ -244,10 +244,10 @@ func TestReadsDoNotQueueBehindPersister(t *testing.T) {
 
 // TestReplyBypassesBackedUpInbox: a MsgReply is for a waiting client, not
 // for the engine, so the transport reader completes it directly. With the
-// node's event loop held (it waits on a persistence round parked in the
-// store) and its inbox full, HandleMessage must still hand the reply to
-// its waiter and return, instead of blocking the transport reader behind
-// the backlog.
+// node's event loop held (a persistence round is parked in the store and
+// the rounds staged behind it fill the in-flight window) and its inbox
+// full, HandleMessage must still hand the reply to its waiter and return,
+// instead of blocking the transport reader behind the backlog.
 func TestReplyBypassesBackedUpInbox(t *testing.T) {
 	gated := &gateStore{Store: storage.NewMem()}
 	forwards := make(chan *protocol.MsgReadForward, 1)
@@ -261,9 +261,8 @@ func TestReplyBypassesBackedUpInbox(t *testing.T) {
 				forwards <- m
 			}
 		}),
-		Stable:      gated,
-		SyncPersist: true, // the loop waits for each staged round: a parked store holds it
-		Ticks:       make(chan time.Time),
+		Stable: gated,
+		Ticks:  make(chan time.Time),
 	})
 	node.Start()
 	stopped := false
@@ -298,13 +297,17 @@ func TestReplyBypassesBackedUpInbox(t *testing.T) {
 		t.Fatal("the follower never forwarded the read")
 	}
 
-	// Hold the loop: an append whose persistence round parks in the store.
+	// Park the persister: an append whose persistence round waits in the
+	// store.
 	gated.Arm()
 	node.HandleMessage(0, &raftstar.MsgAppendReq{Term: 1, Entries: []protocol.Entry{
 		{Index: 1, Term: 1, Bal: 1, Cmd: protocol.Command{ID: 1, Op: protocol.OpPut, Key: "x"}},
 	}})
 	waitBlocked(t, gated)
-	// Fill the inbox: push heartbeats until the pusher itself blocks.
+	// Hold the loop, then fill the inbox: every heartbeat iteration stages
+	// a round for its ack, so the pushed heartbeats fill the in-flight
+	// window behind the parked round, the loop blocks staging the next,
+	// and the pusher itself blocks once the inbox is full.
 	var pushed atomic.Int64
 	pushers.Add(1)
 	go func() {

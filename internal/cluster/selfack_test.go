@@ -16,7 +16,7 @@ import (
 )
 
 // powerLossStore is a deferred-sync store over Mem that remembers what a
-// power loss would keep: appends stay buffered until Sync, which can be
+// power loss would keep: appends stay buffered until a sync, which can be
 // made to fail, and afterPowerLoss rebuilds the store from the synced
 // prefix alone (hard state is a separate, always-synced record).
 type powerLossStore struct {
@@ -32,14 +32,7 @@ func (s *powerLossStore) AppendBuffered(ents []protocol.Entry) error {
 		s.synced = min(s.synced, ents[0].Index-1) // an overwrite unsyncs the suffix
 		s.mu.Unlock()
 	}
-	return s.Mem.Append(ents)
-}
-
-func (s *powerLossStore) Append(ents []protocol.Entry) error {
-	if err := s.AppendBuffered(ents); err != nil {
-		return err
-	}
-	return s.Sync()
+	return s.Mem.AppendBuffered(ents)
 }
 
 func (s *powerLossStore) Sync() error {
@@ -54,6 +47,13 @@ func (s *powerLossStore) Sync() error {
 	s.synced = last
 	s.mu.Unlock()
 	return nil
+}
+
+func (s *powerLossStore) SyncBatch(hs storage.HardState, save bool) error {
+	if err := s.Sync(); err != nil {
+		return err
+	}
+	return s.Mem.SyncBatch(hs, save)
 }
 
 func (s *powerLossStore) afterPowerLoss(t *testing.T) *storage.Mem {
@@ -183,11 +183,11 @@ type snapStore struct {
 	failing atomic.Bool
 }
 
-func (s *snapStore) Append(ents []protocol.Entry) error {
+func (s *snapStore) AppendBuffered(ents []protocol.Entry) error {
 	if s.failing.Load() {
 		return errDiskDown
 	}
-	return s.Mem.Append(ents)
+	return s.Mem.AppendBuffered(ents)
 }
 
 // TestSnapshotWaitsForDurableWAL pins the applier's half of the rule:

@@ -52,8 +52,13 @@ type Snapshot struct {
 	State []byte
 }
 
-// Store is the persistence contract engines' drivers rely on.
+// Store is the persistence contract engines' drivers rely on: hard state,
+// the log, its snapshots (SnapshotStore) and group-committed log syncs
+// (GroupSync). Every store implements all of it, so a driver has one
+// persistence path whatever the backend.
 type Store interface {
+	SnapshotStore
+	GroupSync
 	// SaveHardState durably records term/vote/commit.
 	SaveHardState(hs HardState) error
 	// HardState returns the last saved hard state. A fresh store reports
@@ -82,9 +87,9 @@ type Store interface {
 	Close() error
 }
 
-// SnapshotStore is the optional compaction extension of Store: drivers
-// that snapshot their state machine persist the image here and then drop
-// the covered log prefix.
+// SnapshotStore is the compaction half of Store: drivers that snapshot
+// their state machine persist the image here and then drop the covered log
+// prefix.
 type SnapshotStore interface {
 	// SaveSnapshot durably records a state-machine image atomically. The
 	// previous snapshot is retained until the next save so recovery can
@@ -111,10 +116,10 @@ type SnapshotStore interface {
 	InstallSnapshot(snap Snapshot) error
 }
 
-// DeferredSync is an optional Store extension for drivers that group
-// commit across event-loop iterations: AppendBuffered stages entries in
-// the log's write path without forcing them to disk, and Sync makes
-// everything staged durable with one fsync. A driver may buffer appends
+// DeferredSync is the part of Store for drivers that group commit across
+// event-loop iterations: AppendBuffered stages entries in the log's write
+// path without forcing them to disk, and Sync makes everything staged
+// durable with one fsync. A driver may buffer appends
 // exactly while nothing observable depends on them — the moment an ack, a
 // client reply, or a commit that counts the local copy toward a quorum is
 // about to be released, it must Sync first. Reads (Entries/LastIndex)
@@ -127,9 +132,9 @@ type DeferredSync interface {
 	Sync() error
 }
 
-// GroupSync is an optional Store extension for drivers that pipeline
-// persistence off their event loop: SyncBatch is the combined
-// entry+hardstate flush of one pipeline window. It makes every append
+// GroupSync is the part of Store for drivers that pipeline persistence
+// off their event loop: SyncBatch is the combined entry+hardstate flush
+// of one pipeline window. It makes every append
 // staged by AppendBuffered durable (no-op when the log is clean) and,
 // when save is set, durably rewrites the hard state afterwards — the
 // barrier order (entries first, then hard state) under a single lock
@@ -151,8 +156,9 @@ var ErrCompacted = errors.New("storage: index compacted into snapshot")
 
 // --- In-memory implementation ---
 
-// Mem is the in-memory Store (and SnapshotStore, for driver tests that
-// exercise compaction without touching disk).
+// Mem is the in-memory Store, for driver tests that exercise the whole
+// persistence contract without touching disk. Nothing it holds survives
+// the process, so its syncs have nothing to flush.
 type Mem struct {
 	mu       sync.Mutex
 	hs       HardState
@@ -163,10 +169,7 @@ type Mem struct {
 	has      bool
 }
 
-var (
-	_ Store         = (*Mem)(nil)
-	_ SnapshotStore = (*Mem)(nil)
-)
+var _ Store = (*Mem)(nil)
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{} }
@@ -186,31 +189,54 @@ func (m *Mem) HardState() (HardState, error) {
 	return m.hs, nil
 }
 
+// checkAppend validates a whole batch against a log holding (base, last]
+// before anything is written, so a rejected batch leaves the log exactly
+// as it was: each entry must extend the log or overwrite an entry above
+// the compaction base.
+func checkAppend(base, last int64, entries []protocol.Entry) error {
+	for _, e := range entries {
+		if e.Index <= base {
+			return fmt.Errorf("storage: append at %d below compaction %d: %w", e.Index, base, ErrCompacted)
+		}
+		if e.Index > last+1 {
+			return fmt.Errorf("storage: gap at index %d (last %d)", e.Index, last)
+		}
+		last = e.Index // an overwrite truncates the suffix above it
+	}
+	return nil
+}
+
 // Append implements Store.
 func (m *Mem) Append(entries []protocol.Entry) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := checkAppend(m.base, m.base+int64(len(m.log)), entries); err != nil {
+		return err
+	}
 	for _, e := range entries {
-		rel := e.Index - m.base
-		switch {
-		case e.Index <= 0:
-			return fmt.Errorf("storage: bad index %d", e.Index)
-		case rel <= 0:
-			return fmt.Errorf("storage: append at %d below compaction %d: %w", e.Index, m.base, ErrCompacted)
-		case rel <= int64(len(m.log)):
-			// Overwrite truncates the suffix (matching the file backend):
-			// the batch restates whatever survives above the overwrite, so
-			// a stale suffix the new entries do not cover is erased rather
-			// than resurrected on restart.
-			m.log[rel-1] = e
-			m.log = m.log[:rel]
-		case rel == int64(len(m.log))+1:
-			m.log = append(m.log, e)
-		default:
-			return fmt.Errorf("storage: gap at index %d (last %d)", e.Index, m.base+int64(len(m.log)))
-		}
+		// Overwrite truncates the suffix (matching the file backend): the
+		// batch restates whatever survives above the overwrite, so a stale
+		// suffix the new entries do not cover is erased rather than
+		// resurrected on restart.
+		m.log = append(m.log[:e.Index-m.base-1], e)
 	}
 	return nil
+}
+
+// AppendBuffered implements DeferredSync: Append, there being no sync to
+// defer.
+func (m *Mem) AppendBuffered(entries []protocol.Entry) error { return m.Append(entries) }
+
+// Sync implements DeferredSync: nothing is ever buffered.
+func (m *Mem) Sync() error { return nil }
+
+// SyncBatch implements GroupSync: with no entries to flush, it only saves
+// hs when save is set.
+func (m *Mem) SyncBatch(hs HardState, save bool) error {
+	if !save {
+		return nil
+	}
+	return m.SaveHardState(hs)
 }
 
 // Truncate drops all entries after index (global index space).
@@ -398,10 +424,7 @@ type File struct {
 	segWait   atomic.Int64
 }
 
-var (
-	_ Store         = (*File)(nil)
-	_ SnapshotStore = (*File)(nil)
-)
+var _ Store = (*File)(nil)
 
 const (
 	hsFile     = "hardstate"
@@ -979,31 +1002,16 @@ func (f *File) AppendBuffered(entries []protocol.Entry) error {
 	return f.append(entries, false)
 }
 
-var (
-	_ DeferredSync = (*File)(nil)
-)
-
 func (f *File) append(entries []protocol.Entry, sync bool) error {
 	if len(entries) == 0 {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	// Validate the whole batch before staging any frame, so a bad index in
-	// the middle cannot leave a half-written batch in the buffer.
-	simLen := f.base + int64(len(f.cached))
-	for _, e := range entries {
-		if e.Index <= f.base {
-			return fmt.Errorf("storage: append at %d below compaction %d: %w", e.Index, f.base, ErrCompacted)
-		}
-		if e.Index > simLen+1 {
-			return fmt.Errorf("storage: gap at index %d (last %d)", e.Index, simLen)
-		}
-		if e.Index == simLen+1 {
-			simLen++
-		} else {
-			simLen = e.Index // overwrite truncates the cached suffix
-		}
+	// Validate before staging any frame, so a bad index in the middle
+	// cannot leave a half-written batch in the buffer.
+	if err := checkAppend(f.base, f.base+int64(len(f.cached)), entries); err != nil {
+		return err
 	}
 	act := &f.segs[len(f.segs)-1]
 	// Batch-encode the whole append into one reused scratch buffer and
@@ -1063,8 +1071,6 @@ func (f *File) SyncBatch(hs HardState, save bool) error {
 	}
 	return nil
 }
-
-var _ GroupSync = (*File)(nil)
 
 // syncLocked flushes the write buffer, fdatasyncs the active segment, and
 // performs any rotation that was deferred while appends were buffered.

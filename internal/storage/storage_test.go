@@ -64,13 +64,17 @@ func entry(i int64, term uint64, key string) protocol.Entry {
 	}
 }
 
+// testStore is the Store contract suite, run on every implementation: the
+// cluster tests drive Mem where production drives File, so the two must
+// accept, reject and expose the same things.
 func testStore(t *testing.T, s storage.Store) {
 	t.Helper()
-	if err := s.SaveHardState(storage.HardState{Term: 3, VotedFor: 1, Commit: 2}); err != nil {
+	saved := storage.HardState{Term: 3, VotedFor: 1, Commit: 2}
+	if err := s.SaveHardState(saved); err != nil {
 		t.Fatal(err)
 	}
 	hs, err := s.HardState()
-	if err != nil || hs.Term != 3 || hs.VotedFor != 1 || hs.Commit != 2 {
+	if err != nil || hs != saved {
 		t.Fatalf("hardstate = %+v, %v", hs, err)
 	}
 	for i := int64(1); i <= 5; i++ {
@@ -86,7 +90,18 @@ func testStore(t *testing.T, s storage.Store) {
 	if err != nil || len(ents) != 3 || ents[0].Index != 2 {
 		t.Fatalf("entries = %+v, %v", ents, err)
 	}
-	// Overwrite at index 3 (Raft*'s covered overwrite).
+	// A rejected batch leaves the log untouched: the overwrite ahead of
+	// the gap must not land.
+	if err := s.Append([]protocol.Entry{entry(3, 2, "k2"), entry(9, 2, "k")}); err == nil {
+		t.Fatal("gapped append accepted")
+	}
+	if last, _ := s.LastIndex(); last != 5 {
+		t.Fatalf("rejected batch moved the log: last = %d, want 5", last)
+	}
+	if ents, err := s.Entries(3, 3); err != nil || ents[0].Term != 1 {
+		t.Fatalf("rejected batch overwrote entry 3: %+v, %v", ents, err)
+	}
+	// Overwrite at index 3 (Raft*'s covered overwrite) truncates the suffix.
 	if err := s.Append([]protocol.Entry{entry(3, 2, "k2")}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +109,45 @@ func testStore(t *testing.T, s storage.Store) {
 	if err != nil || ents[0].Term != 2 || ents[0].Cmd.Key != "k2" {
 		t.Fatalf("overwrite lost: %+v, %v", ents, err)
 	}
+	if last, _ := s.LastIndex(); last != 3 {
+		t.Fatalf("overwrite kept the suffix: last = %d, want 3", last)
+	}
 	if _, err := s.Entries(0, 1); err == nil {
 		t.Fatal("out-of-range read accepted")
 	}
-	if err := s.Append([]protocol.Entry{entry(99, 1, "k")}); err == nil {
-		t.Fatal("gapped append accepted")
+	// Buffered appends are readable before any sync, an overwrite included.
+	if err := s.AppendBuffered([]protocol.Entry{entry(4, 2, "b"), entry(5, 2, "b")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBuffered([]protocol.Entry{entry(4, 3, "c")}); err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := s.LastIndex(); last != 4 {
+		t.Fatalf("buffered overwrite: last = %d, want 4", last)
+	}
+	if ents, err := s.Entries(4, 4); err != nil || ents[0].Term != 3 {
+		t.Fatalf("buffered overwrite not readable: %+v, %v", ents, err)
+	}
+	// SyncBatch saves the hard state only when asked to.
+	next := storage.HardState{Term: 4, VotedFor: 2, Commit: 3}
+	if err := s.SyncBatch(next, false); err != nil {
+		t.Fatal(err)
+	}
+	if hs, _ := s.HardState(); hs != saved {
+		t.Fatalf("SyncBatch(save=false) moved the hard state to %+v", hs)
+	}
+	if err := s.SyncBatch(next, true); err != nil {
+		t.Fatal(err)
+	}
+	if hs, _ := s.HardState(); hs != next {
+		t.Fatalf("SyncBatch(save=true) left the hard state at %+v, want %+v", hs, next)
+	}
+	// Sync on a clean log is a no-op.
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := s.LastIndex(); last != 4 {
+		t.Fatalf("clean Sync moved the log: last = %d, want 4", last)
 	}
 }
 
@@ -111,6 +160,10 @@ func TestFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	testStore(t, s)
+	syncs := s.SyncCount()
+	if err := s.Sync(); err != nil || s.SyncCount() != syncs {
+		t.Fatalf("Sync on a clean log: err %v, fsyncs %d -> %d", err, syncs, s.SyncCount())
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
