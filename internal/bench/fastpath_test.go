@@ -5,12 +5,6 @@ import (
 	"time"
 )
 
-// wanScenario is the WAN profile the CI artifact also runs (WANTopology(n)
-// with the per-link RTT matrix, one replica per site, leader at Oregon).
-func wanScenario(p Protocol, n int, fastPath bool, clientSites []int, clients int, seed int64) Scenario {
-	return WANScenario(p, n, fastPath, clientSites, clients, seed)
-}
-
 func followerWriteP50(t *testing.T, sc Scenario) (*Result, time.Duration) {
 	t.Helper()
 	res, err := Run(sc)
@@ -36,8 +30,8 @@ func TestFastPathWANConflictFree(t *testing.T) {
 	for _, p := range []Protocol{Raft, RaftStar, MultiPaxos} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			fastRes, fast := followerWriteP50(t, wanScenario(p, 5, true, submitter, 1, 11))
-			_, classic := followerWriteP50(t, wanScenario(p, 5, false, submitter, 1, 11))
+			fastRes, fast := followerWriteP50(t, WANScenario(p, 5, true, submitter, 1, 11))
+			_, classic := followerWriteP50(t, WANScenario(p, 5, false, submitter, 1, 11))
 			t.Logf("%v WAN-5 conflict-free: fast p50 %v vs classic p50 %v (%.2fx), %d fast commits, %d fallbacks",
 				p, fast, classic, float64(fast)/float64(classic),
 				fastRes.FastStats.FastCommits, fastRes.FastStats.ClassicFallbacks)
@@ -60,8 +54,8 @@ func TestFastPathWANHighConflict(t *testing.T) {
 	for _, p := range []Protocol{Raft, RaftStar, MultiPaxos} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			fastRes, fast := followerWriteP50(t, wanScenario(p, 5, true, nil, 2, 13))
-			_, classic := followerWriteP50(t, wanScenario(p, 5, false, nil, 2, 13))
+			fastRes, fast := followerWriteP50(t, WANScenario(p, 5, true, nil, 2, 13))
+			_, classic := followerWriteP50(t, WANScenario(p, 5, false, nil, 2, 13))
 			st := fastRes.FastStats
 			t.Logf("%v WAN-5 high-conflict: fast p50 %v vs classic p50 %v (%.2fx), %d fast, %d fallback, %d conflicts",
 				p, fast, classic, float64(fast)/float64(classic),
@@ -87,8 +81,8 @@ func TestFastPathWANHighConflict(t *testing.T) {
 // that it still commits, still counts fast commits when uncontended, and
 // stays within the graceful-degradation envelope.
 func TestFastPathWAN7(t *testing.T) {
-	fastRes, fast := followerWriteP50(t, wanScenario(RaftStar, 7, true, []int{3}, 1, 17))
-	_, classic := followerWriteP50(t, wanScenario(RaftStar, 7, false, []int{3}, 1, 17))
+	fastRes, fast := followerWriteP50(t, WANScenario(RaftStar, 7, true, []int{3}, 1, 17))
+	_, classic := followerWriteP50(t, WANScenario(RaftStar, 7, false, []int{3}, 1, 17))
 	st := fastRes.FastStats
 	t.Logf("Raft* WAN-7 conflict-free: fast p50 %v vs classic p50 %v (%.2fx), %d fast, %d fallback",
 		fast, classic, float64(fast)/float64(classic), st.FastCommits, st.ClassicFallbacks)

@@ -33,81 +33,3 @@ func WANScenario(p Protocol, n int, fastPath bool, clientSites []int, clients in
 		Seed:             seed,
 	}
 }
-
-// FastWANResult is one engine's fast-vs-classic comparison on a WAN
-// profile, shaped for the BENCH json artifact CI uploads.
-type FastWANResult struct {
-	Protocol string  `json:"protocol"`
-	Profile  string  `json:"profile"` // "conflict-free" | "high-conflict"
-	Nodes    int     `json:"nodes"`
-	FastP50  float64 `json:"fast_write_p50_ms"`
-	FastP99  float64 `json:"fast_write_p99_ms"`
-	ClassP50 float64 `json:"classic_write_p50_ms"`
-	ClassP99 float64 `json:"classic_write_p99_ms"`
-	// Ratio is fast p50 / classic p50 (< 1 means the fast path wins).
-	Ratio            float64 `json:"fast_vs_classic_p50"`
-	FastCommits      int64   `json:"fast_commits"`
-	ClassicFallbacks int64   `json:"classic_fallbacks"`
-	// Conflicts sums per-replica collision observations (one contended slot
-	// is counted by every replica that saw it), so ConflictRate — conflicts
-	// over fast-path submissions, matching BENCH json — can exceed 1.
-	Conflicts    int64   `json:"conflicts"`
-	ConflictRate float64 `json:"conflict_rate"`
-}
-
-func fastWANCompare(p Protocol, n int, profile string, clientSites []int, clients int, seed int64) (FastWANResult, error) {
-	fastRes, err := Run(WANScenario(p, n, true, clientSites, clients, seed))
-	if err != nil {
-		return FastWANResult{}, err
-	}
-	classRes, err := Run(WANScenario(p, n, false, clientSites, clients, seed))
-	if err != nil {
-		return FastWANResult{}, err
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	fw, cw := fastRes.LatencyOf("follower-write"), classRes.LatencyOf("follower-write")
-	st := fastRes.FastStats
-	out := FastWANResult{
-		Protocol:         p.String(),
-		Profile:          profile,
-		Nodes:            n,
-		FastP50:          ms(fw.Percentile(50)),
-		FastP99:          ms(fw.Percentile(99)),
-		ClassP50:         ms(cw.Percentile(50)),
-		ClassP99:         ms(cw.Percentile(99)),
-		FastCommits:      st.FastCommits,
-		ClassicFallbacks: st.ClassicFallbacks,
-		Conflicts:        st.Conflicts,
-	}
-	if t := st.FastCommits + st.ClassicFallbacks; t > 0 {
-		out.ConflictRate = float64(st.Conflicts) / float64(t)
-	}
-	if cw.Count() > 0 && cw.Percentile(50) > 0 {
-		out.Ratio = float64(fw.Percentile(50)) / float64(cw.Percentile(50))
-	}
-	return out, nil
-}
-
-// RunFastWAN runs the conflict-free and high-conflict WAN-5 profiles for
-// every engine that carries the fast-path port and returns the paired
-// fast-vs-classic latencies. This is the artifact CI tracks build over
-// build: conflict-free should sit well under 1x (the one-RTT win),
-// high-conflict should stay within the ~2x graceful-degradation envelope.
-func RunFastWAN(seed int64) ([]FastWANResult, error) {
-	var out []FastWANResult
-	for _, p := range []Protocol{Raft, RaftStar, MultiPaxos} {
-		// Conflict-free: one submitting site (Canada) on the 5-node WAN.
-		cf, err := fastWANCompare(p, 5, "conflict-free", []int{3}, 1, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cf)
-		// High-conflict: every site races writes into the same slots.
-		hc, err := fastWANCompare(p, 5, "high-conflict", nil, 2, seed+2)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, hc)
-	}
-	return out, nil
-}

@@ -218,6 +218,86 @@ func TestHostUnknownGroupDropped(t *testing.T) {
 	}
 }
 
+// TestHostGroupCommitUnderConcurrentWriters: with 32 closed-loop writers
+// spread over 3 hosts x 4 groups on storage.File, every group's runtime
+// group-commits — its replicas together fsync less than once per entry
+// they write. A multi-group host must not buy its parallelism by letting
+// some group's batching decay to one fsync per entry.
+func TestHostGroupCommitUnderConcurrentWriters(t *testing.T) {
+	const (
+		nHosts  = 3
+		groups  = 4
+		writers = 32
+		puts    = 2000
+	)
+	stores := make([][]*storage.File, nHosts)
+	for i := range stores {
+		stores[i] = make([]*storage.File, groups)
+		for g := range stores[i] {
+			fs, err := storage.OpenFile(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i][g] = fs
+		}
+	}
+	hosts, stop := newHostCluster(t, nHosts, groups, raftstarEngine,
+		func(host, group int) (storage.Store, error) { return stores[host][group], nil })
+	defer func() {
+		stop()
+		for _, hs := range stores {
+			for _, st := range hs {
+				st.Close()
+			}
+		}
+	}()
+	leaders := make([]*cluster.Node, groups)
+	for g := range leaders {
+		leaders[g] = waitGroupLeader(t, hosts, g)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	value := make([]byte, 16)
+	var next atomic.Int64
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for op := next.Add(1); op <= puts; op = next.Add(1) {
+				key := fmt.Sprintf("gc-%d", op)
+				if err := leaders[cluster.GroupForKey(key, groups)].Put(ctx, key, value); err != nil {
+					errs <- fmt.Errorf("put %s: %w", key, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+
+	for g := 0; g < groups; g++ {
+		var syncs, entries uint64
+		for i := range hosts {
+			syncs += stores[i][g].SyncCount()
+			entries += stores[i][g].EntryCount()
+		}
+		if entries == 0 {
+			t.Fatalf("group %d wrote no entries", g)
+		}
+		ratio := float64(syncs) / float64(entries)
+		t.Logf("group %d: %d fsyncs for %d entries (%.3f per entry)", g, syncs, entries, ratio)
+		if ratio >= 1 {
+			t.Fatalf("group %d: %d fsyncs for %d entries (%.3f per entry), group commit lost", g, syncs, entries, ratio)
+		}
+	}
+}
+
 // TestMultiGroupHostCrashRecovery is the multi-group durability
 // acceptance test: 3 hosts x 4 groups take concurrent client traffic
 // with a per-group linearizability history recording every operation;

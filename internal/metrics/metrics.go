@@ -1,6 +1,5 @@
-// Package metrics collects the latency and throughput measurements the
-// evaluation reports: percentile latencies per class (leader/follower,
-// read/write) and windowed throughput.
+// Package metrics collects the latency measurements the evaluation
+// reports: percentile latencies per class (leader/follower, read/write).
 package metrics
 
 import (
@@ -43,18 +42,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return h.samples[idx]
 }
 
-// Mean returns the average.
-func (h *Histogram) Mean() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
 // Summary renders "p50/p90/p99 (n)" in milliseconds.
 func (h *Histogram) Summary() string {
 	return fmt.Sprintf("p50=%.1fms p90=%.1fms p99=%.1fms (n=%d)",
@@ -62,33 +49,3 @@ func (h *Histogram) Summary() string {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// Throughput counts completions inside a measurement window.
-type Throughput struct {
-	start, end time.Duration // window in virtual time
-	count      uint64
-}
-
-// NewThroughput builds a counter for the [start, end) virtual-time window.
-func NewThroughput(start, end time.Duration) *Throughput {
-	return &Throughput{start: start, end: end}
-}
-
-// Observe counts a completion at virtual time t if inside the window.
-func (t *Throughput) Observe(at time.Duration) {
-	if at >= t.start && at < t.end {
-		t.count++
-	}
-}
-
-// OpsPerSec returns the windowed rate.
-func (t *Throughput) OpsPerSec() float64 {
-	win := (t.end - t.start).Seconds()
-	if win <= 0 {
-		return 0
-	}
-	return float64(t.count) / win
-}
-
-// Count returns raw completions in the window.
-func (t *Throughput) Count() uint64 { return t.count }
