@@ -72,7 +72,7 @@ type MsgAccept struct {
 	Bal          uint64
 	Insts        []InstanceInfo
 	ChosenPrefix int64
-	// ReadCtx is the highest pending ReadIndex confirmation context at the
+	// ReadCtx is the highest open ReadIndex confirmation context at the
 	// leader (0 = none); the acceptor echoes it in its acceptOK. A quorum
 	// of echoes proves the leader's ballot was still the highest after the
 	// reads arrived — the accept-round counterpart of Raft's heartbeat
@@ -145,7 +145,6 @@ type Config struct {
 
 	ElectionTicks  int
 	HeartbeatTicks int
-	MaxBatch       int
 	Seed           int64
 	Passive        bool
 	// ReadIndex enables the fast linearizable read path, ported from Raft
@@ -182,11 +181,11 @@ func (c *Config) withDefaults() Config {
 	if out.HeartbeatTicks <= 0 {
 		out.HeartbeatTicks = 1
 	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 1024
-	}
 	return out
 }
+
+// maxBatch caps the instances one catch-up accept re-sends.
+const maxBatch = 1024
 
 type instance struct {
 	bal    uint64
@@ -226,29 +225,16 @@ type Engine struct {
 	// an acceptOK.
 	sentHolders []protocol.NodeID
 
-	// provider supplies the durable snapshot image shipped to peers
-	// stranded behind this replica's compaction base (a lagging acceptor,
-	// or a preparer whose unchosen position we compacted); xfers tracks
-	// one chunked transfer per such peer, snapAsm reassembles an inbound
-	// one.
-	provider protocol.SnapshotProvider
-	xfers    map[protocol.NodeID]*protocol.SnapshotXfer
-	snapAsm  protocol.SnapshotAssembly
+	// front routes client writes and reads (ReadIndex at the leader);
+	// catchup ships snapshot images to peers stranded behind this replica's
+	// compaction base (a lagging acceptor, or a preparer whose unchosen
+	// position we compacted) and assembles inbound ones.
+	front   protocol.Front
+	catchup protocol.CatchUp
 
 	elapsed   int
 	timeout   int
 	hbElapsed int
-
-	pending []protocol.Command
-	// ReadIndex state: reads tracks confirmation rounds at the leader;
-	// readBarrier is the last instance touched by this leadership's
-	// phase 1 — anything a predecessor might have chosen was re-proposed
-	// at or below it, so a read's index is clamped up to it until the
-	// re-proposals are chosen; pendingReads buffers reads submitted while
-	// no leader is known.
-	reads        protocol.ReadTracker
-	readBarrier  int64
-	pendingReads []protocol.Command
 
 	// fast is the shared fast write path (nil unless cfg.FastPath). A
 	// speculative instance holds bal 0 until a classic accept ratifies or
@@ -267,15 +253,29 @@ func New(cfg Config) *Engine {
 		leader: protocol.None,
 		acks:   make(map[int64]map[protocol.NodeID]bool),
 	}
+	view := protocol.View{Term: e.Term, IsLeader: e.IsLeader, Leader: e.Leader, LastIndex: e.LastIndex, Commit: e.CommitIndex}
 	if c.FastPath {
-		e.fast = protocol.NewFastPath(c.ID, c.Peers, protocol.FastHost{
-			Term: e.Term, IsLeader: e.IsLeader, LastIndex: e.LastIndex, Commit: e.CommitIndex,
-			HeldID: e.heldID, Speculate: e.speculate, Propose: e.propose,
-			Repair: e.resendInstances, Choose: e.choose,
-		})
+		e.fast = protocol.NewFastPath(c.ID, c.Peers, protocol.FastHost{View: view, HeldID: e.heldID,
+			Speculate: e.speculate, Propose: e.propose, Repair: e.resendInstances, Choose: e.choose})
 	}
+	e.front = protocol.NewFront(c.ID, len(c.Peers), c.ReadIndex, c.UnsafeSkipReadQuorum, e.fast, view, forward)
+	e.catchup = protocol.NewCatchUp(c.ID)
 	e.resetTimeout()
 	return e
+}
+
+// forward is the message an acceptor forwards client commands in.
+func forward(cmds []protocol.Command) protocol.Message { return &MsgForward{Cmds: cmds} }
+
+// act does the work the front hands back: a confirmation round for reads
+// (an empty accept broadcast carrying their ctx), then a proposal.
+func (e *Engine) act(w protocol.Work, out *protocol.Output) {
+	if w.Confirm {
+		e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
+	}
+	if w.Propose != nil {
+		e.propose(w.Propose, out)
+	}
 }
 
 // FastStats implements protocol.FastStatser.
@@ -317,7 +317,7 @@ func (e *Engine) RestoreHardState(term uint64, _ protocol.NodeID) {
 // SetSnapshotProvider implements protocol.SnapshotSender: the driver
 // wires its snapshot store so this replica can ship images to peers that
 // fell behind its compaction base.
-func (e *Engine) SetSnapshotProvider(p protocol.SnapshotProvider) { e.provider = p }
+func (e *Engine) SetSnapshotProvider(p protocol.SnapshotProvider) { e.catchup.SetProvider(p) }
 
 // RestoreSnapshot primes the engine at a snapshot boundary before
 // RestoreLog delivers the tail: instances at or below index are chosen and
@@ -499,7 +499,7 @@ func (e *Engine) Campaign() protocol.Output {
 func (e *Engine) campaign(out *protocol.Output) {
 	e.ballot = e.nextBallot(e.ballot)
 	e.phase1OK = false
-	e.reads.FailAll(out) // confirmation rounds die with the leadership
+	e.front.StepDown(out) // confirmation rounds die with the leadership
 	e.preparing = true
 	e.leader = protocol.None
 	e.prepareOKs = map[protocol.NodeID]*MsgPrepareOK{}
@@ -539,14 +539,11 @@ func (e *Engine) broadcast(out *protocol.Output, msg protocol.Message) {
 	}
 }
 
-// broadcastAccept broadcasts a Phase2a message with the highest pending
+// broadcastAccept broadcasts a Phase2a message with the highest open
 // ReadIndex confirmation context piggybacked: every acceptOK echoing it
 // doubles as a ballot confirmation for the reads awaiting one.
 func (e *Engine) broadcastAccept(out *protocol.Output, msg *MsgAccept) {
-	msg.ReadCtx = e.reads.MaxCtx()
-	// The ctx is now in flight: later reads must open a fresh one (an
-	// echo of this ctx only proves ballot currency up to this send).
-	e.reads.MarkSent()
+	msg.ReadCtx = e.front.ReadCtx()
 	e.broadcast(out, msg)
 }
 
@@ -563,13 +560,26 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	case *MsgAcceptOK:
 		e.stepAcceptOK(from, m, &out)
 	case *protocol.MsgInstallSnapshot:
-		e.stepInstallSnapshot(from, m, &out)
+		if m.Term >= e.ballot {
+			e.observeBallot(m.Term, &out)
+			e.resetTimeout()
+		}
+		if img, ok := e.catchup.Receive(from, m, e.ballot, e.chosenPrefix, &out); ok {
+			e.installSnapshot(img, &out)
+		}
 	case *protocol.MsgInstallSnapshotResp:
-		e.stepInstallSnapshotResp(from, m, &out)
+		// Once installed, re-send the instance run above the boundary so
+		// the receiver resumes execution without waiting for a gap report.
+		if !e.observeBallot(m.Term, &out) && e.catchup.Ack(from, m, e.ballot, &out) {
+			e.resendInstances(from, m.Index+1, &out)
+		}
 	case *MsgForward:
-		out.Merge(e.SubmitBatch(m.Cmds))
+		e.act(e.front.Writes(m.Cmds, &out), &out)
 	case *protocol.MsgReadForward:
-		e.stepReadForward(from, m, &out)
+		// The stamp is the forwarder's highest ballot seen — the paper's
+		// term ≙ ballot mapping applied to the Raft family's witness rule.
+		e.observeBallot(m.Term, &out)
+		e.act(e.front.Forwarded(from, m, &out), &out)
 	case *protocol.MsgFastAccept:
 		return e.fast.StepAccept(m)
 	case *protocol.MsgFastAck:
@@ -582,7 +592,7 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 }
 
 // observeBallot adopts a higher ballot seen on any message: this replica's
-// leadership or candidacy at the old one is over, its pending reads fail,
+// leadership or candidacy at the old one is over, its parked reads fail,
 // and snapshot transfers (which carry the old ballot) restart on demand.
 // It reports whether bal was higher.
 func (e *Engine) observeBallot(bal uint64, out *protocol.Output) bool {
@@ -594,9 +604,9 @@ func (e *Engine) observeBallot(bal uint64, out *protocol.Output) bool {
 	// Nobody leads the new ballot yet — least of all us, if we led the old
 	// one: a stale pointer here forwards commands to ourselves.
 	e.leader = protocol.None
-	e.reads.FailAll(out)
+	e.front.StepDown(out)
 	e.preparing = false
-	e.xfers = nil
+	e.catchup.Drop()
 	out.StateChanged = true
 	return true
 }
@@ -614,7 +624,7 @@ func (e *Engine) stepPrepare(from protocol.NodeID, m *MsgPrepare, out *protocol.
 		// prefix: nothing we report can fill it. Ship our snapshot so the
 		// new leader can jump past the gap — the acceptor-to-preparer
 		// direction of the ported InstallSnapshot.
-		e.beginSnapshotTransfer(from, out)
+		e.catchup.Send(from, e.ballot, e.FirstIndex(), out)
 	}
 }
 
@@ -720,12 +730,8 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	if len(reproposal) > 0 && e.decisive(reproposal[0].Idx) {
 		e.askSelf(out) // a lone replica's own vote is the quorum
 	}
-	// ReadIndex reads may not be served below the phase-1 re-proposals:
-	// anything a predecessor might have chosen was re-proposed at or below
-	// this watermark and is only reflected in the chosen prefix once the
-	// re-proposals are chosen at this ballot.
-	e.readBarrier = e.LastIndex()
-	e.reads.Reset(e.quorum(), e.cfg.UnsafeSkipReadQuorum)
+	// Reads wait for the phase-1 re-proposals to be chosen at this ballot.
+	e.front.Elect(e.LastIndex())
 	if len(reproposal) > 0 {
 		e.observeAccepted(reproposal)
 		e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, Insts: reproposal, ChosenPrefix: e.chosenPrefix})
@@ -734,7 +740,7 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 		e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
 	}
 	e.advanceChosen(out)
-	e.flushPending(out)
+	e.act(e.front.Flush(out), out)
 }
 
 // Submit implements protocol.Engine (Phase2a for a fresh instance).
@@ -747,34 +753,7 @@ func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
 // batched-accept optimization the paper ports between protocols).
 func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
 	var out protocol.Output
-	if len(cmds) == 0 {
-		return out
-	}
-	switch {
-	case e.phase1OK:
-		e.propose(cmds, &out)
-	case e.fast != nil && e.leader != protocol.None:
-		return e.fast.Submit(cmds)
-	case e.leader != protocol.None:
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: e.leader,
-			Msg: &MsgForward{Cmds: append([]protocol.Command(nil), cmds...)},
-		})
-	default:
-		for _, cmd := range cmds {
-			if len(e.pending) < 4096 {
-				e.pending = append(e.pending, cmd)
-				continue
-			}
-			kind := protocol.ReplyWrite
-			if cmd.Op == protocol.OpGet {
-				kind = protocol.ReplyRead
-			}
-			out.Replies = append(out.Replies, protocol.ClientReply{
-				Kind: kind, CmdID: cmd.ID, Client: cmd.Client, Err: protocol.ErrNotLeader,
-			})
-		}
-	}
+	e.act(e.front.Writes(cmds, &out), &out)
 	return out
 }
 
@@ -791,51 +770,8 @@ func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
 // shares one read index and one confirmation round.
 func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
 	var out protocol.Output
-	e.submitReads(cmds, protocol.None, &out)
+	e.act(e.front.Reads(cmds, protocol.None, &out), &out)
 	return out
-}
-
-// stepReadForward handles reads another replica forwarded. The stamp is
-// the highest ballot the forwarder had seen when it sent them — the
-// paper's term ≙ ballot mapping applied to the Raft family's rule: higher
-// than ours deposes us like any higher-ballot message (the reads then
-// re-route, never served here); equal to ours at the leader makes the
-// forwarder a quorum witness for exactly these reads
-// (protocol.ReadTracker); lower proves nothing and gets the full round.
-func (e *Engine) stepReadForward(from protocol.NodeID, m *protocol.MsgReadForward, out *protocol.Output) {
-	e.observeBallot(m.Term, out)
-	witness := protocol.None
-	if m.Term == e.ballot {
-		witness = from
-	}
-	e.submitReads(m.Cmds, witness, out)
-}
-
-// submitReads serves cmds through ReadIndex at the leader — the read index
-// is the chosen prefix clamped up to the phase-1 barrier (the last instance
-// with the fast path on: protocol.FastPath.ReadIndex), and an empty
-// accept broadcast carrying the batch's ctx starts the confirmation
-// immediately instead of waiting out the heartbeat interval, unless leader
-// + witness already confirmed it — and routes them toward the leader
-// elsewhere.
-func (e *Engine) submitReads(cmds []protocol.Command, witness protocol.NodeID, out *protocol.Output) {
-	if len(cmds) == 0 {
-		return
-	}
-	for i := range cmds {
-		cmds[i].Op = protocol.OpGet
-	}
-	switch {
-	case !e.cfg.ReadIndex:
-		out.Merge(e.SubmitBatch(cmds))
-	case e.phase1OK:
-		e.reads.Add(cmds, e.fast.ReadIndex(max(e.chosenPrefix, e.readBarrier)), witness, out)
-		if e.reads.Unsent() {
-			e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
-		}
-	default:
-		protocol.RouteReads(e.cfg.ID, e.leader, e.ballot, &e.pendingReads, cmds, out)
-	}
 }
 
 func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
@@ -868,25 +804,6 @@ func (e *Engine) observeAccepted(insts []InstanceInfo) {
 			h(insts[i].Idx, insts[i].Cmd)
 		}
 	}
-}
-
-func (e *Engine) flushPending(out *protocol.Output) {
-	if reads := e.pendingReads; len(reads) > 0 {
-		e.pendingReads = nil
-		out.Merge(e.SubmitReadBatch(reads))
-	}
-	if len(e.pending) == 0 {
-		return
-	}
-	cmds := e.pending
-	e.pending = nil
-	if e.phase1OK {
-		e.propose(cmds, out)
-		return
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{
-		From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: cmds},
-	})
 }
 
 // stepAccept is Phase2b: accept the value if the ballot is current.
@@ -952,7 +869,7 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 		holders = h()
 	}
 	// A ReadCtx demands a response even when nothing was accepted: the
-	// echo is the ballot confirmation the leader's pending reads wait on.
+	// echo is the ballot confirmation the leader's parked reads wait on.
 	// So does a holder set that lost a member: the leader holds our votes
 	// to the last set we reported (Hooks.MustAck), heartbeats are otherwise
 	// unanswered, and a lapsed lease would block its instances until the
@@ -966,7 +883,7 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 	if e.fast != nil {
 		out.Merge(e.fast.TryCommit())
 	}
-	e.flushPending(out)
+	e.act(e.front.Flush(out), out)
 }
 
 // lostMember reports whether some member of was is missing from now.
@@ -1023,11 +940,7 @@ func (e *Engine) stepAcceptOK(from protocol.NodeID, m *MsgAcceptOK, out *protoco
 		return
 	}
 	if from != e.cfg.ID { // our own acceptOK carries only the vote
-		if m.ReadCtx > 0 {
-			// The acceptor processed an accept we sent while still leading:
-			// that confirms every read batch at or below the echoed ctx.
-			e.reads.Ack(from, m.ReadCtx, out)
-		}
+		e.front.Echo(from, m.ReadCtx, out)
 		if h := e.cfg.Hooks.OnAck; h != nil {
 			h(from, m.Holders)
 		}
@@ -1048,7 +961,7 @@ func (e *Engine) stepAcceptOK(from protocol.NodeID, m *MsgAcceptOK, out *protoco
 		if m.NeedFrom <= e.instBase {
 			// The acceptor's gap starts inside our compacted prefix: only
 			// the snapshot image can carry it there.
-			e.beginSnapshotTransfer(from, out)
+			e.catchup.Send(from, e.ballot, e.FirstIndex(), out)
 		} else {
 			e.resendInstances(from, m.NeedFrom, out)
 		}
@@ -1065,8 +978,8 @@ func (e *Engine) resendInstances(p protocol.NodeID, lo int64, out *protocol.Outp
 		return
 	}
 	hi := e.LastIndex()
-	if hi > lo-1+int64(e.cfg.MaxBatch) {
-		hi = lo - 1 + int64(e.cfg.MaxBatch)
+	if hi > lo-1+maxBatch {
+		hi = lo - 1 + maxBatch
 	}
 	var insts []InstanceInfo
 	for i := lo; i <= hi; i++ {
@@ -1083,86 +996,11 @@ func (e *Engine) resendInstances(p protocol.NodeID, lo int64, out *protocol.Outp
 	})
 }
 
-// beginSnapshotTransfer starts (or nudges) the chunked shipment of the
-// latest durable snapshot to p, which needs instances inside this
-// replica's compacted prefix — a lagging acceptor reporting a gap, or a
-// preparer whose unchosen position we compacted. Same pacing as the raft
-// engines: one chunk in flight, advanced per ack, so heartbeats never
-// queue behind a multi-megabyte image.
-func (e *Engine) beginSnapshotTransfer(p protocol.NodeID, out *protocol.Output) {
-	if x, ok := e.xfers[p]; ok {
-		// Already transferring: re-send the current chunk only after a
-		// full retry interval of silence (chunk or ack lost).
-		if x.Retry() {
-			if chunk := x.Chunk(e.ballot); chunk != nil {
-				out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-			}
-		}
-		return
-	}
-	if e.provider == nil {
-		return // no image source: the peer stays parked until one exists
-	}
-	img, ok := e.provider.LatestSnapshotImage()
-	if !ok || img.Index < e.instBase {
-		// No durable image, or it predates our held tail: the peer could
-		// not resume instance replay above it, so shipping would not help.
-		return
-	}
-	if e.xfers == nil {
-		e.xfers = make(map[protocol.NodeID]*protocol.SnapshotXfer)
-	}
-	x := &protocol.SnapshotXfer{Img: img}
-	e.xfers[p] = x
-	if chunk := x.Chunk(e.ballot); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-	}
-}
-
-// stepInstallSnapshot receives one chunk of a peer's snapshot, assembling
-// the image and adopting it when complete: the chosen prefix jumps to the
-// image boundary and the driver is told (Output.InstalledSnapshot) to
-// persist it and restore the state machine, after which instance replay
-// resumes above the boundary.
-func (e *Engine) stepInstallSnapshot(from protocol.NodeID, m *protocol.MsgInstallSnapshot, out *protocol.Output) {
-	resp := &protocol.MsgInstallSnapshotResp{Term: e.ballot, Index: m.Index}
-	if m.Term < e.ballot {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-		return
-	}
-	e.observeBallot(m.Term, out)
-	resp.Term = e.ballot
-	e.resetTimeout()
-	if m.Index <= e.chosenPrefix {
-		// Already covered locally (duplicate transfer or a stale chunk):
-		// nothing to install; the ack lets the sender resume.
-		e.snapAsm.Reset()
-		resp.Installed = true
-		resp.NextOffset = m.Offset + int64(len(m.Data))
-	} else {
-		img, done, next := e.snapAsm.Accept(m)
-		if next < 0 {
-			// A better transfer is in progress: no ack, so this sender's
-			// damped retries cannot clobber the winning image's progress.
-			return
-		}
-		resp.NextOffset = next
-		if done {
-			e.installSnapshot(img, out)
-			resp.Installed = true
-		}
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
 // installSnapshot adopts a fully assembled image: every instance at or
 // below its index is chosen and lives in the image, so the instance space
 // re-anchors there (keeping any held suffix beyond it) and the driver
 // persists the image before applying anything above it.
 func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Output) {
-	if img.Index <= e.chosenPrefix {
-		return
-	}
 	if img.Index >= e.LastIndex() {
 		e.insts = nil
 	} else {
@@ -1179,31 +1017,6 @@ func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Outpu
 	out.StateChanged = true
 	out.InstalledSnapshot = &img
 	e.advanceChosen(out)
-}
-
-// stepInstallSnapshotResp paces an outbound transfer: each ack releases
-// the next chunk, and the final Installed ack immediately re-sends the
-// instance run above the boundary so the receiver resumes execution
-// without waiting for the next gap report.
-func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgInstallSnapshotResp, out *protocol.Output) {
-	if e.observeBallot(m.Term, out) {
-		return
-	}
-	x := e.xfers[from]
-	if x == nil || x.Img.Index != m.Index || m.Term != e.ballot {
-		return // ack from an older transfer or ballot
-	}
-	if m.Installed {
-		delete(e.xfers, from)
-		e.resendInstances(from, m.Index+1, out)
-		return
-	}
-	x.Ack(m.NextOffset)
-	if chunk := x.Chunk(e.ballot); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: chunk})
-	} else {
-		delete(e.xfers, from) // receiver ran past the image end: abandon
-	}
 }
 
 // tryChoose declares instance idx chosen if a quorum voted for it — under
@@ -1242,10 +1055,10 @@ voters:
 }
 
 // decisive reports whether the leader's own vote, not yet asked for, would
-// choose pending instance idx.
+// choose unchosen instance idx.
 func (e *Engine) decisive(idx int64) bool {
-	set, pending := e.acks[idx]
-	if !e.phase1OK || !pending || idx <= e.selfAsked || set[e.cfg.ID] {
+	set, open := e.acks[idx]
+	if !e.phase1OK || !open || idx <= e.selfAsked || set[e.cfg.ID] {
 		return false
 	}
 	set[e.cfg.ID] = true
@@ -1260,7 +1073,7 @@ func (e *Engine) decisive(idx int64) bool {
 func (e *Engine) askSelf(out *protocol.Output) {
 	var own []int64
 	for i := max(e.selfAsked, e.instBase) + 1; i <= e.LastIndex(); i++ {
-		if _, pending := e.acks[i]; pending && e.insts[i-e.instBase-1].bal == e.ballot {
+		if _, open := e.acks[i]; open && e.insts[i-e.instBase-1].bal == e.ballot {
 			own = append(own, i)
 		}
 	}
@@ -1269,7 +1082,7 @@ func (e *Engine) askSelf(out *protocol.Output) {
 		Msg: &MsgAcceptOK{Bal: e.ballot, Idxs: own}})
 }
 
-// Recheck re-evaluates every pending instance without new input: what
+// Recheck re-evaluates every unchosen instance without new input: what
 // Hooks.MustAck names shrinks as leases expire, which may unblock
 // instances that were waiting on a dead holder.
 func (e *Engine) Recheck() protocol.Output {

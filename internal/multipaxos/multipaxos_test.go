@@ -664,3 +664,184 @@ func TestLostAcceptHoleReport(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// strandBehindCompaction strands acceptor 2 (passive: the other two lead)
+// behind a compacted leader: a first batch is chosen everywhere, 2 is cut
+// off, more is chosen past it, and the leader compacts to an image of
+// imgSize bytes. tail more instances are chosen above the image. With
+// alsoFollower the third replica compacts to the same image, so it can take
+// over the shipment. Returns the cluster, the leader and the image.
+func strandBehindCompaction(t *testing.T, seed int64, imgSize, tail int, alsoFollower bool) (*testcluster.Cluster, *multipaxos.Engine, protocol.SnapshotImage) {
+	t.Helper()
+	c := fixedCluster(t, seed, map[protocol.NodeID]bool{2: true})
+	leader, err := c.ElectLeader(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderID := leader.ID()
+	put := func(i int) {
+		c.Submit(leaderID, protocol.Command{ID: uint64(i + 1), Op: protocol.OpPut, Key: "k"})
+	}
+	for i := 0; i < 5; i++ {
+		put(i)
+	}
+	c.Settle(3)
+	c.Isolate(2, true)
+	for i := 5; i < 30; i++ {
+		put(i)
+	}
+	c.Settle(3)
+	lead := leader.(*multipaxos.Engine)
+	img := compactAndProvide(t, lead, imgSize)
+	if alsoFollower {
+		other := c.Engines[1-leaderID].(*multipaxos.Engine)
+		if other.ChosenPrefix() != img.Index {
+			t.Fatalf("follower prefix %d, leader compacted at %d", other.ChosenPrefix(), img.Index)
+		}
+		compactAndProvide(t, other, imgSize)
+	}
+	for i := 0; i < tail; i++ {
+		put(500 + i)
+	}
+	c.Settle(3)
+	return c, lead, img
+}
+
+// TestHeartbeatsFlowDuringTransfer steps the leader directly and checks
+// the two properties chunking exists for: no frame to the stranded
+// acceptor ever carries more than one chunk of image data, and heartbeat
+// accepts keep flowing to it while the transfer is in flight. The final
+// ack must at once re-send the instances above the snapshot boundary, so
+// the acceptor resumes without waiting for its next gap report.
+func TestHeartbeatsFlowDuringTransfer(t *testing.T) {
+	c, lead, img := strandBehindCompaction(t, 4, 4*protocol.SnapshotChunkSize, 3, false)
+	const victim = protocol.NodeID(2)
+	veng := c.Engines[victim].(*multipaxos.Engine)
+	c.Queue = nil
+
+	// The acceptor's gap report below the compaction base starts the
+	// transfer.
+	chunkTo := func(out protocol.Output) *protocol.MsgInstallSnapshot {
+		var chunk *protocol.MsgInstallSnapshot
+		for _, env := range out.Msgs {
+			if m, ok := env.Msg.(*protocol.MsgInstallSnapshot); ok && env.To == victim {
+				chunk = m
+			}
+		}
+		return chunk
+	}
+	chunk := chunkTo(lead.Step(victim, &multipaxos.MsgAcceptOK{Bal: lead.Ballot(), NeedFrom: veng.ChosenPrefix() + 1}))
+	if chunk == nil || chunk.Offset != 0 {
+		t.Fatalf("a gap report below the base did not start a transfer: %+v", chunk)
+	}
+
+	// Mid-transfer, heartbeats still reach the acceptor and no frame
+	// carries the whole image.
+	hb := false
+	for i := 0; i < 4; i++ {
+		for _, env := range lead.Tick().Msgs {
+			if env.To != victim {
+				continue
+			}
+			if _, ok := env.Msg.(*multipaxos.MsgAccept); ok {
+				hb = true
+			}
+			if m, ok := env.Msg.(*protocol.MsgInstallSnapshot); ok && len(m.Data) > protocol.SnapshotChunkSize {
+				t.Fatalf("frame carries %d bytes mid-transfer, cap %d", len(m.Data), protocol.SnapshotChunkSize)
+			}
+		}
+	}
+	if !hb {
+		t.Fatal("no heartbeat reached the acceptor during the transfer")
+	}
+
+	// Shuttle chunks by hand until the image lands.
+	for hop := 0; ; hop++ {
+		if hop == 100 {
+			t.Fatal("transfer never completed")
+		}
+		vout := veng.Step(lead.ID(), chunk)
+		var resp *protocol.MsgInstallSnapshotResp
+		for _, env := range vout.Msgs {
+			if r, ok := env.Msg.(*protocol.MsgInstallSnapshotResp); ok {
+				resp = r
+			}
+		}
+		if resp == nil {
+			t.Fatal("chunk produced no ack")
+		}
+		lout := lead.Step(victim, resp)
+		if resp.Installed {
+			if vout.InstalledSnapshot == nil || vout.InstalledSnapshot.Index != img.Index {
+				t.Fatalf("install output = %+v, want image at %d", vout.InstalledSnapshot, img.Index)
+			}
+			// The final ack re-sends the run right above the boundary.
+			resumed := false
+			for _, env := range lout.Msgs {
+				if acc, ok := env.Msg.(*multipaxos.MsgAccept); ok && env.To == victim && len(acc.Insts) > 0 {
+					resumed = true
+					if acc.Insts[0].Idx != img.Index+1 {
+						t.Fatalf("resumed accept starts at %d, want %d", acc.Insts[0].Idx, img.Index+1)
+					}
+				}
+			}
+			if !resumed {
+				t.Fatal("leader did not re-send instances on the final install ack")
+			}
+			break
+		}
+		if chunk = chunkTo(lout); chunk == nil {
+			t.Fatal("ack released no next chunk")
+		}
+	}
+	if veng.ChosenPrefix() != img.Index {
+		t.Fatalf("acceptor prefix = %d after install, want %d", veng.ChosenPrefix(), img.Index)
+	}
+}
+
+// TestLeaderChangeMidTransfer cuts the leader off partway through a
+// transfer: the other replica, holding the same image, takes over at a
+// higher ballot, ships it again, and the stranded acceptor converges —
+// its assembly resumes the identical image from the new sender.
+func TestLeaderChangeMidTransfer(t *testing.T) {
+	c, lead, img := strandBehindCompaction(t, 5, 4*protocol.SnapshotChunkSize, 0, true)
+	const victim = protocol.NodeID(2)
+	oldID := lead.ID()
+	c.Isolate(victim, false)
+	acked := false
+	for r := 0; r < 3000 && !acked; r++ {
+		c.Tick()
+		c.DeliverAll(1)
+		for _, env := range c.Queue {
+			if _, ok := env.Msg.(*protocol.MsgInstallSnapshotResp); ok && env.From == victim {
+				acked = true
+			}
+		}
+	}
+	if !acked {
+		t.Fatal("transfer never started")
+	}
+	if len(c.Installed[victim]) != 0 {
+		t.Skip("transfer completed before the fault could be injected")
+	}
+
+	c.Isolate(oldID, true)
+	successor := c.Engines[1-oldID].(*multipaxos.Engine)
+	c.Collect(successor.ID(), successor.Campaign())
+	c.Settle(60)
+
+	if len(c.Installed[victim]) == 0 {
+		t.Fatal("acceptor never installed after the leader change")
+	}
+	if got := c.Installed[victim][len(c.Installed[victim])-1]; got.Index != img.Index {
+		t.Fatalf("installed at %d, want %d", got.Index, img.Index)
+	}
+	veng := c.Engines[victim].(*multipaxos.Engine)
+	if !successor.IsLeader() || veng.ChosenPrefix() != successor.ChosenPrefix() {
+		t.Fatalf("no convergence under the new leader: acceptor %d, successor %d (leader=%v)",
+			veng.ChosenPrefix(), successor.ChosenPrefix(), successor.IsLeader())
+	}
+	if err := c.CheckAgreement(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,8 +1,8 @@
 package protocol
 
 // The Fast Paxos write path, built once at the protocol layer and shared
-// by raft, raftstar, and multipaxos the way ReadTracker and SnapshotXfer
-// are: a submitter broadcasts its commands directly to every replica
+// by raft, raftstar, and multipaxos the way Front and CatchUp are: a
+// submitter broadcasts its commands directly to every replica
 // (MsgFastAccept), each replica accepts them speculatively into the next
 // open slot of its own log and acks everyone (MsgFastAck — a
 // BarrierMessage, so the persist-before-ack barrier covers speculative
@@ -127,11 +127,8 @@ type FastStatser interface {
 // families. (The fifth, election recovery, stays in the engine and calls
 // ChooseFast.)
 type FastHost struct {
-	Term      func() uint64 // term, or ballot
-	IsLeader  func() bool
-	LastIndex func() int64
-	Commit    func() int64 // commit index, or chosen prefix
-	HeldID    func(slot int64) (id uint64, ok bool)
+	View
+	HeldID func(slot int64) (id uint64, ok bool)
 
 	// Speculate accepts cmds at the end of the log at ballot 0 — no leader
 	// has accepted them — and emits them for persistence.

@@ -163,10 +163,12 @@ func newFakeFastLog(id NodeID, leader bool, peers ...NodeID) *fakeFastLog {
 		}
 	}
 	l.path = NewFastPath(id, peers, FastHost{
-		Term:      func() uint64 { return l.term },
-		IsLeader:  func() bool { return l.leader },
-		LastIndex: func() int64 { return int64(len(l.ids)) },
-		Commit:    func() int64 { return l.commit },
+		View: View{
+			Term:      func() uint64 { return l.term },
+			IsLeader:  func() bool { return l.leader },
+			LastIndex: func() int64 { return int64(len(l.ids)) },
+			Commit:    func() int64 { return l.commit },
+		},
 		HeldID: func(slot int64) (uint64, bool) {
 			if slot < 1 || slot > int64(len(l.ids)) {
 				return 0, false

@@ -3,6 +3,12 @@
 // arithmetic and the pure-state-machine engine contract that lets the same
 // protocol logic run under the discrete-event simulator and under live
 // transports.
+//
+// It also holds, written once, the parts of a leader-based engine that the
+// Raft family and MultiPaxos share: Front, the client half (forwarding,
+// the leaderless buffers, ReadIndex); CatchUp, the snapshot half of
+// catching a peer up; and FastPath, the Fast Paxos write path. Each engine
+// lends them the few moves that differ between the families.
 package protocol
 
 import (
@@ -427,7 +433,3 @@ func (m *MsgReadForward) CmdCount() int { return len(m.Cmds) }
 // ErrNotLeader is returned in ClientReply.Err when a write was submitted to
 // a replica that cannot serve it and cannot forward it.
 var ErrNotLeader = errors.New("not leader")
-
-// ErrDropped is returned when an engine sheds a request (for example a
-// pending proposal abandoned after losing leadership).
-var ErrDropped = errors.New("request dropped")

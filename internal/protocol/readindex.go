@@ -2,11 +2,7 @@ package protocol
 
 import "slices"
 
-// ReadTracker is the leader half of the ReadIndex read path, built once
-// here and shared by the raft, raftstar, and multipaxos engines the same
-// way the snapshot-transfer machinery is (the paper's porting direction:
-// one optimization, expressed at the protocol layer, inherited by the
-// family).
+// ReadTracker is the leader half of the ReadIndex read path, run by Front.
 //
 // The protocol: when a read arrives at the leader it captures the current
 // commit index (clamped up to the leader's election barrier) as the
@@ -56,7 +52,7 @@ type ReadTracker struct {
 	nextCtx uint64
 	batches []readBatch
 	// pending counts the commands parked in batches (bounded by
-	// maxPendingReads).
+	// MaxParked).
 	pending int
 }
 
@@ -89,10 +85,10 @@ func (t *ReadTracker) Reset(quorum int, unsafeNoQuorum bool) {
 // term — another member, pre-counted toward the quorum — or None for reads
 // submitted at the leader. When nothing more is needed (leader + witness is
 // already a quorum, a single-replica cluster, the sabotaged test mode) the
-// ReadState is released into out immediately. At most maxPendingReads
-// commands park: there is no check-quorum, so a partitioned leader that
-// has not yet heard a higher term would otherwise hold every read sent to
-// it; overflow is rejected with ErrNotLeader like RouteReads' buffer.
+// ReadState is released into out immediately. At most MaxParked commands
+// park: there is no check-quorum, so a partitioned leader that has not yet
+// heard a higher term would otherwise hold every read sent to it; overflow
+// is rejected with ErrNotLeader like the Front's leaderless buffers.
 func (t *ReadTracker) Add(cmds []Command, index int64, witness NodeID, out *Output) {
 	if len(cmds) == 0 {
 		return
@@ -106,9 +102,9 @@ func (t *ReadTracker) Add(cmds []Command, index int64, witness NodeID, out *Outp
 		out.ReadStates = append(out.ReadStates, ReadState{Index: index, Cmds: cmds})
 		return
 	}
-	if room := maxPendingReads - t.pending; len(cmds) > room {
+	if room := MaxParked - t.pending; len(cmds) > room {
 		for _, cmd := range cmds[room:] {
-			failRead(cmd, out)
+			reject(cmd, out)
 		}
 		cmds = cmds[:room]
 	}
@@ -183,52 +179,13 @@ func (t *ReadTracker) Ack(from NodeID, ctx uint64, out *Output) {
 	t.batches = kept
 }
 
-// maxPendingReads bounds the reads an engine holds unanswered: buffered
-// while no leader is known (RouteReads), or parked at the leader awaiting
-// confirmation (ReadTracker.Add). Overflow rejects with ErrNotLeader, like
-// the write-side cap.
-const maxPendingReads = 4096
-
-// failRead rejects one read with ErrNotLeader.
-func failRead(cmd Command, out *Output) {
-	out.Replies = append(out.Replies, ClientReply{
-		Kind: ReplyRead, CmdID: cmd.ID, Client: cmd.Client, Key: cmd.Key,
-		Err: ErrNotLeader,
-	})
-}
-
-// RouteReads is the non-leader half of SubmitReadBatch, shared by every
-// engine with a ReadIndex port: forward the batch to a known leader,
-// stamped with term — the sender's current term/highest seen ballot, which
-// is what lets the leader count it as a quorum witness — or buffer it
-// (bounded) until one is discovered and flushPending re-routes. A leader
-// view still pointing at self (a deposed leader that has only seen a
-// higher term, not the new leader) counts as unknown — forwarding to self
-// would loop the batch through the transport forever.
-func RouteReads(self, leader NodeID, term uint64, pending *[]Command, cmds []Command, out *Output) {
-	if leader != None && leader != self {
-		out.Msgs = append(out.Msgs, Envelope{
-			From: self, To: leader,
-			Msg: &MsgReadForward{Cmds: append([]Command(nil), cmds...), Term: term},
-		})
-		return
-	}
-	for _, cmd := range cmds {
-		if len(*pending) < maxPendingReads {
-			*pending = append(*pending, cmd)
-			continue
-		}
-		failRead(cmd, out)
-	}
-}
-
 // FailAll rejects every pending read with ErrNotLeader — called when the
 // replica loses (or abdicates) leadership, so parked reads fail fast and
 // clients retry against the new leader instead of hanging.
 func (t *ReadTracker) FailAll(out *Output) {
 	for _, b := range t.batches {
 		for _, cmd := range b.cmds {
-			failRead(cmd, out)
+			reject(cmd, out)
 		}
 	}
 	t.batches = nil

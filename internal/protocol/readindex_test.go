@@ -213,7 +213,7 @@ func TestReadTrackerWitnessNeedsOneEchoOfFive(t *testing.T) {
 	}
 }
 
-// The leader parks at most maxPendingReads commands: there is no
+// The leader parks at most MaxParked commands: there is no
 // check-quorum, so an isolated leader would otherwise hold every read sent
 // to it. Overflow is rejected, not parked; what was parked fails on
 // deposition and is never served.
@@ -223,7 +223,7 @@ func TestReadTrackerCapsParkedReads(t *testing.T) {
 
 	var out Output
 	id := uint64(0)
-	for id < 2*maxPendingReads {
+	for id < 2*MaxParked {
 		batch := make([]Command, 100)
 		for i := range batch {
 			id++
@@ -231,24 +231,24 @@ func TestReadTrackerCapsParkedReads(t *testing.T) {
 		}
 		tr.Add(batch, 1, None, &out)
 		tr.MarkSent()
-		if tr.Pending() > maxPendingReads {
-			t.Fatalf("parked %d reads, cap is %d", tr.Pending(), maxPendingReads)
+		if tr.Pending() > MaxParked {
+			t.Fatalf("parked %d reads, cap is %d", tr.Pending(), MaxParked)
 		}
 	}
-	if tr.Pending() != maxPendingReads {
-		t.Fatalf("parked %d reads, want the cap %d", tr.Pending(), maxPendingReads)
+	if tr.Pending() != MaxParked {
+		t.Fatalf("parked %d reads, want the cap %d", tr.Pending(), MaxParked)
 	}
-	if len(out.Replies) != int(id)-maxPendingReads {
-		t.Fatalf("rejected %d reads, want %d", len(out.Replies), int(id)-maxPendingReads)
+	if len(out.Replies) != int(id)-MaxParked {
+		t.Fatalf("rejected %d reads, want %d", len(out.Replies), int(id)-MaxParked)
 	}
 	for _, rep := range out.Replies {
-		if !errors.Is(rep.Err, ErrNotLeader) || rep.CmdID <= maxPendingReads {
+		if !errors.Is(rep.Err, ErrNotLeader) || rep.CmdID <= MaxParked {
 			t.Fatalf("wrong overflow reply: %+v", rep)
 		}
 	}
 	var o2 Output
 	tr.FailAll(&o2)
-	if len(o2.Replies) != maxPendingReads || len(o2.ReadStates)+len(out.ReadStates) != 0 {
+	if len(o2.Replies) != MaxParked || len(o2.ReadStates)+len(out.ReadStates) != 0 {
 		t.Fatalf("deposition: %d failed, %d served", len(o2.Replies), len(o2.ReadStates)+len(out.ReadStates))
 	}
 	if tr.Pending() != 0 {

@@ -1,8 +1,8 @@
 package protocol
 
-// Wire-level snapshot transfer (InstallSnapshot), built once here and
-// shared by every engine that can strand a peer behind its compaction
-// base. The paper's thesis is that optimizations port across the
+// Wire-level snapshot transfer (InstallSnapshot), built once here as
+// CatchUp and shared by every engine that can strand a peer behind its
+// compaction base. The paper's thesis is that optimizations port across the
 // Paxos/Raft family through the shared refinement; the same holds for the
 // catch-up machinery that complements log compaction: Raft and Raft*
 // leaders ship the image when next[peer] falls below the held tail, and
@@ -107,8 +107,115 @@ func (m *MsgInstallSnapshotResp) WireSize() int { return 32 }
 // promises the image is durably adopted.
 func (m *MsgInstallSnapshotResp) RequiresBarrier() {}
 
+// CatchUp is that machinery for one replica: a SnapshotXfer per stranded
+// peer and the SnapshotAssembly of an inbound image. The engine lends what
+// differs between the families: when a peer is stranded, its step-down
+// before a chunk from a higher term, installing an image into its log, and
+// resuming replication to a peer that installed one.
+type CatchUp struct {
+	id       NodeID
+	provider SnapshotProvider
+	xfers    map[NodeID]*SnapshotXfer
+	asm      SnapshotAssembly
+}
+
+// NewCatchUp builds the catch-up half of replica id.
+func NewCatchUp(id NodeID) CatchUp { return CatchUp{id: id} }
+
+// SetProvider wires the driver's snapshot store; without one a stranded
+// peer stays stranded.
+func (c *CatchUp) SetProvider(p SnapshotProvider) { c.provider = p }
+
+// Send starts, or nudges, the shipment of the newest durable image to p,
+// which needs an index below first, the lowest this replica holds. A
+// transfer under way re-sends its chunk only after a whole retry interval
+// of silence (SnapshotXfer.Retry). An image ending below first-1 is not
+// sent: p could not resume replay above it.
+func (c *CatchUp) Send(p NodeID, term uint64, first int64, out *Output) {
+	if x, ok := c.xfers[p]; ok {
+		if x.Retry() {
+			c.chunk(p, x, term, out)
+		}
+		return
+	}
+	if c.provider == nil {
+		return
+	}
+	img, ok := c.provider.LatestSnapshotImage()
+	if !ok || img.Index+1 < first {
+		return
+	}
+	if c.xfers == nil {
+		c.xfers = make(map[NodeID]*SnapshotXfer)
+	}
+	x := &SnapshotXfer{Img: img}
+	c.xfers[p] = x
+	c.chunk(p, x, term, out)
+}
+
+// Ack paces the transfer to from: the next chunk goes out, or the transfer
+// ends when the receiver ran past the image. It reports whether the
+// receiver installed the image, the engine's cue to resume replication
+// above it. An ack from an older transfer, or at another term, is ignored.
+func (c *CatchUp) Ack(from NodeID, m *MsgInstallSnapshotResp, term uint64, out *Output) bool {
+	x := c.xfers[from]
+	if x == nil || x.Img.Index != m.Index || m.Term != term {
+		return false
+	}
+	if m.Installed {
+		delete(c.xfers, from)
+		return true
+	}
+	x.Ack(m.NextOffset)
+	if !c.chunk(from, x, term, out) {
+		delete(c.xfers, from)
+	}
+	return false
+}
+
+// Drop abandons every outbound transfer on a step-down: they carry the old
+// term, and a new leadership restarts them on demand.
+func (c *CatchUp) Drop() { c.xfers = nil }
+
+// Receive answers one chunk at a replica now at term (the engine stepped
+// down first if m.Term was higher) whose commit index or chosen prefix is
+// commit, and returns the image once its last chunk lands, for the engine
+// to install. A chunk from an older term is refused; an image commit
+// already covers is acked as installed; a chunk of a transfer losing to a
+// better one gets no answer, so its retries cannot clobber the winner.
+func (c *CatchUp) Receive(from NodeID, m *MsgInstallSnapshot, term uint64, commit int64, out *Output) (SnapshotImage, bool) {
+	resp := &MsgInstallSnapshotResp{Term: term, Index: m.Index}
+	var img SnapshotImage
+	switch {
+	case m.Term < term:
+	case m.Index <= commit:
+		c.asm.Reset()
+		resp.Installed = true
+		resp.NextOffset = m.Offset + int64(len(m.Data))
+	default:
+		var next int64
+		img, resp.Installed, next = c.asm.Accept(m)
+		if next < 0 {
+			return SnapshotImage{}, false
+		}
+		resp.NextOffset = next
+	}
+	out.Msgs = append(out.Msgs, Envelope{From: c.id, To: from, Msg: resp})
+	return img, resp.Installed && m.Index > commit
+}
+
+// chunk sends x's current chunk to p, or reports the image exhausted.
+func (c *CatchUp) chunk(p NodeID, x *SnapshotXfer, term uint64, out *Output) bool {
+	m := x.Chunk(term)
+	if m == nil {
+		return false
+	}
+	out.Msgs = append(out.Msgs, Envelope{From: c.id, To: p, Msg: m})
+	return true
+}
+
 // SnapshotXfer is the sender side of one in-flight transfer: one chunk
-// outstanding, advanced by acks. Engines keep one per stranded peer.
+// outstanding, advanced by acks. CatchUp keeps one per stranded peer.
 type SnapshotXfer struct {
 	Img    SnapshotImage
 	Offset int64
@@ -126,10 +233,7 @@ func (x *SnapshotXfer) Chunk(term uint64) *MsgInstallSnapshot {
 	if x.Offset > total || (x.Offset == total && total > 0) {
 		return nil
 	}
-	end := x.Offset + SnapshotChunkSize
-	if end > total {
-		end = total
-	}
+	end := min(x.Offset+SnapshotChunkSize, total)
 	x.idle = false
 	return &MsgInstallSnapshot{
 		Term:     term,
@@ -144,10 +248,7 @@ func (x *SnapshotXfer) Chunk(term uint64) *MsgInstallSnapshot {
 // Ack adopts the receiver's expected offset; the caller then sends
 // Chunk() from there.
 func (x *SnapshotXfer) Ack(next int64) {
-	if next < 0 {
-		next = 0
-	}
-	x.Offset = next
+	x.Offset = max(next, 0)
 	x.idle = false
 }
 
@@ -155,11 +256,9 @@ func (x *SnapshotXfer) Ack(next int64) {
 // chunk now: the first trigger after an ack only arms the retry, the
 // second (nothing heard for a whole retry interval) fires it.
 func (x *SnapshotXfer) Retry() bool {
-	if x.idle {
-		return true
-	}
+	fire := x.idle
 	x.idle = true
-	return false
+	return fire
 }
 
 // SnapshotAssembly is the receiver side: it accumulates chunks arriving
@@ -221,19 +320,10 @@ func (a *SnapshotAssembly) Accept(m *MsgInstallSnapshot) (img SnapshotImage, don
 		return SnapshotImage{}, false, int64(len(a.buf))
 	}
 	img = SnapshotImage{Index: a.index, Term: a.term, Data: a.buf}
-	next = int64(len(a.buf))
-	a.reset()
-	return img, true, next
+	a.Reset()
+	return img, true, int64(len(img.Data))
 }
-
-// InProgress reports whether a partial image is buffered (used by tests
-// asserting a crash mid-install drops the torn image).
-func (a *SnapshotAssembly) InProgress() bool { return a.started }
 
 // Reset discards any partial image (the receiver turned out not to need
 // the transfer after all).
-func (a *SnapshotAssembly) Reset() { a.reset() }
-
-func (a *SnapshotAssembly) reset() {
-	a.index, a.term, a.senderTerm, a.buf, a.started = 0, 0, 0, nil, false
-}
+func (a *SnapshotAssembly) Reset() { *a = SnapshotAssembly{} }

@@ -125,8 +125,27 @@ func (rules) Commit(e *raftstar.Engine, quorum int64) int64 {
 	return quorum
 }
 
+// Rename gives the engine's messages Raft's types on their way out (a
+// pointer conversion: the structs are the same).
+func (rules) Rename(m protocol.Message) protocol.Message {
+	switch m := m.(type) {
+	case *raftstar.MsgVoteReq:
+		return (*MsgVoteReq)(m)
+	case *raftstar.MsgVoteResp:
+		return (*MsgVoteResp)(m)
+	case *raftstar.MsgAppendReq:
+		return (*MsgAppendReq)(m)
+	case *raftstar.MsgAppendResp:
+		return (*MsgAppendResp)(m)
+	case *raftstar.MsgForward:
+		return (*MsgForward)(m)
+	}
+	return m
+}
+
 // Engine is a single Raft replica: the shared engine under Raft's rules,
-// speaking Raft's message types.
+// speaking Raft's message types — it builds them itself (Rename), so only
+// inbound traffic needs a filter (Step).
 type Engine struct {
 	*raftstar.Engine
 }
@@ -161,51 +180,5 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	default:
 		return protocol.Output{}
 	}
-	return outbound(e.Engine.Step(from, msg))
-}
-
-// outbound renames the engine's messages to Raft's types on their way out
-// (a pointer conversion: the structs are the same).
-func outbound(out protocol.Output) protocol.Output {
-	for i := range out.Msgs {
-		switch m := out.Msgs[i].Msg.(type) {
-		case *raftstar.MsgVoteReq:
-			out.Msgs[i].Msg = (*MsgVoteReq)(m)
-		case *raftstar.MsgVoteResp:
-			out.Msgs[i].Msg = (*MsgVoteResp)(m)
-		case *raftstar.MsgAppendReq:
-			out.Msgs[i].Msg = (*MsgAppendReq)(m)
-		case *raftstar.MsgAppendResp:
-			out.Msgs[i].Msg = (*MsgAppendResp)(m)
-		case *raftstar.MsgForward:
-			out.Msgs[i].Msg = (*MsgForward)(m)
-		}
-	}
-	return out
-}
-
-// Tick implements protocol.Engine.
-func (e *Engine) Tick() protocol.Output { return outbound(e.Engine.Tick()) }
-
-// Campaign forces an immediate election.
-func (e *Engine) Campaign() protocol.Output { return outbound(e.Engine.Campaign()) }
-
-// Submit implements protocol.Engine.
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
-	return outbound(e.Engine.Submit(cmd))
-}
-
-// SubmitBatch implements protocol.BatchSubmitter.
-func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
-	return outbound(e.Engine.SubmitBatch(cmds))
-}
-
-// SubmitRead implements protocol.Engine.
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
-	return outbound(e.Engine.SubmitRead(cmd))
-}
-
-// SubmitReadBatch implements protocol.ReadBatchSubmitter.
-func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
-	return outbound(e.Engine.SubmitReadBatch(cmds))
+	return e.Engine.Step(from, msg)
 }

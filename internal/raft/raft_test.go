@@ -1,6 +1,8 @@
 package raft_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"raftpaxos/internal/protocol"
@@ -132,5 +134,76 @@ func TestCommitRestriction542(t *testing.T) {
 	out = x.Step(0, out.Msgs[0].Msg)
 	if len(out.Commits) != 2 || x.CommitIndex() != 2 || out.Commits[0].Entry.Cmd.ID != 1 {
 		t.Fatalf("commits = %+v (commit=%d), want the old entry then the barrier", out.Commits, x.CommitIndex())
+	}
+}
+
+// TestOnlyRaftTypesLeave drives a raft.Engine through every exported method
+// that returns an Output and fails if a message it emits has one of
+// raftstar's types: Raft's wire identity is stamped where the engine builds
+// a message (rules.Rename), so no method — promoted ones like Recheck
+// included — may leak the engine's own. The drive must cover every such
+// method the type has, and between them emit each of Raft's five types.
+func TestOnlyRaftTypesLeave(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2}
+	cfg := func(id protocol.NodeID) raftstar.Config {
+		return raftstar.Config{ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 1, Seed: 1, ReadIndex: true}
+	}
+	leader, follower := raft.New(cfg(0)), raft.New(cfg(1))
+	driven := map[string]bool{}
+	emitted := map[string]bool{}
+	// to returns the one message out sends to p.
+	to := func(out protocol.Output, p protocol.NodeID) protocol.Message {
+		t.Helper()
+		for _, env := range out.Msgs {
+			if env.To == p {
+				return env.Msg
+			}
+		}
+		t.Fatalf("nothing sent to %d", p)
+		return nil
+	}
+	drive := func(method string, out protocol.Output) protocol.Output {
+		t.Helper()
+		driven[method] = true
+		for _, env := range out.Msgs {
+			typ := reflect.TypeOf(env.Msg).Elem()
+			if typ.PkgPath() == reflect.TypeOf(raftstar.Engine{}).PkgPath() {
+				t.Errorf("%s emitted %s.%s to %d", method, typ.PkgPath(), typ.Name(), env.To)
+			}
+			emitted[fmt.Sprintf("%T", env.Msg)] = true
+		}
+		return out
+	}
+	put := func(id uint64) protocol.Command { return protocol.Command{ID: id, Op: protocol.OpPut, Key: "k"} }
+	get := func(id uint64) protocol.Command { return protocol.Command{ID: id, Op: protocol.OpGet, Key: "k"} }
+
+	req := to(drive("Campaign", leader.Campaign()), 1)
+	grant := to(drive("Step", follower.Step(0, req)), 0)
+	announce := to(drive("Step", leader.Step(1, grant)), 1)
+	drive("Step", follower.Step(0, announce))
+	drive("Tick", leader.Tick())
+	drive("Submit", follower.Submit(put(1)))
+	drive("SubmitBatch", follower.SubmitBatch([]protocol.Command{put(2), put(3)}))
+	drive("SubmitRead", follower.SubmitRead(get(4)))
+	drive("SubmitReadBatch", follower.SubmitReadBatch([]protocol.Command{get(5)}))
+	drive("SubmitRead", leader.SubmitRead(get(6)))
+	// The follower's ack makes the leader's own vote decisive: it asks for
+	// it with a self-addressed append response.
+	ack := to(drive("Step", follower.Step(0, to(drive("Submit", leader.Submit(put(7))), 1))), 0)
+	to(drive("Step", leader.Step(1, ack)), 0)
+	drive("Recheck", leader.Recheck())
+
+	outputType := reflect.TypeOf(protocol.Output{})
+	typ := reflect.TypeOf(leader)
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		if m.Type.NumOut() == 1 && m.Type.Out(0) == outputType && !driven[m.Name] {
+			t.Errorf("%s returns an Output but the test never drives it", m.Name)
+		}
+	}
+	for _, want := range []protocol.Message{&raft.MsgVoteReq{}, &raft.MsgVoteResp{}, &raft.MsgAppendReq{}, &raft.MsgAppendResp{}, &raft.MsgForward{}} {
+		if name := fmt.Sprintf("%T", want); !emitted[name] {
+			t.Errorf("the drive never emitted a %s", name)
+		}
 	}
 }

@@ -74,7 +74,7 @@ type MsgAppendReq struct {
 	PrevTerm  uint64
 	Entries   []protocol.Entry
 	Commit    int64
-	// ReadCtx is the highest pending ReadIndex confirmation context at the
+	// ReadCtx is the highest open ReadIndex confirmation context at the
 	// leader (0 = none); the follower echoes it in its response (see
 	// protocol.ReadTracker).
 	ReadCtx uint64

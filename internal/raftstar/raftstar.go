@@ -1,8 +1,10 @@
 // Package raftstar implements Raft*, the Raft variant introduced by the
 // paper (Figure 2, including the blue additions) for which a refinement
 // mapping to MultiPaxos exists — and with it the one log-replication
-// engine of the Raft family: roles, timers, votes, batching, pipelining,
-// snapshot transfer, ReadIndex and the fast write path exist here once.
+// engine of the Raft family: roles, timers, votes, batching and pipelining
+// exist here once, and the client front (forwarding, ReadIndex), snapshot
+// catch-up and the fast write path come from package protocol, shared with
+// multipaxos.
 // Raft* differs from standard Raft at exactly three points, each a method
 // group of Rules (rules.go holds Raft*'s, package raft holds Raft's):
 //
@@ -63,10 +65,6 @@ type Config struct {
 	ElectionTicks int
 	// HeartbeatTicks is the leader's heartbeat period.
 	HeartbeatTicks int
-	// MaxBatch caps entries per append message (0 = 1024).
-	MaxBatch int
-	// MaxInflight caps pipelined appends per follower (0 = 16).
-	MaxInflight int
 	// Seed feeds the deterministic election jitter RNG.
 	Seed int64
 	// Passive disables the election timer (the replica still votes and
@@ -104,14 +102,15 @@ func (c *Config) withDefaults() Config {
 	if out.HeartbeatTicks <= 0 {
 		out.HeartbeatTicks = 1
 	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 1024
-	}
-	if out.MaxInflight <= 0 {
-		out.MaxInflight = 16
-	}
 	return out
 }
+
+// maxBatch caps entries per append message; maxInflight caps pipelined
+// appends per follower.
+const (
+	maxBatch    = 1024
+	maxInflight = 16
+)
 
 // Engine is a single replica: Raft* when built by New, standard Raft when
 // package raft builds it over its own Rules.
@@ -153,28 +152,15 @@ type Engine struct {
 	selfAsked int64
 	scratch   []int64
 
-	// provider supplies the durable snapshot image a leader ships to a
-	// peer stranded below the compaction base; xfers tracks one chunked
-	// transfer per such peer, snapAsm reassembles an inbound one.
-	provider protocol.SnapshotProvider
-	xfers    map[protocol.NodeID]*protocol.SnapshotXfer
-	snapAsm  protocol.SnapshotAssembly
+	// front routes client writes and reads (ReadIndex at the leader);
+	// catchup ships snapshot images to peers stranded below the compaction
+	// base and assembles inbound ones.
+	front   protocol.Front
+	catchup protocol.CatchUp
 
 	elapsed   int
 	timeout   int
 	hbElapsed int
-
-	// Commands buffered while no leader is known.
-	pending []protocol.Command
-	// ReadIndex state: reads tracks confirmation rounds at the leader;
-	// readBarrier is the leader's last log index at election (whatever the
-	// recovery rule adopted included) — every entry a predecessor might
-	// have committed sits at or below it, so a read's index is clamped up
-	// to it until it commits at this ballot; pendingReads buffers reads
-	// submitted while no leader is known.
-	reads        protocol.ReadTracker
-	readBarrier  int64
-	pendingReads []protocol.Command
 
 	// Fast write path state (nil/zero unless cfg.FastPath): fast is the
 	// shared path, the rest is what this family adds to it. specFrom is the
@@ -209,15 +195,37 @@ func NewWithRules(cfg Config, rules Rules) *Engine {
 		leader:   protocol.None,
 		scratch:  make([]int64, 0, len(c.Peers)),
 	}
+	view := protocol.View{Term: e.Term, IsLeader: e.IsLeader, Leader: e.Leader, LastIndex: e.LastIndex, Commit: e.CommitIndex}
 	if c.FastPath {
-		e.fast = protocol.NewFastPath(c.ID, c.Peers, protocol.FastHost{
-			Term: e.Term, IsLeader: e.IsLeader, LastIndex: e.LastIndex, Commit: e.CommitIndex,
-			HeldID: e.heldID, Speculate: e.speculate, Propose: e.propose,
-			Repair: e.repair, Choose: e.advanceCommit,
-		})
+		e.fast = protocol.NewFastPath(c.ID, c.Peers, protocol.FastHost{View: view, HeldID: e.heldID,
+			Speculate: e.speculate, Propose: e.propose, Repair: e.repair, Choose: e.advanceCommit})
 	}
+	e.front = protocol.NewFront(c.ID, len(c.Peers), c.ReadIndex, c.UnsafeSkipReadQuorum, e.fast, view, e.forward)
+	e.catchup = protocol.NewCatchUp(c.ID)
 	e.resetTimeout()
 	return e
+}
+
+// forward is the message a follower forwards client commands in.
+func (e *Engine) forward(cmds []protocol.Command) protocol.Message {
+	return e.rules.Rename(&MsgForward{Cmds: cmds})
+}
+
+// send addresses msg, one of this engine's own messages, to peer to under
+// the variant's wire identity (Rules.Rename).
+func (e *Engine) send(to protocol.NodeID, msg protocol.Message, out *protocol.Output) {
+	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: to, Msg: e.rules.Rename(msg)})
+}
+
+// act does the work the front hands back: a confirmation round for reads
+// (a heartbeat broadcast carrying their ctx), then a proposal.
+func (e *Engine) act(w protocol.Work, out *protocol.Output) {
+	if w.Confirm {
+		e.broadcastAppend(out, true)
+	}
+	if w.Propose != nil {
+		e.propose(w.Propose, out)
+	}
 }
 
 // FastStats implements protocol.FastStatser.
@@ -264,7 +272,7 @@ func (e *Engine) RestoreHardState(term uint64, votedFor protocol.NodeID) {
 // SetSnapshotProvider implements protocol.SnapshotSender: the driver
 // wires its snapshot store so a leader can ship images to peers that
 // fell behind the compaction base.
-func (e *Engine) SetSnapshotProvider(p protocol.SnapshotProvider) { e.provider = p }
+func (e *Engine) SetSnapshotProvider(p protocol.SnapshotProvider) { e.catchup.SetProvider(p) }
 
 // RestoreSnapshot primes the engine at a snapshot boundary before
 // RestoreLog delivers the tail: the log starts at index, whose entry had
@@ -402,7 +410,7 @@ func (e *Engine) campaign(out *protocol.Output) {
 	// Pending confirmation rounds die with the leadership we just gave
 	// up: echoes are ignored while Candidate, and winning re-arms the
 	// tracker fresh — without this, forced re-election strands the reads.
-	e.reads.FailAll(out)
+	e.front.StepDown(out)
 	e.leader = protocol.None
 	e.votedFor = e.cfg.ID
 	e.votes = map[protocol.NodeID]bool{e.cfg.ID: true}
@@ -418,7 +426,7 @@ func (e *Engine) campaign(out *protocol.Output) {
 		if p == e.cfg.ID {
 			continue
 		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: req})
+		e.send(p, req, out)
 	}
 	if len(e.cfg.Peers) == 1 {
 		e.becomeLeader(out)
@@ -435,14 +443,11 @@ func (e *Engine) becomeFollower(term uint64, leader protocol.NodeID, out *protoc
 		out.StateChanged = true
 	}
 	e.role = Follower
-	e.xfers = nil // outbound transfers are leader state
-	// Reads awaiting confirmation die with the leadership: fail them fast
-	// so clients retry at the new leader instead of hanging (no-op unless
-	// this replica was leading).
-	e.reads.FailAll(out)
+	e.catchup.Drop()
+	e.front.StepDown(out)
 	if leader != protocol.None {
 		e.leader = leader
-		e.flushPending(out)
+		e.act(e.front.Flush(out), out)
 	}
 	e.resetTimeout()
 }
@@ -460,13 +465,25 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	case *MsgAppendResp:
 		e.stepAppendResp(from, m, &out)
 	case *protocol.MsgInstallSnapshot:
-		e.stepInstallSnapshot(from, m, &out)
+		if m.Term >= e.term {
+			e.becomeFollower(m.Term, from, &out)
+		}
+		if img, ok := e.catchup.Receive(from, m, e.term, e.commit, &out); ok {
+			e.installSnapshot(img, &out)
+		}
 	case *protocol.MsgInstallSnapshotResp:
-		e.stepInstallSnapshotResp(from, m, &out)
+		if m.Term > e.term {
+			e.becomeFollower(m.Term, protocol.None, &out)
+		} else if e.role == Leader && e.catchup.Ack(from, m, e.term, &out) {
+			e.resume(from, m.Index, &out)
+		}
 	case *MsgForward:
-		out.Merge(e.SubmitBatch(m.Cmds))
+		e.act(e.front.Writes(m.Cmds, &out), &out)
 	case *protocol.MsgReadForward:
-		e.stepReadForward(from, m, &out)
+		if m.Term > e.term {
+			e.becomeFollower(m.Term, protocol.None, &out)
+		}
+		e.act(e.front.Forwarded(from, m, &out), &out)
 	case *protocol.MsgFastAccept:
 		return e.fast.StepAccept(m)
 	case *protocol.MsgFastAck:
@@ -514,7 +531,7 @@ func (e *Engine) stepVoteReq(from protocol.NodeID, m *MsgVoteReq, out *protocol.
 			}
 		}
 	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
+	e.send(from, resp, out)
 }
 
 func (e *Engine) stepVoteResp(from protocol.NodeID, m *MsgVoteResp, out *protocol.Output) {
@@ -571,7 +588,7 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 	e.next = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
 	e.match = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
 	e.inflight = make(map[protocol.NodeID]int, len(e.cfg.Peers))
-	e.xfers = make(map[protocol.NodeID]*protocol.SnapshotXfer)
+	e.catchup.Drop()
 	for _, p := range e.cfg.Peers {
 		e.next[p] = next
 		e.match[p] = 0
@@ -582,20 +599,15 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 	}
 	out.StateChanged = true
 	e.hbElapsed = 0
-	// ReadIndex reads may not be served below the log's end at election:
-	// everything a predecessor might have committed sits at or below it
-	// (Raft*: the vote quorum shipped every possibly-chosen entry; Raft:
-	// the election restriction), and is reflected in our commit index only
-	// once an entry of our own ballot commits — Raft*'s re-proposed log,
-	// Raft's no-op barrier.
-	e.readBarrier = e.LastIndex()
-	e.reads.Reset(e.quorum(), e.cfg.UnsafeSkipReadQuorum)
+	// Reads wait for the log's end at election to commit at our term —
+	// Raft*'s re-proposed log, Raft's no-op barrier.
+	e.front.Elect(e.LastIndex())
 	if len(e.cfg.Peers) == 1 {
 		e.maybeCommit(out)
 	}
 	// The first appends double as the leadership announcement.
 	e.broadcastAppend(out, true)
-	e.flushPending(out)
+	e.act(e.front.Flush(out), out)
 }
 
 // Submit implements protocol.Engine.
@@ -608,40 +620,8 @@ func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
 // MultiPaxos batched-accept optimization, which ports to Raft* unchanged.
 func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
 	var out protocol.Output
-	if len(cmds) == 0 {
-		return out
-	}
-	switch {
-	case e.role == Leader:
-		e.propose(cmds, &out)
-	case e.fast != nil && e.leader != protocol.None:
-		return e.fast.Submit(cmds)
-	case e.leader != protocol.None:
-		// etcd-style follower forwarding.
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: e.leader,
-			Msg: &MsgForward{Cmds: append([]protocol.Command(nil), cmds...)},
-		})
-	default:
-		for _, cmd := range cmds {
-			if len(e.pending) < 4096 {
-				e.pending = append(e.pending, cmd)
-				continue
-			}
-			out.Replies = append(out.Replies, protocol.ClientReply{
-				Kind: ReplyKindFor(cmd), CmdID: cmd.ID, Client: cmd.Client, Err: protocol.ErrNotLeader,
-			})
-		}
-	}
+	e.act(e.front.Writes(cmds, &out), &out)
 	return out
-}
-
-// ReplyKindFor maps a command's op to the reply kind the client expects.
-func ReplyKindFor(cmd protocol.Command) protocol.ReplyKind {
-	if cmd.Op == protocol.OpGet {
-		return protocol.ReplyRead
-	}
-	return protocol.ReplyWrite
 }
 
 // SubmitRead implements protocol.Engine: with ReadIndex enabled, the
@@ -657,70 +637,8 @@ func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
 // shares one read index and one confirmation round.
 func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
 	var out protocol.Output
-	e.submitReads(cmds, protocol.None, &out)
+	e.act(e.front.Reads(cmds, protocol.None, &out), &out)
 	return out
-}
-
-// stepReadForward handles reads a follower forwarded. The stamp is the
-// forwarder's term when it sent them: higher than ours deposes us like
-// any higher-term message (the reads then re-route, never served here);
-// equal to ours at the leader makes the forwarder a quorum witness for
-// exactly these reads (protocol.ReadTracker); lower proves nothing and
-// gets the full confirmation round.
-func (e *Engine) stepReadForward(from protocol.NodeID, m *protocol.MsgReadForward, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-	}
-	witness := protocol.None
-	if m.Term == e.term {
-		witness = from
-	}
-	e.submitReads(m.Cmds, witness, out)
-}
-
-// submitReads serves cmds through ReadIndex at the leader — the read index
-// is the commit index clamped up to the election barrier (the last index
-// with the fast path on: protocol.FastPath.ReadIndex), and a heartbeat
-// broadcast carrying the batch's ctx starts the confirmation immediately
-// instead of waiting out the heartbeat interval, unless leader + witness
-// already confirmed it — and routes them toward the leader elsewhere.
-func (e *Engine) submitReads(cmds []protocol.Command, witness protocol.NodeID, out *protocol.Output) {
-	if len(cmds) == 0 {
-		return
-	}
-	for i := range cmds {
-		cmds[i].Op = protocol.OpGet
-	}
-	switch {
-	case !e.cfg.ReadIndex:
-		out.Merge(e.SubmitBatch(cmds))
-	case e.role == Leader:
-		e.reads.Add(cmds, e.fast.ReadIndex(max(e.commit, e.readBarrier)), witness, out)
-		if e.reads.Unsent() {
-			e.broadcastAppend(out, true)
-		}
-	default:
-		protocol.RouteReads(e.cfg.ID, e.leader, e.term, &e.pendingReads, cmds, out)
-	}
-}
-
-func (e *Engine) flushPending(out *protocol.Output) {
-	if reads := e.pendingReads; len(reads) > 0 {
-		e.pendingReads = nil
-		out.Merge(e.SubmitReadBatch(reads))
-	}
-	if len(e.pending) == 0 {
-		return
-	}
-	cmds := e.pending
-	e.pending = nil
-	if e.role == Leader {
-		e.propose(cmds, out)
-		return
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{
-		From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: cmds},
-	})
 }
 
 // propose is the leader's classic write path: append the batch locally and
@@ -767,13 +685,13 @@ func (e *Engine) broadcastAppend(out *protocol.Output, heartbeat bool) {
 }
 
 // sendAppend ships log[next..] to p, respecting batch and inflight limits.
-// When heartbeat is set, an empty append is sent even if nothing is pending.
+// When heartbeat is set, an empty append is sent even if nothing is new.
 func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat bool) {
 	next := e.next[p]
 	if next > e.LastIndex() && !heartbeat {
 		return
 	}
-	if e.inflight[p] >= e.cfg.MaxInflight && !heartbeat {
+	if e.inflight[p] >= maxInflight && !heartbeat {
 		return // pipelining cap; the ack will trigger the next batch
 	}
 	if next < e.log.FirstIndex() {
@@ -784,8 +702,8 @@ func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat b
 		next = e.log.FirstIndex()
 	}
 	end := e.LastIndex()
-	if end > next-1+int64(e.cfg.MaxBatch) {
-		end = next - 1 + int64(e.cfg.MaxBatch)
+	if end > next-1+maxBatch {
+		end = next - 1 + maxBatch
 	}
 	var ents []protocol.Entry
 	if end >= next {
@@ -797,17 +715,14 @@ func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat b
 		PrevTerm:  e.termAt(next - 1),
 		Entries:   ents,
 		Commit:    e.commit,
-		ReadCtx:   e.reads.MaxCtx(),
+		ReadCtx:   e.front.ReadCtx(),
 	}
 	if e.fast != nil {
 		if prev, ok := e.log.At(next - 1); ok {
 			req.PrevID = prev.Cmd.ID
 		}
 	}
-	// The ctx is now in flight: later reads must open a fresh one (an
-	// echo of this ctx only proves leadership up to this send).
-	e.reads.MarkSent()
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: req})
+	e.send(p, req, out)
 	if end >= next {
 		e.next[p] = end + 1 // optimistic pipelining
 		e.inflight[p]++
@@ -817,7 +732,7 @@ func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat b
 func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *protocol.Output) {
 	resp := &MsgAppendResp{Term: e.term, LastIndex: e.LastIndex()}
 	if m.Term < e.term {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
+		e.send(from, resp, out)
 		return
 	}
 	e.becomeFollower(m.Term, from, out)
@@ -860,7 +775,7 @@ func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *proto
 			out.Merge(e.fast.TryCommit())
 		}
 	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
+	e.send(from, resp, out)
 }
 
 // accept applies an append the accept rule admitted and returns the index
@@ -947,11 +862,7 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 		e.maybeCommit(out)
 		return
 	}
-	if m.ReadCtx > 0 {
-		// The follower processed a message we sent while still leading:
-		// that confirms every read batch at or below the echoed ctx.
-		e.reads.Ack(from, m.ReadCtx, out)
-	}
+	e.front.Echo(from, m.ReadCtx, out)
 	if e.inflight[from] > 0 {
 		e.inflight[from]--
 	}
@@ -971,7 +882,7 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 			// The follower needs entries below our compaction base, which
 			// log replay can never provide: ship the snapshot image instead.
 			// (Without a provider this degrades to heartbeat-cadence probes.)
-			e.beginSnapshotTransfer(from, out)
+			e.catchup.Send(from, e.term, e.log.FirstIndex(), out)
 			return
 		}
 		e.sendAppend(from, out, false)
@@ -993,75 +904,6 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 	}
 }
 
-// beginSnapshotTransfer starts (or nudges) the chunked shipment of the
-// latest durable snapshot to p, whose next index fell below the held
-// tail. Chunks are ack-paced — one in flight, advanced per response — so
-// heartbeats on the same per-peer stream are never head-of-line blocked
-// behind a multi-megabyte image. This is the same mechanism the
-// multipaxos engine uses: the transfer machinery ports across the family
-// unchanged, like the paper's other optimizations.
-func (e *Engine) beginSnapshotTransfer(p protocol.NodeID, out *protocol.Output) {
-	if x, ok := e.xfers[p]; ok {
-		// Already transferring: re-send the current chunk only after a
-		// full heartbeat-cadence interval of silence (chunk or ack lost).
-		if x.Retry() {
-			if chunk := x.Chunk(e.term); chunk != nil {
-				out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-			}
-		}
-		return
-	}
-	if e.provider == nil {
-		return // no image source: heartbeat probing is all we can do
-	}
-	img, ok := e.provider.LatestSnapshotImage()
-	if !ok || img.Index+1 < e.log.FirstIndex() {
-		// No durable image, or it predates our held tail: the peer could
-		// not resume replay above it, so shipping it would not help.
-		return
-	}
-	x := &protocol.SnapshotXfer{Img: img}
-	e.xfers[p] = x
-	if chunk := x.Chunk(e.term); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-	}
-}
-
-// stepInstallSnapshot receives one chunk of a leader's snapshot,
-// assembling the image and adopting it when complete: the log re-anchors
-// at the image boundary and the driver is told (Output.InstalledSnapshot)
-// to persist it and restore the state machine, after which replication
-// resumes from the snapshot index.
-func (e *Engine) stepInstallSnapshot(from protocol.NodeID, m *protocol.MsgInstallSnapshot, out *protocol.Output) {
-	resp := &protocol.MsgInstallSnapshotResp{Term: e.term, Index: m.Index}
-	if m.Term < e.term {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-		return
-	}
-	e.becomeFollower(m.Term, from, out)
-	resp.Term = e.term
-	if m.Index <= e.commit {
-		// Already covered locally (duplicate transfer or a stale chunk):
-		// nothing to install; the ack lets the leader resume appends.
-		e.snapAsm.Reset()
-		resp.Installed = true
-		resp.NextOffset = m.Offset + int64(len(m.Data))
-	} else {
-		img, done, next := e.snapAsm.Accept(m)
-		if next < 0 {
-			// A better transfer is in progress: no ack, so this sender's
-			// damped retries cannot clobber the winning image's progress.
-			return
-		}
-		resp.NextOffset = next
-		if done {
-			e.installSnapshot(img, out)
-			resp.Installed = true
-		}
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
 // installSnapshot adopts a fully assembled image: everything at or below
 // its index is chosen and lives in the image, so the in-memory log
 // re-anchors there and the driver persists the image before applying
@@ -1071,9 +913,6 @@ func (e *Engine) stepInstallSnapshot(from protocol.NodeID, m *protocol.MsgInstal
 // local term as the base term, and every resumed append at
 // PrevIndex=img.Index would then be rejected forever.
 func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Output) {
-	if img.Index <= e.commit {
-		return
-	}
 	if ent, ok := e.log.At(img.Index); ok && ent.Term == img.Term && img.Index < e.log.LastIndex() {
 		e.log.TruncatePrefix(img.Index)
 	} else {
@@ -1094,40 +933,16 @@ func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Outpu
 	out.InstalledSnapshot = &img
 }
 
-// stepInstallSnapshotResp paces an outbound transfer: each ack releases
-// the next chunk, and the final Installed ack resets the follower's
-// replication state to the snapshot boundary so pipelining resumes
-// immediately instead of stalling until the next heartbeat probe.
-func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgInstallSnapshotResp, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-		return
-	}
-	if e.role != Leader || m.Term != e.term {
-		return
-	}
-	x := e.xfers[from]
-	if x == nil || x.Img.Index != m.Index {
-		return // ack from an older transfer
-	}
-	if m.Installed {
-		delete(e.xfers, from)
-		if m.Index > e.match[from] {
-			e.match[from] = m.Index
-		}
-		e.next[from] = e.match[from] + 1
-		e.inflight[from] = 0
-		e.maybeCommit(out)
-		if e.next[from] <= e.LastIndex() {
-			e.sendAppend(from, out, false)
-		}
-		return
-	}
-	x.Ack(m.NextOffset)
-	if chunk := x.Chunk(e.term); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: chunk})
-	} else {
-		delete(e.xfers, from) // receiver ran past the image end: abandon
+// resume restarts replication to p once it installed the image at index:
+// its replication state resets to the snapshot boundary so pipelining
+// resumes at once instead of stalling until the next heartbeat probe.
+func (e *Engine) resume(p protocol.NodeID, index int64, out *protocol.Output) {
+	e.match[p] = max(e.match[p], index)
+	e.next[p] = e.match[p] + 1
+	e.inflight[p] = 0
+	e.maybeCommit(out)
+	if e.next[p] <= e.LastIndex() {
+		e.sendAppend(p, out, false)
 	}
 }
 
@@ -1151,8 +966,7 @@ func (e *Engine) maybeCommit(out *protocol.Output) {
 	}
 	if c := e.rules.Commit(e, e.watermark(last)); c > e.commit && c > e.selfAsked {
 		e.selfAsked = last
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: e.cfg.ID,
-			Msg: &MsgAppendResp{Term: e.term, Ok: true, LastIndex: last}})
+		e.send(e.cfg.ID, &MsgAppendResp{Term: e.term, Ok: true, LastIndex: last}, out)
 	}
 }
 
@@ -1364,11 +1178,6 @@ func (e *Engine) Recheck() protocol.Output {
 	var out protocol.Output
 	e.maybeCommit(&out)
 	return out
-}
-
-// Peers returns the configured peer set.
-func (e *Engine) Peers() []protocol.NodeID {
-	return append([]protocol.NodeID(nil), e.cfg.Peers...)
 }
 
 // MatchIndex returns the leader's view of how much of the log peer p has

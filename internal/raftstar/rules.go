@@ -28,6 +28,11 @@ type Rules interface {
 	// Commit clamps the quorum-replicated watermark to what the leader may
 	// commit by counting replicas.
 	Commit(e *Engine, quorum int64) int64
+
+	// Rename gives a message the engine built — a vote request or response,
+	// an append request or response, a forward — the variant's wire
+	// identity, the one point it is stamped.
+	Rename(m protocol.Message) protocol.Message
 }
 
 // Verdict is an accept rule's decision on one append.
@@ -92,3 +97,6 @@ func (star) Ballot(_ protocol.Entry, accepted uint64) uint64 { return accepted }
 // Commit needs no §5.4.2 current-term check: every acknowledged entry was
 // re-stamped to the current ballot.
 func (star) Commit(_ *Engine, quorum int64) int64 { return quorum }
+
+// Rename: Raft*'s messages are the engine's own.
+func (star) Rename(m protocol.Message) protocol.Message { return m }

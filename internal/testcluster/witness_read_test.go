@@ -283,13 +283,12 @@ func TestCheckerCatchesForgedWitness(t *testing.T) {
 // read sent to it. The tracker holds at most its cap and rejects the rest;
 // on heal the parked reads fail and not one is served.
 func TestIsolatedLeaderBoundsParkedReads(t *testing.T) {
-	const maxPendingReads = 4096 // protocol's cap, shared with the follower-side buffer
 	for _, name := range witnessEngines {
 		t.Run(name, func(t *testing.T) {
 			c, h, _, _ := witnessCluster(t, name, 77, 3)
 			old := deposeAndOverwrite(t, c, h)
 
-			const first, total = 1000, 2 * maxPendingReads
+			const first, total = 1000, 2 * protocol.MaxParked
 			for i := 0; i < total; i++ {
 				c.SubmitRead(old, readCmd(first+uint64(i)))
 				c.Queue = nil // every confirmation broadcast dies at the cut
@@ -300,8 +299,8 @@ func TestIsolatedLeaderBoundsParkedReads(t *testing.T) {
 					rejected++
 				}
 			}
-			if rejected != total-maxPendingReads {
-				t.Fatalf("isolated leader rejected %d of %d reads, want all beyond the cap of %d", rejected, total, maxPendingReads)
+			if rejected != total-protocol.MaxParked {
+				t.Fatalf("isolated leader rejected %d of %d reads, want all beyond the cap of %d", rejected, total, protocol.MaxParked)
 			}
 
 			c.Isolate(old, false)
