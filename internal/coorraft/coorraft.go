@@ -31,93 +31,17 @@ const (
 	ReplyAtExecute = mencius.ReplyAtExecute
 )
 
-// Config configures a Raft*-Mencius replica.
-type Config struct {
-	ID    protocol.NodeID
-	Peers []protocol.NodeID
+// Config configures a Raft*-Mencius replica: the coordination core's own.
+type Config = mencius.Config
 
-	HeartbeatTicks int
-	// RevokeTicks is the silent-owner revocation threshold.
-	RevokeTicks int
-	Policy      ReplyPolicy
-	Seed        int64
-	// DisableRevocation turns crash recovery off.
-	DisableRevocation bool
-}
-
-// Engine is a Raft*-Mencius replica.
+// Engine is a Raft*-Mencius replica: the coordination core, every method
+// of which — protocol.Engine, the board, the live driver's restore and
+// truncation views — it exposes unchanged.
 type Engine struct {
-	core *mencius.Engine
+	*mencius.Engine
 }
 
 var _ protocol.Engine = (*Engine)(nil)
 
 // New builds a Raft*-Mencius replica.
-func New(cfg Config) *Engine {
-	return &Engine{core: mencius.New(mencius.Config{
-		ID:                cfg.ID,
-		Peers:             cfg.Peers,
-		HeartbeatTicks:    cfg.HeartbeatTicks,
-		RevokeTicks:       cfg.RevokeTicks,
-		Policy:            cfg.Policy,
-		Seed:              cfg.Seed,
-		DisableRevocation: cfg.DisableRevocation,
-	})}
-}
-
-// ID implements protocol.Engine.
-func (e *Engine) ID() protocol.NodeID { return e.core.ID() }
-
-// Tick implements protocol.Engine.
-func (e *Engine) Tick() protocol.Output { return e.core.Tick() }
-
-// Step implements protocol.Engine.
-func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Output {
-	return e.core.Step(from, msg)
-}
-
-// Submit implements protocol.Engine.
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output { return e.core.Submit(cmd) }
-
-// SubmitRead implements protocol.Engine.
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output { return e.core.SubmitRead(cmd) }
-
-// Leader implements protocol.Engine.
-func (e *Engine) Leader() protocol.NodeID { return e.core.Leader() }
-
-// IsLeader implements protocol.Engine.
-func (e *Engine) IsLeader() bool { return e.core.IsLeader() }
-
-// Board exposes the coordination state.
-func (e *Engine) Board() *mencius.Board { return e.core.Board() }
-
-// Term exposes the coordination core's revocation-ballot watermark for
-// the live driver's hard-state snapshot.
-func (e *Engine) Term() uint64 { return e.core.Term() }
-
-// CommitIndex exposes the executed prefix for the live driver's
-// hard-state snapshot.
-func (e *Engine) CommitIndex() int64 { return e.core.CommitIndex() }
-
-// RestoreHardState forwards the live driver's restart restore to the
-// coordination core.
-func (e *Engine) RestoreHardState(term uint64, votedFor protocol.NodeID) {
-	e.core.RestoreHardState(term, votedFor)
-}
-
-// RestoreSnapshot forwards the snapshot boundary to the coordination core.
-func (e *Engine) RestoreSnapshot(index int64, term uint64) {
-	e.core.RestoreSnapshot(index, term)
-}
-
-// RestoreLog forwards the live driver's restart restore to the
-// coordination core.
-func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
-	e.core.RestoreLog(ents, commit)
-}
-
-// TruncatePrefix implements protocol.PrefixTruncator.
-func (e *Engine) TruncatePrefix(through int64) { e.core.TruncatePrefix(through) }
-
-// LogLen returns the number of slots with materialized state.
-func (e *Engine) LogLen() int { return e.core.LogLen() }
+func New(cfg Config) *Engine { return &Engine{mencius.New(cfg)} }

@@ -279,10 +279,7 @@ func TestLeaderDoesNotOutwaitAnotherReplicasGrant(t *testing.T) {
 		}
 
 		g.Isolate(leader, false)
-		// MultiPaxos re-sends the holder's lost accept only once a later
-		// instance exposes the hole (ROADMAP 1e), so one more write follows.
-		g.put(leader, 4, "other", "w")
-		g.Settle(20)
+		g.Settle(3 * 200) // MultiPaxos re-sends a stalled accept after an election timeout
 		if _, ok := g.reply(2); !ok {
 			t.Fatal("put never completed after the heal")
 		}
@@ -384,10 +381,7 @@ func TestLeaderLeaseParkedReadReroutedOnLeaseLoss(t *testing.T) {
 			t.Fatal("parked read answered by a leader with neither lease nor quorum")
 		}
 		g.Isolate(leader, false)
-		// MultiPaxos re-sends an accept no peer received only once a later
-		// instance exposes the hole (ROADMAP 1e), so one more write follows.
-		g.put(leader, 3, "other", "w")
-		g.Settle(10)
+		g.Settle(3 * 200) // MultiPaxos re-sends a stalled accept after an election timeout
 		if r, ok := g.reply(2); !ok || string(r.Value) != "v" {
 			t.Fatalf("re-routed read: %+v, %v", r, ok)
 		}

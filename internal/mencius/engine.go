@@ -1,7 +1,6 @@
 package mencius
 
 import (
-	"slices"
 	"sort"
 
 	"raftpaxos/internal/protocol"
@@ -68,12 +67,11 @@ type Engine struct {
 	n   int
 
 	board *Board
-	// acks[slot] collects phase-2b votes for proposals this replica made
-	// (as owner, or as revoker). Its own vote enters like any acceptor's,
-	// when its self-addressed ProposeOK comes back durable; asked marks the
-	// slots such an ack is in flight for.
-	acks  map[int64]map[protocol.NodeID]bool
-	asked map[int64]bool
+	// tally counts the phase-2b votes of the proposals this replica made
+	// (as owner, or as revoker) above the executed prefix. Its own vote
+	// enters like any acceptor's, when its self-addressed ProposeOK comes
+	// back durable.
+	tally protocol.Votes
 	// mine[slot] remembers own in-flight client commands for reply
 	// tracking and post-revocation resubmission.
 	mine map[int64]protocol.Command
@@ -108,8 +106,7 @@ func New(cfg Config) *Engine {
 		cfg:         c,
 		n:           n,
 		board:       NewBoard(c.ID, n),
-		acks:        make(map[int64]map[protocol.NodeID]bool),
-		asked:       make(map[int64]bool),
+		tally:       protocol.NewVotes(c.ID, c.Peers, nil),
 		mine:        make(map[int64]protocol.Command),
 		owed:        make(map[int64]bool),
 		promisedRev: make([]uint64, n),
@@ -211,15 +208,7 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 
 // TruncatePrefix implements protocol.PrefixTruncator: drop per-slot state
 // at or below through (clamped to the executed prefix inside the board).
-func (e *Engine) TruncatePrefix(through int64) {
-	e.board.TruncatePrefix(through)
-	for s := range e.acks {
-		if s <= through {
-			delete(e.acks, s)
-			delete(e.asked, s)
-		}
-	}
-}
+func (e *Engine) TruncatePrefix(through int64) { e.board.TruncatePrefix(through) }
 
 // LogLen returns the number of slots with materialized state (the
 // uncompacted tail).
@@ -290,10 +279,10 @@ func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
 	e.board.AdvanceBarrier(e.cfg.ID, NextOwned(slot, e.cfg.ID, e.n))
 	e.board.ObserveProposal(slot, cmd, 0)
 	// Self-accept: the owner is one acceptor among n; its copy is persisted
-	// like any other and votes once askSelf proves it durable.
+	// like any other and votes once its self-ack proves it durable.
 	e.emitSlots(slot, slot, &out)
 	e.mine[slot] = cmd
-	e.acks[slot] = map[protocol.NodeID]bool{}
+	e.tally.Open(slot)
 	if cmd.Client != protocol.None {
 		e.owed[slot] = true
 	}
@@ -304,8 +293,8 @@ func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
 		Barrier:  e.board.Barrier(),
 		Frontier: e.board.Frontier(),
 	})
-	if e.decisive(slot) {
-		e.askSelf(&out) // a lone replica's own vote is the quorum
+	if e.tally.Decisive(slot) {
+		e.askOwnVote(&out) // a lone replica's own vote is the quorum
 	}
 	e.settle(&out)
 	return out
@@ -406,43 +395,25 @@ func (e *Engine) stepProposeOK(from protocol.NodeID, m *MsgProposeOK, out *proto
 	e.board.MergeFrontier(m.Frontier)
 	ask := false
 	for _, s := range m.Slots {
-		set, ok := e.acks[s]
-		if !ok {
-			continue
-		}
-		set[from] = true
-		if len(set) >= protocol.Quorum(e.n) {
-			delete(e.acks, s)
-			delete(e.asked, s)
+		e.tally.Ack(from, s, s)
+		if e.tally.Reached(s) {
+			e.tally.Shut(s)
 			e.board.MarkCommitted(s)
-			continue
+		} else {
+			ask = ask || e.tally.Decisive(s)
 		}
-		ask = ask || e.decisive(s)
 	}
 	if ask {
-		e.askSelf(out)
+		e.askOwnVote(out)
 	}
 }
 
-// decisive reports whether this replica's own vote, not yet asked for,
-// would commit its pending proposal for slot s.
-func (e *Engine) decisive(s int64) bool {
-	set, pending := e.acks[s]
-	return pending && !set[e.cfg.ID] && !e.asked[s] && len(set)+1 >= protocol.Quorum(e.n)
-}
-
-// askSelf asks, for every pending proposal of ours not yet asked for, for
+// askOwnVote asks, for every pending proposal of ours not yet covered, for
 // our own ProposeOK: addressed to ourselves, handed back by the runtime once
 // the round it rides is durable.
-func (e *Engine) askSelf(out *protocol.Output) {
-	var slots []int64
-	for s, set := range e.acks {
-		if !set[e.cfg.ID] && !e.asked[s] {
-			e.asked[s] = true
-			slots = append(slots, s)
-		}
-	}
-	slices.Sort(slots)
+func (e *Engine) askOwnVote(out *protocol.Output) {
+	slots := e.tally.ToAsk(nil)
+	e.tally.Ask()
 	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: e.cfg.ID,
 		Msg: &MsgProposeOK{Slots: slots}})
 }
@@ -456,6 +427,7 @@ func (e *Engine) settle(out *protocol.Output) {
 	e.board.AdvanceFilled()
 
 	ents := e.board.AdvanceExec()
+	e.tally.Advance(e.board.ExecPrefix())
 	for _, ent := range ents {
 		ci := protocol.CommitInfo{Entry: ent}
 		if cmd, ok := e.mine[ent.Index]; ok {
@@ -642,8 +614,7 @@ func (e *Engine) stepRevokePromise(from protocol.NodeID, m *MsgRevokePromise, ou
 				maxS = s
 			}
 		}
-		e.acks[s] = map[protocol.NodeID]bool{}
-		delete(e.asked, s)
+		e.tally.Open(s) // re-opens the slot's votes, like a phase 1
 		slots = append(slots, SlotCmd{Slot: s, Cmd: cmd})
 	}
 	if len(slots) == 0 {

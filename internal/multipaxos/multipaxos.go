@@ -8,7 +8,6 @@
 package multipaxos
 
 import (
-	"math/rand"
 	"slices"
 
 	"raftpaxos/internal/protocol"
@@ -173,54 +172,44 @@ type Config struct {
 	Hooks protocol.Hooks
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.ElectionTicks <= 0 {
-		out.ElectionTicks = 10
-	}
-	if out.HeartbeatTicks <= 0 {
-		out.HeartbeatTicks = 1
-	}
-	return out
-}
-
 // maxBatch caps the instances one catch-up accept re-sends.
 const maxBatch = 1024
 
-type instance struct {
-	bal    uint64
-	cmd    protocol.Command
-	used   bool
-	chosen bool
-}
-
 // Engine is a single MultiPaxos replica (proposer + acceptor + learner).
 type Engine struct {
-	cfg Config
-	rng *rand.Rand
+	cfg   Config
+	timer protocol.Timer
 
 	ballot    uint64 // highest ballot seen (promised)
 	phase1OK  bool   // phase1Succeeded: this replica may propose at ballot
 	leader    protocol.NodeID
 	preparing bool
 
-	// insts holds the uncompacted instance tail: insts[i] is instance
-	// instBase+i+1 (global instance space). Instances at or below instBase
-	// are chosen, applied, and folded into a snapshot (TruncatePrefix), so
-	// memory tracks the tail instead of all history.
-	insts        []instance
-	instBase     int64
+	// log holds the uncompacted instance tail in global instance space: an
+	// instance accepted here is an entry whose Term and Bal are the ballot it
+	// was accepted at, one nothing was accepted in yet is a filler
+	// (Entry.IsFiller) — the form both take in the durable log. Instances at
+	// or below log.Base() are chosen, applied, and folded into a snapshot
+	// (TruncatePrefix).
+	log          protocol.Log
 	chosenPrefix int64 // all instances <= chosenPrefix are chosen
+	// ahead marks the instances above chosenPrefix known chosen already:
+	// instances are chosen out of order and executed in order.
+	ahead map[int64]bool
 
 	// Phase-1 state.
 	prepareOKs map[protocol.NodeID]*MsgPrepareOK
 
-	// Leader phase-2 bookkeeping: per-instance acceptances at the current
-	// ballot. The leader's own enters like any acceptor's, when its
-	// self-addressed acceptOK comes back durable (askSelf); selfAsked is the
-	// highest instance one was asked for at this ballot.
-	acks      map[int64]map[protocol.NodeID]bool
-	selfAsked int64
+	// tally counts the acceptances of every instance this replica proposed
+	// at its ballot. The leader's own enters like any acceptor's, when its
+	// self-addressed acceptOK comes back durable.
+	tally protocol.Votes
+	// The stall clock of the oldest unchosen instance at the leader: which
+	// instance, how many votes it held when the clock restarted, and the
+	// ticks since (retransmit).
+	stallAt    int64
+	stallVotes int
+	stallTicks int
 	// sentHolders is the Hooks.Holders set this acceptor last attached to
 	// an acceptOK.
 	sentHolders []protocol.NodeID
@@ -232,10 +221,6 @@ type Engine struct {
 	front   protocol.Front
 	catchup protocol.CatchUp
 
-	elapsed   int
-	timeout   int
-	hbElapsed int
-
 	// fast is the shared fast write path (nil unless cfg.FastPath). A
 	// speculative instance holds bal 0 until a classic accept ratifies or
 	// replaces it.
@@ -245,13 +230,12 @@ type Engine struct {
 var _ protocol.Engine = (*Engine)(nil)
 
 // New builds a MultiPaxos replica.
-func New(cfg Config) *Engine {
-	c := cfg.withDefaults()
+func New(c Config) *Engine {
 	e := &Engine{
 		cfg:    c,
-		rng:    rand.New(rand.NewSource(c.Seed ^ int64(c.ID)<<17)),
 		leader: protocol.None,
-		acks:   make(map[int64]map[protocol.NodeID]bool),
+		ahead:  make(map[int64]bool),
+		tally:  protocol.NewVotes(c.ID, c.Peers, c.Hooks.MustAck),
 	}
 	view := protocol.View{Term: e.Term, IsLeader: e.IsLeader, Leader: e.Leader, LastIndex: e.LastIndex, Commit: e.CommitIndex}
 	if c.FastPath {
@@ -260,7 +244,7 @@ func New(cfg Config) *Engine {
 	}
 	e.front = protocol.NewFront(c.ID, len(c.Peers), c.ReadIndex, c.UnsafeSkipReadQuorum, e.fast, view, forward)
 	e.catchup = protocol.NewCatchUp(c.ID)
-	e.resetTimeout()
+	e.timer = protocol.NewTimer(c.Seed, c.ID, c.ElectionTicks, c.HeartbeatTicks, c.Passive)
 	return e
 }
 
@@ -322,11 +306,11 @@ func (e *Engine) SetSnapshotProvider(p protocol.SnapshotProvider) { e.catchup.Se
 // RestoreSnapshot primes the engine at a snapshot boundary before
 // RestoreLog delivers the tail: instances at or below index are chosen and
 // live only in the snapshot.
-func (e *Engine) RestoreSnapshot(index int64, _ uint64) {
+func (e *Engine) RestoreSnapshot(index int64, term uint64) {
 	if e.LastIndex() > 0 {
 		return
 	}
-	e.instBase = index
+	e.log.Restore(index, term, nil)
 	if index > e.chosenPrefix {
 		e.chosenPrefix = index
 	}
@@ -337,26 +321,18 @@ func (e *Engine) RestoreSnapshot(index int64, _ uint64) {
 // instances above it come back accepted-but-unchosen (the driver persists
 // at accept time, so a quorum-acked suffix survives a full-cluster crash
 // and is re-learned through the next leader's phase 1). Filler entries —
-// contiguity padding for instances this acceptor never received — grow the
-// tail but restore as "nothing accepted", exactly the gap state the
-// NeedFrom catch-up path refills. The tail continues wherever
-// RestoreSnapshot anchored the instance space.
+// contiguity padding for instances this acceptor never received — restore
+// as holes, exactly the gap state the NeedFrom catch-up path refills. The
+// tail continues wherever RestoreSnapshot anchored the instance space.
 func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
-	if len(e.insts) > 0 || len(ents) == 0 {
+	if e.log.Len() > 0 || len(ents) == 0 {
 		return
 	}
 	for _, ent := range ents {
-		in := e.inst(ent.Index)
-		if in == nil {
-			continue // below the snapshot boundary: already covered
+		if !ent.IsFiller() {
+			ent.Term = ent.Bal
 		}
-		if ent.IsFiller() {
-			continue // hole: the instance was never accepted here
-		}
-		in.used = true
-		in.bal = ent.Bal
-		in.cmd = ent.Cmd
-		in.chosen = ent.Index <= commit
+		e.log.Put(ent) // below the snapshot boundary: already covered
 	}
 	if commit > e.LastIndex() {
 		commit = e.LastIndex()
@@ -368,52 +344,32 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 
 // TruncatePrefix implements protocol.PrefixTruncator: drop in-memory
 // instance state at or below through (clamped to the chosen prefix —
-// unchosen instances may still be re-proposed and must stay). Index
-// arithmetic stays in global instance space.
+// unchosen instances may still be re-proposed and must stay).
 func (e *Engine) TruncatePrefix(through int64) {
-	if through > e.chosenPrefix {
-		through = e.chosenPrefix
-	}
-	if through <= e.instBase {
-		return
-	}
-	e.insts = append([]instance(nil), e.insts[through-e.instBase:]...)
-	e.instBase = through
-	for idx := range e.acks {
-		if idx <= through {
-			delete(e.acks, idx)
-		}
-	}
+	e.log.TruncatePrefix(min(through, e.chosenPrefix))
 }
 
 // LogLen returns the number of instances held in memory (the uncompacted
 // tail).
-func (e *Engine) LogLen() int { return len(e.insts) }
+func (e *Engine) LogLen() int { return e.log.Len() }
 
 // FirstIndex returns the lowest instance still held in memory.
-func (e *Engine) FirstIndex() int64 { return e.instBase + 1 }
+func (e *Engine) FirstIndex() int64 { return e.log.FirstIndex() }
 
 // ChosenPrefix returns the contiguous chosen (committed) prefix.
 func (e *Engine) ChosenPrefix() int64 { return e.chosenPrefix }
 
 // LastIndex returns the highest instance this replica has accepted.
-func (e *Engine) LastIndex() int64 { return e.instBase + int64(len(e.insts)) }
+func (e *Engine) LastIndex() int64 { return e.log.LastIndex() }
 
-// InstanceAt returns (ballot, command, chosen) for instance i, if used;
-// compacted instances report false.
+// InstanceAt returns (ballot, command, chosen) for instance i, if it
+// accepted one; holes and compacted instances report false.
 func (e *Engine) InstanceAt(i int64) (InstanceInfo, bool) {
-	if i <= e.instBase || i > e.LastIndex() || !e.insts[i-e.instBase-1].used {
+	ent, ok := e.log.At(i)
+	if !ok || ent.IsFiller() {
 		return InstanceInfo{}, false
 	}
-	in := e.insts[i-e.instBase-1]
-	return InstanceInfo{Idx: i, Bal: in.bal, Cmd: in.cmd, Chosen: in.chosen}, true
-}
-
-func (e *Engine) quorum() int { return protocol.Quorum(len(e.cfg.Peers)) }
-
-func (e *Engine) resetTimeout() {
-	e.elapsed = 0
-	e.timeout = e.cfg.ElectionTicks + e.rng.Intn(e.cfg.ElectionTicks)
+	return InstanceInfo{Idx: i, Bal: ent.Bal, Cmd: ent.Cmd, Chosen: i <= e.chosenPrefix || e.ahead[i]}, true
 }
 
 // nextBallot returns the smallest ballot above cur owned by this replica
@@ -427,66 +383,67 @@ func (e *Engine) nextBallot(cur uint64) uint64 {
 	return b
 }
 
-// inst grows the tail to cover instance i and returns it; instances at or
-// below the compaction base are gone and yield nil (callers skip them —
-// anything below the base is already chosen and snapshotted).
-func (e *Engine) inst(i int64) *instance {
-	if i <= e.instBase {
-		return nil
-	}
-	for e.LastIndex() < i {
-		e.insts = append(e.insts, instance{})
-	}
-	return &e.insts[i-e.instBase-1]
-}
-
-// entryAt materializes instance i as a persistable log entry: accepted
-// instances carry their ballot and command, unaccepted holes become
-// contiguity fillers (Entry.IsFiller) that restore as "nothing accepted".
-func (e *Engine) entryAt(i int64) protocol.Entry {
-	in := e.insts[i-e.instBase-1]
-	if !in.used {
-		return protocol.Entry{Index: i}
-	}
-	return protocol.Entry{Index: i, Term: in.bal, Bal: in.bal, Cmd: in.cmd}
+// accept records cmd as accepted in instance i at ballot bal, growing the
+// tail with holes up to it; false when i is compacted here (chosen and
+// snapshotted).
+func (e *Engine) accept(i int64, bal uint64, cmd protocol.Command) bool {
+	return e.log.Put(protocol.Entry{Index: i, Term: bal, Bal: bal, Cmd: cmd})
 }
 
 // emitAppended queues instances [lo, LastIndex] for pre-ack persistence
-// (Output.AppendedEntries). The range always runs through the end of the
-// held tail because the driver's store overwrites with suffix truncation:
-// re-stating everything above the lowest touched instance keeps the
-// durable log an exact mirror of the in-memory tail, holes included. In
-// the steady state lo is yesterday's LastIndex+1 and this is just the new
-// batch; only gap-filling accepts (the NeedFrom catch-up path) rewrite a
-// longer suffix.
+// (Output.AppendedEntries), holes as fillers. The range always runs through
+// the end of the held tail because the driver's store overwrites with
+// suffix truncation: re-stating everything above the lowest touched
+// instance keeps the durable log an exact mirror of the in-memory tail,
+// holes included. In the steady state lo is yesterday's LastIndex+1 and
+// this is just the new batch; only gap-filling accepts (the NeedFrom
+// catch-up path) rewrite a longer suffix.
 func (e *Engine) emitAppended(lo int64, out *protocol.Output) {
-	if lo <= e.instBase {
-		lo = e.instBase + 1
-	}
-	for i := lo; i <= e.LastIndex(); i++ {
-		out.AppendedEntries = append(out.AppendedEntries, e.entryAt(i))
+	for i := max(lo, e.log.FirstIndex()); i <= e.LastIndex(); i++ {
+		ent, _ := e.log.At(i)
+		out.AppendedEntries = append(out.AppendedEntries, ent)
 	}
 }
 
 // Tick implements protocol.Engine.
 func (e *Engine) Tick() protocol.Output {
 	var out protocol.Output
-	if e.phase1OK {
-		e.hbElapsed++
-		if e.hbElapsed >= e.cfg.HeartbeatTicks {
-			e.hbElapsed = 0
-			e.broadcastAccept(&out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
-		}
-		return out
-	}
-	if e.cfg.Passive {
-		return out
-	}
-	e.elapsed++
-	if e.elapsed >= e.timeout {
+	due := e.timer.Tick(e.phase1OK)
+	switch due {
+	case protocol.Heartbeat:
+		e.broadcastAccept(&out, &MsgAccept{Bal: e.ballot, ChosenPrefix: e.chosenPrefix})
+	case protocol.Campaign:
 		e.campaign(&out)
 	}
+	if e.phase1OK {
+		e.retransmit(due == protocol.Heartbeat, &out)
+	}
 	return out
+}
+
+// retransmit clocks the oldest unchosen instance at the leader — the clock
+// restarts whenever that instance changes or gains a vote — and on a
+// heartbeat once it has gone an election timeout, re-sends the run from it
+// to every acceptor missing from its votes. Nothing else would: heartbeats
+// carry only the chosen prefix, and an acceptor reports a hole only below
+// an instance it holds, so an accept lost to every peer — and every
+// ReadIndex read behind it — would wait for the next write. The wait is far
+// above any round trip, so a vote that is merely late never triggers it.
+func (e *Engine) retransmit(beat bool, out *protocol.Output) {
+	at := e.chosenPrefix + 1
+	if _, n := e.tally.Holds(at, e.cfg.ID); at > e.LastIndex() || at != e.stallAt || n != e.stallVotes {
+		e.stallAt, e.stallVotes, e.stallTicks = at, n, 0
+		return
+	}
+	if e.stallTicks++; !beat || e.stallTicks < e.timer.Election() {
+		return
+	}
+	e.stallTicks = 0
+	for _, p := range e.cfg.Peers {
+		if held, _ := e.tally.Holds(at, p); p != e.cfg.ID && !held {
+			e.resendInstances(p, at, out)
+		}
+	}
 }
 
 // Campaign forces an immediate phase 1 (Phase1a).
@@ -503,28 +460,25 @@ func (e *Engine) campaign(out *protocol.Output) {
 	e.preparing = true
 	e.leader = protocol.None
 	e.prepareOKs = map[protocol.NodeID]*MsgPrepareOK{}
-	e.resetTimeout()
+	e.timer.Reset()
 	out.StateChanged = true
 	// Self-promise.
-	e.prepareOKs[e.cfg.ID] = &MsgPrepareOK{Bal: e.ballot, Insts: e.instancesFrom(e.chosenPrefix + 1), Base: e.instBase}
+	e.prepareOKs[e.cfg.ID] = &MsgPrepareOK{Bal: e.ballot, Insts: e.instancesFrom(e.chosenPrefix + 1), Base: e.log.Base()}
 	e.broadcast(out, &MsgPrepare{Bal: e.ballot, Unchosen: e.chosenPrefix + 1})
 	if len(e.cfg.Peers) == 1 {
 		e.phase1Succeed(out)
 	}
 }
 
+// instancesFrom reports every instance accepted here at or above idx. The
+// compacted prefix is chosen and snapshotted; only the held tail can be
+// reported (a preparer that far behind needs a snapshot transfer to
+// execute it anyway).
 func (e *Engine) instancesFrom(idx int64) []InstanceInfo {
 	var infos []InstanceInfo
-	if idx <= e.instBase {
-		// The compacted prefix is chosen and snapshotted; only the held
-		// tail can be reported (a preparer that far behind needs a
-		// snapshot transfer to execute it anyway).
-		idx = e.instBase + 1
-	}
-	for i := idx; i <= e.LastIndex(); i++ {
-		in := e.insts[i-e.instBase-1]
-		if in.used {
-			infos = append(infos, InstanceInfo{Idx: i, Bal: in.bal, Cmd: in.cmd, Chosen: in.chosen})
+	for i := max(idx, e.log.FirstIndex()); i <= e.LastIndex(); i++ {
+		if info, ok := e.InstanceAt(i); ok {
+			infos = append(infos, info)
 		}
 	}
 	return infos
@@ -562,7 +516,7 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	case *protocol.MsgInstallSnapshot:
 		if m.Term >= e.ballot {
 			e.observeBallot(m.Term, &out)
-			e.resetTimeout()
+			e.timer.Reset()
 		}
 		if img, ok := e.catchup.Receive(from, m, e.ballot, e.chosenPrefix, &out); ok {
 			e.installSnapshot(img, &out)
@@ -616,10 +570,10 @@ func (e *Engine) stepPrepare(from protocol.NodeID, m *MsgPrepare, out *protocol.
 	if !e.observeBallot(m.Bal, out) {
 		return // stale prepare; proposer retries with a higher ballot
 	}
-	e.resetTimeout()
-	resp := &MsgPrepareOK{Bal: m.Bal, Insts: e.instancesFrom(m.Unchosen), Base: e.instBase}
+	e.timer.Reset()
+	resp := &MsgPrepareOK{Bal: m.Bal, Insts: e.instancesFrom(m.Unchosen), Base: e.log.Base()}
 	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-	if m.Unchosen <= e.instBase {
+	if m.Unchosen <= e.log.Base() {
 		// The preparer's first unchosen instance is inside our compacted
 		// prefix: nothing we report can fill it. Ship our snapshot so the
 		// new leader can jump past the gap — the acceptor-to-preparer
@@ -634,7 +588,7 @@ func (e *Engine) stepPrepareOK(from protocol.NodeID, m *MsgPrepareOK, out *proto
 		return
 	}
 	e.prepareOKs[from] = m
-	if len(e.prepareOKs) >= e.quorum() {
+	if len(e.prepareOKs) >= protocol.Quorum(len(e.cfg.Peers)) {
 		e.phase1Succeed(out)
 	}
 }
@@ -643,7 +597,7 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	e.preparing = false
 	e.phase1OK = true
 	e.leader = e.cfg.ID
-	e.hbElapsed = 0
+	e.timer.Lead()
 	out.StateChanged = true
 
 	// Adopt the safe value (highest accepted ballot) for every instance
@@ -682,15 +636,12 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	var reproposal []InstanceInfo
 	oldLast := e.LastIndex()
 	firstTouched := int64(0)
-	e.selfAsked = e.chosenPrefix
-	for i := e.chosenPrefix + 1; i <= maxIdx; i++ {
-		if i <= maxBase {
-			continue // compacted on a quorum member: arrives via snapshot
-		}
-		in := e.inst(i)
-		if in == nil {
-			continue // below the compaction base: chosen and snapshotted
-		}
+	e.tally.Reset(e.chosenPrefix)
+	e.stallTicks = 0
+	for i := max(e.chosenPrefix, maxBase, e.log.Base()) + 1; i <= maxIdx; i++ {
+		// (At or below a quorum member's compaction base the instance
+		// arrives via snapshot; at or below ours it is chosen and
+		// snapshotted.)
 		info, ok := safe[i]
 		if ok && !info.Chosen && e.fast != nil {
 			// Fast-path recovery (protocol.ChooseFast) widens the safe-value
@@ -698,23 +649,26 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 			// still win by highest ballot, speculative ones by the count rule.
 			info.Cmd, _ = protocol.ChooseFast(fastReports[i], participants, len(e.cfg.Peers))
 		}
+		held, _ := e.log.At(i)
+		cmd := protocol.Command{Op: protocol.OpNop}
 		switch {
 		case ok:
-			if in.used && in.bal == 0 && in.cmd.ID != info.Cmd.ID {
-				e.fast.Displaced(in.cmd.ID)
+			if !held.IsFiller() && held.Bal == 0 && held.Cmd.ID != info.Cmd.ID {
+				e.fast.Displaced(held.Cmd.ID)
 			}
-			in.cmd = info.Cmd
-			in.chosen = in.chosen || info.Chosen
-		case !in.used:
-			in.cmd = protocol.Command{Op: protocol.OpNop}
+			cmd = info.Cmd
+			if info.Chosen {
+				e.ahead[i] = true
+			}
+		case !held.IsFiller():
+			cmd = held.Cmd
 		}
-		in.used = true
-		in.bal = e.ballot
+		e.accept(i, e.ballot, cmd)
+		e.tally.Open(i)
 		if firstTouched == 0 {
 			firstTouched = i
 		}
-		e.acks[i] = map[protocol.NodeID]bool{}
-		reproposal = append(reproposal, InstanceInfo{Idx: i, Bal: e.ballot, Cmd: in.cmd})
+		reproposal = append(reproposal, InstanceInfo{Idx: i, Bal: e.ballot, Cmd: cmd})
 	}
 	e.fast.Reset(e.ballot)
 	if firstTouched > 0 {
@@ -722,13 +676,10 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 		// like any acceptor. Growth past the old tail (a quorum member's
 		// compaction base beyond it) emits the grown holes too, keeping the
 		// durable log contiguous.
-		if firstTouched > oldLast+1 {
-			firstTouched = oldLast + 1
-		}
-		e.emitAppended(firstTouched, out)
+		e.emitAppended(min(firstTouched, oldLast+1), out)
 	}
-	if len(reproposal) > 0 && e.decisive(reproposal[0].Idx) {
-		e.askSelf(out) // a lone replica's own vote is the quorum
+	if len(reproposal) > 0 && e.tally.Decisive(reproposal[0].Idx) {
+		e.askOwnVote(out) // a lone replica's own vote is the quorum
 	}
 	// Reads wait for the phase-1 re-proposals to be chosen at this ballot.
 	e.front.Elect(e.LastIndex())
@@ -779,21 +730,18 @@ func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
 	firstNew := e.LastIndex() + 1
 	for _, cmd := range cmds {
 		idx := e.LastIndex() + 1
-		in := e.inst(idx)
-		in.used = true
-		in.bal = e.ballot
-		in.cmd = cmd
-		e.acks[idx] = map[protocol.NodeID]bool{}
+		e.accept(idx, e.ballot, cmd)
+		e.tally.Open(idx)
 		insts = append(insts, InstanceInfo{Idx: idx, Bal: e.ballot, Cmd: cmd})
 	}
 	// Self-accept: the proposer is one acceptor among n; its copy is
-	// persisted like any other and votes once askSelf proves it durable.
+	// persisted like any other and votes once its self-ack proves it durable.
 	e.emitAppended(firstNew, out)
 	out.StateChanged = true
 	e.observeAccepted(insts)
 	e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, Insts: insts, ChosenPrefix: e.chosenPrefix})
-	if e.decisive(firstNew) {
-		e.askSelf(out) // a lone replica's own vote is the quorum
+	if e.tally.Decisive(firstNew) {
+		e.askOwnVote(out) // a lone replica's own vote is the quorum
 	}
 }
 
@@ -813,23 +761,20 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 	}
 	e.observeBallot(m.Bal, out)
 	e.leader = from
-	e.resetTimeout()
+	e.timer.Reset()
 	var idxs []int64
 	oldLast := e.LastIndex()
 	firstTouched := int64(0)
 	for _, info := range m.Insts {
-		in := e.inst(info.Idx)
-		if in == nil {
+		held, _ := e.log.At(info.Idx)
+		if !e.accept(info.Idx, m.Bal, info.Cmd) {
 			continue // already chosen and compacted here: stale accept
 		}
-		if in.used && in.bal == 0 && in.cmd.ID != info.Cmd.ID {
+		if !held.IsFiller() && held.Bal == 0 && held.Cmd.ID != info.Cmd.ID {
 			// A classic accept displaces a speculative command, which
 			// reaches the log through the leader or not at all.
-			e.fast.Displaced(in.cmd.ID)
+			e.fast.Displaced(held.Cmd.ID)
 		}
-		in.used = true
-		in.bal = m.Bal
-		in.cmd = info.Cmd
 		idxs = append(idxs, info.Idx)
 		if firstTouched == 0 || info.Idx < firstTouched {
 			firstTouched = info.Idx
@@ -841,10 +786,7 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 		// plus any holes the tail grew past — is durable before the
 		// acceptOK below releases. Gap fills below the old tail re-emit
 		// the suffix so the store's truncating overwrite loses nothing.
-		if firstTouched > oldLast+1 {
-			firstTouched = oldLast + 1
-		}
-		e.emitAppended(firstTouched, out)
+		e.emitAppended(min(firstTouched, oldLast+1), out)
 	}
 	e.observeAccepted(m.Insts)
 	if m.ChosenPrefix > e.chosenPrefix {
@@ -907,8 +849,8 @@ func lostMember(was, now []protocol.NodeID) bool {
 func (e *Engine) firstHole(bal uint64) int64 {
 	hole := int64(0)
 	for i := e.chosenPrefix + 1; i <= e.LastIndex(); i++ {
-		in := &e.insts[i-e.instBase-1]
-		held := in.used && in.bal == bal
+		ent, _ := e.log.At(i)
+		held := !ent.IsFiller() && ent.Bal == bal
 		if !held && hole == 0 {
 			hole = i
 		} else if held && hole > 0 {
@@ -927,14 +869,17 @@ func (e *Engine) firstHole(bal uint64) int64 {
 // local prefix, and the NeedFrom report below fetches the real run.
 func (e *Engine) markChosenUpTo(p int64, bal uint64) {
 	for i := e.chosenPrefix + 1; i <= p && i <= e.LastIndex(); i++ {
-		if in := &e.insts[i-e.instBase-1]; in.used && in.bal == bal {
-			in.chosen = true
+		if ent, _ := e.log.At(i); !ent.IsFiller() && ent.Bal == bal {
+			e.ahead[i] = true
 		}
 	}
 }
 
-// stepAcceptOK is Learn: an instance is chosen once f+1 acceptors voted
-// for it at the same ballot.
+// stepAcceptOK is Learn: an instance is chosen once a quorum of acceptors
+// voted for it at the same ballot, counted by tally. Paxos has no log
+// matching: an acceptor's ack of a later instance says nothing about an
+// earlier one, whose accept may have been lost, so every instance counts
+// its own votes.
 func (e *Engine) stepAcceptOK(from protocol.NodeID, m *MsgAcceptOK, out *protocol.Output) {
 	if !e.phase1OK || m.Bal != e.ballot {
 		return
@@ -947,18 +892,19 @@ func (e *Engine) stepAcceptOK(from protocol.NodeID, m *MsgAcceptOK, out *protoco
 	}
 	ask := false
 	for _, idx := range m.Idxs {
-		if set, ok := e.acks[idx]; ok {
-			set[from] = true
-			e.tryChoose(idx, set)
-			ask = ask || e.decisive(idx)
+		e.tally.Ack(from, idx, idx)
+		if e.tally.Reached(idx) {
+			e.chosen(idx)
+		} else {
+			ask = ask || e.tally.Decisive(idx)
 		}
 	}
 	if ask {
-		e.askSelf(out)
+		e.askOwnVote(out)
 	}
 	e.advanceChosen(out)
 	if m.NeedFrom > 0 {
-		if m.NeedFrom <= e.instBase {
+		if m.NeedFrom <= e.log.Base() {
 			// The acceptor's gap starts inside our compacted prefix: only
 			// the snapshot image can carry it there.
 			e.catchup.Send(from, e.ballot, e.FirstIndex(), out)
@@ -968,23 +914,25 @@ func (e *Engine) stepAcceptOK(from protocol.NodeID, m *MsgAcceptOK, out *protoco
 	}
 }
 
+// chosen records that the leader's votes chose instance i.
+func (e *Engine) chosen(i int64) {
+	e.tally.Shut(i)
+	e.ahead[i] = true
+}
+
 // resendInstances re-sends the run of held instances starting at lo to
 // one lagging acceptor — the catch-up retransmission MultiPaxos lacks
 // natively and Raft gets from next/match. Values already chosen are
 // simply re-accepted at the current ballot; the piggybacked prefix lets
 // the receiver mark and execute them.
 func (e *Engine) resendInstances(p protocol.NodeID, lo int64, out *protocol.Output) {
-	if !e.phase1OK || lo <= e.instBase {
+	if !e.phase1OK || lo <= e.log.Base() {
 		return
 	}
-	hi := e.LastIndex()
-	if hi > lo-1+maxBatch {
-		hi = lo - 1 + maxBatch
-	}
 	var insts []InstanceInfo
-	for i := lo; i <= hi; i++ {
-		if in := e.insts[i-e.instBase-1]; in.used {
-			insts = append(insts, InstanceInfo{Idx: i, Bal: e.ballot, Cmd: in.cmd})
+	for i := lo; i <= min(e.LastIndex(), lo-1+maxBatch); i++ {
+		if ent, _ := e.log.At(i); !ent.IsFiller() {
+			insts = append(insts, InstanceInfo{Idx: i, Bal: e.ballot, Cmd: ent.Cmd})
 		}
 	}
 	if len(insts) == 0 {
@@ -1001,83 +949,30 @@ func (e *Engine) resendInstances(p protocol.NodeID, lo int64, out *protocol.Outp
 // re-anchors there (keeping any held suffix beyond it) and the driver
 // persists the image before applying anything above it.
 func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Output) {
-	if img.Index >= e.LastIndex() {
-		e.insts = nil
+	if img.Index < e.LastIndex() {
+		e.log.TruncatePrefix(img.Index)
 	} else {
-		e.insts = append([]instance(nil), e.insts[img.Index-e.instBase:]...)
+		e.log.Restore(img.Index, img.Term, nil)
 	}
-	e.instBase = img.Index
 	e.chosenPrefix = img.Index
-	for idx := range e.acks {
-		if idx <= img.Index {
-			delete(e.acks, idx)
+	for i := range e.ahead {
+		if i <= img.Index {
+			delete(e.ahead, i)
 		}
 	}
+	e.tally.Advance(img.Index)
 	e.fast.Forget(img.Index)
 	out.StateChanged = true
 	out.InstalledSnapshot = &img
 	e.advanceChosen(out)
 }
 
-// tryChoose declares instance idx chosen if a quorum voted for it — under
-// Hooks.MustAck, a quorum of votes that count: one where every replica the
-// hook names for the voter voted for this instance too, in its own ack
-// set. Paxos has no log matching: an acceptor's ack of a later instance
-// says nothing about an earlier one, whose accept may have been lost, so a
-// high-water mark must never stand in for set.
-func (e *Engine) tryChoose(idx int64, set map[protocol.NodeID]bool) {
-	if e.counted(set) < e.quorum() {
-		return
-	}
-	delete(e.acks, idx)
-	if in := e.inst(idx); in != nil {
-		in.chosen = true
-	}
-}
-
-// counted is how many votes in set count toward a quorum.
-func (e *Engine) counted(set map[protocol.NodeID]bool) int {
-	must := e.cfg.Hooks.MustAck
-	if must == nil || len(set) < e.quorum() {
-		return len(set)
-	}
-	counted := 0
-voters:
-	for p := range set {
-		for _, h := range must(p) {
-			if !set[h] {
-				continue voters
-			}
-		}
-		counted++
-	}
-	return counted
-}
-
-// decisive reports whether the leader's own vote, not yet asked for, would
-// choose unchosen instance idx.
-func (e *Engine) decisive(idx int64) bool {
-	set, open := e.acks[idx]
-	if !e.phase1OK || !open || idx <= e.selfAsked || set[e.cfg.ID] {
-		return false
-	}
-	set[e.cfg.ID] = true
-	ok := e.counted(set) >= e.quorum()
-	delete(set, e.cfg.ID)
-	return ok
-}
-
-// askSelf asks, for every instance this ballot accepted and has not asked
+// askOwnVote asks, for every instance this ballot accepted and has not asked
 // for yet, for the leader's own acceptOK: addressed to itself, handed back
 // by the runtime once the round it rides is durable.
-func (e *Engine) askSelf(out *protocol.Output) {
-	var own []int64
-	for i := max(e.selfAsked, e.instBase) + 1; i <= e.LastIndex(); i++ {
-		if _, open := e.acks[i]; open && e.insts[i-e.instBase-1].bal == e.ballot {
-			own = append(own, i)
-		}
-	}
-	e.selfAsked = e.LastIndex()
+func (e *Engine) askOwnVote(out *protocol.Output) {
+	own := e.tally.ToAsk(nil)
+	e.tally.Ask()
 	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: e.cfg.ID,
 		Msg: &MsgAcceptOK{Bal: e.ballot, Idxs: own}})
 }
@@ -1087,13 +982,12 @@ func (e *Engine) askSelf(out *protocol.Output) {
 // instances that were waiting on a dead holder.
 func (e *Engine) Recheck() protocol.Output {
 	var out protocol.Output
-	ask := false
-	for idx, set := range e.acks {
-		e.tryChoose(idx, set)
-		ask = ask || e.decisive(idx)
+	reached, ask := e.tally.Recheck(nil)
+	for _, i := range reached {
+		e.chosen(i)
 	}
-	if ask {
-		e.askSelf(&out)
+	if ask && e.phase1OK {
+		e.askOwnVote(&out)
 	}
 	e.advanceChosen(&out)
 	return out
@@ -1104,23 +998,23 @@ func (e *Engine) Recheck() protocol.Output {
 func (e *Engine) advanceChosen(out *protocol.Output) {
 	moved := false
 	for e.chosenPrefix < e.LastIndex() {
-		in := e.insts[e.chosenPrefix-e.instBase]
-		if !in.used || !in.chosen {
+		ent, _ := e.log.At(e.chosenPrefix + 1)
+		if ent.IsFiller() || !e.ahead[ent.Index] {
 			break
 		}
+		delete(e.ahead, ent.Index)
 		e.chosenPrefix++
 		moved = true
 		out.Commits = append(out.Commits, protocol.CommitInfo{
-			Entry: protocol.Entry{
-				Index: e.chosenPrefix, Term: in.bal, Bal: in.bal, Cmd: in.cmd,
-			},
-			Reply: e.fast.Reply(e.chosenPrefix, in.cmd, e.phase1OK && in.cmd.Client != protocol.None),
+			Entry: ent,
+			Reply: e.fast.Reply(e.chosenPrefix, ent.Cmd, e.phase1OK && ent.Cmd.Client != protocol.None),
 		})
 	}
 	if moved {
+		e.tally.Advance(e.chosenPrefix)
 		e.fast.Forget(e.chosenPrefix)
 		if e.phase1OK {
-			e.hbElapsed = e.cfg.HeartbeatTicks // piggyback the new prefix soon
+			e.timer.BeatSoon() // piggyback the new prefix soon
 		}
 	}
 }
@@ -1138,10 +1032,7 @@ func (e *Engine) heldID(i int64) (uint64, bool) {
 func (e *Engine) speculate(cmds []protocol.Command, out *protocol.Output) {
 	base := e.LastIndex() + 1
 	for i, cmd := range cmds {
-		in := e.inst(base + int64(i))
-		in.used = true
-		in.bal = 0
-		in.cmd = cmd
+		e.accept(base+int64(i), 0, cmd)
 	}
 	e.emitAppended(base, out)
 	out.StateChanged = true
@@ -1149,6 +1040,6 @@ func (e *Engine) speculate(cmds []protocol.Command, out *protocol.Output) {
 
 // choose marks the held instance slot chosen and executes what that frees.
 func (e *Engine) choose(slot int64, out *protocol.Output) {
-	e.insts[slot-e.instBase-1].chosen = true
+	e.ahead[slot] = true
 	e.advanceChosen(out)
 }

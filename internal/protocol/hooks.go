@@ -18,10 +18,10 @@ type Hooks struct {
 	// own included), the replicas that must have acknowledged the same
 	// entry for that acknowledgement to count; an entry commits once a
 	// quorum of its acknowledgements count (Figure 11 line 23; for Raft*
-	// the ported LeaderLearn, Figure 13). The hook says who; each engine
-	// applies its own notion of "acknowledged" — Raft* a match index at or
-	// past the entry, MultiPaxos membership in the instance's own ack set.
-	// The rule is per acknowledgement, and has no clock in it, on purpose:
+	// the ported LeaderLearn, Figure 13). The hook says who; Votes applies
+	// it, once for every engine, to the voters that hold the entry durably
+	// — for Raft* a match index at or past it, for MultiPaxos a vote for the
+	// instance itself. The rule is per acknowledgement, and has no clock in it, on purpose:
 	// what a replica said it granted binds for as long as its vote is used
 	// (it may be renewing those grants where the leader cannot hear), and
 	// binds nothing it did not vote for (a crashed grantor blocks nothing).

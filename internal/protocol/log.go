@@ -71,6 +71,26 @@ func (l *Log) Set(i int64, e Entry) {
 	l.ents[i-l.base-1] = e
 }
 
+// Put writes e at e.Index, growing the log up to it with fillers
+// (Entry.IsFiller: slots nothing was accepted in yet), which is how a log
+// with holes — MultiPaxos's instances, chosen and accepted out of order —
+// lives here. An index at or below base is compacted: Put ignores it and
+// reports false.
+func (l *Log) Put(e Entry) bool {
+	if e.Index <= l.base {
+		return false
+	}
+	for l.LastIndex() < e.Index-1 {
+		l.ents = append(l.ents, Entry{Index: l.LastIndex() + 1})
+	}
+	if e.Index > l.LastIndex() {
+		l.ents = append(l.ents, e)
+	} else {
+		l.ents[e.Index-l.base-1] = e
+	}
+	return true
+}
+
 // TruncateSuffix drops every entry with index > i (Raft's conflicting-
 // suffix erase). i below base is clamped to base (nothing held survives).
 func (l *Log) TruncateSuffix(i int64) {
@@ -103,8 +123,9 @@ func (l *Log) TruncatePrefix(through int64) {
 }
 
 // Restore primes the log from a snapshot boundary plus a durable tail:
-// entries below or at base live in the snapshot; ents (which may be empty)
-// must start at base+1. Any current content is discarded.
+// entries below or at base live in the snapshot; ents (which may be empty,
+// and may hold fillers) must start at base+1. Any current content is
+// discarded.
 func (l *Log) Restore(base int64, baseTerm uint64, ents []Entry) {
 	if len(ents) > 0 && ents[0].Index != base+1 {
 		panic("protocol: log restore gap")

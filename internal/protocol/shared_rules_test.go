@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"raftpaxos/internal/coorraft"
+	"raftpaxos/internal/mencius"
 	"raftpaxos/internal/multipaxos"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
@@ -329,6 +331,304 @@ func TestCatchUpDropsTransfersOnStepDown(t *testing.T) {
 		next := chunksTo(out, victim)
 		if len(next) != 1 || next[0].Offset != 0 || next[0].Term <= chunk.Term+100 {
 			t.Fatalf("shipping again sent %d chunks (%+v), want one at offset 0 above term %d", len(next), next, chunk.Term+100)
+		}
+	})
+}
+
+// The rules Votes owns, each checked once over every engine that counts on
+// it: breaking one in votes.go fails the test named for it under raft,
+// raftstar, multipaxos, mencius and coorraft alike.
+
+// counter is one engine family as the commit-rule tests drive it by hand.
+type counter struct {
+	name string
+	// lead returns a replica of n that proposes: a leader with its election
+	// settled, or Mencius's slot owner 0, with nothing queued.
+	lead func(t *testing.T, n int) protocol.Engine
+	// vote is peer's durable vote for index i (the Raft family's match
+	// covers everything up to i).
+	vote func(e protocol.Engine, i int64) protocol.Message
+	// isVote reports whether msg is one of the family's votes.
+	isVote func(msg protocol.Message) bool
+	// submit proposes a write and returns the index it took.
+	submit func(e protocol.Engine, id uint64) (int64, protocol.Output)
+	// committed reports whether index i is committed at e.
+	committed func(e protocol.Engine, i int64) bool
+}
+
+// settled elects a leader among n replicas that build makes and settles
+// its election entries, leaving the queue empty.
+func settled(t *testing.T, n int, build func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine) protocol.Engine {
+	t.Helper()
+	es := make([]protocol.Engine, n)
+	for i := range es {
+		es[i] = build(protocol.NodeID(i), peersOf(n))
+	}
+	c := testcluster.New(7, es...)
+	l, err := c.ElectLeader(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Settle(3)
+	c.Queue = nil
+	return l
+}
+
+func peersOf(n int) []protocol.NodeID {
+	ps := make([]protocol.NodeID, n)
+	for i := range ps {
+		ps[i] = protocol.NodeID(i)
+	}
+	return ps
+}
+
+func put(id uint64) protocol.Command {
+	return protocol.Command{ID: id, Client: 900, Op: protocol.OpPut, Key: "k"}
+}
+
+func commitIndex(e protocol.Engine) int64 { return e.(interface{ CommitIndex() int64 }).CommitIndex() }
+
+func lastIndex(e protocol.Engine) int64 { return e.(interface{ LastIndex() int64 }).LastIndex() }
+
+// leaderCounter is the counter table entry for an engine of the leader
+// families, whose votes are resp for the indexes up to i.
+func leaderCounter(eng engine, resp func(e protocol.Engine, i int64) protocol.Message) counter {
+	return counter{
+		name: eng.name,
+		lead: func(t *testing.T, n int) protocol.Engine {
+			return settled(t, n, func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
+				return eng.new(id, peers, false, false)
+			})
+		},
+		vote: resp,
+		isVote: func(msg protocol.Message) bool {
+			name := fmt.Sprintf("%T", msg)
+			return strings.HasSuffix(name, ".MsgAppendResp") || strings.HasSuffix(name, ".MsgAcceptOK")
+		},
+		submit: func(e protocol.Engine, id uint64) (int64, protocol.Output) {
+			out := e.Submit(put(id))
+			return lastIndex(e), out
+		},
+		committed: func(e protocol.Engine, i int64) bool { return commitIndex(e) >= i },
+	}
+}
+
+// slotCounter is the counter table entry for a coordination-core flavour.
+func slotCounter(name string, build func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine) counter {
+	board := func(e protocol.Engine) *mencius.Board { return e.(interface{ Board() *mencius.Board }).Board() }
+	return counter{
+		name: name,
+		lead: func(t *testing.T, n int) protocol.Engine { return build(0, peersOf(n)) },
+		vote: func(_ protocol.Engine, i int64) protocol.Message { return &mencius.MsgProposeOK{Slots: []int64{i}} },
+		isVote: func(msg protocol.Message) bool {
+			_, ok := msg.(*mencius.MsgProposeOK)
+			return ok
+		},
+		submit: func(e protocol.Engine, id uint64) (int64, protocol.Output) {
+			slot := board(e).Barrier()
+			return slot, e.Submit(put(id))
+		},
+		committed: func(e protocol.Engine, i int64) bool { return board(e).Committed(i) },
+	}
+}
+
+var counters = []counter{
+	leaderCounter(engines[0], func(e protocol.Engine, i int64) protocol.Message {
+		return (*raft.MsgAppendResp)(&raftstar.MsgAppendResp{Term: term(e), Ok: true, LastIndex: i})
+	}),
+	leaderCounter(engines[1], func(e protocol.Engine, i int64) protocol.Message {
+		return &raftstar.MsgAppendResp{Term: term(e), Ok: true, LastIndex: i}
+	}),
+	leaderCounter(engines[2], func(e protocol.Engine, i int64) protocol.Message {
+		return &multipaxos.MsgAcceptOK{Bal: term(e), Idxs: []int64{i}}
+	}),
+	slotCounter("mencius", func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
+		return mencius.New(mencius.Config{ID: id, Peers: peers, DisableRevocation: true})
+	}),
+	slotCounter("coorraft", func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
+		return coorraft.New(coorraft.Config{ID: id, Peers: peers, DisableRevocation: true})
+	}),
+}
+
+// ownVotes returns the self-addressed votes e's output asks for.
+func ownVotes(cn counter, e protocol.Engine, out protocol.Output) []protocol.Message {
+	var own []protocol.Message
+	for _, env := range out.Msgs {
+		if env.From == e.ID() && env.To == e.ID() && cn.isVote(env.Msg) {
+			own = append(own, env.Msg)
+		}
+	}
+	return own
+}
+
+// others returns the two replicas of three that are not e.
+func others(e protocol.Engine) (protocol.NodeID, protocol.NodeID) {
+	a := (e.ID() + 1) % 3
+	return a, (a + 1) % 3
+}
+
+// TestSelfAckRule: the leader's (or slot owner's) copy is one vote among
+// n, counted only once its self-addressed ack comes back; that ack is asked
+// for lazily — only when it is the vote an index waits for — and once per
+// index.
+func TestSelfAckRule(t *testing.T) {
+	for _, cn := range counters {
+		t.Run(cn.name, func(t *testing.T) {
+			t.Run("both peers decide without the leader", func(t *testing.T) {
+				l := cn.lead(t, 3)
+				p, q := others(l)
+				i, out := cn.submit(l, 1)
+				if n := len(ownVotes(cn, l, out)); n != 0 {
+					t.Fatalf("a proposal alone asked for %d self-acks", n)
+				}
+				own := ownVotes(cn, l, l.Step(p, cn.vote(l, i)))
+				if len(own) != 1 || cn.committed(l, i) {
+					t.Fatalf("first peer vote: %d self-acks, committed %v; want the decisive self-ack and no commit", len(own), cn.committed(l, i))
+				}
+				if out := l.Step(q, cn.vote(l, i)); !cn.committed(l, i) || len(ownVotes(cn, l, out)) != 0 {
+					t.Fatal("both peers' votes did not commit without the self-ack, or asked again")
+				}
+				if out := l.Step(l.ID(), own[0]); len(out.Commits) != 0 || len(ownVotes(cn, l, out)) != 0 {
+					t.Fatal("the late self-ack committed again or asked again")
+				}
+			})
+			t.Run("one peer needs the self-ack", func(t *testing.T) {
+				l := cn.lead(t, 3)
+				p, _ := others(l)
+				i, _ := cn.submit(l, 1)
+				own := ownVotes(cn, l, l.Step(p, cn.vote(l, i)))
+				if len(own) != 1 || cn.committed(l, i) {
+					t.Fatalf("one peer vote: %d self-acks, committed %v; want one self-ack and no commit", len(own), cn.committed(l, i))
+				}
+				if l.Step(l.ID(), own[0]); !cn.committed(l, i) {
+					t.Fatal("not committed after the self-ack came back")
+				}
+			})
+			t.Run("once per decisive index", func(t *testing.T) {
+				l := cn.lead(t, 3)
+				p, _ := others(l)
+				var idx []int64
+				var own []protocol.Message
+				for id := uint64(1); id <= 4; id++ {
+					i, out := cn.submit(l, id)
+					idx = append(idx, i)
+					own = append(own, ownVotes(cn, l, out)...)
+				}
+				for _, i := range idx {
+					own = append(own, ownVotes(cn, l, l.Step(p, cn.vote(l, i)))...)
+				}
+				if len(own) != 1 {
+					t.Fatalf("%d self-acks for four proposals voted for one by one, want one covering all four", len(own))
+				}
+				l.Step(l.ID(), own[0])
+				for _, i := range idx {
+					if !cn.committed(l, i) {
+						t.Fatalf("index %d not committed after the self-ack", i)
+					}
+				}
+			})
+			t.Run("a lone replica acks itself", func(t *testing.T) {
+				l := cn.lead(t, 1)
+				i, out := cn.submit(l, 1)
+				own := ownVotes(cn, l, out)
+				if len(own) != 1 || cn.committed(l, i) {
+					t.Fatalf("lone replica: %d self-acks, committed %v; want one self-ack, commit after it", len(own), cn.committed(l, i))
+				}
+				if l.Step(l.ID(), own[0]); !cn.committed(l, i) {
+					t.Fatal("lone replica not committed after its self-ack")
+				}
+			})
+		})
+	}
+}
+
+// TestMustAckRule: a vote counts toward a quorum only once every replica
+// Hooks.MustAck names for its voter voted for the same index too, the
+// leader's own vote is not asked for while it could not decide, and
+// Recheck counts the vote once the named set shrinks. Raft takes no hooks
+// (raft.New drops them), so the rule runs under raftstar and multipaxos.
+func TestMustAckRule(t *testing.T) {
+	hooked := map[string]func(id protocol.NodeID, peers []protocol.NodeID, h protocol.Hooks) protocol.Engine{
+		"raftstar": func(id protocol.NodeID, peers []protocol.NodeID, h protocol.Hooks) protocol.Engine {
+			return raftstar.New(raftstar.Config{ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2, Seed: 7, Hooks: h})
+		},
+		"multipaxos": func(id protocol.NodeID, peers []protocol.NodeID, h protocol.Hooks) protocol.Engine {
+			return multipaxos.New(multipaxos.Config{ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2, Seed: 7, Hooks: h})
+		},
+	}
+	for _, cn := range counters[1:3] {
+		t.Run(cn.name, func(t *testing.T) {
+			holders := map[protocol.NodeID][]protocol.NodeID{}
+			h := protocol.Hooks{MustAck: func(p protocol.NodeID) []protocol.NodeID { return holders[p] }}
+			l := settled(t, 3, func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
+				return hooked[cn.name](id, peers, h)
+			})
+			p, q := others(l)
+			holders[p] = []protocol.NodeID{q} // p's vote binds q's
+			i, out := cn.submit(l, 1)
+			if own := append(ownVotes(cn, l, out), ownVotes(cn, l, l.Step(p, cn.vote(l, i)))...); len(own) != 0 {
+				t.Fatalf("%d self-acks asked for although the leader's vote could not decide", len(own))
+			}
+			l.Step(l.ID(), cn.vote(l, i))
+			if cn.committed(l, i) {
+				t.Fatal("committed on the leader's vote and one bound to a replica that did not vote")
+			}
+			delete(holders, p)
+			l.(interface{ Recheck() protocol.Output }).Recheck()
+			if !cn.committed(l, i) {
+				t.Fatal("not committed after the set MustAck names shrank")
+			}
+		})
+	}
+}
+
+// TestNonCommittingAckAllocatesNothing: a vote that commits nothing costs
+// no allocation in the counter — a range of match indexes (raft, raftstar;
+// counted twice, the durable votes and then with the leader's whole log)
+// or one instance's voter set (multipaxos), among five replicas.
+func TestNonCommittingAckAllocatesNothing(t *testing.T) {
+	for _, cn := range counters[:3] {
+		t.Run(cn.name, func(t *testing.T) {
+			l := cn.lead(t, 5)
+			p, _ := others(l)
+			i, _ := cn.submit(l, 1)
+			vote := cn.vote(l, i)
+			l.Step(p, vote)
+			if cn.committed(l, i) {
+				t.Fatal("one vote of five committed")
+			}
+			if allocs := testing.AllocsPerRun(100, func() { l.Step(p, vote) }); allocs != 0 {
+				t.Fatalf("non-committing vote: %v allocs, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestAcceptLostToEveryPeerIsResent: a write whose append or accept no peer
+// received — the leader was cut off for exactly that Submit — completes
+// after the heal, with a read submitted behind it, although no later write
+// exposes the loss.
+func TestAcceptLostToEveryPeerIsResent(t *testing.T) {
+	eachEngine(t, func(t *testing.T, eng engine) {
+		c, leader, _ := electReadLeader(t, eng)
+		id := leader.ID()
+		c.Isolate(id, true)
+		c.Submit(id, protocol.Command{ID: 1, Client: 900, Op: protocol.OpPut, Key: "k", Value: []byte("v")})
+		c.DeliverAll(100000)
+		c.Isolate(id, false)
+		c.SubmitRead(id, protocol.Command{ID: 2, Client: 900, Op: protocol.OpGet, Key: "k"})
+		c.Settle(3 * 10) // three election timeouts
+		for _, want := range []uint64{1, 2} {
+			done := false
+			for _, r := range c.Replies {
+				done = done || (r.CmdID == want && r.Err == nil)
+			}
+			if !done {
+				t.Fatalf("command %d never completed after the heal", want)
+			}
+		}
+		if !leader.IsLeader() {
+			t.Fatal("the leader was deposed")
 		}
 	})
 }

@@ -25,7 +25,6 @@
 package raftstar
 
 import (
-	"math/rand"
 	"slices"
 
 	"raftpaxos/internal/protocol"
@@ -94,17 +93,6 @@ type Config struct {
 	Hooks protocol.Hooks
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.ElectionTicks <= 0 {
-		out.ElectionTicks = 10
-	}
-	if out.HeartbeatTicks <= 0 {
-		out.HeartbeatTicks = 1
-	}
-	return out
-}
-
 // maxBatch caps entries per append message; maxInflight caps pipelined
 // appends per follower.
 const (
@@ -117,7 +105,7 @@ const (
 type Engine struct {
 	cfg   Config
 	rules Rules
-	rng   *rand.Rand
+	timer protocol.Timer
 
 	term     uint64
 	votedFor protocol.NodeID
@@ -143,24 +131,19 @@ type Engine struct {
 	extras   map[int64]protocol.Entry // safest entry seen per index
 	extraMax int64
 
-	// Leader state. match[ID] is the leader's own vote, raised only by its
-	// self-ack (maybeCommit); selfAsked is the highest index one was asked
-	// for this term; scratch is maybeCommit's sorting buffer.
-	next      map[protocol.NodeID]int64
-	match     map[protocol.NodeID]int64
-	inflight  map[protocol.NodeID]int
-	selfAsked int64
-	scratch   []int64
+	// Leader state. next/match/inflight are each peer's catch-up cursor;
+	// tally counts a match as a vote for every index up to it — match[ID],
+	// the leader's own, raised only by its self-ack (maybeCommit).
+	next     map[protocol.NodeID]int64
+	match    map[protocol.NodeID]int64
+	inflight map[protocol.NodeID]int
+	tally    protocol.Votes
 
 	// front routes client writes and reads (ReadIndex at the leader);
 	// catchup ships snapshot images to peers stranded below the compaction
 	// base and assembles inbound ones.
 	front   protocol.Front
 	catchup protocol.CatchUp
-
-	elapsed   int
-	timeout   int
-	hbElapsed int
 
 	// Fast write path state (nil/zero unless cfg.FastPath): fast is the
 	// shared path, the rest is what this family adds to it. specFrom is the
@@ -184,16 +167,14 @@ func New(cfg Config) *Engine { return NewWithRules(cfg, star{}) }
 // NewWithRules builds a replica that runs the shared engine under rules.
 // The variant is fixed here, by the constructor called; one group must not
 // mix variants, and package raft keeps its own wire tags so that it cannot.
-func NewWithRules(cfg Config, rules Rules) *Engine {
-	c := cfg.withDefaults()
+func NewWithRules(c Config, rules Rules) *Engine {
 	e := &Engine{
 		cfg:      c,
 		rules:    rules,
-		rng:      rand.New(rand.NewSource(c.Seed ^ int64(c.ID)<<17)),
 		votedFor: protocol.None,
 		role:     Follower,
 		leader:   protocol.None,
-		scratch:  make([]int64, 0, len(c.Peers)),
+		tally:    protocol.NewVotes(c.ID, c.Peers, c.Hooks.MustAck),
 	}
 	view := protocol.View{Term: e.Term, IsLeader: e.IsLeader, Leader: e.Leader, LastIndex: e.LastIndex, Commit: e.CommitIndex}
 	if c.FastPath {
@@ -202,7 +183,7 @@ func NewWithRules(cfg Config, rules Rules) *Engine {
 	}
 	e.front = protocol.NewFront(c.ID, len(c.Peers), c.ReadIndex, c.UnsafeSkipReadQuorum, e.fast, view, e.forward)
 	e.catchup = protocol.NewCatchUp(c.ID)
-	e.resetTimeout()
+	e.timer = protocol.NewTimer(c.Seed, c.ID, c.ElectionTicks, c.HeartbeatTicks, c.Passive)
 	return e
 }
 
@@ -366,31 +347,13 @@ func (e *Engine) EntryAt(i int64) (protocol.Entry, bool) {
 	return ent, true
 }
 
-func (e *Engine) termAt(i int64) uint64 { return e.log.TermAt(i) }
-
-func (e *Engine) quorum() int { return protocol.Quorum(len(e.cfg.Peers)) }
-
-func (e *Engine) resetTimeout() {
-	e.elapsed = 0
-	e.timeout = e.cfg.ElectionTicks + e.rng.Intn(e.cfg.ElectionTicks)
-}
-
 // Tick implements protocol.Engine.
 func (e *Engine) Tick() protocol.Output {
 	var out protocol.Output
-	if e.role == Leader {
-		e.hbElapsed++
-		if e.hbElapsed >= e.cfg.HeartbeatTicks {
-			e.hbElapsed = 0
-			e.broadcastAppend(&out, true)
-		}
-		return out
-	}
-	if e.cfg.Passive {
-		return out
-	}
-	e.elapsed++
-	if e.elapsed >= e.timeout {
+	switch e.timer.Tick(e.role == Leader) {
+	case protocol.Heartbeat:
+		e.broadcastAppend(&out, true)
+	case protocol.Campaign:
 		e.campaign(&out)
 	}
 	return out
@@ -416,12 +379,12 @@ func (e *Engine) campaign(out *protocol.Output) {
 	e.votes = map[protocol.NodeID]bool{e.cfg.ID: true}
 	e.extras = make(map[int64]protocol.Entry)
 	e.extraMax = e.LastIndex()
-	e.resetTimeout()
+	e.timer.Reset()
 	out.StateChanged = true
 	if e.fast != nil {
 		e.fastVotes = make(map[protocol.NodeID][]protocol.Entry)
 	}
-	req := &MsgVoteReq{Term: e.term, LastIndex: e.LastIndex(), LastTerm: e.termAt(e.LastIndex()), Commit: e.commit}
+	req := &MsgVoteReq{Term: e.term, LastIndex: e.LastIndex(), LastTerm: e.log.TermAt(e.LastIndex()), Commit: e.commit}
 	for _, p := range e.cfg.Peers {
 		if p == e.cfg.ID {
 			continue
@@ -449,7 +412,7 @@ func (e *Engine) becomeFollower(term uint64, leader protocol.NodeID, out *protoc
 		e.leader = leader
 		e.act(e.front.Flush(out), out)
 	}
-	e.resetTimeout()
+	e.timer.Reset()
 }
 
 // Step implements protocol.Engine.
@@ -501,15 +464,15 @@ func (e *Engine) stepVoteReq(from protocol.NodeID, m *MsgVoteReq, out *protocol.
 	if m.Term > e.term {
 		e.becomeFollower(m.Term, protocol.None, out)
 	}
-	upToDate := m.LastTerm > e.termAt(e.LastIndex()) ||
-		(m.LastTerm == e.termAt(e.LastIndex()) && m.LastIndex >= e.LastIndex())
+	upToDate := m.LastTerm > e.log.TermAt(e.LastIndex()) ||
+		(m.LastTerm == e.log.TermAt(e.LastIndex()) && m.LastIndex >= e.LastIndex())
 	grant := m.Term == e.term &&
 		(e.votedFor == protocol.None || e.votedFor == from) &&
 		e.role != Leader && upToDate
 	resp := &MsgVoteResp{Term: e.term, LastIndex: e.LastIndex()}
 	if grant {
 		e.votedFor = from
-		e.resetTimeout()
+		e.timer.Reset()
 		resp.Granted = true
 		out.StateChanged = true
 		// Election recovery, voter's half: ship the entries the rule asks
@@ -556,7 +519,7 @@ func (e *Engine) stepVoteResp(from protocol.NodeID, m *MsgVoteResp, out *protoco
 	if e.fastVotes != nil {
 		e.fastVotes[from] = m.Extra
 	}
-	if len(e.votes) >= e.quorum() {
+	if len(e.votes) >= protocol.Quorum(len(e.cfg.Peers)) {
 		e.becomeLeader(out)
 	}
 }
@@ -593,12 +556,15 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 		e.next[p] = next
 		e.match[p] = 0
 	}
-	e.selfAsked = 0
+	e.tally.Reset(e.commit)
+	for i := e.commit + 1; i <= e.LastIndex(); i++ {
+		e.tally.Open(i)
+	}
 	if e.cfg.Hooks.OnAccept != nil && e.log.Len() > 0 {
 		e.observeAccepted(e.log.Tail(e.log.FirstIndex()))
 	}
 	out.StateChanged = true
-	e.hbElapsed = 0
+	e.timer.Lead()
 	// Reads wait for the log's end at election to commit at our term —
 	// Raft*'s re-proposed log, Raft's no-op barrier.
 	e.front.Elect(e.LastIndex())
@@ -656,6 +622,7 @@ func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
 func (e *Engine) appendLocal(cmd protocol.Command, out *protocol.Output) {
 	ent := protocol.Entry{Index: e.LastIndex() + 1, Term: e.term, Bal: e.term, Cmd: cmd}
 	e.log.Append(ent)
+	e.tally.Open(ent.Index)
 	// The leader's copy is one acceptor's vote among n: it is persisted like
 	// a follower's and counts toward the commit quorum only once the self-ack
 	// riding a later round proves it durable (maybeCommit).
@@ -712,7 +679,7 @@ func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat b
 	req := &MsgAppendReq{
 		Term:      e.term,
 		PrevIndex: next - 1,
-		PrevTerm:  e.termAt(next - 1),
+		PrevTerm:  e.log.TermAt(next - 1),
 		Entries:   ents,
 		Commit:    e.commit,
 		ReadCtx:   e.front.ReadCtx(),
@@ -746,7 +713,7 @@ func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *proto
 	case m.PrevIndex > e.LastIndex():
 		// Missing entries before PrevIndex: hint our last index.
 		resp.LastIndex = e.LastIndex()
-	case m.PrevIndex >= e.log.Base() && e.termAt(m.PrevIndex) != m.PrevTerm:
+	case m.PrevIndex >= e.log.Base() && e.log.TermAt(m.PrevIndex) != m.PrevTerm:
 		// Conflicting predecessor: hint one before PrevIndex. A PrevIndex
 		// below our compaction base cannot conflict — everything at or
 		// below the base is committed, hence identical on any leader.
@@ -858,7 +825,7 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 		// driver may have raised LastIndex to all its store holds durably
 		// (CoverDurable): a leader's log only grows within its term,
 		// so that is still a prefix of this log.
-		e.match[from] = max(e.match[from], m.LastIndex)
+		e.matched(from, m.LastIndex)
 		e.maybeCommit(out)
 		return
 	}
@@ -888,9 +855,7 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 		e.sendAppend(from, out, false)
 		return
 	}
-	if m.LastIndex > e.match[from] {
-		e.match[from] = m.LastIndex
-	}
+	e.matched(from, m.LastIndex)
 	if e.next[from] <= e.match[from] {
 		e.next[from] = e.match[from] + 1
 	}
@@ -937,7 +902,7 @@ func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Outpu
 // its replication state resets to the snapshot boundary so pipelining
 // resumes at once instead of stalling until the next heartbeat probe.
 func (e *Engine) resume(p protocol.NodeID, index int64, out *protocol.Output) {
-	e.match[p] = max(e.match[p], index)
+	e.matched(p, index)
 	e.next[p] = e.match[p] + 1
 	e.inflight[p] = 0
 	e.maybeCommit(out)
@@ -946,85 +911,32 @@ func (e *Engine) resume(p protocol.NodeID, index int64, out *protocol.Output) {
 	}
 }
 
+// matched raises p's match index to last, and with it p's votes.
+func (e *Engine) matched(p protocol.NodeID, last int64) {
+	if was := e.match[p]; last > was {
+		e.match[p] = last
+		e.tally.Ack(p, was+1, last)
+	}
+}
+
 // maybeCommit advances the leader's commit index to what the commit rule
-// allows of the quorum-replicated watermark, counting the leader's own copy
+// allows of the quorum-replicated prefix, counting the leader's own copy
 // only as far as its self-ack proved durable, like a follower's. When
 // counting its whole log would commit more — n = 1, a follower down, or one
 // follower's ack in before the other's — it asks for that ack, once per
-// index: a MsgAppendResp addressed to itself, which the runtime hands back
-// once the round it rides is durable.
+// index (protocol.Votes.Decisive): a MsgAppendResp addressed to itself,
+// which the runtime hands back once the round it rides is durable.
 func (e *Engine) maybeCommit(out *protocol.Output) {
 	if e.role != Leader {
 		return
 	}
-	if c := e.rules.Commit(e, e.watermark(e.match[e.cfg.ID])); c > e.commit {
+	if c := e.rules.Commit(e, e.tally.Top(false)); c > e.commit {
 		e.advanceCommit(c, out)
 	}
-	last := e.LastIndex()
-	if e.selfAsked >= last {
-		return
+	if e.tally.Decisive(e.rules.Commit(e, e.tally.Top(true))) {
+		e.tally.Ask()
+		e.send(e.cfg.ID, &MsgAppendResp{Term: e.term, Ok: true, LastIndex: e.LastIndex()}, out)
 	}
-	if c := e.rules.Commit(e, e.watermark(last)); c > e.commit && c > e.selfAsked {
-		e.selfAsked = last
-		e.send(e.cfg.ID, &MsgAppendResp{Term: e.term, Ok: true, LastIndex: last}, out)
-	}
-}
-
-// watermark is the highest index a quorum of replicas match, counting the
-// leader's own copy through self — under Hooks.MustAck, a quorum of matches
-// that count. The matches are insertion-sorted into the engine's scratch
-// array (n is small), so evaluating it allocates nothing.
-func (e *Engine) watermark(self int64) int64 {
-	m := e.scratch[:0]
-	for _, p := range e.cfg.Peers {
-		m = append(m, e.matchOf(p, self))
-		for i := len(m) - 1; i > 0 && m[i] > m[i-1]; i-- {
-			m[i], m[i-1] = m[i-1], m[i]
-		}
-	}
-	e.scratch = m
-	if must := e.cfg.Hooks.MustAck; must != nil {
-		return e.countedQuorum(m[e.quorum()-1:], must, self)
-	}
-	return m[e.quorum()-1]
-}
-
-// matchOf is p's match index, with self standing in for the leader's own.
-func (e *Engine) matchOf(p protocol.NodeID, self int64) int64 {
-	if p == e.cfg.ID {
-		return self
-	}
-	return e.match[p]
-}
-
-// countedQuorum is the quorum-replicated watermark under Hooks.MustAck: the
-// highest of the candidate indexes (descending) that a quorum of replicas
-// match with a match that counts — one where everybody must names for that
-// replica matches the index too. Lower indexes only gain matches, so what
-// holds for the one returned holds for every entry beneath it.
-func (e *Engine) countedQuorum(candidates []int64, must func(protocol.NodeID) []protocol.NodeID, self int64) int64 {
-	for _, n := range candidates {
-		if n <= e.commit {
-			break
-		}
-		counted := 0
-	peers:
-		for _, p := range e.cfg.Peers {
-			if e.matchOf(p, self) < n {
-				continue
-			}
-			for _, h := range must(p) {
-				if e.matchOf(h, self) < n {
-					continue peers
-				}
-			}
-			counted++
-		}
-		if counted >= e.quorum() {
-			return n
-		}
-	}
-	return e.commit
 }
 
 func (e *Engine) advanceCommit(to int64, out *protocol.Output) {
@@ -1035,6 +947,7 @@ func (e *Engine) advanceCommit(to int64, out *protocol.Output) {
 		out.Commits = append(out.Commits, protocol.CommitInfo{Entry: ent, Reply: reply})
 	}
 	e.commit = to
+	e.tally.Advance(to)
 	// Committed slots are chosen and leave speculation by definition.
 	if e.specFrom > 0 && e.specFrom <= to {
 		e.specFrom = to + 1

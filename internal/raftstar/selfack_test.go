@@ -142,19 +142,3 @@ func TestSelfAckCommitRule(t *testing.T) {
 		})
 	})
 }
-
-// TestNonCommittingAckAllocatesNothing pins the quorum arithmetic: an ack
-// that commits nothing sorts the match indexes in the engine's scratch
-// array, twice (durable votes, then the leader's whole log), and
-// allocates nothing.
-func TestNonCommittingAckAllocatesNothing(t *testing.T) {
-	eachVariant(t, func(t *testing.T, v variant) {
-		l, term := settledLeader(t, v, 5)
-		l.Submit(put(1, "k"))
-		resp := v.resp(raftstar.MsgAppendResp{Term: term, Ok: true, LastIndex: l.LastIndex() - 1})
-		l.Step(1, resp)
-		if allocs := testing.AllocsPerRun(100, func() { l.Step(1, resp) }); allocs != 0 {
-			t.Fatalf("non-committing append ack: %v allocs, want 0", allocs)
-		}
-	})
-}

@@ -254,7 +254,8 @@ func TestLinearizablePQL(t *testing.T)        { runLinearWorkload(t, "pql", 15) 
 // replica trusted a lease the moment it re-acquired it, before catching up
 // with what its grantors accepted while it was not a holder (lease rule 4).
 // pql 4225: a lost accept was counted as acknowledged because the holder
-// acked a later instance (multipaxos.tryChoose). rql 8977: an isolated
+// acked a later instance (MultiPaxos counts each instance's own votes in
+// protocol.Votes). rql 8977: an isolated
 // leader dropped a follower's holder report after one lease duration, kept
 // the follower's vote, and committed past a holder whose lease that
 // follower was still renewing (Hooks.MustAck is per vote, with no clock).
