@@ -6,8 +6,8 @@
 // The hot path is batched and pipelined end to end. Each event-loop
 // iteration drains the submit and inbox channels (bounded by maxBatch)
 // and feeds the engine a whole batch of writes at once — engines whose
-// wire protocols carry multi-entry accepts/appends turn that into one
-// broadcast via protocol.BatchSubmitter. Persistence is accept-time and
+// wire protocols carry multi-entry accepts/appends turn that one
+// Engine.Submit call into one broadcast. Persistence is accept-time and
 // asynchronous: the event loop stages each iteration's persistence work
 // (accepted entries, hard-state save, installed snapshot and the withheld
 // promise-bearing messages) onto an ordered pipeline with a bounded
@@ -166,20 +166,6 @@ type applyBatch struct {
 	// is durable (Node.durableSeq).
 	seq int64
 }
-
-// Optional engine views the driver persists and restores; engines expose
-// whichever of these their protocol defines.
-type (
-	termer   interface{ Term() uint64 }
-	voter    interface{ VotedFor() protocol.NodeID }
-	comitter interface{ CommitIndex() int64 }
-	restorer interface {
-		RestoreHardState(term uint64, votedFor protocol.NodeID)
-	}
-	logRestorer interface {
-		RestoreLog(ents []protocol.Entry, commit int64)
-	}
-)
 
 // Node is one live replica of one consensus group: the group-scoped
 // runtime (engine, WAL/snapshot store, persister pipeline, applier, read
@@ -492,16 +478,18 @@ func (n *Node) run() {
 			// The applier persisted a snapshot at `through` and compacted
 			// the WAL; drop the engine's in-memory prefix on the loop that
 			// owns the engine.
-			if tp, ok := n.cfg.Engine.(protocol.PrefixTruncator); ok {
-				tp.TruncatePrefix(through)
-			}
+			n.cfg.Engine.TruncatePrefix(through)
 		}
 		n.drain(&out, &writes, &reads)
-		out.Merge(protocol.SubmitAll(n.cfg.Engine, writes))
+		if len(writes) > 0 {
+			out.Merge(n.cfg.Engine.Submit(writes...))
+		}
 		// Reads after writes: the batch's reads share one read index and
 		// one confirmation round (ReadIndex engines), or hit the lease
 		// fast path per command.
-		out.Merge(protocol.SubmitReads(n.cfg.Engine, reads))
+		if len(reads) > 0 {
+			out.Merge(n.cfg.Engine.SubmitRead(reads...))
+		}
 		n.finish(out)
 		n.isLeader.Store(n.cfg.Engine.IsLeader())
 		n.leaderID.Store(int64(n.cfg.Engine.Leader()))
@@ -534,9 +522,7 @@ func (n *Node) restoreHardState() error {
 	if err != nil {
 		return err
 	}
-	if r, ok := n.cfg.Engine.(restorer); ok {
-		r.RestoreHardState(hs.Term, hs.VotedFor)
-	}
+	n.cfg.Engine.RestoreHardState(hs.Term, hs.VotedFor)
 	snapIdx, base, restorable := n.restoreSnapshot()
 	if !restorable {
 		// The directory was compacted but no decodable snapshot covers the
@@ -544,10 +530,6 @@ func (n *Node) restoreHardState() error {
 		// with entries silently missing from its state machine. Starting
 		// empty is safe — the replica cannot win elections against peers
 		// holding the data and never serves what it does not have.
-		return nil
-	}
-	lr, ok := n.cfg.Engine.(logRestorer)
-	if !ok {
 		return nil
 	}
 	last, err := n.cfg.Stable.LastIndex()
@@ -565,7 +547,7 @@ func (n *Node) restoreHardState() error {
 	if commit < snapIdx {
 		commit = snapIdx // the snapshot only ever covers applied commits
 	}
-	lr.RestoreLog(ents, commit)
+	n.cfg.Engine.RestoreLog(ents, commit)
 	// Prime the state machine with the committed tail above the snapshot
 	// (entries at or below it are already inside the restored image): the
 	// engine resumes at that commit index and will not re-emit those
@@ -596,12 +578,6 @@ func (n *Node) restoreSnapshot() (snapIdx, base int64, restorable bool) {
 	if err != nil {
 		return 0, 0, false
 	}
-	sr, ok := n.cfg.Engine.(protocol.SnapshotRestorer)
-	if !ok {
-		// An engine that cannot start from a boundary must replay from
-		// index 1; that only reconstructs history on an uncompacted store.
-		return 0, 0, base == 0
-	}
 	snap, ok, err := n.cfg.Stable.LatestSnapshot()
 	if err != nil || !ok {
 		return 0, 0, base == 0
@@ -615,7 +591,7 @@ func (n *Node) restoreSnapshot() (snapIdx, base int64, restorable bool) {
 		return 0, 0, base == 0
 	}
 	if base > 0 {
-		sr.RestoreSnapshot(base, baseTerm)
+		n.cfg.Engine.RestoreSnapshot(base, baseTerm)
 	}
 	return snap.Index, base, true
 }
@@ -784,22 +760,12 @@ func (n *Node) PersistFailures() (streak, total int64) {
 	return n.persistFailStreak.Load(), n.persistFailTotal.Load()
 }
 
-// hardState snapshots the engine's durable state through whichever
-// optional views it exposes. Persisting the real vote and commit index —
-// not just the term — is what keeps a restarted replica from double
-// voting in its recorded term.
+// hardState snapshots the engine's durable state. Persisting the real
+// vote and commit index — not just the term — is what keeps a restarted
+// replica from double voting in its recorded term.
 func (n *Node) hardState() storage.HardState {
-	hs := storage.HardState{VotedFor: protocol.None}
-	if t, ok := n.cfg.Engine.(termer); ok {
-		hs.Term = t.Term()
-	}
-	if v, ok := n.cfg.Engine.(voter); ok {
-		hs.VotedFor = v.VotedFor()
-	}
-	if c, ok := n.cfg.Engine.(comitter); ok {
-		hs.Commit = c.CommitIndex()
-	}
-	return hs
+	e := n.cfg.Engine
+	return storage.HardState{Term: e.Term(), VotedFor: e.VotedFor(), Commit: e.CommitIndex()}
 }
 
 // applier applies committed entries to the state machine and routes
@@ -811,10 +777,7 @@ func (n *Node) hardState() storage.HardState {
 // the consensus loop's critical path.
 func (n *Node) applier() {
 	defer close(n.applyDone)
-	// Snapshots are only safe when the engine can restart from a boundary;
-	// otherwise recovery would need the compacted prefix.
-	_, restorer := n.cfg.Engine.(protocol.SnapshotRestorer)
-	snapshots := n.cfg.SnapshotInterval > 0 && n.cfg.Stable != nil && restorer
+	snapshots := n.cfg.SnapshotInterval > 0 && n.cfg.Stable != nil
 	var (
 		sinceSnap int
 		lastApply protocol.Entry

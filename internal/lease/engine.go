@@ -31,20 +31,12 @@ func (m *MsgReadReq) WireSize() int { return 8 + m.Cmd.WireSize() }
 // Inner is what the decorator needs of the log-replication engine it
 // wraps. Both raftstar.Engine and multipaxos.Engine satisfy it; every
 // method the decorator does not override is promoted to Engine unchanged,
-// which is how live drivers reach the restore/snapshot/hard-state views.
+// which is how live drivers reach the snapshot sender.
 type Inner interface {
 	protocol.Engine
-	protocol.BatchSubmitter
-	protocol.PrefixTruncator
-	protocol.SnapshotRestorer
 	protocol.SnapshotSender
-	RestoreHardState(term uint64, votedFor protocol.NodeID)
-	RestoreLog(ents []protocol.Entry, commit int64)
-	Term() uint64
-	VotedFor() protocol.NodeID
-	// CommitIndex is the committed (contiguously chosen) prefix, LastIndex
-	// the last accepted log index; LogLen the in-memory tail length.
-	CommitIndex() int64
+	// LastIndex is the last accepted log index; LogLen the in-memory tail
+	// length.
 	LastIndex() int64
 	LogLen() int
 	// Campaign forces an election; Recheck re-evaluates the commit rule
@@ -185,35 +177,41 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 
 // Submit implements protocol.Engine (writes are the inner engine's;
 // onAccept tracks the per-key write index when the entry is accepted).
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
-	out := e.Inner.Submit(cmd)
+func (e *Engine) Submit(cmds ...protocol.Command) protocol.Output {
+	out := e.Inner.Submit(cmds...)
 	e.flushReads(&out)
 	return out
 }
 
-// SubmitBatch implements protocol.BatchSubmitter.
-func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
-	out := e.Inner.SubmitBatch(cmds)
-	e.flushReads(&out)
+// SubmitRead implements protocol.Engine: the LocalRead subaction, decided
+// read by read.
+func (e *Engine) SubmitRead(cmds ...protocol.Command) protocol.Output {
+	var out protocol.Output
+	for _, cmd := range cmds {
+		e.read(cmd, &out)
+	}
 	return out
 }
 
-// SubmitRead implements protocol.Engine: the LocalRead subaction.
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
+// read decides one read: a follower under LeaderLease forwards it to the
+// leader, a replica with a usable lease parks it until its key's writes
+// commit, and any other read takes the inner engine's read path.
+func (e *Engine) read(cmd protocol.Command, out *protocol.Output) {
 	cmd.Op = protocol.OpGet
 	if e.mode == LeaderLease && !e.IsLeader() {
 		if l := e.Leader(); l != protocol.None {
-			return protocol.Output{Msgs: []protocol.Envelope{{From: e.ID(), To: l, Msg: &MsgReadReq{Cmd: cmd}}}}
+			out.Msgs = append(out.Msgs, protocol.Envelope{From: e.ID(), To: l, Msg: &MsgReadReq{Cmd: cmd}})
+			return
 		}
-		return e.Inner.SubmitRead(cmd)
+		out.Merge(e.Inner.SubmitRead(cmd))
+		return
 	}
 	if !e.leases.HasQuorumLease() || e.CommitIndex() < e.leases.Floor() {
-		return e.Inner.SubmitRead(cmd) // no usable lease: the inner engine's read path
+		out.Merge(e.Inner.SubmitRead(cmd)) // no usable lease: the inner engine's read path
+		return
 	}
-	var out protocol.Output
 	e.parked = append(e.parked, parkedRead{cmd, e.lastWrite[cmd.Key]})
-	e.flushReads(&out)
-	return out
+	e.flushReads(out)
 }
 
 // flushReads answers parked reads the commit index has caught up with, and

@@ -92,6 +92,10 @@ type Engine struct {
 	// unaccepted slots in between as filler entries, so the durable log
 	// stays an exact, gap-free mirror of the board's accepted state.
 	walTail int64
+	// redrive holds the own default-ballot proposals a restart restored
+	// above the executed prefix. Only this replica counted their votes, in
+	// memory, so the first Tick proposes them again.
+	redrive []SlotCmd
 
 	hbElapsed int
 }
@@ -152,6 +156,10 @@ func (e *Engine) Term() uint64 {
 	return max
 }
 
+// VotedFor implements protocol.Engine: Mencius elects no leader, so there
+// is no vote to remember.
+func (e *Engine) VotedFor() protocol.NodeID { return protocol.None }
+
 // CommitIndex reports the executed prefix under the name live drivers
 // persist it as: every slot at or below it is committed or skipped and has
 // been emitted for execution.
@@ -200,13 +208,21 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 			continue
 		}
 		e.board.ObserveProposal(ent.Index, ent.Cmd, ent.Bal)
+		if Owner(ent.Index, e.n) == e.cfg.ID && ent.Bal == 0 {
+			e.redrive = append(e.redrive, SlotCmd{Slot: ent.Index, Cmd: ent.Cmd})
+		}
 	}
 	if commit > e.walTail {
 		e.walTail = commit
 	}
+	// Before the restart this replica may have passed over own slots up to
+	// walTail, and its peers may have executed them as skips: its next
+	// proposal goes above everything it logged, never into a slot it gave
+	// away.
+	e.board.AdvanceBarrier(e.cfg.ID, NextOwned(e.walTail, e.cfg.ID, e.n))
 }
 
-// TruncatePrefix implements protocol.PrefixTruncator: drop per-slot state
+// TruncatePrefix implements protocol.Engine: drop per-slot state
 // at or below through (clamped to the executed prefix inside the board).
 func (e *Engine) TruncatePrefix(through int64) { e.board.TruncatePrefix(through) }
 
@@ -255,6 +271,11 @@ func (e *Engine) emitSlots(lo, hi int64, out *protocol.Output) {
 // Tick implements protocol.Engine.
 func (e *Engine) Tick() protocol.Output {
 	var out protocol.Output
+	if len(e.redrive) > 0 {
+		e.tally.Advance(e.board.ExecPrefix())
+		e.send(e.redrive, &out)
+		e.redrive = nil
+	}
 	e.hbElapsed++
 	if e.hbElapsed >= e.cfg.HeartbeatTicks {
 		e.hbElapsed = 0
@@ -271,40 +292,61 @@ func (e *Engine) Tick() protocol.Output {
 	return out
 }
 
-// Submit implements protocol.Engine: commit the command through this
+// Submit implements protocol.Engine: commit each command through this
 // replica's next owned slot — no forwarding, the core Mencius property.
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
+func (e *Engine) Submit(cmds ...protocol.Command) protocol.Output {
 	var out protocol.Output
+	for _, cmd := range cmds {
+		e.propose(cmd, &out)
+	}
+	return out
+}
+
+// propose proposes cmd in this replica's next owned slot.
+func (e *Engine) propose(cmd protocol.Command, out *protocol.Output) {
 	slot := e.board.Barrier()
 	e.board.AdvanceBarrier(e.cfg.ID, NextOwned(slot, e.cfg.ID, e.n))
 	e.board.ObserveProposal(slot, cmd, 0)
 	// Self-accept: the owner is one acceptor among n; its copy is persisted
 	// like any other and votes once its self-ack proves it durable.
-	e.emitSlots(slot, slot, &out)
+	e.emitSlots(slot, slot, out)
 	e.mine[slot] = cmd
-	e.tally.Open(slot)
 	if cmd.Client != protocol.None {
 		e.owed[slot] = true
 	}
-	e.broadcast(&out, &MsgPropose{
+	e.send([]SlotCmd{{Slot: slot, Cmd: cmd}}, out)
+	e.settle(out)
+}
+
+// send proposes slots as their owner at the default ballot: they take
+// votes, and the owner asks for its own once that decides. Sending again
+// a value an acceptor holds at the same ballot is always safe, which is
+// how the first Tick after a restart re-drives the restored own tail.
+func (e *Engine) send(slots []SlotCmd, out *protocol.Output) {
+	for _, sc := range slots {
+		e.tally.Open(sc.Slot)
+	}
+	e.broadcast(out, &MsgPropose{
 		Owner:    e.cfg.ID,
 		Proposer: e.cfg.ID,
-		Slots:    []SlotCmd{{Slot: slot, Cmd: cmd}},
+		Slots:    slots,
 		Barrier:  e.board.Barrier(),
 		Frontier: e.board.Frontier(),
 	})
-	if e.tally.Decisive(slot) {
-		e.askOwnVote(&out) // a lone replica's own vote is the quorum
+	if e.tally.Decisive(slots[len(slots)-1].Slot) {
+		e.askOwnVote(out) // a lone replica's own vote is the quorum
 	}
-	e.settle(&out)
-	return out
 }
 
 // SubmitRead implements protocol.Engine: reads order through the log like
 // writes (and always reply at execution).
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
-	cmd.Op = protocol.OpGet
-	return e.Submit(cmd)
+func (e *Engine) SubmitRead(cmds ...protocol.Command) protocol.Output {
+	var out protocol.Output
+	for _, cmd := range cmds {
+		cmd.Op = protocol.OpGet
+		e.propose(cmd, &out)
+	}
+	return out
 }
 
 // Step implements protocol.Engine.
@@ -449,7 +491,7 @@ func (e *Engine) settle(out *protocol.Output) {
 				// The slot was revoked to a no-op: resubmit the command in
 				// a fresh slot.
 				delete(e.owed, ent.Index)
-				out.Merge(e.Submit(cmd))
+				e.propose(cmd, out)
 			}
 			delete(e.mine, ent.Index)
 		}

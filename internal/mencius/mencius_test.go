@@ -286,6 +286,65 @@ func TestRestoreLogReobservesAcceptedTail(t *testing.T) {
 	}
 }
 
+// TestRestartProposesAboveLoggedSlots: a replica that passed over its own
+// slots before a restart (peers may have executed them as skips) must not
+// propose into them afterwards; its next slot is above everything it
+// logged, even when its saved commit point lags far behind.
+func TestRestartProposesAboveLoggedSlots(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2}
+	e := mencius.New(mencius.Config{ID: 0, Peers: peers, HeartbeatTicks: 1, Seed: 1})
+	ents := []protocol.Entry{{Index: 1, Cmd: protocol.Command{ID: 1, Op: protocol.OpPut, Key: "done"}}}
+	for i := int64(2); i <= 9; i++ {
+		ents = append(ents, protocol.Entry{Index: i}) // fillers: own slots 4 and 7 were skipped
+	}
+	e.RestoreLog(ents, 1)
+	out := e.Submit(protocol.Command{ID: 2, Client: 1, Op: protocol.OpGet, Key: "k"})
+	for _, env := range out.Msgs {
+		if m, ok := env.Msg.(*mencius.MsgPropose); ok {
+			if got := m.Slots[0].Slot; got != 10 {
+				t.Fatalf("first proposal after restart in slot %d, want 10 (above the logged slots)", got)
+			}
+			return
+		}
+	}
+	t.Fatal("no proposal sent")
+}
+
+// TestRestartReproposesOwnTail: an own proposal restored above the commit
+// point had its votes counted only in the owner's memory. The first Tick
+// after the restart proposes it again, and it commits and executes.
+func TestRestartReproposesOwnTail(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2}
+	e := mencius.New(mencius.Config{ID: 0, Peers: peers, HeartbeatTicks: 1, Seed: 1, DisableRevocation: true})
+	pending := protocol.Command{ID: 4, Client: 1, Op: protocol.OpPut, Key: "pending"}
+	e.RestoreLog([]protocol.Entry{
+		{Index: 1, Cmd: protocol.Command{ID: 1, Op: protocol.OpPut, Key: "done"}},
+		{Index: 2}, {Index: 3},
+		{Index: 4, Cmd: pending},
+	}, 1)
+	var again *mencius.MsgPropose
+	for _, env := range e.Tick().Msgs {
+		if m, ok := env.Msg.(*mencius.MsgPropose); ok && env.To == 1 {
+			again = m
+		}
+	}
+	if again == nil || len(again.Slots) != 1 || again.Slots[0].Slot != 4 || again.Slots[0].Cmd.ID != pending.ID || again.Bal != 0 {
+		t.Fatalf("first tick after restart proposed %+v, want slot 4 again at ballot 0", again)
+	}
+	// Peer 2 skips slot 3; peer 1's vote makes the owner's own decisive.
+	e.Step(2, &mencius.MsgCoordHB{Barrier: 6, Frontier: []int64{0, 0, 0}})
+	out := e.Step(1, &mencius.MsgProposeOK{Slots: []int64{4}, Barrier: 5, Frontier: []int64{0, 0, 0}})
+	var commits []protocol.CommitInfo
+	for _, env := range out.Msgs {
+		if env.To == 0 {
+			commits = append(commits, e.Step(0, env.Msg).Commits...)
+		}
+	}
+	if len(commits) == 0 || commits[len(commits)-1].Entry.Index != 4 || commits[len(commits)-1].Entry.Cmd.ID != pending.ID {
+		t.Fatalf("restored slot 4 did not execute after its re-proposal: %+v", commits)
+	}
+}
+
 // TestEmissionCoversTrailingSkips is the regression for a gap bug: skips
 // are never accepted anywhere, so when the executable prefix runs past
 // the durable-log watermark over trailing skips, the next emission must

@@ -342,9 +342,9 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 	}
 }
 
-// TruncatePrefix implements protocol.PrefixTruncator: drop in-memory
-// instance state at or below through (clamped to the chosen prefix —
-// unchosen instances may still be re-proposed and must stay).
+// TruncatePrefix implements protocol.Engine: drop in-memory instance state
+// at or below through (clamped to the chosen prefix — unchosen instances
+// may still be re-proposed and must stay).
 func (e *Engine) TruncatePrefix(through int64) {
 	e.log.TruncatePrefix(min(through, e.chosenPrefix))
 }
@@ -694,32 +694,22 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	e.act(e.front.Flush(out), out)
 }
 
-// Submit implements protocol.Engine (Phase2a for a fresh instance).
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
-	return e.SubmitBatch([]protocol.Command{cmd})
-}
-
-// SubmitBatch implements protocol.BatchSubmitter: the whole batch becomes
-// consecutive instances proposed in a single Phase2a broadcast (the
-// batched-accept optimization the paper ports between protocols).
-func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
+// Submit implements protocol.Engine (Phase2a for fresh instances): the
+// whole batch becomes consecutive instances proposed in a single Phase2a
+// broadcast (the batched-accept optimization the paper ports between
+// protocols).
+func (e *Engine) Submit(cmds ...protocol.Command) protocol.Output {
 	var out protocol.Output
 	e.act(e.front.Writes(cmds, &out), &out)
 	return out
 }
 
 // SubmitRead implements protocol.Engine: with ReadIndex enabled, the
-// leader serves the read from the state machine after one accept-round
-// ballot confirmation — no instance, no fsync; otherwise a strongly
-// consistent read is persisted into the log as if it were a write
-// (Section 4.4 of the paper).
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
-	return e.SubmitReadBatch([]protocol.Command{cmd})
-}
-
-// SubmitReadBatch implements protocol.ReadBatchSubmitter: the whole batch
-// shares one read index and one confirmation round.
-func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
+// leader serves the batch from the state machine after one accept-round
+// ballot confirmation shared by the whole batch — no instance, no fsync;
+// otherwise a strongly consistent read is persisted into the log as if it
+// were a write (Section 4.4 of the paper).
+func (e *Engine) SubmitRead(cmds ...protocol.Command) protocol.Output {
 	var out protocol.Output
 	e.act(e.front.Reads(cmds, protocol.None, &out), &out)
 	return out

@@ -294,6 +294,15 @@ type BarrierMessage interface {
 // all calls. Time is logical: the driver calls Tick at a fixed cadence
 // (TickInterval in the config) and engines count ticks for elections,
 // heartbeats and leases.
+//
+// A restarted replica is restored before it processes any input, in this
+// order: RestoreHardState with the saved term and vote; RestoreSnapshot
+// when recovery starts from a snapshot boundary; RestoreLog with the
+// persisted log above that boundary.
+//
+// Submit and SubmitRead take a non-empty batch (drivers skip the call on
+// an empty one) and run it as one protocol step. The engine may keep the
+// slice it is handed, so a driver hands over a fresh one each call.
 type Engine interface {
 	// ID returns this replica's identity.
 	ID() NodeID
@@ -301,14 +310,38 @@ type Engine interface {
 	Tick() Output
 	// Step processes one inbound message.
 	Step(from NodeID, msg Message) Output
-	// Submit proposes a write command at this replica.
-	Submit(cmd Command) Output
-	// SubmitRead requests a strongly consistent read of key at this replica.
-	SubmitRead(cmd Command) Output
+	// Submit proposes cmds as writes at this replica, in order.
+	Submit(cmds ...Command) Output
+	// SubmitRead requests a strongly consistent read for every command in
+	// cmds at this replica.
+	SubmitRead(cmds ...Command) Output
 	// Leader returns the replica currently believed to be leader, or None.
 	Leader() NodeID
 	// IsLeader reports whether this replica believes it is the leader.
 	IsLeader() bool
+	// Term is the fencing state a restart must not lose: the current term
+	// (Raft family), the highest ballot seen (MultiPaxos) or the highest
+	// revocation ballot used or promised (Mencius).
+	Term() uint64
+	// VotedFor is the replica voted for in Term, or None where the
+	// protocol keeps no vote (MultiPaxos, Mencius).
+	VotedFor() NodeID
+	// CommitIndex is the committed prefix: every index at or below it is
+	// committed.
+	CommitIndex() int64
+	// RestoreHardState adopts the durably recorded term and vote.
+	RestoreHardState(term uint64, votedFor NodeID)
+	// RestoreSnapshot starts the log after index, an entry of the given
+	// term: everything at or below it is committed and lives only in a
+	// snapshot.
+	RestoreSnapshot(index int64, term uint64)
+	// RestoreLog adopts the persisted log tail; entries up to commit come
+	// back committed, the rest accepted but not committed.
+	RestoreLog(ents []Entry, commit int64)
+	// TruncatePrefix drops in-memory log state for indexes <= through, so
+	// a driver that persisted a snapshot can bound replica memory. Only
+	// committed indexes are dropped; engines clamp internally.
+	TruncatePrefix(through int64)
 }
 
 // StateMachine is the replicated application the driver feeds committed
@@ -325,82 +358,8 @@ type StateMachine interface {
 	Restore(data []byte) error
 }
 
-// PrefixTruncator is an optional Engine extension: engines whose in-memory
-// log supports dropping the compacted prefix (everything at or below a
-// persisted snapshot) expose it so drivers can bound replica memory.
-type PrefixTruncator interface {
-	// TruncatePrefix drops in-memory log state for indexes <= through.
-	// Only committed indexes may be truncated; engines clamp internally.
-	TruncatePrefix(through int64)
-}
-
-// SnapshotRestorer is an optional Engine extension: the driver calls it
-// before RestoreLog when recovery starts from a snapshot, so the engine
-// can begin its log at the snapshot boundary instead of index 1.
-type SnapshotRestorer interface {
-	// RestoreSnapshot primes the engine with the snapshot's last included
-	// index and term; the subsequent RestoreLog carries only the tail.
-	RestoreSnapshot(index int64, term uint64)
-}
-
-// BatchSubmitter is an optional Engine extension for engines whose wire
-// protocol already carries multi-entry accepts/appends (MultiPaxos,
-// Raft, Raft*): a whole batch of commands becomes one log extension and
-// one broadcast instead of one per command. Drivers discover it with a
-// type assertion; SubmitAll provides the loop-over-Submit fallback for
-// engines that lack it.
-type BatchSubmitter interface {
-	// SubmitBatch proposes every command in cmds at this replica, in
-	// order, as a single protocol step.
-	SubmitBatch(cmds []Command) Output
-}
-
-// SubmitAll proposes cmds through the engine's native batch path when it
-// has one, and otherwise submits them one at a time, merging the outputs.
-func SubmitAll(e Engine, cmds []Command) Output {
-	switch len(cmds) {
-	case 0:
-		return Output{}
-	case 1:
-		return e.Submit(cmds[0])
-	}
-	if b, ok := e.(BatchSubmitter); ok {
-		return b.SubmitBatch(cmds)
-	}
-	var out Output
-	for _, c := range cmds {
-		out.Merge(e.Submit(c))
-	}
-	return out
-}
-
-// ReadBatchSubmitter is an optional Engine extension for engines with a
-// ReadIndex fast path: a whole batch of reads shares one read index and
-// one leadership-confirmation round instead of one per read.
-type ReadBatchSubmitter interface {
-	// SubmitReadBatch requests a strongly consistent read for every
-	// command in cmds at this replica, as a single protocol step.
-	SubmitReadBatch(cmds []Command) Output
-}
-
-// SubmitReads requests cmds through the engine's native read-batch path
-// when it has one, and otherwise one at a time, merging the outputs.
-func SubmitReads(e Engine, cmds []Command) Output {
-	switch len(cmds) {
-	case 0:
-		return Output{}
-	case 1:
-		return e.SubmitRead(cmds[0])
-	}
-	if b, ok := e.(ReadBatchSubmitter); ok {
-		return b.SubmitReadBatch(cmds)
-	}
-	var out Output
-	for _, c := range cmds {
-		out.Merge(e.SubmitRead(c))
-	}
-	return out
-}
+// SubmitAll proposes cmds as one batch: Engine.Submit(cmds...).
+func SubmitAll(e Engine, cmds []Command) Output { return e.Submit(cmds...) }
 
 // MsgReadForward carries read commands from a follower to the leader,
 // which serves them through its ReadIndex fast path and routes the

@@ -41,20 +41,16 @@ func raftFamily(name string, build func(raftstar.Config) protocol.Engine, rename
 		},
 		heartbeat: func() protocol.Message { return rename(&raftstar.MsgAppendReq{Term: 1}) },
 		lead: func(t *testing.T, e protocol.Engine, p protocol.NodeID) protocol.Output {
-			r := e.(interface {
-				Campaign() protocol.Output
-				Term() uint64
-			})
-			r.Campaign()
+			e.(interface{ Campaign() protocol.Output }).Campaign()
 			var voter protocol.NodeID
 			for voter == e.ID() || voter == p {
 				voter++
 			}
-			e.Step(voter, rename(&raftstar.MsgVoteResp{Term: r.Term(), Granted: true}))
+			e.Step(voter, rename(&raftstar.MsgVoteResp{Term: e.Term(), Granted: true}))
 			if !e.IsLeader() {
 				t.Fatal("re-election failed")
 			}
-			return e.Step(p, rename(&raftstar.MsgAppendResp{Term: r.Term()}))
+			return e.Step(p, rename(&raftstar.MsgAppendResp{Term: e.Term()}))
 		},
 	}
 }
@@ -95,8 +91,6 @@ func eachEngine(t *testing.T, body func(t *testing.T, eng engine)) {
 
 var three = []protocol.NodeID{0, 1, 2}
 
-func term(e protocol.Engine) uint64 { return e.(interface{ Term() uint64 }).Term() }
-
 func cmds(first uint64, n int, op protocol.Op) []protocol.Command {
 	out := make([]protocol.Command, n)
 	for i := range out {
@@ -128,13 +122,13 @@ func TestFrontParksWithoutLeader(t *testing.T) {
 	const over = 10
 	eachEngine(t, func(t *testing.T, eng engine) {
 		e := eng.new(1, three, false, true)
-		out := protocol.SubmitAll(e, cmds(1, protocol.MaxParked+over, protocol.OpPut))
+		out := e.Submit(cmds(1, protocol.MaxParked+over, protocol.OpPut)...)
 		if len(out.Msgs) != 0 {
 			t.Fatalf("leaderless writes sent %d messages", len(out.Msgs))
 		}
 		checkRejected(t, out.Replies, protocol.MaxParked+1, over, protocol.ReplyWrite)
 		reads := cmds(100000, protocol.MaxParked+over, protocol.OpGet)
-		out = protocol.SubmitReads(e, reads)
+		out = e.SubmitRead(reads...)
 		if len(out.Msgs) != 0 {
 			t.Fatalf("leaderless reads sent %d messages", len(out.Msgs))
 		}
@@ -145,9 +139,9 @@ func TestFrontParksWithoutLeader(t *testing.T) {
 		for _, env := range out.Msgs {
 			switch m := env.Msg.(type) {
 			case *protocol.MsgReadForward:
-				if env.To != 0 || m.Term != term(e) || len(m.Cmds) != protocol.MaxParked || m.Cmds[0].ID != 100000 {
+				if env.To != 0 || m.Term != e.Term() || len(m.Cmds) != protocol.MaxParked || m.Cmds[0].ID != 100000 {
 					t.Fatalf("read forward to %d at term %d with %d reads, want to 0 at term %d with %d",
-						env.To, m.Term, len(m.Cmds), term(e), protocol.MaxParked)
+						env.To, m.Term, len(m.Cmds), e.Term(), protocol.MaxParked)
 				}
 				sent = append(sent, "reads")
 			default:
@@ -191,14 +185,14 @@ func electReadLeader(t *testing.T, eng engine) (*testcluster.Cluster, protocol.E
 func TestFrontWitnessOnlyAtEqualTerm(t *testing.T) {
 	eachEngine(t, func(t *testing.T, eng engine) {
 		_, leader, follower := electReadLeader(t, eng)
-		out := leader.Step(follower, &protocol.MsgReadForward{Cmds: cmds(1, 1, protocol.OpGet), Term: term(leader) - 1})
+		out := leader.Step(follower, &protocol.MsgReadForward{Cmds: cmds(1, 1, protocol.OpGet), Term: leader.Term() - 1})
 		if len(out.ReadStates) != 0 {
 			t.Fatal("a read forwarded at an older term was served without a confirmation round")
 		}
 		if len(out.Msgs) == 0 {
 			t.Fatal("a read forwarded at an older term started no confirmation round")
 		}
-		out = leader.Step(follower, &protocol.MsgReadForward{Cmds: cmds(2, 1, protocol.OpGet), Term: term(leader)})
+		out = leader.Step(follower, &protocol.MsgReadForward{Cmds: cmds(2, 1, protocol.OpGet), Term: leader.Term()})
 		if len(out.ReadStates) != 1 || out.ReadStates[0].Cmds[0].ID != 2 {
 			t.Fatalf("a read forwarded at the leader's term was not served at once: %+v", out.ReadStates)
 		}
@@ -214,7 +208,7 @@ func TestFrontFailsParkedReadsOnStepDown(t *testing.T) {
 		if out := leader.SubmitRead(cmds(1, 1, protocol.OpGet)[0]); len(out.ReadStates)+len(out.Replies) != 0 {
 			t.Fatal("a leader read completed without a confirmation round")
 		}
-		out := leader.Step(follower, &protocol.MsgReadForward{Cmds: cmds(2, 1, protocol.OpGet), Term: term(leader) + 100})
+		out := leader.Step(follower, &protocol.MsgReadForward{Cmds: cmds(2, 1, protocol.OpGet), Term: leader.Term() + 100})
 		if leader.IsLeader() {
 			t.Fatal("leader kept leading past a higher term")
 		}
@@ -248,9 +242,9 @@ func transfer(t *testing.T, eng engine) (sender protocol.Engine, chunk *protocol
 		put(i)
 	}
 	c.Settle(3)
-	base := leader.(interface{ CommitIndex() int64 }).CommitIndex()
+	base := leader.CommitIndex()
 	img := protocol.SnapshotImage{Index: base, Term: 1, Data: make([]byte, 4*protocol.SnapshotChunkSize)}
-	leader.(protocol.PrefixTruncator).TruncatePrefix(base)
+	leader.TruncatePrefix(base)
 	leader.(protocol.SnapshotSender).SetSnapshotProvider(protocol.SnapshotProviderFunc(func() (protocol.SnapshotImage, bool) { return img, true }))
 	c.Isolate(victim, false)
 	for r := 0; r < 200; r++ {
@@ -386,8 +380,6 @@ func put(id uint64) protocol.Command {
 	return protocol.Command{ID: id, Client: 900, Op: protocol.OpPut, Key: "k"}
 }
 
-func commitIndex(e protocol.Engine) int64 { return e.(interface{ CommitIndex() int64 }).CommitIndex() }
-
 func lastIndex(e protocol.Engine) int64 { return e.(interface{ LastIndex() int64 }).LastIndex() }
 
 // leaderCounter is the counter table entry for an engine of the leader
@@ -409,7 +401,7 @@ func leaderCounter(eng engine, resp func(e protocol.Engine, i int64) protocol.Me
 			out := e.Submit(put(id))
 			return lastIndex(e), out
 		},
-		committed: func(e protocol.Engine, i int64) bool { return commitIndex(e) >= i },
+		committed: func(e protocol.Engine, i int64) bool { return e.CommitIndex() >= i },
 	}
 }
 
@@ -434,13 +426,13 @@ func slotCounter(name string, build func(id protocol.NodeID, peers []protocol.No
 
 var counters = []counter{
 	leaderCounter(engines[0], func(e protocol.Engine, i int64) protocol.Message {
-		return (*raft.MsgAppendResp)(&raftstar.MsgAppendResp{Term: term(e), Ok: true, LastIndex: i})
+		return (*raft.MsgAppendResp)(&raftstar.MsgAppendResp{Term: e.Term(), Ok: true, LastIndex: i})
 	}),
 	leaderCounter(engines[1], func(e protocol.Engine, i int64) protocol.Message {
-		return &raftstar.MsgAppendResp{Term: term(e), Ok: true, LastIndex: i}
+		return &raftstar.MsgAppendResp{Term: e.Term(), Ok: true, LastIndex: i}
 	}),
 	leaderCounter(engines[2], func(e protocol.Engine, i int64) protocol.Message {
-		return &multipaxos.MsgAcceptOK{Bal: term(e), Idxs: []int64{i}}
+		return &multipaxos.MsgAcceptOK{Bal: e.Term(), Idxs: []int64{i}}
 	}),
 	slotCounter("mencius", func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
 		return mencius.New(mencius.Config{ID: id, Peers: peers, DisableRevocation: true})

@@ -183,9 +183,9 @@ func TestOnlyRaftTypesLeave(t *testing.T) {
 	drive("Step", follower.Step(0, announce))
 	drive("Tick", leader.Tick())
 	drive("Submit", follower.Submit(put(1)))
-	drive("SubmitBatch", follower.SubmitBatch([]protocol.Command{put(2), put(3)}))
+	drive("Submit", follower.Submit(put(2), put(3)))
 	drive("SubmitRead", follower.SubmitRead(get(4)))
-	drive("SubmitReadBatch", follower.SubmitReadBatch([]protocol.Command{get(5)}))
+	drive("SubmitRead", follower.SubmitRead(get(5), get(8)))
 	drive("SubmitRead", leader.SubmitRead(get(6)))
 	// The follower's ack makes the leader's own vote decisive: it asks for
 	// it with a self-addressed append response.

@@ -20,12 +20,9 @@ import (
 type replica interface {
 	protocol.Engine
 	Campaign() protocol.Output
-	Term() uint64
-	CommitIndex() int64
 	LastIndex() int64
 	FirstIndex() int64
 	EntryAt(i int64) (protocol.Entry, bool)
-	TruncatePrefix(through int64)
 	SetSnapshotProvider(p protocol.SnapshotProvider)
 	MatchIndex(p protocol.NodeID) int64
 	Role() raftstar.Role

@@ -309,9 +309,9 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 	}
 }
 
-// TruncatePrefix implements protocol.PrefixTruncator: drop in-memory
-// entries at or below through (clamped to the commit index — uncommitted
-// entries may still be rewritten and must stay). Index arithmetic stays in
+// TruncatePrefix implements protocol.Engine: drop in-memory entries at or
+// below through (clamped to the commit index — uncommitted entries may
+// still be rewritten and must stay). Index arithmetic stays in
 // global log-index space throughout.
 func (e *Engine) TruncatePrefix(through int64) {
 	if through > e.commit {
@@ -576,32 +576,21 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 	e.act(e.front.Flush(out), out)
 }
 
-// Submit implements protocol.Engine.
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
-	return e.SubmitBatch([]protocol.Command{cmd})
-}
-
-// SubmitBatch implements protocol.BatchSubmitter: the leader appends the
-// whole batch locally and replicates it in one append broadcast — the
-// MultiPaxos batched-accept optimization, which ports to Raft* unchanged.
-func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
+// Submit implements protocol.Engine: the leader appends the whole batch
+// locally and replicates it in one append broadcast — the MultiPaxos
+// batched-accept optimization, which ports to Raft* unchanged.
+func (e *Engine) Submit(cmds ...protocol.Command) protocol.Output {
 	var out protocol.Output
 	e.act(e.front.Writes(cmds, &out), &out)
 	return out
 }
 
 // SubmitRead implements protocol.Engine: with ReadIndex enabled, the
-// leader serves the read from the state machine after one leadership
-// confirmation round — no log append, no fsync; otherwise Raft* serves
-// strongly consistent reads by running them through the log, exactly
-// like writes.
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
-	return e.SubmitReadBatch([]protocol.Command{cmd})
-}
-
-// SubmitReadBatch implements protocol.ReadBatchSubmitter: the whole batch
-// shares one read index and one confirmation round.
-func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
+// leader serves the batch from the state machine after one leadership
+// confirmation round shared by the whole batch — no log append, no fsync;
+// otherwise Raft* serves strongly consistent reads by running them
+// through the log, exactly like writes.
+func (e *Engine) SubmitRead(cmds ...protocol.Command) protocol.Output {
 	var out protocol.Output
 	e.act(e.front.Reads(cmds, protocol.None, &out), &out)
 	return out

@@ -166,19 +166,9 @@ func (d *crashDisk) append(ents []protocol.Entry) bool {
 }
 
 // engineHS snapshots the hard state a live driver would save for this
-// engine, via the same optional interfaces cluster.Node uses.
+// engine.
 func engineHS(e protocol.Engine) campaignHS {
-	var h campaignHS
-	if t, ok := e.(interface{ Term() uint64 }); ok {
-		h.term = t.Term()
-	}
-	if v, ok := e.(interface{ VotedFor() protocol.NodeID }); ok {
-		h.votedFor = v.VotedFor()
-	}
-	if ci, ok := e.(interface{ CommitIndex() int64 }); ok {
-		h.commit = ci.CommitIndex()
-	}
-	return h
+	return campaignHS{term: e.Term(), votedFor: e.VotedFor(), commit: e.CommitIndex()}
 }
 
 func anyBarrier(msgs []protocol.Envelope) bool {
@@ -385,21 +375,9 @@ func (cp *campaign) restart(id protocol.NodeID) {
 	cp.incarnation++
 	e := buildCampaignEngine(cp.cfg.Engine, id, cp.peers,
 		cp.cfg.Seed+int64(cp.incarnation)*1009, cp.cfg.Sabotage)
-	if r, ok := e.(interface {
-		RestoreHardState(term uint64, votedFor protocol.NodeID)
-	}); ok {
-		r.RestoreHardState(d.hs.term, d.hs.votedFor)
-	}
+	e.RestoreHardState(d.hs.term, d.hs.votedFor)
 	if len(d.log) > 0 {
-		if lr, ok := e.(interface {
-			RestoreLog(ents []protocol.Entry, commit int64)
-		}); ok {
-			commit := d.hs.commit
-			if commit > int64(len(d.log)) {
-				commit = int64(len(d.log))
-			}
-			lr.RestoreLog(append([]protocol.Entry(nil), d.log...), commit)
-		}
+		e.RestoreLog(append([]protocol.Entry(nil), d.log...), min(d.hs.commit, int64(len(d.log))))
 	}
 	cp.c.Engines[id] = e
 	cp.dead[id] = false

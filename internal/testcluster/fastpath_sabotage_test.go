@@ -273,10 +273,6 @@ func TestFastAckReplayMultiPaxos(t *testing.T) {
 type fastEngine interface {
 	protocol.Engine
 	Campaign() protocol.Output
-	RestoreHardState(term uint64, votedFor protocol.NodeID)
-	RestoreLog(ents []protocol.Entry, commit int64)
-	Term() uint64
-	CommitIndex() int64
 }
 
 // killHarness drives engines directly while mirroring the accept-time WAL
@@ -402,10 +398,7 @@ func runFastSuffixSurvivesKill(t *testing.T, name string, build func(id protocol
 	votes := map[protocol.NodeID]protocol.NodeID{}
 	for _, id := range peers {
 		terms[id] = h.engines[id].Term()
-		votes[id] = protocol.None
-		if v, ok := h.engines[id].(interface{ VotedFor() protocol.NodeID }); ok {
-			votes[id] = v.VotedFor()
-		}
+		votes[id] = h.engines[id].VotedFor()
 	}
 	h.queue = nil
 	h.commits = map[protocol.NodeID][]protocol.Entry{}

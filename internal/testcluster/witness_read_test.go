@@ -39,8 +39,6 @@ func witnessCluster(t *testing.T, name string, seed int64, n int) (c *testcluste
 	return c, h, leader, follower
 }
 
-func termOf(e protocol.Engine) uint64 { return e.(interface{ Term() uint64 }).Term() }
-
 func readCmd(id uint64) protocol.Command {
 	return protocol.Command{ID: id, Client: 901, Op: protocol.OpGet, Key: "k"}
 }
@@ -98,7 +96,7 @@ func TestForwardedReadNeedsNoRoundOfThree(t *testing.T) {
 			if !ok || c.Queue[0].To != leader {
 				t.Fatalf("follower read sent %T to %d, want a forward to leader %d", c.Queue[0].Msg, c.Queue[0].To, leader)
 			}
-			if want := termOf(c.Engines[leader]); fwd.Term != want {
+			if want := c.Engines[leader].Term(); fwd.Term != want {
 				t.Fatalf("forward stamped term %d, leader is at %d", fwd.Term, want)
 			}
 			c.DeliverAll(1)
@@ -174,7 +172,7 @@ func TestForwardStampAboveAndBelowLeaderTerm(t *testing.T) {
 		t.Run(name+"/above", func(t *testing.T) {
 			c, _, leader, f := witnessCluster(t, name, 73, 3)
 			l := c.Engines[leader]
-			out := l.Step(f, &protocol.MsgReadForward{Cmds: []protocol.Command{readCmd(10)}, Term: termOf(l) + 1})
+			out := l.Step(f, &protocol.MsgReadForward{Cmds: []protocol.Command{readCmd(10)}, Term: l.Term() + 1})
 			if len(out.ReadStates) != 0 {
 				t.Fatalf("read stamped above the leader's term was confirmed: %+v", out.ReadStates)
 			}
@@ -187,7 +185,7 @@ func TestForwardStampAboveAndBelowLeaderTerm(t *testing.T) {
 		t.Run(name+"/below", func(t *testing.T) {
 			c, _, leader, f := witnessCluster(t, name, 74, 3)
 			l := c.Engines[leader]
-			out := l.Step(f, &protocol.MsgReadForward{Cmds: []protocol.Command{readCmd(10)}, Term: termOf(l) - 1})
+			out := l.Step(f, &protocol.MsgReadForward{Cmds: []protocol.Command{readCmd(10)}, Term: l.Term() - 1})
 			if len(out.ReadStates) != 0 {
 				t.Fatal("a forward stamped below the leader's term was counted as a witness")
 			}
@@ -267,7 +265,7 @@ func TestCheckerCatchesForgedWitness(t *testing.T) {
 			}
 
 			h.Invoke(3, 1, false, "k", "")
-			forged := &protocol.MsgReadForward{Cmds: []protocol.Command{readCmd(3)}, Term: termOf(c.Engines[old])}
+			forged := &protocol.MsgReadForward{Cmds: []protocol.Command{readCmd(3)}, Term: c.Engines[old].Term()}
 			c.Collect(old, c.Engines[old].Step(f, forged))
 			mustReturn(t, c, h, 3)
 			if err := h.Check(); err == nil {
