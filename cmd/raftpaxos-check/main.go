@@ -22,6 +22,7 @@ import (
 
 	"raftpaxos"
 	"raftpaxos/internal/core"
+	"raftpaxos/internal/engines"
 	"raftpaxos/internal/mc"
 	"raftpaxos/internal/specs"
 	"raftpaxos/internal/testcluster"
@@ -61,10 +62,13 @@ type campaignReport struct {
 }
 
 func runCampaign(engineCSV string, seed int64, runs, ops, seconds int, sabotage bool, reportPath string) error {
-	var engines []string
+	var names []string
 	for _, e := range strings.Split(engineCSV, ",") {
 		if e = strings.TrimSpace(e); e != "" {
-			engines = append(engines, e)
+			if _, err := engines.Parse(e); err != nil {
+				return err
+			}
+			names = append(names, e)
 		}
 	}
 	deadline := time.Time{}
@@ -75,7 +79,7 @@ func runCampaign(engineCSV string, seed int64, runs, ops, seconds int, sabotage 
 	violations := 0
 	timedOut := false
 	for r := 0; r < runs && !timedOut; r++ {
-		for _, eng := range engines {
+		for _, eng := range names {
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				timedOut = true
 				fmt.Printf("wall budget exhausted after %d runs\n", len(report.Runs))
@@ -91,7 +95,7 @@ func runCampaign(engineCSV string, seed int64, runs, ops, seconds int, sabotage 
 				violations++
 				status = "VIOLATION"
 			}
-			fmt.Printf("%-12s seed=%-6d ops=%-7d steps=%-8d open=%-4d %5.1fs  %s\n",
+			fmt.Printf("%-16s seed=%-6d ops=%-7d steps=%-8d open=%-4d %5.1fs  %s\n",
 				eng, res.Seed, res.Ops, res.Steps, res.Outstanding, time.Since(start).Seconds(), status)
 			if res.Violation != "" {
 				fmt.Printf("  %s\n  replay: raftpaxos-check -campaign -campaign-engines %s -campaign-seed %d -campaign-ops %d%s\n",

@@ -29,6 +29,7 @@ import (
 
 	"raftpaxos"
 	"raftpaxos/internal/cluster"
+	"raftpaxos/internal/engines"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/transport"
 )
@@ -73,7 +74,8 @@ func (l *lazyTransport) Close() error { return nil }
 func main() {
 	id := flag.Int("id", 0, "this node's index into -peers")
 	peersFlag := flag.String("peers", "", "comma-separated host:port list, one per replica")
-	proto := flag.String("protocol", "raftstar", "protocol, or comma-separated list cycled across groups: raft raftstar raftstar-pql raftstar-ll raftstar-mencius multipaxos paxos-pql")
+	proto := flag.String("protocol", "raftstar", "protocol, or comma-separated list cycled across groups: "+
+		strings.Join(engines.Names(func(s engines.Spec) bool { return !s.FastPath }), " "))
 	groups := flag.Int("groups", 1, "consensus groups hosted per process (keys shard across groups by hash)")
 	demo := flag.Bool("demo", false, "run a self-contained 3-node TCP cluster and a demo workload")
 	dataDir := flag.String("data", "", "data directory for the WALs (empty = volatile); each group persists under node-<id>/group-<g>/")
@@ -228,8 +230,8 @@ func runDemo(protos []raftpaxos.Proto, groups int) error {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for g := 0; g < groups; g++ {
-		if protos[g%len(protos)] == raftpaxos.ProtoRaftStarMencius {
-			continue // leaderless: every replica owns slots from the start
+		if protos[g%len(protos)].Leaderless() {
+			continue // every replica owns slots from the start
 		}
 		for time.Now().Before(deadline) {
 			if hosts[0].Group(g).LeaderID() != protocol.None {

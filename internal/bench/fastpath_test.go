@@ -5,6 +5,13 @@ import (
 	"time"
 )
 
+// fastSystems are the engines that carry the fast-path port, under the
+// paper's names.
+var fastSystems = []struct {
+	name string
+	p    Protocol
+}{{"Raft", Raft}, {"Raft*", RaftStar}, {"MultiPaxos", MultiPaxos}}
+
 func followerWriteP50(t *testing.T, sc Scenario) (*Result, time.Duration) {
 	t.Helper()
 	res, err := Run(sc)
@@ -27,9 +34,9 @@ func TestFastPathWANConflictFree(t *testing.T) {
 	// completes in ~72 ms, against a classic forward→replicate→reply
 	// chain of ~130 ms through the Oregon leader.
 	submitter := []int{3}
-	for _, p := range []Protocol{Raft, RaftStar, MultiPaxos} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
+	for _, sys := range fastSystems {
+		p := sys.p
+		t.Run(sys.name, func(t *testing.T) {
 			fastRes, fast := followerWriteP50(t, WANScenario(p, 5, true, submitter, 1, 11))
 			_, classic := followerWriteP50(t, WANScenario(p, 5, false, submitter, 1, 11))
 			t.Logf("%v WAN-5 conflict-free: fast p50 %v vs classic p50 %v (%.2fx), %d fast commits, %d fallbacks",
@@ -51,9 +58,9 @@ func TestFastPathWANConflictFree(t *testing.T) {
 // still complete via the leader's classic arbitration at no worse than
 // ~2x the classic path's latency.
 func TestFastPathWANHighConflict(t *testing.T) {
-	for _, p := range []Protocol{Raft, RaftStar, MultiPaxos} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
+	for _, sys := range fastSystems {
+		p := sys.p
+		t.Run(sys.name, func(t *testing.T) {
 			fastRes, fast := followerWriteP50(t, WANScenario(p, 5, true, nil, 2, 13))
 			_, classic := followerWriteP50(t, WANScenario(p, 5, false, nil, 2, 13))
 			st := fastRes.FastStats

@@ -64,13 +64,6 @@ func (o Options) measure() time.Duration {
 	return 3 * time.Second
 }
 
-func (o Options) peakClients() int {
-	if o.Quick {
-		return 400
-	}
-	return 1200
-}
-
 func msCell(d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
 }
@@ -186,8 +179,8 @@ func Figure9cPeakThroughput(opt Options) (*Table, map[Protocol][3]float64, error
 // closed-loop client population).
 func Figure9dSpeedup(opt Options) (*Table, map[int]float64, error) {
 	tab := &Table{
-		Title:   "Figure 9d: Raft*-PQL speedup over Raft* vs conflict rate",
-		Columns: []string{"conflict", "Raft* (ops/s)", "Raft*-PQL (ops/s)", "speedup"},
+		Title:   fmt.Sprintf("Figure 9d: %v speedup over %v vs conflict rate", RaftStarPQL, RaftStar),
+		Columns: []string{"conflict", RaftStar.String() + " (ops/s)", RaftStarPQL.String() + " (ops/s)", "speedup"},
 	}
 	clients := 150
 	if opt.Quick {

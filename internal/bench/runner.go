@@ -6,56 +6,30 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
-	"raftpaxos/internal/coorraft"
+	"raftpaxos/internal/engines"
 	"raftpaxos/internal/kvstore"
-	"raftpaxos/internal/lease"
 	"raftpaxos/internal/metrics"
-	"raftpaxos/internal/multipaxos"
 	"raftpaxos/internal/protocol"
-	"raftpaxos/internal/raft"
-	"raftpaxos/internal/raftstar"
 	"raftpaxos/internal/simnet"
 	"raftpaxos/internal/workload"
 )
 
-// Protocol selects the system under test.
-type Protocol int
+// Protocol selects the system under test: a protocol of the engine
+// registry, named by it.
+type Protocol = engines.Proto
 
 // Systems evaluated in the paper.
 const (
-	Raft Protocol = iota + 1
-	RaftStar
-	RaftStarPQL
-	RaftStarLL
-	RaftStarMencius
-	MultiPaxos
-	PaxosPQL
+	Raft            = engines.Raft
+	RaftStar        = engines.RaftStar
+	RaftStarPQL     = engines.RaftStarPQL
+	RaftStarLL      = engines.RaftStarLL
+	RaftStarMencius = engines.RaftStarMencius
+	MultiPaxos      = engines.MultiPaxos
+	PaxosPQL        = engines.PaxosPQL
 )
-
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case Raft:
-		return "Raft"
-	case RaftStar:
-		return "Raft*"
-	case RaftStarPQL:
-		return "Raft*-PQL"
-	case RaftStarLL:
-		return "Raft*-LL"
-	case RaftStarMencius:
-		return "Raft*-M"
-	case MultiPaxos:
-		return "MultiPaxos"
-	case PaxosPQL:
-		return "Paxos-PQL"
-	default:
-		return fmt.Sprintf("protocol(%d)", int(p))
-	}
-}
 
 // Scenario configures one trial.
 type Scenario struct {
@@ -395,77 +369,6 @@ func (c *client) Deliver(_ protocol.NodeID, msg protocol.Message) {
 	c.send()
 }
 
-// buildEngine constructs the engine for one replica under the scenario.
-func buildEngine(sc Scenario, id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
-	ticks := func(d time.Duration) int {
-		n := int(d / sc.TickInterval)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	// Election timeouts comfortably above the worst RTT; heartbeats at
-	// 100ms. The benchmark leader is pinned (Passive followers), so
-	// elections only matter at bootstrap.
-	electionTicks := ticks(2 * time.Second)
-	hbTicks := ticks(100 * time.Millisecond)
-	passive := int(id) != sc.LeaderSite
-	leases := lease.Config{
-		Self: id, Peers: peers,
-		DurationTicks: ticks(sc.LeaseDuration), RenewTicks: ticks(sc.LeaseRenew),
-	}
-
-	switch sc.Protocol {
-	case Raft:
-		return raft.New(raftstar.Config{
-			ID: id, Peers: peers, ElectionTicks: electionTicks,
-			HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive,
-			FastPath: sc.FastPath,
-		})
-	case RaftStar:
-		return raftstar.New(raftstar.Config{
-			ID: id, Peers: peers, ElectionTicks: electionTicks,
-			HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive,
-			FastPath: sc.FastPath,
-		})
-	case RaftStarPQL, RaftStarLL:
-		mode := lease.QuorumLease
-		if sc.Protocol == RaftStarLL {
-			mode = lease.LeaderLease
-		}
-		return lease.NewEngine(leases, mode, func(h protocol.Hooks) lease.Inner {
-			return raftstar.New(raftstar.Config{
-				ID: id, Peers: peers, ElectionTicks: electionTicks,
-				HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive, Hooks: h,
-			})
-		})
-	case RaftStarMencius:
-		policy := coorraft.ReplyAtCommit
-		if sc.ConflictMode {
-			policy = coorraft.ReplyAtExecute
-		}
-		return coorraft.New(coorraft.Config{
-			ID: id, Peers: peers, HeartbeatTicks: 1, // skips every tick
-			Policy: policy, Seed: sc.Seed, DisableRevocation: true,
-		})
-	case MultiPaxos:
-		return multipaxos.New(multipaxos.Config{
-			ID: id, Peers: peers, ElectionTicks: electionTicks,
-			HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive,
-			FastPath: sc.FastPath,
-		})
-	case PaxosPQL:
-		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
-			return multipaxos.New(multipaxos.Config{
-				ID: id, Peers: peers, ElectionTicks: electionTicks,
-				HeartbeatTicks: hbTicks, Seed: sc.Seed, Passive: passive, Hooks: h,
-			})
-		})
-	default:
-		panic(fmt.Sprintf("bench: unknown protocol %d", sc.Protocol))
-	}
-}
-
 // Run executes one trial and returns its measurements.
 func Run(raw Scenario) (*Result, error) {
 	sc := raw.withDefaults()
@@ -482,12 +385,27 @@ func Run(raw Scenario) (*Result, error) {
 		peers[i] = protocol.NodeID(i)
 	}
 
-	// Replicas: node i at site i.
+	// Replicas: node i at site i. Election timeouts sit comfortably above
+	// the worst RTT, heartbeats at 100ms. The leader is pinned: the other
+	// replicas are passive, so elections only matter at bootstrap. Mencius
+	// has no leader to pin: every replica is passive (no revocation) and
+	// skips every tick.
+	ticks := func(d time.Duration) int { return max(1, int(d/sc.TickInterval)) }
+	spec := engines.Spec{
+		Proto: sc.Protocol, FastPath: sc.FastPath,
+		ElectionTicks: ticks(2 * time.Second), HeartbeatTicks: ticks(100 * time.Millisecond),
+		LeaseTicks: ticks(sc.LeaseDuration), RenewTicks: ticks(sc.LeaseRenew),
+		MenciusConflicting: sc.ConflictMode, Seed: sc.Seed,
+	}
+	if sc.Protocol.Leaderless() {
+		spec.HeartbeatTicks = 1
+	}
 	nodes := make([]*node, nSites)
 	for i := range nodes {
+		spec.Passive = sc.Protocol.Leaderless() || i != sc.LeaderSite
 		nodes[i] = &node{
 			id:    peers[i],
-			eng:   buildEngine(sc, peers[i], peers),
+			eng:   engines.New(spec, peers[i], peers),
 			store: kvstore.New(),
 			net:   net,
 		}
@@ -505,7 +423,7 @@ func Run(raw Scenario) (*Result, error) {
 	}
 
 	// Bootstrap the pinned leader immediately.
-	if sc.Protocol != RaftStarMencius {
+	if !sc.Protocol.Leaderless() {
 		leaderNode := nodes[sc.LeaderSite]
 		sim.At(0, func() {
 			if c, ok := leaderNode.eng.(interface{ Campaign() protocol.Output }); ok {
@@ -531,7 +449,7 @@ func Run(raw Scenario) (*Result, error) {
 			c := &client{
 				id:      clientID,
 				replica: peers[site],
-				leader:  site == sc.LeaderSite && sc.Protocol != RaftStarMencius,
+				leader:  site == sc.LeaderSite && !sc.Protocol.Leaderless(),
 				gen:     workload.NewGenerator(wcfg, site, sc.Seed+int64(clientID)),
 				sim:     sim,
 				net:     net,

@@ -115,7 +115,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 // TestApplyOncePerCommandID is the shape the fast write path leaves in a
 // log when election recovery adopts a speculative copy of a command chosen
-// two slots earlier (multipaxos-fast seed 30061: 42, 43, 44): X, Y, X. The
+// two slots earlier (multipaxos+fast seed 30061: 42, 43, 44): X, Y, X. The
 // second X must not undo Y, on a replica that applied all three and on one
 // restored from an image taken between them alike.
 func TestApplyOncePerCommandID(t *testing.T) {

@@ -1,6 +1,10 @@
 package lease
 
-import "raftpaxos/internal/protocol"
+import (
+	"slices"
+
+	"raftpaxos/internal/protocol"
+)
 
 // Mode selects the lease discipline.
 type Mode uint8
@@ -112,13 +116,20 @@ func NewEngine(cfg Config, mode Mode, build func(protocol.Hooks) Inner) *Engine 
 		cfg.Grantees = []protocol.NodeID{}
 	}
 	e.leases = NewTable(cfg)
-	hooks := protocol.Hooks{OnAccept: e.onAccept}
-	if mode != LeaderLease {
-		// With the leader the only holder, commits need no extra acks.
-		hooks.Holders, hooks.OnAck, hooks.MustAck = e.leases.Holders, e.onAck, e.mustAck
-	}
-	e.Inner = build(hooks)
+	e.Inner = build(protocol.Hooks{OnAccept: e.onAccept, Holders: e.holders, OnAck: e.onAck, MustAck: e.mustAck})
 	return e
+}
+
+// holders is what an ack reports (Hooks.Holders): the replicas holding our
+// grants. Under LeaderLease the ack itself is our vote and goes to the
+// leader we follow, so only a grant still honored to a former leader needs
+// naming: until it expires, the new leader cannot commit past that holder.
+func (e *Engine) holders() []protocol.NodeID {
+	hs := e.leases.Holders()
+	if e.mode == LeaderLease {
+		hs = slices.DeleteFunc(hs, func(h protocol.NodeID) bool { return h == e.ID() || h == e.Leader() })
+	}
+	return hs
 }
 
 // HasQuorumLease reports whether this replica holds leases from a quorum.

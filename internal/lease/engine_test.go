@@ -245,7 +245,7 @@ func TestMustAckBindsEachVoteToItsVotersGrants(t *testing.T) {
 	})
 }
 
-// TestLeaderDoesNotOutwaitAnotherReplicasGrant is rql seed 8977 by hand. A
+// TestLeaderDoesNotOutwaitAnotherReplicasGrant is raftstar-pql seed 8977 by hand. A
 // follower votes for a write while naming a holder the write has not
 // reached, and the leader then loses contact with both. The follower goes
 // on renewing that holder's lease, out of the leader's hearing, so no
@@ -316,6 +316,45 @@ func TestLeaderLeaseForwardsFollowerReads(t *testing.T) {
 		g.DeliverAll(100000) // one hop to the leader, which answers locally
 		if r, ok := g.reply(42); !ok || string(r.Value) != "v" {
 			t.Fatalf("forwarded leader-lease read: %+v, %v", r, ok)
+		}
+	})
+}
+
+// TestLeaderLeaseOutlivesLeaderChange: a follower's grant to the leader
+// it followed stays honored after it votes for another. The deposed leader,
+// cut off and unaware, keeps its lease and keeps answering reads locally,
+// so the new leader may not commit a write until those grants expire:
+// every vote from a replica still honoring one needs the holder's vote too.
+// Counting the grantors' votes at once let the deposed leader read a value
+// the new leader had already overwritten (raftstar-ll sweep seeds 10565,
+// 420000, 420108).
+func TestLeaderLeaseOutlivesLeaderChange(t *testing.T) {
+	forFamilies(t, func(t *testing.T, f family) {
+		g := newGroup(t, f, 3, 6, lease.LeaderLease, 200)
+		old := g.pinLeader()
+		g.put(old, 1, "k", "v1")
+		g.Settle(3)
+		if !g.eng(old).HasQuorumLease() {
+			t.Fatal("leader holds no lease")
+		}
+		g.Isolate(old, true)
+		next := g.follower(old)
+		g.Collect(next, g.eng(next).Campaign())
+		g.put(next, 2, "k", "v2")
+		for r := 0; r < 80; r++ {
+			g.Tick()
+			g.DeliverAll(100000)
+			g.put(next, 2, "k", "v2") // until it is leader; a duplicate applies once
+			_, done := g.reply(2)
+			if done && g.eng(old).IsLeader() && g.eng(old).HasQuorumLease() {
+				t.Fatalf("round %d: the new leader committed a write while the deposed one still serves local reads", r)
+			}
+		}
+		if !g.eng(next).IsLeader() {
+			t.Fatal("no new leader behind the cut")
+		}
+		if _, done := g.reply(2); !done {
+			t.Fatal("the write never committed once the old grants expired")
 		}
 	})
 }
@@ -457,7 +496,7 @@ func (g *group) activate(h *testcluster.History, holder protocol.NodeID, readID 
 	}
 }
 
-// TestLeaseActivationWaitsForCatchUp is rule 4's regression (rql seed 4007
+// TestLeaseActivationWaitsForCatchUp is rule 4's regression (raftstar-pql seed 4007
 // by hand): a replica that was not a holder while writes committed must
 // not trust a re-acquired lease before it has caught up with what its
 // grantors accepted in the meantime.
@@ -596,7 +635,7 @@ func TestStaleTailDoesNotHangReads(t *testing.T) {
 	})
 }
 
-// TestLostAcceptNeitherWedgesNorLeaks is the two halves of pql seed 4225
+// TestLostAcceptNeitherWedgesNorLeaks is the two halves of paxos-pql seed 4225
 // by hand: one accept/append to a lease holder is lost, later ones arrive.
 // Safety — the entry must not commit on the strength of the holder's later
 // acks (MultiPaxos has no log matching: a high-water mark is not an ack),

@@ -313,10 +313,10 @@ func (t *Table) Floor() int64 {
 // by this replica (itself included): the set whose acknowledgement a
 // commit must collect. A holder is active through the end of every full
 // grant sent to it — anchored at send, so it covers everything the holder
-// could possibly still trust.
+// could possibly still trust, whether or not it is still a grantee.
 func (t *Table) Holders() []protocol.NodeID {
 	holders := []protocol.NodeID{t.cfg.Self}
-	for _, p := range t.grantees() {
+	for _, p := range t.cfg.Peers {
 		if p == t.cfg.Self {
 			continue
 		}

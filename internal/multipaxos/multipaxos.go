@@ -614,7 +614,13 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 		fastReports = make(map[int64][]protocol.FastReport)
 	}
 	var maxIdx, maxBase int64
-	for _, ok := range e.prepareOKs {
+	// Reports in peer order: on a tie ChooseFast and the safe-value pick
+	// keep the first, and map order would keep a seed from replaying.
+	for _, p := range e.cfg.Peers {
+		ok := e.prepareOKs[p]
+		if ok == nil {
+			continue
+		}
 		if ok.Base > maxBase {
 			maxBase = ok.Base
 		}

@@ -764,6 +764,7 @@ func (e *Engine) accept(m *MsgAppendReq, v Verdict, out *protocol.Output) int64 
 	if v.Erase {
 		e.log.TruncateSuffix(v.From - 1)
 	}
+	wrote := false
 	for _, ent := range m.Entries {
 		if ent.Index < v.From || ent.Index <= e.log.Base() {
 			continue
@@ -775,6 +776,7 @@ func (e *Engine) accept(m *MsgAppendReq, v Verdict, out *protocol.Output) int64 
 		}
 		ent.Bal = e.rules.Ballot(ent, m.Term)
 		out.AppendedEntries = append(out.AppendedEntries, ent)
+		wrote = true
 	}
 	e.logBal = m.Term
 	if e.specFrom > 0 {
@@ -787,6 +789,15 @@ func (e *Engine) accept(m *MsgAppendReq, v Verdict, out *protocol.Output) int64 
 		}
 		if e.specFrom > e.LastIndex() {
 			e.specFrom = 0
+		}
+	}
+	if wrote {
+		// Restate the speculative tail held above the append, or the
+		// store's append erases what we keep (and have fast-acked).
+		for i := end + 1; i <= e.LastIndex(); i++ {
+			ent, _ := e.log.At(i)
+			ent.Bal = e.bal(ent)
+			out.AppendedEntries = append(out.AppendedEntries, ent)
 		}
 	}
 	e.observeAccepted(m.Entries)
@@ -1017,7 +1028,8 @@ func (e *Engine) adoptFastSuffix(out *protocol.Output) {
 	}
 	slices.Sort(voters)
 	rewriting := false
-	for slot := e.commit + 1; slot <= e.extraMax; slot++ {
+	// Scan our own log too: fast accepts may have grown it past every report.
+	for slot := e.commit + 1; slot <= max(e.extraMax, e.LastIndex()); slot++ {
 		var reports []protocol.FastReport
 		own, ownHeld := e.log.At(slot)
 		if ownHeld {

@@ -9,26 +9,28 @@
 // The harness engines are pure state machines, so the durability contract
 // a live cluster.Node provides (persist-before-ack, restart from hard
 // state + log tail) is modeled here with a per-node crash disk: appended
-// entries and hard state land on the disk as rounds complete, a round
-// whose append fails releases no barrier message,
-// a process kill keeps everything written, and a torn restart falls back
-// to the last synced watermark — forcing the restarted engine to recover
-// through RestoreHardState/RestoreLog exactly like the live runtime.
+// entries and hard state land on the disk as rounds complete, a failed
+// append is retried ahead of every later one and releases no barrier
+// message until it lands, a process kill keeps everything written, and a
+// torn restart falls back to the last synced watermark — forcing the
+// restarted engine to recover through RestoreHardState/RestoreLog exactly
+// like the live runtime.
 package testcluster
 
 import (
 	"fmt"
 	"math/rand"
 
-	"raftpaxos/internal/lease"
-	"raftpaxos/internal/multipaxos"
+	"raftpaxos/internal/engines"
 	"raftpaxos/internal/protocol"
-	"raftpaxos/internal/raft"
-	"raftpaxos/internal/raftstar"
+	"raftpaxos/internal/storage"
 )
 
-// CampaignEngines is the engine set -campaign covers.
-var CampaignEngines = []string{"raft", "raftstar", "multipaxos", "rql", "pql"}
+// CampaignEngines is the engine set -campaign and the linearizability
+// sweep cover: every name in the engine registry but the leaderless
+// raftstar-mencius, which this harness cannot drive (Leader, ElectLeader
+// and the campaign's victim choice assume one leader).
+var CampaignEngines = engines.Names(func(s engines.Spec) bool { return !s.Proto.Leaderless() })
 
 // Campaign lease geometry. The margin is sized for the fault envelope the
 // scheduler generates: clocks up to 2× fast or slow (margin ≥ D/2 = 20)
@@ -50,7 +52,7 @@ type CampaignConfig struct {
 	Seed int64
 	// Ops is the number of client operations to drive (default 2000).
 	Ops int
-	// Sabotage disables the lease clock-skew guard band (rql/pql only)
+	// Sabotage disables the lease clock-skew guard band (lease engines only)
 	// and biases the fault scheduler toward the freeze lengths the guard
 	// band exists to survive. A sabotage run is EXPECTED to produce a
 	// linearizability violation — it proves the campaign can see one.
@@ -69,49 +71,6 @@ type CampaignResult struct {
 	// Violation is the checker or agreement error, empty if the history
 	// linearizes. Replay with the same engine/seed/ops to reproduce.
 	Violation string `json:"violation,omitempty"`
-}
-
-// buildCampaignEngine constructs one replica of the named engine with the
-// campaign's lease geometry. Each incarnation gets its own seed so a
-// restarted replica re-randomizes its election jitter.
-func buildCampaignEngine(name string, id protocol.NodeID, peers []protocol.NodeID, seed int64, sabotage bool) protocol.Engine {
-	leases := lease.Config{
-		Self: id, Peers: peers, DurationTicks: campaignLeaseTicks, RenewTicks: campaignRenewTicks,
-		SkewMarginTicks: campaignLeaseMargin, UnsafeNoGuard: sabotage,
-	}
-	switch name {
-	case "raft":
-		return raft.New(raftstar.Config{
-			ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-			Seed: seed, ReadIndex: true,
-		})
-	case "raftstar":
-		return raftstar.New(raftstar.Config{
-			ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-			Seed: seed, ReadIndex: true,
-		})
-	case "multipaxos":
-		return multipaxos.New(multipaxos.Config{
-			ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-			Seed: seed, ReadIndex: true,
-		})
-	case "rql":
-		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
-			return raftstar.New(raftstar.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true, Hooks: h,
-			})
-		})
-	case "pql":
-		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
-			return multipaxos.New(multipaxos.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true, Hooks: h,
-			})
-		})
-	default:
-		panic("unknown campaign engine " + name)
-	}
 }
 
 // campaignHS is the hard state the crash disk persists, mirroring
@@ -135,33 +94,31 @@ type crashDisk struct {
 	hs        campaignHS
 	syncedLen int
 	syncedHS  campaignHS
-	// brokenAt is the lowest log index lost to a failed append since the
-	// last successful overwrite at or below it: later appends cannot land
-	// past the hole, mirroring a wedged WAL.
-	brokenAt int64
-	faulty   bool // disk-fault injection: every write fails while set
+	// redo is a failed append batch, carried forward as the live
+	// persister's is: the engine never re-emits entries it holds, so the
+	// batch is retried ahead of every later one, and every ack waits until
+	// it lands. A kill loses it with the process.
+	redo   []protocol.Entry
+	faulty bool // disk-fault injection: every write fails while set
 }
 
-// append writes a batch, honouring the storage.Store overwrite contract
-// (an entry at an existing index truncates everything after it).
+// append writes the redo batch and then ents, honouring the storage.Store
+// overwrite contract (an entry at an existing index truncates everything
+// after it). It reports whether nothing is left to redo.
 func (d *crashDisk) append(ents []protocol.Entry) bool {
-	if len(ents) == 0 {
-		return true
+	batch := append(d.redo, ents...)
+	ok, last := !d.faulty || len(batch) == 0, int64(len(d.log))
+	for _, e := range batch {
+		ok, last = ok && e.Index <= last+1, e.Index
 	}
-	first := ents[0].Index
-	ok := !d.faulty && first <= int64(len(d.log))+1 &&
-		(d.brokenAt == 0 || first <= d.brokenAt)
 	if !ok {
-		if d.brokenAt == 0 || first < d.brokenAt {
-			d.brokenAt = first
-		}
+		d.redo = append([]protocol.Entry(nil), batch...)
 		return false
 	}
-	d.log = append(d.log[:first-1], ents...)
-	if d.syncedLen > len(d.log) {
-		d.syncedLen = len(d.log)
+	for _, e := range batch {
+		d.log = append(d.log[:e.Index-1], e)
 	}
-	d.brokenAt = 0 // the suffix from the hole down was rebuilt
+	d.syncedLen, d.redo = min(d.syncedLen, len(d.log)), nil
 	return true
 }
 
@@ -204,6 +161,8 @@ type campaign struct {
 	h     *History
 	rng   *rand.Rand
 	peers []protocol.NodeID
+	// spec builds the engine; each incarnation sets its own Seed.
+	spec engines.Spec
 
 	disks map[protocol.NodeID]*crashDisk
 	// held are self-acks withheld by a failed round, released with the
@@ -237,13 +196,21 @@ func RunCampaign(cfg CampaignConfig) CampaignResult {
 		cfg.Ops = 2000
 	}
 	peers := []protocol.NodeID{0, 1, 2}
-	engines := make([]protocol.Engine, len(peers))
+	spec, err := engines.Parse(cfg.Engine)
+	if err != nil {
+		panic("campaign: " + err.Error())
+	}
+	spec.ElectionTicks, spec.HeartbeatTicks, spec.ReadIndex, spec.Seed = 10, 2, true, cfg.Seed
+	spec.LeaseTicks, spec.RenewTicks, spec.SkewMarginTicks = campaignLeaseTicks, campaignRenewTicks, campaignLeaseMargin
+	spec.UnsafeNoGuard = cfg.Sabotage
+	replicas := make([]protocol.Engine, len(peers))
 	for i, id := range peers {
-		engines[i] = buildCampaignEngine(cfg.Engine, id, peers, cfg.Seed, cfg.Sabotage)
+		replicas[i] = engines.New(spec, id, peers)
 	}
 	cp := &campaign{
 		cfg:    cfg,
-		c:      New(cfg.Seed, engines...),
+		c:      New(cfg.Seed, replicas...),
+		spec:   spec,
 		h:      NewHistory(),
 		rng:    rand.New(rand.NewSource(cfg.Seed*31 + 7)),
 		peers:  peers,
@@ -279,15 +246,13 @@ func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
 	// a copy toward its commit quorum only once an ack, its own included,
 	// proved it durable.
 	released := anyBarrier(out.Msgs) || len(cp.held[id]) > 0
-	okAppend := true
-	if len(out.AppendedEntries) > 0 {
-		if okAppend = d.append(out.AppendedEntries); !okAppend {
-			cp.faults["disk-write-failed"]++
-		}
+	wrote := len(d.redo) > 0 || len(out.AppendedEntries) > 0
+	durable := d.append(out.AppendedEntries) && !d.faulty
+	if wrote && !durable {
+		cp.faults["disk-write-failed"]++
 	}
-	peersOK := okAppend && !d.faulty
-	if peersOK {
-		if len(out.AppendedEntries) > 0 || out.StateChanged {
+	if durable {
+		if wrote || out.StateChanged {
 			d.hs = engineHS(cp.c.Engines[id])
 		}
 		if released {
@@ -295,13 +260,13 @@ func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
 			d.syncedHS = d.hs
 		}
 	}
-	// Persist-before-ack: a failed or wedged WAL withholds this round's
-	// barrier messages, as the live persister does. A self-ack vouches for
-	// the leader's own log, so it also waits while an earlier failed append
-	// left a hole below this round (the live persister's redo): it is held
-	// for the next round that syncs with no hole. Everything else leaves: a
-	// commit's reply is true once a quorum holds the entry durably.
-	if peersOK && d.brokenAt == 0 {
+	// Persist-before-ack, as the live persister does it: while a write
+	// fails or a batch waits to be redone, barrier messages are withheld —
+	// a peer's dropped (the engine re-acks on retransmission), a self-ack
+	// held for the next durable round (it is asked for once per index).
+	// Everything else leaves: a commit's reply is true once a quorum holds
+	// the entry durably.
+	if durable {
 		out.Msgs = append(out.Msgs, cp.held[id]...)
 		cp.held[id] = nil
 	} else {
@@ -309,7 +274,7 @@ func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
 		for _, env := range out.Msgs {
 			_, barrier := env.Msg.(protocol.BarrierMessage)
 			switch {
-			case !barrier || (peersOK && env.To != id):
+			case !barrier:
 				kept = append(kept, env)
 			case env.To == id:
 				cp.held[id] = append(cp.held[id], env)
@@ -352,6 +317,7 @@ func (cp *campaign) kill(id protocol.NodeID, torn bool) {
 	delete(cp.c.Engines, id)
 	cp.c.parkedReads[id] = nil
 	cp.held[id] = nil
+	cp.disks[id].redo = nil
 	cp.dead[id] = true
 	cp.tornP[id] = torn
 	cp.rate[id] = 2
@@ -370,24 +336,22 @@ func (cp *campaign) restart(id protocol.NodeID) {
 		}
 		d.hs = d.syncedHS
 	}
-	d.brokenAt = 0
 	d.faulty = false
 	cp.incarnation++
-	e := buildCampaignEngine(cp.cfg.Engine, id, cp.peers,
-		cp.cfg.Seed+int64(cp.incarnation)*1009, cp.cfg.Sabotage)
+	// Each incarnation gets its own seed, so a restarted replica
+	// re-randomizes its election jitter.
+	spec := cp.spec
+	spec.Seed = cp.cfg.Seed + int64(cp.incarnation)*1009
+	e := engines.New(spec, id, cp.peers)
 	e.RestoreHardState(d.hs.term, d.hs.votedFor)
 	if len(d.log) > 0 {
 		e.RestoreLog(append([]protocol.Entry(nil), d.log...), min(d.hs.commit, int64(len(d.log))))
 	}
 	cp.c.Engines[id] = e
+	cp.c.logs[id] = storage.NewMem()
+	_ = cp.c.logs[id].Append(d.log) // contiguous from index 1: nothing to refuse
 	cp.dead[id] = false
 	cp.tornP[id] = false
-}
-
-// leaseEngine reports whether the campaign's engine serves lease reads —
-// the only read path with a clock-skew attack surface.
-func (cp *campaign) leaseEngine() bool {
-	return cp.cfg.Engine == "rql" || cp.cfg.Engine == "pql"
 }
 
 // pickVictim returns a random live node, preferring non-leaders when
@@ -437,7 +401,7 @@ func (cp *campaign) scheduleFault(step int) {
 
 func (cp *campaign) startFault(step int) {
 	kinds := []string{"partition", "kill", "torn", "disk", "skew-fast", "skew-slow", "freeze", "drops"}
-	if cp.cfg.Sabotage && cp.leaseEngine() && cp.rng.Intn(2) == 0 {
+	if cp.cfg.Sabotage && cp.spec.Proto.Leases() && cp.rng.Intn(2) == 0 {
 		// Sabotage runs hammer the scenario the guard band exists for.
 		kinds = []string{"freeze"}
 	}

@@ -34,7 +34,7 @@ func TestCampaignSmoke(t *testing.T) {
 // starts passing sabotage runs, the campaign has gone blind and the
 // fix-mode runs' clean verdicts mean nothing.
 func TestCampaignSabotageReproducesStaleRead(t *testing.T) {
-	for _, engine := range []string{"rql", "pql"} {
+	for _, engine := range []string{"raftstar-pql", "paxos-pql"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			t.Parallel()
@@ -58,8 +58,8 @@ func TestCampaignSabotageReproducesStaleRead(t *testing.T) {
 // same steps, same fault schedule, same history verdict.
 func TestCampaignDeterministicReplay(t *testing.T) {
 	for _, cfg := range []CampaignConfig{
-		{Engine: "rql", Seed: 7, Ops: 600},
-		{Engine: "rql", Seed: 1, Ops: 600, Sabotage: true},
+		{Engine: "raftstar-pql", Seed: 7, Ops: 600},
+		{Engine: "raftstar-pql", Seed: 1, Ops: 600, Sabotage: true},
 		{Engine: "multipaxos", Seed: 3, Ops: 600},
 	} {
 		a, b := RunCampaign(cfg), RunCampaign(cfg)
@@ -76,9 +76,9 @@ func TestCampaignDeterministicReplay(t *testing.T) {
 // against both lease engines. They must stay clean forever.
 func TestCampaignSeedRegressions(t *testing.T) {
 	regressions := []CampaignConfig{
-		{Engine: "rql", Seed: 18, Ops: 1000}, // sabotage seed 18's schedule, fixed engine
-		{Engine: "pql", Seed: 8, Ops: 1000},  // sabotage seed 8's schedule, fixed engine
-		{Engine: "raft", Seed: 1, Ops: 2000}, // heavy disk-fault + torn-restart mix
+		{Engine: "raftstar-pql", Seed: 18, Ops: 1000}, // sabotage seed 18's schedule, fixed engine
+		{Engine: "paxos-pql", Seed: 8, Ops: 1000},     // sabotage seed 8's schedule, fixed engine
+		{Engine: "raft", Seed: 1, Ops: 2000},          // heavy disk-fault + torn-restart mix
 		{Engine: "raftstar", Seed: 6, Ops: 1000},
 		{Engine: "multipaxos", Seed: 9, Ops: 1000},
 	}
@@ -91,5 +91,22 @@ func TestCampaignSeedRegressions(t *testing.T) {
 				t.Fatalf("seed %d regressed: %s", cfg.Seed, res.Violation)
 			}
 		})
+	}
+}
+
+// TestCampaignCrashDiskRedo replays the seeds on which the crash disk let a
+// heartbeat ack out over a failed append: the ack claimed an index the
+// node's disk did not hold, a later kill restored the shorter log, and two
+// replicas applied different commands at one index. A failed batch is now
+// redone ahead of every later write, and no ack leaves until it lands.
+func TestCampaignCrashDiskRedo(t *testing.T) {
+	for _, cfg := range []CampaignConfig{
+		{Engine: "raft", Seed: 1031, Ops: 2000},
+		{Engine: "raft", Seed: 1645, Ops: 2000},
+		{Engine: "raftstar", Seed: 1553, Ops: 2000},
+	} {
+		if res := RunCampaign(cfg); res.Violation != "" {
+			t.Fatalf("%s seed %d: %s", cfg.Engine, cfg.Seed, res.Violation)
+		}
 	}
 }

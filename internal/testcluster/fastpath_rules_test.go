@@ -25,7 +25,7 @@ func deliverOnly(c *testcluster.Cluster, pred func(protocol.Envelope) bool) {
 // the leader, confirmed before any such news arrives, must still return the
 // new value: the put completed before the read began.
 func TestLeaderReadCoversFastCommit(t *testing.T) {
-	for _, name := range []string{"raft-fast", "raftstar-fast", "multipaxos-fast"} {
+	for _, name := range []string{"raft+fast", "raftstar+fast", "multipaxos+fast"} {
 		c := testcluster.New(71, linearEngines(name, 71)...)
 		l, err := c.ElectLeader(300)
 		if err != nil {
@@ -123,7 +123,7 @@ func checkFastCounts(c *testcluster.Cluster) error {
 // leader the only re-proposer what is left comes from election recovery,
 // well under 1 %, and the state machine skips it.
 func TestFastPathAppliesOnce(t *testing.T) {
-	for _, name := range []string{"raft-fast", "raftstar-fast", "multipaxos-fast"} {
+	for _, name := range []string{"raft+fast", "raftstar+fast", "multipaxos+fast"} {
 		repeats, puts := 0, 0
 		for seed := int64(50000); seed < 50200; seed++ {
 			c, err := linearWorkload(name, seed)

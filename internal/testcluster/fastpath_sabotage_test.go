@@ -16,9 +16,9 @@ import (
 // with every write eligible for the one-RTT speculative path (and, on a
 // 3-node cluster, a fast quorum of 3/3 — so most faulted rounds fall back
 // to the leader, exercising the arbitration path constantly).
-func TestLinearizableRaftFast(t *testing.T)       { runLinearWorkload(t, "raft-fast", 31) }
-func TestLinearizableRaftStarFast(t *testing.T)   { runLinearWorkload(t, "raftstar-fast", 32) }
-func TestLinearizableMultiPaxosFast(t *testing.T) { runLinearWorkload(t, "multipaxos-fast", 33) }
+func TestLinearizableRaftFast(t *testing.T)       { runLinearWorkload(t, "raft+fast", 31) }
+func TestLinearizableRaftStarFast(t *testing.T)   { runLinearWorkload(t, "raftstar+fast", 32) }
+func TestLinearizableMultiPaxosFast(t *testing.T) { runLinearWorkload(t, "multipaxos+fast", 33) }
 
 // runFastCollisionStorm is the collision-storm sabotage: every client
 // hammers ONE key through a different replica simultaneously, so
@@ -146,9 +146,9 @@ func runFastCollisionStorm(t *testing.T, name string, seed int64) {
 		name, h.Len(), h.Outstanding(), repeats, puts)
 }
 
-func TestFastCollisionStormRaft(t *testing.T)       { runFastCollisionStorm(t, "raft-fast", 41) }
-func TestFastCollisionStormRaftStar(t *testing.T)   { runFastCollisionStorm(t, "raftstar-fast", 42) }
-func TestFastCollisionStormMultiPaxos(t *testing.T) { runFastCollisionStorm(t, "multipaxos-fast", 43) }
+func TestFastCollisionStormRaft(t *testing.T)       { runFastCollisionStorm(t, "raft+fast", 41) }
+func TestFastCollisionStormRaftStar(t *testing.T)   { runFastCollisionStorm(t, "raftstar+fast", 42) }
+func TestFastCollisionStormMultiPaxos(t *testing.T) { runFastCollisionStorm(t, "multipaxos+fast", 43) }
 
 // extractEnvelopes removes and returns every queued envelope matching
 // pred, preserving the order of the rest.
@@ -260,13 +260,13 @@ func dupApplied(c *testcluster.Cluster, id protocol.NodeID, cmdID uint64) int {
 }
 
 func TestFastAckReplayRaft(t *testing.T) {
-	runFastAckReplayAcrossLeaderChange(t, "raft-fast", 51)
+	runFastAckReplayAcrossLeaderChange(t, "raft+fast", 51)
 }
 func TestFastAckReplayRaftStar(t *testing.T) {
-	runFastAckReplayAcrossLeaderChange(t, "raftstar-fast", 52)
+	runFastAckReplayAcrossLeaderChange(t, "raftstar+fast", 52)
 }
 func TestFastAckReplayMultiPaxos(t *testing.T) {
-	runFastAckReplayAcrossLeaderChange(t, "multipaxos-fast", 53)
+	runFastAckReplayAcrossLeaderChange(t, "multipaxos+fast", 53)
 }
 
 // fastEngine is the restart surface shared by the three ported engines.

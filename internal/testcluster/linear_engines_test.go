@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"raftpaxos/internal/lease"
+	"raftpaxos/internal/engines"
 	"raftpaxos/internal/multipaxos"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
@@ -13,72 +13,30 @@ import (
 	"raftpaxos/internal/testcluster"
 )
 
-// Engine builders for the whole family, ReadIndex on where the port
-// exists (raft, raftstar, multipaxos) and quorum leases where they do
-// (rql, pql — whose inner engines also get the ReadIndex fallback).
+// linearEngines builds three replicas of the named registry engine with
+// the workload's geometry: ReadIndex on where the port exists, and for the
+// lease engines leases of 40 ticks over a ReadIndex fallback.
 func linearEngines(name string, seed int64) []protocol.Engine {
 	return linearEnginesN(name, seed, 3)
 }
 
 // linearEnginesN is linearEngines for a group of n replicas.
 func linearEnginesN(name string, seed int64, n int) []protocol.Engine {
+	spec, err := engines.Parse(name)
+	if err != nil {
+		panic(err)
+	}
+	spec.ElectionTicks, spec.HeartbeatTicks, spec.ReadIndex, spec.Seed = 10, 2, true, seed
+	spec.LeaseTicks, spec.RenewTicks = 40, 10
 	peers := make([]protocol.NodeID, n)
 	for i := range peers {
 		peers[i] = protocol.NodeID(i)
 	}
-	engines := make([]protocol.Engine, len(peers))
+	replicas := make([]protocol.Engine, n)
 	for i, id := range peers {
-		leases := lease.Config{Self: id, Peers: peers, DurationTicks: 40, RenewTicks: 10}
-		switch name {
-		case "raft":
-			engines[i] = raft.New(raftstar.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true,
-			})
-		case "raft-fast":
-			engines[i] = raft.New(raftstar.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true, FastPath: true,
-			})
-		case "raftstar":
-			engines[i] = raftstar.New(raftstar.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true,
-			})
-		case "raftstar-fast":
-			engines[i] = raftstar.New(raftstar.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true, FastPath: true,
-			})
-		case "multipaxos":
-			engines[i] = multipaxos.New(multipaxos.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true,
-			})
-		case "multipaxos-fast":
-			engines[i] = multipaxos.New(multipaxos.Config{
-				ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-				Seed: seed, ReadIndex: true, FastPath: true,
-			})
-		case "rql":
-			engines[i] = lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
-				return raftstar.New(raftstar.Config{
-					ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-					Seed: seed, ReadIndex: true, Hooks: h,
-				})
-			})
-		case "pql":
-			engines[i] = lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
-				return multipaxos.New(multipaxos.Config{
-					ID: id, Peers: peers, ElectionTicks: 10, HeartbeatTicks: 2,
-					Seed: seed, ReadIndex: true, Hooks: h,
-				})
-			})
-		default:
-			panic("unknown engine " + name)
-		}
+		replicas[i] = engines.New(spec, id, peers)
 	}
-	return engines
+	return replicas
 }
 
 // linearClient is one closed-loop client in the workload: it issues its
@@ -246,22 +204,22 @@ func linearWorkload(name string, seed int64) (*testcluster.Cluster, error) {
 func TestLinearizableRaft(t *testing.T)       { runLinearWorkload(t, "raft", 11) }
 func TestLinearizableRaftStar(t *testing.T)   { runLinearWorkload(t, "raftstar", 12) }
 func TestLinearizableMultiPaxos(t *testing.T) { runLinearWorkload(t, "multipaxos", 13) }
-func TestLinearizableRQL(t *testing.T)        { runLinearWorkload(t, "rql", 14) }
-func TestLinearizablePQL(t *testing.T)        { runLinearWorkload(t, "pql", 15) }
+func TestLinearizableRQL(t *testing.T)        { runLinearWorkload(t, "raftstar-pql", 14) }
+func TestLinearizablePQL(t *testing.T)        { runLinearWorkload(t, "paxos-pql", 15) }
 
-// TestLinearizablePinnedSeeds replays the sweep finds that stood for the
-// three stale lease reads fixed in PR 17. rql 4007 / 4024 and pql 4359: a
+// TestLinearizablePinnedSeeds replays the sweep finds that stood for three
+// stale lease reads. raftstar-pql 4007 / 4024 and paxos-pql 4359: a
 // replica trusted a lease the moment it re-acquired it, before catching up
 // with what its grantors accepted while it was not a holder (lease rule 4).
-// pql 4225: a lost accept was counted as acknowledged because the holder
-// acked a later instance (MultiPaxos counts each instance's own votes in
-// protocol.Votes). rql 8977: an isolated
+// paxos-pql 4225: a lost accept was counted as acknowledged because the
+// holder acked a later instance (MultiPaxos counts each instance's own
+// votes in protocol.Votes). raftstar-pql 8977: an isolated
 // leader dropped a follower's holder report after one lease duration, kept
 // the follower's vote, and committed past a holder whose lease that
 // follower was still renewing (Hooks.MustAck is per vote, with no clock).
 //
 // And the two holes lost-command re-routing hid on the fast path.
-// multipaxos-fast 1818 / 20121: a submitter completed a fast-chosen put
+// multipaxos+fast 1818 / 20121: a submitter completed a fast-chosen put
 // before the leader's chosen prefix covered it, and the leader served a
 // ReadIndex read below it (protocol.FastPath.ReadIndex). 22366 / 30061,
 // which surfaced once followers stopped re-routing displaced commands:
@@ -273,8 +231,8 @@ func TestLinearizablePinnedSeeds(t *testing.T) {
 		engine string
 		seed   int64
 	}{
-		{"rql", 4007}, {"rql", 4024}, {"pql", 4359}, {"pql", 4225}, {"rql", 8977},
-		{"multipaxos-fast", 1818}, {"multipaxos-fast", 20121}, {"multipaxos-fast", 22366}, {"multipaxos-fast", 30061},
+		{"raftstar-pql", 4007}, {"raftstar-pql", 4024}, {"paxos-pql", 4359}, {"paxos-pql", 4225}, {"raftstar-pql", 8977},
+		{"multipaxos+fast", 1818}, {"multipaxos+fast", 20121}, {"multipaxos+fast", 22366}, {"multipaxos+fast", 30061},
 	} {
 		runLinearWorkload(t, tc.engine, tc.seed)
 	}
@@ -388,7 +346,7 @@ func settleBehindPartition(c *testcluster.Cluster, isolated protocol.NodeID, rou
 // prepare — must forget that it led. One that keeps pointing at itself
 // forwards every command submitted before the next leader announces itself
 // from the replica to the replica, once per delivery, for as long as the
-// election takes (8.7 million deliveries in one rql campaign).
+// election takes (8.7 million deliveries in one raftstar-pql campaign).
 func TestDeposedLeaderDoesNotForwardToItself(t *testing.T) {
 	for name, higher := range map[string]protocol.Message{
 		"raftstar":   &raftstar.MsgVoteReq{Term: 1 << 20},

@@ -144,8 +144,8 @@ func runExpiredLeaseRefusesLocalReads(t *testing.T, name string, seed int64) {
 }
 
 func TestExpiredLeaseRefusesLocalReadsRQL(t *testing.T) {
-	runExpiredLeaseRefusesLocalReads(t, "rql", 41)
+	runExpiredLeaseRefusesLocalReads(t, "raftstar-pql", 41)
 }
 func TestExpiredLeaseRefusesLocalReadsPQL(t *testing.T) {
-	runExpiredLeaseRefusesLocalReads(t, "pql", 42)
+	runExpiredLeaseRefusesLocalReads(t, "paxos-pql", 42)
 }

@@ -12,6 +12,7 @@ import (
 
 	"raftpaxos/internal/kvstore"
 	"raftpaxos/internal/protocol"
+	"raftpaxos/internal/storage"
 )
 
 // Cluster drives a set of engines in lockstep.
@@ -55,6 +56,10 @@ type Cluster struct {
 	// still ahead of the node's applied watermark (rare in this
 	// synchronous harness: commits precede their read states).
 	parkedReads map[protocol.NodeID][]protocol.ReadState
+	// logs holds each node's log as a live driver's store would, built
+	// from its outputs (persist); contractErr is the first change refused.
+	logs        map[protocol.NodeID]*storage.Mem
+	contractErr error
 }
 
 // New builds a cluster over the given engines.
@@ -67,10 +72,12 @@ func New(seed int64, engines ...protocol.Engine) *Cluster {
 		Installed:   make(map[protocol.NodeID][]protocol.SnapshotImage),
 		Stores:      make(map[protocol.NodeID]*kvstore.Store),
 		parkedReads: make(map[protocol.NodeID][]protocol.ReadState),
+		logs:        make(map[protocol.NodeID]*storage.Mem),
 	}
 	for _, e := range engines {
 		c.Engines[e.ID()] = e
 		c.Stores[e.ID()] = kvstore.New()
+		c.logs[e.ID()] = storage.NewMem()
 	}
 	return c
 }
@@ -104,6 +111,7 @@ func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 	if out.InstalledSnapshot != nil {
 		c.Installed[id] = append(c.Installed[id], *out.InstalledSnapshot)
 	}
+	c.persist(id, out)
 	store := c.Stores[id]
 	for _, ci := range out.Commits {
 		c.Applied[id] = append(c.Applied[id], ci.Entry)
@@ -133,6 +141,22 @@ func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 		c.parkedReads[id] = append(c.parkedReads[id], out.ReadStates...)
 	}
 	c.serveReads(id)
+}
+
+// persist applies an output to the node's store copy as the Output
+// contract orders it: the installed snapshot, then the appended entries
+// under the store's overwrite-and-truncate append.
+func (c *Cluster) persist(id protocol.NodeID, out protocol.Output) {
+	var err error
+	if img := out.InstalledSnapshot; img != nil {
+		err = c.logs[id].InstallSnapshot(storage.Snapshot{Index: img.Index, Term: img.Term})
+	}
+	if err == nil {
+		err = c.logs[id].Append(out.AppendedEntries)
+	}
+	if err != nil && c.contractErr == nil {
+		c.contractErr = fmt.Errorf("node %d broke the output contract: %v", id, err)
+	}
 }
 
 // serveReads answers every parked ReadIndex state whose read index the
@@ -318,8 +342,12 @@ func (c *Cluster) ElectLeader(maxRounds int) (protocol.Engine, error) {
 // fully checked: every node applies a contiguous run of indexes (the
 // only permitted jump is the recorded install boundary), and any two
 // nodes that applied the same index applied the same (Cmd.ID, Op, Key)
-// there.
+// there. It first reports any engine whose log changes its store copy
+// refused: a live node would have wedged on them.
 func (c *Cluster) CheckAgreement() error {
+	if c.contractErr != nil {
+		return c.contractErr
+	}
 	ref := make(map[int64]protocol.Entry)
 	refOwner := make(map[int64]protocol.NodeID)
 	for id, app := range c.Applied {

@@ -30,71 +30,44 @@ import (
 	"time"
 
 	"raftpaxos/internal/cluster"
-	"raftpaxos/internal/coorraft"
-	"raftpaxos/internal/lease"
-	"raftpaxos/internal/multipaxos"
+	"raftpaxos/internal/engines"
 	"raftpaxos/internal/protocol"
-	"raftpaxos/internal/raft"
-	"raftpaxos/internal/raftstar"
 	"raftpaxos/internal/transport"
 )
 
-// Proto selects a consensus protocol.
-type Proto int
+// Proto selects a consensus protocol; its names are the engine
+// registry's (internal/engines).
+type Proto = engines.Proto
 
 // Protocols.
 const (
 	// ProtoMultiPaxos is MultiPaxos per Figure 1.
-	ProtoMultiPaxos Proto = iota + 1
+	ProtoMultiPaxos = engines.MultiPaxos
 	// ProtoRaft is standard Raft per Figure 2 (black text).
-	ProtoRaft
+	ProtoRaft = engines.Raft
 	// ProtoRaftStar is Raft*, the variant that refines MultiPaxos.
-	ProtoRaftStar
+	ProtoRaftStar = engines.RaftStar
 	// ProtoRaftStarPQL is Raft* with the ported Paxos Quorum Lease.
-	ProtoRaftStarPQL
+	ProtoRaftStarPQL = engines.RaftStarPQL
 	// ProtoRaftStarLL is Raft* with the leader-lease read baseline.
-	ProtoRaftStarLL
+	ProtoRaftStarLL = engines.RaftStarLL
 	// ProtoRaftStarMencius is Raft* with the ported Mencius optimization.
-	ProtoRaftStarMencius
+	ProtoRaftStarMencius = engines.RaftStarMencius
 	// ProtoPaxosPQL is Paxos Quorum Lease on MultiPaxos.
-	ProtoPaxosPQL
+	ProtoPaxosPQL = engines.PaxosPQL
 )
-
-// String implements fmt.Stringer.
-func (p Proto) String() string {
-	switch p {
-	case ProtoMultiPaxos:
-		return "multipaxos"
-	case ProtoRaft:
-		return "raft"
-	case ProtoRaftStar:
-		return "raftstar"
-	case ProtoRaftStarPQL:
-		return "raftstar-pql"
-	case ProtoRaftStarLL:
-		return "raftstar-ll"
-	case ProtoRaftStarMencius:
-		return "raftstar-mencius"
-	case ProtoPaxosPQL:
-		return "paxos-pql"
-	default:
-		return fmt.Sprintf("proto(%d)", int(p))
-	}
-}
 
 // ParseProto maps a protocol name to its Proto.
 func ParseProto(name string) (Proto, error) {
-	for _, p := range []Proto{ProtoMultiPaxos, ProtoRaft, ProtoRaftStar,
-		ProtoRaftStarPQL, ProtoRaftStarLL, ProtoRaftStarMencius, ProtoPaxosPQL} {
-		if p.String() == name {
-			return p, nil
-		}
+	if s, err := engines.Parse(name); err == nil && !s.FastPath {
+		return s.Proto, nil
 	}
 	return 0, fmt.Errorf("unknown protocol %q", name)
 }
 
 // ClusterConfig configures an in-process cluster.
 type ClusterConfig struct {
+	// Protocol selects the engine (default raftstar).
 	Protocol Proto
 	// Nodes is the replica count (default 3).
 	Nodes int
@@ -134,6 +107,9 @@ type ClusterConfig struct {
 
 func (c *ClusterConfig) withDefaults() ClusterConfig {
 	out := *c
+	if out.Protocol == 0 {
+		out.Protocol = ProtoRaftStar
+	}
 	if out.Nodes <= 0 {
 		out.Nodes = 3
 	}
@@ -155,80 +131,21 @@ func (c *ClusterConfig) withDefaults() ClusterConfig {
 	return out
 }
 
-// skewTicks converts the configured lease guard band to ticks; 0 means
-// "use the lease table's default" (DurationTicks/8), so it is passed
-// through rather than clamped here.
-func skewTicks(c ClusterConfig) int {
-	if c.LeaseSkewMargin <= 0 {
-		return 0
-	}
-	n := int(c.LeaseSkewMargin / c.TickInterval)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // NewEngine builds a single replica engine for the protocol — the
 // lower-level entry point for custom drivers and simulators.
 func NewEngine(cfg ClusterConfig, id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
 	c := cfg.withDefaults()
-	ticks := func(d time.Duration) int {
-		n := int(d / c.TickInterval)
-		if n < 1 {
-			n = 1
-		}
-		return n
+	ticks := func(d time.Duration) int { return max(1, int(d/c.TickInterval)) }
+	spec := engines.Spec{
+		Proto: c.Protocol, FastPath: c.FastPathWrites,
+		ElectionTicks: ticks(c.ElectionTimeout), HeartbeatTicks: ticks(c.HeartbeatInterval),
+		LeaseTicks: ticks(c.LeaseDuration), RenewTicks: ticks(c.LeaseRenew),
+		ReadIndex: !c.DisableFastReads, MenciusConflicting: c.MenciusConflicting, Seed: c.Seed,
 	}
-	election, hb := ticks(c.ElectionTimeout), ticks(c.HeartbeatInterval)
-	leases := lease.Config{
-		Self: id, Peers: peers, DurationTicks: ticks(c.LeaseDuration),
-		RenewTicks: ticks(c.LeaseRenew), SkewMarginTicks: skewTicks(c),
+	if c.LeaseSkewMargin > 0 { // else the lease table's default, DurationTicks/8
+		spec.SkewMarginTicks = ticks(c.LeaseSkewMargin)
 	}
-	switch c.Protocol {
-	case ProtoRaft:
-		return raft.New(raftstar.Config{
-			ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
-			ReadIndex: !c.DisableFastReads, FastPath: c.FastPathWrites,
-		})
-	case ProtoMultiPaxos:
-		return multipaxos.New(multipaxos.Config{
-			ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
-			ReadIndex: !c.DisableFastReads, FastPath: c.FastPathWrites,
-		})
-	case ProtoRaftStarPQL, ProtoRaftStarLL:
-		mode := lease.QuorumLease
-		if c.Protocol == ProtoRaftStarLL {
-			mode = lease.LeaderLease
-		}
-		return lease.NewEngine(leases, mode, func(h protocol.Hooks) lease.Inner {
-			return raftstar.New(raftstar.Config{
-				ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
-				ReadIndex: !c.DisableFastReads, Hooks: h,
-			})
-		})
-	case ProtoRaftStarMencius:
-		policy := coorraft.ReplyAtCommit
-		if c.MenciusConflicting {
-			policy = coorraft.ReplyAtExecute
-		}
-		return coorraft.New(coorraft.Config{
-			ID: id, Peers: peers, HeartbeatTicks: hb,
-			RevokeTicks: 4 * election, Policy: policy, Seed: c.Seed,
-		})
-	case ProtoPaxosPQL:
-		return lease.NewEngine(leases, lease.QuorumLease, func(h protocol.Hooks) lease.Inner {
-			return multipaxos.New(multipaxos.Config{
-				ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
-				ReadIndex: !c.DisableFastReads, Hooks: h,
-			})
-		})
-	default: // ProtoRaftStar and zero value
-		return raftstar.New(raftstar.Config{
-			ID: id, Peers: peers, ElectionTicks: election, HeartbeatTicks: hb, Seed: c.Seed,
-			ReadIndex: !c.DisableFastReads, FastPath: c.FastPathWrites,
-		})
-	}
+	return engines.New(spec, id, peers)
 }
 
 // Cluster is an in-process replicated key-value cluster.
@@ -245,11 +162,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := range peers {
 		peers[i] = protocol.NodeID(i)
 	}
-	net := cl(c, peers)
-	return net, nil
-}
-
-func cl(c ClusterConfig, peers []protocol.NodeID) *Cluster {
 	net := transport.NewChanNetwork()
 	out := &Cluster{net: net}
 	for _, id := range peers {
@@ -264,7 +176,7 @@ func cl(c ClusterConfig, peers []protocol.NodeID) *Cluster {
 	for _, n := range out.nodes {
 		n.Start()
 	}
-	return out
+	return out, nil
 }
 
 // Node returns the i-th replica's client handle.
