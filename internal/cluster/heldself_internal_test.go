@@ -133,3 +133,72 @@ func TestHeldSelfAckWaitsForItsOwnDurablePoint(t *testing.T) {
 		}
 	})
 }
+
+// orderStore is Mem that logs each hard-state write of the persister and
+// whether the drain's self-ack had already been handed back when it ran.
+type orderStore struct {
+	*storage.Mem
+	n   *Node
+	log []string
+}
+
+func (s *orderStore) released() string {
+	s.n.selfMu.Lock()
+	defer s.n.selfMu.Unlock()
+	if len(s.n.selfMsgs) > 0 {
+		return "after release"
+	}
+	return "before release"
+}
+
+func (s *orderStore) SyncBatch(hs storage.HardState, save bool) error {
+	if save {
+		s.log = append(s.log, "sync+save "+s.released())
+	} else {
+		s.log = append(s.log, "sync")
+	}
+	return s.Mem.SyncBatch(hs, save)
+}
+
+func (s *orderStore) SaveHardState(hs storage.HardState) error {
+	s.log = append(s.log, "save "+s.released())
+	return s.Mem.SaveHardState(hs)
+}
+
+// TestCommitOnlyHardStateSaveFollowsRelease drives one drain by hand whose
+// round carries an ack and a hard-state move. A commit-only move is a
+// recovery accelerator that no message waits for: it is saved after the
+// round's ack leaves, so the ack never waits on the hard-state file's
+// write, fsync and rename. A term or vote move is fencing state and is
+// saved in the sync, before the ack leaves.
+func TestCommitOnlyHardStateSaveFollowsRelease(t *testing.T) {
+	saved := storage.HardState{Term: 1, VotedFor: 0, Commit: 1}
+	for _, tc := range []struct {
+		name string
+		hs   storage.HardState
+		want string
+	}{
+		{"commit only", storage.HardState{Term: 1, VotedFor: 0, Commit: 2}, "[sync save after release]"},
+		{"vote", storage.HardState{Term: 2, VotedFor: 1, Commit: 2}, "[sync+save before release]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := &orderStore{Mem: storage.NewMem()}
+			n := &Node{cfg: Config{Stable: st}, selfCh: make(chan struct{}, 1)}
+			st.n = n
+			n.lastSaved, n.hardSaved = saved, true
+			n.processRounds([]persistJob{{
+				seq:     1,
+				entries: []protocol.Entry{{Index: 1, Term: 1}},
+				msgs:    []protocol.Envelope{{From: n.id, To: n.id, Msg: &ackMsg{asked: 1, covered: 1}}},
+				hs:      tc.hs,
+				saveHS:  true,
+			}})
+			if got := fmt.Sprint(st.log); got != tc.want {
+				t.Fatalf("hard-state writes %s, want %s", got, tc.want)
+			}
+			if hs, _ := st.HardState(); hs != tc.hs {
+				t.Fatalf("hard state %+v saved, want %+v", hs, tc.hs)
+			}
+		})
+	}
+}

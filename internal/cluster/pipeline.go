@@ -158,9 +158,10 @@ func (n *Node) processRounds(jobs []persistJob) {
 
 	// Hard state: the newest snapshot across the drain wins (hard state
 	// only moves forward within one loop's staging order). Fencing moves
-	// (term/vote) always save — a vote grant is only releasable once the
-	// vote is durable; commit-only movement saves at commitSaveInterval
-	// cadence, one clock read per drain, none on the event loop.
+	// (term/vote) always save, ahead of the release — a vote grant is only
+	// releasable once the vote is durable; commit-only movement saves at
+	// commitSaveInterval cadence, one clock read per drain, none on the
+	// event loop, and after the release, since no message waits for it.
 	var (
 		hs    storage.HardState
 		save  bool
@@ -175,11 +176,9 @@ func (n *Node) processRounds(jobs []persistJob) {
 	if save && n.hardSaved && hs == n.lastSaved {
 		save = false
 	}
-	if save && !force {
-		fence := !n.hardSaved || hs.Term != n.lastSaved.Term || hs.VotedFor != n.lastSaved.VotedFor
-		if !fence && time.Since(n.lastCommitSave) < commitSaveInterval {
-			save = false
-		}
+	fence := save && (!n.hardSaved || hs.Term != n.lastSaved.Term || hs.VotedFor != n.lastSaved.VotedFor)
+	if save && !force && !fence && time.Since(n.lastCommitSave) < commitSaveInterval {
+		save = false
 	}
 
 	// One sync retires every promise in the drain. It runs even when a
@@ -189,14 +188,14 @@ func (n *Node) processRounds(jobs []persistJob) {
 	// oblige it too: they wait for this durability point.
 	var durable bool
 	if needSync || len(n.heldSelf) > 0 {
-		if serr := n.syncAndSave(hs, save, true); serr != nil {
-			// The group sync (or hard-state save) failed: no round reached
+		if serr := n.syncAndSave(hs, fence, true); serr != nil {
+			// The group sync (or fencing save) failed: no round reached
 			// its durability point, so all of them fail and their acks stay
 			// withheld. Buffered entries survive in the store's write
 			// buffer (or redo) and retry under a future drain's sync.
 			perr, failIdx = serr, 0
 		} else {
-			save, durable = false, true
+			save, durable = save && !fence, true
 		}
 	}
 	// Self-acks held by earlier drains: their entries rode the redo (or the

@@ -93,8 +93,9 @@ type Config struct {
 	Hooks protocol.Hooks
 }
 
-// maxBatch caps entries per append message; maxInflight caps pipelined
-// appends per follower.
+// maxBatch caps entries per append message; maxInflight caps the appends
+// in flight to a pipelined follower. A clocked follower gets one: see
+// sendAppend.
 const (
 	maxBatch    = 1024
 	maxInflight = 16
@@ -131,12 +132,18 @@ type Engine struct {
 	extras   map[int64]protocol.Entry // safest entry seen per index
 	extraMax int64
 
-	// Leader state. next/match/inflight are each peer's catch-up cursor;
-	// tally counts a match as a vote for every index up to it — match[ID],
-	// the leader's own, raised only by its self-ack (maybeCommit).
+	// Leader state. next/match/inflight are each peer's catch-up cursor:
+	// inflight is the FIFO of appends sent and not yet answered, each
+	// response retiring the oldest, and clocked marks the peers whose
+	// last response answered its append within the tick it was sent in
+	// (sendAppend's send rule). tally counts a match as a vote for every
+	// index up to it — match[ID], the leader's own, raised only by its
+	// self-ack (maybeCommit). ticks counts Tick calls.
 	next     map[protocol.NodeID]int64
 	match    map[protocol.NodeID]int64
-	inflight map[protocol.NodeID]int
+	inflight map[protocol.NodeID][]sentAppend
+	clocked  map[protocol.NodeID]bool
+	ticks    int64
 	tally    protocol.Votes
 
 	// front routes client writes and reads (ReadIndex at the leader);
@@ -160,6 +167,12 @@ type Engine struct {
 }
 
 var _ protocol.Engine = (*Engine)(nil)
+
+// sentAppend is one append in flight to a follower: the last index it
+// carries and the tick it was sent in.
+type sentAppend struct {
+	last, tick int64
+}
 
 // New builds a Raft* replica.
 func New(cfg Config) *Engine { return NewWithRules(cfg, star{}) }
@@ -311,11 +324,20 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 
 // TruncatePrefix implements protocol.Engine: drop in-memory entries at or
 // below through (clamped to the commit index — uncommitted entries may
-// still be rewritten and must stay). Index arithmetic stays in
-// global log-index space throughout.
+// still be rewritten and must stay — and, on a leader, below the entries
+// held for a clocked follower: they leave at its ack or within a tick, and
+// dropping them first would turn a one-tick stall into a snapshot
+// transfer). Index arithmetic stays in global log-index space throughout.
 func (e *Engine) TruncatePrefix(through int64) {
 	if through > e.commit {
 		through = e.commit
+	}
+	if e.role == Leader {
+		for p, q := range e.inflight {
+			if e.clocked[p] && len(q) > 0 {
+				through = min(through, e.next[p]-1)
+			}
+		}
 	}
 	e.log.TruncatePrefix(through)
 }
@@ -350,6 +372,10 @@ func (e *Engine) EntryAt(i int64) (protocol.Entry, bool) {
 // Tick implements protocol.Engine.
 func (e *Engine) Tick() protocol.Output {
 	var out protocol.Output
+	e.ticks++
+	if e.role == Leader {
+		e.unclock(&out)
+	}
 	switch e.timer.Tick(e.role == Leader) {
 	case protocol.Heartbeat:
 		e.broadcastAppend(&out, true)
@@ -550,7 +576,8 @@ func (e *Engine) becomeLeader(out *protocol.Output) {
 	e.extras = nil
 	e.next = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
 	e.match = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
-	e.inflight = make(map[protocol.NodeID]int, len(e.cfg.Peers))
+	e.inflight = make(map[protocol.NodeID][]sentAppend, len(e.cfg.Peers))
+	e.clocked = make(map[protocol.NodeID]bool, len(e.cfg.Peers))
 	e.catchup.Drop()
 	for _, p := range e.cfg.Peers {
 		e.next[p] = next
@@ -642,13 +669,24 @@ func (e *Engine) broadcastAppend(out *protocol.Output, heartbeat bool) {
 
 // sendAppend ships log[next..] to p, respecting batch and inflight limits.
 // When heartbeat is set, an empty append is sent even if nothing is new.
+//
+// The send rule is ack-clocked: a clocked follower — one that answers
+// within the tick an append left in — gets one append per round trip, and
+// entries proposed meanwhile wait for the ack, which ships them as one
+// batch. A follower slower than that gets up to maxInflight appends
+// pipelined, one per proposal, and Tick moves a clocked follower whose
+// append stays unanswered past a tick (a disk stall, a lost append) back
+// to pipelining. On links whose round trip is under a tick a write thus
+// waits up to one round trip for the append in flight.
 func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat bool) {
 	next := e.next[p]
-	if next > e.LastIndex() && !heartbeat {
-		return
-	}
-	if e.inflight[p] >= maxInflight && !heartbeat {
-		return // pipelining cap; the ack will trigger the next batch
+	if !heartbeat {
+		if next > e.LastIndex() {
+			return
+		}
+		if n := len(e.inflight[p]); n >= maxInflight || (n > 0 && e.clocked[p]) {
+			return // the ack in flight will trigger the next batch
+		}
 	}
 	if next < e.log.FirstIndex() {
 		// The compacted prefix cannot be resent entry-by-entry; start at
@@ -681,7 +719,19 @@ func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat b
 	e.send(p, req, out)
 	if end >= next {
 		e.next[p] = end + 1 // optimistic pipelining
-		e.inflight[p]++
+		e.inflight[p] = append(e.inflight[p], sentAppend{last: end, tick: e.ticks})
+	}
+}
+
+// unclock moves every clocked follower with an append still in flight —
+// sent before this tick, which Tick has just begun — back to pipelining,
+// and sends what it held.
+func (e *Engine) unclock(out *protocol.Output) {
+	for _, p := range e.cfg.Peers {
+		if e.clocked[p] && len(e.inflight[p]) > 0 {
+			e.clocked[p] = false
+			e.sendAppend(p, out, false)
+		}
 	}
 }
 
@@ -830,8 +880,11 @@ func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *pro
 		return
 	}
 	e.front.Echo(from, m.ReadCtx, out)
-	if e.inflight[from] > 0 {
-		e.inflight[from]--
+	if q := e.inflight[from]; len(q) > 0 {
+		// A response retires the oldest append, whatever it answers; the
+		// link is clocked if it answered that append in full, in time.
+		e.clocked[from] = m.Ok && m.LastIndex >= q[0].last && q[0].tick == e.ticks
+		e.inflight[from] = q[:copy(q, q[1:])]
 	}
 	if !m.Ok {
 		// Either the follower is behind (resend from its hint) or — only
@@ -904,7 +957,7 @@ func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Outpu
 func (e *Engine) resume(p protocol.NodeID, index int64, out *protocol.Output) {
 	e.matched(p, index)
 	e.next[p] = e.match[p] + 1
-	e.inflight[p] = 0
+	e.inflight[p] = nil
 	e.maybeCommit(out)
 	if e.next[p] <= e.LastIndex() {
 		e.sendAppend(p, out, false)

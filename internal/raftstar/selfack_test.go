@@ -5,15 +5,16 @@ import (
 
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raftstar"
+	"raftpaxos/internal/testcluster"
 )
 
 // The commit rule, by hand: the leader is one acceptor among n, and its
 // copy counts only once its self-addressed ack — which the runtime hands
 // back when the round it rides is durable — comes back.
 
-// settledLeader elects a leader of n replicas and settles its election
-// entries, then leaves the queue empty for the test to drive by hand.
-func settledLeader(t *testing.T, v variant, n int) (replica, uint64) {
+// settled elects a leader of n replicas and settles its election entries,
+// then leaves the queue empty for the test to drive by hand.
+func settled(t *testing.T, v variant, n int) (*testcluster.Cluster, replica) {
 	t.Helper()
 	c := v.cluster(n, 7, false)
 	l, err := c.ElectLeader(200)
@@ -26,6 +27,13 @@ func settledLeader(t *testing.T, v variant, n int) (replica, uint64) {
 	if r.CommitIndex() != r.LastIndex() {
 		t.Fatalf("leader committed %d of %d after settling", r.CommitIndex(), r.LastIndex())
 	}
+	return c, r
+}
+
+// settledLeader is settled's leader and its term.
+func settledLeader(t *testing.T, v variant, n int) (replica, uint64) {
+	t.Helper()
+	_, r := settled(t, v, n)
 	return r, r.Term()
 }
 

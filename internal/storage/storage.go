@@ -512,7 +512,9 @@ func (f *File) loadHardState() error {
 // an unsynced rename could still evaporate in a power loss, letting the
 // restarted replica double-vote (and a torn, partially written hard-state
 // file would block recovery entirely). Callers throttle commit-only
-// updates, so this cost lands on election paths, not the append hot path.
+// updates and make them after the acks of their round leave, so the cost
+// holds an ack only on election paths (term and vote), never on the
+// append hot path.
 func (f *File) SaveHardState(hs HardState) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
