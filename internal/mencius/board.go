@@ -12,12 +12,15 @@
 // share this engine and differ in their spec-level derivations
 // (internal/specs) and public configuration.
 //
-// Channel assumption: like the original Mencius implementation (and any
-// TCP deployment), the protocol requires FIFO delivery per sender→receiver
-// pair. A replica treats an unproposed slot below its owner's announced
-// barrier as a skip, which is only sound if the owner's earlier proposals
-// cannot arrive after the barrier announcement. Both the discrete-event
-// simulator and the TCP transport provide pairwise FIFO.
+// Channel assumption: a replica treats an unproposed slot below its
+// owner's announced barrier as a skip, which is only sound if every
+// earlier proposal of that owner has arrived. Pairwise FIFO delivery is
+// not enough for that: the channel must also have no gaps. The
+// discrete-event simulator's network has none, but testcluster's
+// DeliverShuffled and the TCP transport (which sheds frames when a peer's
+// queue is full, and loses what a broken connection had in flight) both
+// drop single messages while later ones arrive. A dropped proposal is then
+// executed as a skip and replicas disagree: ROADMAP item 1.
 package mencius
 
 import "raftpaxos/internal/protocol"
@@ -36,15 +39,6 @@ func NextOwned(s int64, o protocol.NodeID, n int) int64 {
 	return base + diff
 }
 
-// slotState is one slot of the coordinated log as seen by one replica.
-type slotState struct {
-	cmd       protocol.Command
-	bal       uint64 // ballot the proposal was accepted at (0 = default leader)
-	proposed  bool
-	committed bool
-	executed  bool
-}
-
 // Board tracks the coordinated log at one replica: proposals, per-owner
 // skip barriers, per-owner committed-or-skipped frontiers, and the two
 // prefixes that drive client replies (filled) and state-machine execution
@@ -53,10 +47,19 @@ type Board struct {
 	n    int
 	self protocol.NodeID
 
-	slots map[int64]*slotState
+	// log holds the slots above the last truncation as MultiPaxos holds its
+	// instances: a slot with a known proposal is an entry whose Term and Bal
+	// are the ballot it was accepted at, any other slot is a filler — the
+	// form both take in the durable log. A slot at or below the executed
+	// prefix is never written again.
+	log protocol.Log
+	// committed marks the slots above the executed prefix known committed
+	// here: slots are committed out of order and executed in order.
+	committed map[int64]bool
 	// barrier[o] is owner o's next proposal slot, learned only from o's own
-	// messages (FIFO per pair ⇒ every proposal below it has arrived): all
-	// unproposed o-slots below it are skips. barrier[self] is authoritative.
+	// messages: all unproposed o-slots below it are skips, which assumes a
+	// channel with no gaps (see the package comment). barrier[self] is
+	// authoritative.
 	barrier []int64
 	// frontier[o] is the largest o-owned slot such that every o-owned slot
 	// up to it is committed or skipped. Learned by max-merge from anyone
@@ -75,28 +78,16 @@ type Board struct {
 // NewBoard builds a board for replica self among n replicas.
 func NewBoard(self protocol.NodeID, n int) *Board {
 	b := &Board{
-		n:        n,
-		self:     self,
-		slots:    make(map[int64]*slotState),
-		barrier:  make([]int64, n),
-		frontier: make([]int64, n),
+		n:         n,
+		self:      self,
+		committed: make(map[int64]bool),
+		barrier:   make([]int64, n),
+		frontier:  make([]int64, n),
 	}
 	for o := range b.barrier {
 		b.barrier[o] = NextOwned(0, protocol.NodeID(o), n)
 	}
 	return b
-}
-
-func (b *Board) slot(s int64) *slotState {
-	st, ok := b.slots[s]
-	if !ok {
-		st = &slotState{}
-		b.slots[s] = st
-	}
-	if s > b.maxSlot {
-		b.maxSlot = s
-	}
-	return st
 }
 
 // Barrier returns this replica's own barrier (its next proposal slot).
@@ -120,56 +111,47 @@ func (b *Board) MaxSlot() int64 { return b.maxSlot }
 // skipped reports whether slot s is a skip: unproposed and below its
 // owner's barrier.
 func (b *Board) skipped(s int64) bool {
-	st, ok := b.slots[s]
-	if ok && st.proposed {
-		return false
-	}
-	return b.barrier[Owner(s, b.n)] > s
+	_, ok := b.proposal(s)
+	return !ok && b.barrier[Owner(s, b.n)] > s
+}
+
+// proposal returns the proposal held for s: false when none is known, or
+// when s was truncated away.
+func (b *Board) proposal(s int64) (protocol.Entry, bool) {
+	ent, ok := b.log.At(s)
+	return ent, ok && !ent.IsFiller()
 }
 
 // Proposed reports whether a proposal for s is known, and its command.
 func (b *Board) Proposed(s int64) (protocol.Command, bool) {
-	st, ok := b.slots[s]
-	if !ok || !st.proposed {
-		return protocol.Command{}, false
-	}
-	return st.cmd, true
+	ent, ok := b.proposal(s)
+	return ent.Cmd, ok
 }
 
-// ProposalAt reports the accepted proposal for s with its ballot, for
-// materializing the slot as a persistable log entry (false when no
-// proposal is known — the slot persists as a contiguity filler).
-func (b *Board) ProposalAt(s int64) (protocol.Command, uint64, bool) {
-	st, ok := b.slots[s]
-	if !ok || !st.proposed {
-		return protocol.Command{}, 0, false
-	}
-	return st.cmd, st.bal, true
-}
-
-// Committed reports whether s is known committed locally.
-func (b *Board) Committed(s int64) bool {
-	st, ok := b.slots[s]
-	return ok && st.committed
-}
+// Committed reports whether s is known committed locally: executed, or
+// committed above the executed prefix.
+func (b *Board) Committed(s int64) bool { return s <= b.execPrefix || b.committed[s] }
 
 // ObserveProposal records a proposal for slot s at ballot bal, returning
-// false if a higher-ballot proposal is already known.
+// false if a higher-ballot proposal is already known. A slot at or below
+// the executed prefix keeps what it holds: its value is settled.
 func (b *Board) ObserveProposal(s int64, cmd protocol.Command, bal uint64) bool {
-	st := b.slot(s)
-	if st.proposed && st.bal > bal {
+	b.maxSlot = max(b.maxSlot, s)
+	if held, ok := b.proposal(s); ok && held.Bal > bal {
 		return false
 	}
-	st.cmd = cmd
-	st.bal = bal
-	st.proposed = true
+	if s > b.execPrefix {
+		b.log.Put(protocol.Entry{Index: s, Term: bal, Bal: bal, Cmd: cmd})
+	}
 	return true
 }
 
 // MarkCommitted records that slot s is committed.
 func (b *Board) MarkCommitted(s int64) {
-	st := b.slot(s)
-	st.committed = true
+	b.maxSlot = max(b.maxSlot, s)
+	if s > b.execPrefix {
+		b.committed[s] = true
+	}
 }
 
 // AdvanceBarrier raises owner o's barrier to at least v. For o == self the
@@ -202,8 +184,7 @@ func (b *Board) RecomputeOwnFrontier(o protocol.NodeID) {
 	f := b.frontier[o]
 	for {
 		next := NextOwned(f, o, b.n)
-		st, ok := b.slots[next]
-		if ok && st.proposed && st.committed {
+		if _, ok := b.proposal(next); ok && b.committed[next] {
 			f = next
 			continue
 		}
@@ -221,8 +202,7 @@ func (b *Board) RecomputeOwnFrontier(o protocol.NodeID) {
 func (b *Board) AdvanceFilled() {
 	for {
 		s := b.filledPrefix + 1
-		st, ok := b.slots[s]
-		if ok && st.proposed {
+		if _, ok := b.proposal(s); ok {
 			b.filledPrefix = s
 			continue
 		}
@@ -234,38 +214,36 @@ func (b *Board) AdvanceFilled() {
 	}
 }
 
-// RestoreCommitted fast-forwards the board past a durably committed,
-// already-applied prefix after a restart: every slot at or below commit is
-// treated as executed without materializing per-slot state, barriers move
-// past it so new proposals land in fresh slots, and frontiers cover each
-// owner's slots in the prefix. Idempotent and monotonic: calling it again
-// with a smaller commit is a no-op.
-func (b *Board) RestoreCommitted(commit int64) {
-	if commit <= b.execPrefix {
-		return
-	}
-	b.execPrefix = commit
-	if commit > b.filledPrefix {
-		b.filledPrefix = commit
-	}
-	if commit > b.maxSlot {
-		b.maxSlot = commit
-	}
-	for o := range b.barrier {
-		b.AdvanceBarrier(protocol.NodeID(o), NextOwned(commit, protocol.NodeID(o), b.n))
-	}
-	for o := range b.frontier {
-		if f := lastOwned(commit, protocol.NodeID(o), b.n); f > b.frontier[o] {
-			b.frontier[o] = f
+// Restore primes the board after a restart from the durable log, which
+// ends at end and holds ents: every slot at or below commit is treated as
+// executed without materializing per-slot state, barriers move past it so
+// new proposals land in fresh slots, and frontiers cover each owner's slots
+// in the prefix. The proposals above the executed prefix come back, and the
+// log ends where the durable one does, so the next emission continues the
+// durable log, padding with fillers up to the slot it writes — also when
+// commit lies past end.
+func (b *Board) Restore(commit, end int64, ents []protocol.Entry) {
+	if commit > b.execPrefix {
+		b.execPrefix = commit
+		b.filledPrefix = max(b.filledPrefix, commit)
+		b.maxSlot = max(b.maxSlot, commit)
+		for o := range b.barrier {
+			b.AdvanceBarrier(protocol.NodeID(o), NextOwned(commit, protocol.NodeID(o), b.n))
+		}
+		for o := range b.frontier {
+			b.frontier[o] = max(b.frontier[o], lastOwned(commit, protocol.NodeID(o), b.n))
 		}
 	}
-	// Any slot state below the restored prefix is stale (it predates the
-	// restore and was already executed).
-	for s := range b.slots {
-		if s <= commit {
-			delete(b.slots, s)
+	b.log.Restore(min(b.execPrefix, end), 0, nil)
+	for _, ent := range ents {
+		if ent.Index > b.execPrefix && !ent.IsFiller() {
+			b.ObserveProposal(ent.Index, ent.Cmd, ent.Bal)
 		}
 	}
+	if end > b.log.LastIndex() {
+		b.log.Put(protocol.Entry{Index: end}) // the durable log's trailing fillers
+	}
+	b.log.Synced()
 }
 
 // lastOwned returns the largest slot <= s owned by o (0 when none).
@@ -276,24 +254,13 @@ func lastOwned(s int64, o protocol.NodeID, n int) int64 {
 	return s - ((s-1-int64(o))%int64(n)+int64(n))%int64(n)
 }
 
-// TruncatePrefix drops per-slot state at or below through (clamped to the
+// TruncatePrefix drops the log at or below through (clamped to the
 // executed prefix: unexecuted slots are still live protocol state). The
 // prefixes and barriers already summarize what was dropped, so memory
 // tracks the unexecuted tail instead of all history.
 func (b *Board) TruncatePrefix(through int64) {
-	if through > b.execPrefix {
-		through = b.execPrefix
-	}
-	for s := range b.slots {
-		if s <= through {
-			delete(b.slots, s)
-		}
-	}
+	b.log.TruncatePrefix(min(through, b.execPrefix))
 }
-
-// SlotCount returns the number of slots with materialized state (the
-// quantity TruncatePrefix bounds).
-func (b *Board) SlotCount() int { return len(b.slots) }
 
 // AdvanceExec extends the executable prefix and returns the newly
 // executable entries in global order (skips surface as no-op entries).
@@ -305,13 +272,11 @@ func (b *Board) AdvanceExec() []protocol.Entry {
 	var out []protocol.Entry
 	for {
 		s := b.execPrefix + 1
-		o := Owner(s, b.n)
-		st, ok := b.slots[s]
+		ent, ok := b.proposal(s)
 		switch {
-		case ok && st.proposed && (st.committed || b.frontier[o] >= s):
-			st.executed = true
-			st.committed = true
-			out = append(out, protocol.Entry{Index: s, Term: st.bal, Bal: st.bal, Cmd: st.cmd})
+		case ok && (b.committed[s] || b.frontier[Owner(s, b.n)] >= s):
+			delete(b.committed, s)
+			out = append(out, ent)
 		case b.skipped(s):
 			out = append(out, protocol.Entry{Index: s, Cmd: protocol.Command{Op: protocol.OpNop}})
 		default:

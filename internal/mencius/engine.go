@@ -85,13 +85,6 @@ type Engine struct {
 	revoking    map[protocol.NodeID]*revocation
 	lastHeard   []int
 
-	// walTail is the highest slot ever emitted for pre-ack persistence
-	// (Output.AppendedEntries). Mencius accepts slots out of order across
-	// owners, but the driver's log store is contiguous: emissions always
-	// cover [touched-or-walTail+1, max(touched, walTail)], materializing
-	// unaccepted slots in between as filler entries, so the durable log
-	// stays an exact, gap-free mirror of the board's accepted state.
-	walTail int64
 	// redrive holds the own default-ballot proposals a restart restored
 	// above the executed prefix. Only this replica counted their votes, in
 	// memory, so the first Tick proposes them again.
@@ -179,14 +172,11 @@ func (e *Engine) RestoreHardState(term uint64, _ protocol.NodeID) {
 }
 
 // RestoreSnapshot fast-forwards the board past a snapshotted prefix
-// before RestoreLog delivers the tail. The durable-log watermark starts
-// at the boundary: everything below it lives in the snapshot, so the
-// first post-restart emission must not pad it with fillers.
+// before RestoreLog delivers the tail. The log starts at the boundary:
+// everything below it lives in the snapshot, so the first post-restart
+// emission must not pad it with fillers.
 func (e *Engine) RestoreSnapshot(index int64, _ uint64) {
-	e.board.RestoreCommitted(index)
-	if index > e.walTail {
-		e.walTail = index
-	}
+	e.board.Restore(index, index, nil)
 }
 
 // RestoreLog adopts a durably logged prefix after a restart. The driver
@@ -197,74 +187,34 @@ func (e *Engine) RestoreSnapshot(index int64, _ uint64) {
 // it, so a revocation after a full-cluster crash still learns values a
 // quorum acknowledged before the crash (the persist-before-ack guarantee).
 // Filler entries are contiguity padding for slots never accepted here and
-// restore as nothing.
+// restore as nothing. Emission resumes at the durable log's end, even when
+// commit lies past it.
 func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
-	e.board.RestoreCommitted(commit)
+	end := e.board.log.LastIndex() // the snapshot's boundary, if any
+	if len(ents) > 0 {
+		end = max(end, ents[len(ents)-1].Index)
+	}
+	e.board.Restore(commit, end, ents)
 	for _, ent := range ents {
-		if ent.Index > e.walTail {
-			e.walTail = ent.Index
-		}
-		if ent.Index <= commit || ent.IsFiller() {
-			continue
-		}
-		e.board.ObserveProposal(ent.Index, ent.Cmd, ent.Bal)
-		if Owner(ent.Index, e.n) == e.cfg.ID && ent.Bal == 0 {
+		own := Owner(ent.Index, e.n) == e.cfg.ID && ent.Bal == 0
+		if own && ent.Index > e.board.ExecPrefix() && !ent.IsFiller() {
 			e.redrive = append(e.redrive, SlotCmd{Slot: ent.Index, Cmd: ent.Cmd})
 		}
 	}
-	if commit > e.walTail {
-		e.walTail = commit
-	}
 	// Before the restart this replica may have passed over own slots up to
-	// walTail, and its peers may have executed them as skips: its next
-	// proposal goes above everything it logged, never into a slot it gave
-	// away.
-	e.board.AdvanceBarrier(e.cfg.ID, NextOwned(e.walTail, e.cfg.ID, e.n))
+	// the end of its log, and its peers may have executed them as skips:
+	// its next proposal goes above everything it logged, never into a slot
+	// it gave away.
+	e.board.AdvanceBarrier(e.cfg.ID, NextOwned(end, e.cfg.ID, e.n))
 }
 
-// TruncatePrefix implements protocol.Engine: drop per-slot state
-// at or below through (clamped to the executed prefix inside the board).
+// TruncatePrefix implements protocol.Engine: drop the log at or below
+// through (clamped to the executed prefix inside the board).
 func (e *Engine) TruncatePrefix(through int64) { e.board.TruncatePrefix(through) }
 
-// LogLen returns the number of slots with materialized state (the
-// uncompacted tail).
-func (e *Engine) LogLen() int { return e.board.SlotCount() }
-
-// emitSlots queues slots [lo, hi] for pre-ack persistence
-// (Output.AppendedEntries), widened to stay contiguous with everything
-// emitted before: the range is pulled back to walTail+1 when it starts
-// beyond it — materializing every slot the emission crosses, including
-// trailing skips the executable prefix may already have run past, since a
-// skip is never accepted anywhere and exists in the durable log only as
-// the filler some later emission writes — and extended to walTail when it
-// ends below it (restating the suffix, because the driver's store
-// overwrites with suffix truncation). Call sites skip slots at or below
-// the executed prefix (immutable, already durable), so the range never
-// rewrites executed history; walTail >= the restored commit after a
-// restart (RestoreSnapshot/RestoreLog), so it never dips into board state
-// a restart discarded.
-func (e *Engine) emitSlots(lo, hi int64, out *protocol.Output) {
-	if lo > e.walTail+1 {
-		lo = e.walTail + 1
-	}
-	if hi < e.walTail {
-		hi = e.walTail
-	}
-	if lo > hi {
-		return
-	}
-	for s := lo; s <= hi; s++ {
-		if cmd, bal, ok := e.board.ProposalAt(s); ok {
-			out.AppendedEntries = append(out.AppendedEntries,
-				protocol.Entry{Index: s, Term: bal, Bal: bal, Cmd: cmd})
-		} else {
-			out.AppendedEntries = append(out.AppendedEntries, protocol.Entry{Index: s})
-		}
-	}
-	if hi > e.walTail {
-		e.walTail = hi
-	}
-}
+// LogLen returns the number of slots held in memory (the uncompacted
+// tail).
+func (e *Engine) LogLen() int { return e.board.log.Len() }
 
 // --- protocol.Engine ---
 
@@ -308,8 +258,11 @@ func (e *Engine) propose(cmd protocol.Command, out *protocol.Output) {
 	e.board.AdvanceBarrier(e.cfg.ID, NextOwned(slot, e.cfg.ID, e.n))
 	e.board.ObserveProposal(slot, cmd, 0)
 	// Self-accept: the owner is one acceptor among n; its copy is persisted
-	// like any other and votes once its self-ack proves it durable.
-	e.emitSlots(slot, slot, out)
+	// like any other and votes once its self-ack proves it durable. The
+	// emission also pads the skips the executed prefix may have run past:
+	// a skip is never accepted anywhere and reaches the durable log only as
+	// a filler.
+	e.board.log.Emit(out)
 	e.mine[slot] = cmd
 	if cmd.Client != protocol.None {
 		e.owed[slot] = true
@@ -349,10 +302,15 @@ func (e *Engine) SubmitRead(cmds ...protocol.Command) protocol.Output {
 	return out
 }
 
-// Step implements protocol.Engine.
+// Step implements protocol.Engine. A message from outside the group is
+// dropped, as is one about the slots of an owner outside it (stepPropose,
+// stepRevokePrep).
 func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Output {
 	var out protocol.Output
-	if int(from) < len(e.lastHeard) && from != e.cfg.ID {
+	if !e.inGroup(from) {
+		return out
+	}
+	if from != e.cfg.ID {
 		e.lastHeard[from] = 0
 	}
 	switch m := msg.(type) {
@@ -372,6 +330,11 @@ func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Outpu
 	return out
 }
 
+// inGroup reports whether id names a replica of this group. The per-owner
+// state is indexed by replica ID, and the wire decodes an ID as any signed
+// integer.
+func (e *Engine) inGroup(id protocol.NodeID) bool { return id >= 0 && int(id) < e.n }
+
 func (e *Engine) broadcast(out *protocol.Output, msg protocol.Message) {
 	for _, p := range e.cfg.Peers {
 		if p == e.cfg.ID {
@@ -384,38 +347,23 @@ func (e *Engine) broadcast(out *protocol.Output, msg protocol.Message) {
 func (e *Engine) stepPropose(from protocol.NodeID, m *MsgPropose, out *protocol.Output) {
 	// Revocation fencing: proposals below the promised revocation ballot
 	// for this owner are stale and must not be acknowledged.
-	if int(m.Owner) < len(e.promisedRev) && m.Bal < e.promisedRev[m.Owner] {
+	if !e.inGroup(m.Owner) || m.Bal < e.promisedRev[m.Owner] {
 		return
 	}
 	var acked []int64
 	maxSlot := int64(0)
-	minAcc, maxAcc := int64(0), int64(0)
-	exec := e.board.ExecPrefix()
 	for _, sc := range m.Slots {
 		if e.board.ObserveProposal(sc.Slot, sc.Cmd, m.Bal) {
 			acked = append(acked, sc.Slot)
-			// Track the emission range over newly accepted, still-mutable
-			// slots (an executed slot's value cannot change, so a stale
-			// re-accept below the executed prefix needs no re-persist).
-			if sc.Slot > exec {
-				if minAcc == 0 || sc.Slot < minAcc {
-					minAcc = sc.Slot
-				}
-				if sc.Slot > maxAcc {
-					maxAcc = sc.Slot
-				}
-			}
 		}
 		if sc.Slot > maxSlot {
 			maxSlot = sc.Slot
 		}
 	}
-	if minAcc > 0 {
-		// Persist-before-ack: the accepted proposals (and any holes the
-		// range grew past) are durable before the MsgProposeOK below
-		// releases — a quorum-acked slot survives a full-cluster crash.
-		e.emitSlots(minAcc, maxAcc, out)
-	}
+	// Persist-before-ack: the accepted proposals (and any holes the log grew
+	// past) are durable before the MsgProposeOK below releases — a
+	// quorum-acked slot survives a full-cluster crash.
+	e.board.log.Emit(out)
 	e.board.AdvanceBarrier(m.Owner, m.Barrier)
 	e.board.MergeFrontier(m.Frontier)
 	// Mencius skip rule: seeing traffic at a slot beyond our next own slot
@@ -584,16 +532,15 @@ func (e *Engine) localPromise(o protocol.NodeID, bal uint64, from int64) *MsgRev
 		if Owner(s, e.n) != o {
 			continue
 		}
-		if cmd, ok := e.board.Proposed(s); ok {
-			st := e.board.slots[s]
-			pr.Props = append(pr.Props, SlotProp{Slot: s, Bal: st.bal, Cmd: cmd})
+		if p, ok := e.board.proposal(s); ok {
+			pr.Props = append(pr.Props, SlotProp{Slot: s, Bal: p.Bal, Cmd: p.Cmd})
 		}
 	}
 	return pr
 }
 
 func (e *Engine) stepRevokePrep(from protocol.NodeID, m *MsgRevokePrep, out *protocol.Output) {
-	if int(m.Owner) >= e.n || m.Bal <= e.promisedRev[m.Owner] {
+	if !e.inGroup(m.Owner) || m.Bal <= e.promisedRev[m.Owner] {
 		return
 	}
 	e.promisedRev[m.Owner] = m.Bal
@@ -639,7 +586,6 @@ func (e *Engine) stepRevokePromise(from protocol.NodeID, m *MsgRevokePromise, ou
 		}
 	}
 	var slots []SlotCmd
-	minS, maxS := int64(0), int64(0)
 	for s := rv.from; s <= horizon; s++ {
 		if Owner(s, e.n) != m.Owner {
 			continue
@@ -648,25 +594,16 @@ func (e *Engine) stepRevokePromise(from protocol.NodeID, m *MsgRevokePromise, ou
 		if p, seen := best[s]; seen {
 			cmd = p.Cmd
 		}
-		if e.board.ObserveProposal(s, cmd, rv.bal) {
-			if minS == 0 || s < minS {
-				minS = s
-			}
-			if s > maxS {
-				maxS = s
-			}
-		}
+		e.board.ObserveProposal(s, cmd, rv.bal)
 		e.tally.Open(s) // re-opens the slot's votes, like a phase 1
 		slots = append(slots, SlotCmd{Slot: s, Cmd: cmd})
 	}
 	if len(slots) == 0 {
 		return
 	}
-	if minS > 0 {
-		// The revoker self-accepts its re-proposals at the revocation
-		// ballot and persists them like any acceptor.
-		e.emitSlots(minS, maxS, out)
-	}
+	// The revoker self-accepts its re-proposals at the revocation ballot and
+	// persists them like any acceptor.
+	e.board.log.Emit(out)
 	sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })
 	e.broadcast(out, &MsgPropose{
 		Owner:    m.Owner,

@@ -310,6 +310,77 @@ func TestRestartProposesAboveLoggedSlots(t *testing.T) {
 	t.Fatal("no proposal sent")
 }
 
+// TestRestartResumesAtDurableEnd: a replica whose executed prefix ran over
+// skips past the end of its durable log restarts with its commit point
+// beyond the store's last index. Its next emission continues the store,
+// padding the skipped slots as fillers, instead of starting above the
+// commit point, a gap the store refuses on every later round.
+func TestRestartResumesAtDurableEnd(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2}
+	cfg := mencius.Config{ID: 0, Peers: peers, HeartbeatTicks: 1, Seed: 1}
+	st := storage.NewMem()
+	persist := func(out protocol.Output) {
+		t.Helper()
+		if err := st.Append(out.AppendedEntries); err != nil {
+			t.Fatalf("emission stream not storage-legal: %v", err)
+		}
+	}
+	e := mencius.New(cfg)
+	persist(e.Step(1, &mencius.MsgPropose{
+		Owner: 1, Proposer: 1,
+		Slots:   []mencius.SlotCmd{{Slot: 2, Cmd: protocol.Command{ID: 2, Client: 1, Op: protocol.OpPut, Key: "a"}}},
+		Barrier: 5, Frontier: []int64{0, 2, 0},
+	}))
+	persist(e.Step(2, &mencius.MsgCoordHB{Barrier: 9, Frontier: []int64{0, 2, 0}}))
+	last, _ := st.LastIndex()
+	if e.CommitIndex() != 3 || last != 2 {
+		t.Fatalf("executed prefix %d over a store ending at %d, want 3 over 2", e.CommitIndex(), last)
+	}
+	ents, err := st.Entries(1, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mencius.New(cfg)
+	r.RestoreLog(ents, e.CommitIndex())
+	persist(r.Submit(protocol.Command{ID: 4, Client: 1, Op: protocol.OpPut, Key: "b"}))
+	if last, _ := st.LastIndex(); last != 4 {
+		t.Fatalf("store last = %d after the first proposal, want 4", last)
+	}
+}
+
+// TestStepDropsOutOfGroupIDs: the wire decodes a sender and an owner as any
+// signed integer, and the per-owner state is indexed by replica ID. A
+// message naming a replica outside the group is dropped, not acted on.
+func TestStepDropsOutOfGroupIDs(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2}
+	slots := []mencius.SlotCmd{{Slot: 2, Cmd: protocol.Command{ID: 2, Client: 1, Op: protocol.OpPut, Key: "a"}}}
+	for _, tc := range []struct {
+		name string
+		from protocol.NodeID
+		msg  protocol.Message
+	}{
+		{"heartbeat from past the group", 3, &mencius.MsgCoordHB{Barrier: 9, Frontier: []int64{0, 0, 0}}},
+		{"heartbeat from a negative sender", -1, &mencius.MsgCoordHB{Barrier: 9, Frontier: []int64{0, 0, 0}}},
+		{"ack from past the group", 3, &mencius.MsgProposeOK{Slots: []int64{1}, Barrier: 5, Frontier: []int64{0, 0, 0}}},
+		{"proposal for an owner past the group", 1, &mencius.MsgPropose{Owner: 3, Proposer: 1, Slots: slots, Barrier: 5}},
+		{"proposal for a negative owner", 1, &mencius.MsgPropose{Owner: -1, Proposer: 1, Slots: slots, Barrier: 5}},
+		{"revocation of a negative owner", 1, &mencius.MsgRevokePrep{Owner: -1, Bal: 4, From: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mencius.New(mencius.Config{ID: 0, Peers: peers, HeartbeatTicks: 1, Seed: 1})
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Step panicked: %v", r)
+				}
+			}()
+			out := e.Step(tc.from, tc.msg)
+			if len(out.Msgs) != 0 || len(out.AppendedEntries) != 0 || out.StateChanged {
+				t.Fatalf("the message was acted on: %+v", out)
+			}
+		})
+	}
+}
+
 // TestRestartReproposesOwnTail: an own proposal restored above the commit
 // point had its votes counted only in the owner's memory. The first Tick
 // after the restart proposes it again, and it commits and executes.

@@ -334,6 +334,7 @@ func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
 		}
 		e.log.Put(ent) // below the snapshot boundary: already covered
 	}
+	e.log.Synced()
 	if commit > e.LastIndex() {
 		commit = e.LastIndex()
 	}
@@ -388,21 +389,6 @@ func (e *Engine) nextBallot(cur uint64) uint64 {
 // snapshotted).
 func (e *Engine) accept(i int64, bal uint64, cmd protocol.Command) bool {
 	return e.log.Put(protocol.Entry{Index: i, Term: bal, Bal: bal, Cmd: cmd})
-}
-
-// emitAppended queues instances [lo, LastIndex] for pre-ack persistence
-// (Output.AppendedEntries), holes as fillers. The range always runs through
-// the end of the held tail because the driver's store overwrites with
-// suffix truncation: re-stating everything above the lowest touched
-// instance keeps the durable log an exact mirror of the in-memory tail,
-// holes included. In the steady state lo is yesterday's LastIndex+1 and
-// this is just the new batch; only gap-filling accepts (the NeedFrom
-// catch-up path) rewrite a longer suffix.
-func (e *Engine) emitAppended(lo int64, out *protocol.Output) {
-	for i := max(lo, e.log.FirstIndex()); i <= e.LastIndex(); i++ {
-		ent, _ := e.log.At(i)
-		out.AppendedEntries = append(out.AppendedEntries, ent)
-	}
 }
 
 // Tick implements protocol.Engine.
@@ -640,8 +626,6 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 	e.prepareOKs = nil
 
 	var reproposal []InstanceInfo
-	oldLast := e.LastIndex()
-	firstTouched := int64(0)
 	e.tally.Reset(e.chosenPrefix)
 	e.stallTicks = 0
 	for i := max(e.chosenPrefix, maxBase, e.log.Base()) + 1; i <= maxIdx; i++ {
@@ -671,19 +655,13 @@ func (e *Engine) phase1Succeed(out *protocol.Output) {
 		}
 		e.accept(i, e.ballot, cmd)
 		e.tally.Open(i)
-		if firstTouched == 0 {
-			firstTouched = i
-		}
 		reproposal = append(reproposal, InstanceInfo{Idx: i, Bal: e.ballot, Cmd: cmd})
 	}
 	e.fast.Reset(e.ballot)
-	if firstTouched > 0 {
-		// The new leader self-accepts its re-proposals and persists them
-		// like any acceptor. Growth past the old tail (a quorum member's
-		// compaction base beyond it) emits the grown holes too, keeping the
-		// durable log contiguous.
-		e.emitAppended(min(firstTouched, oldLast+1), out)
-	}
+	// The new leader self-accepts its re-proposals and persists them like
+	// any acceptor. Growth past the old tail (a quorum member's compaction
+	// base beyond it) emits the grown holes too.
+	e.log.Emit(out)
 	if len(reproposal) > 0 && e.tally.Decisive(reproposal[0].Idx) {
 		e.askOwnVote(out) // a lone replica's own vote is the quorum
 	}
@@ -732,7 +710,7 @@ func (e *Engine) propose(cmds []protocol.Command, out *protocol.Output) {
 	}
 	// Self-accept: the proposer is one acceptor among n; its copy is
 	// persisted like any other and votes once its self-ack proves it durable.
-	e.emitAppended(firstNew, out)
+	e.log.Emit(out)
 	out.StateChanged = true
 	e.observeAccepted(insts)
 	e.broadcastAccept(out, &MsgAccept{Bal: e.ballot, Insts: insts, ChosenPrefix: e.chosenPrefix})
@@ -759,8 +737,6 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 	e.leader = from
 	e.timer.Reset()
 	var idxs []int64
-	oldLast := e.LastIndex()
-	firstTouched := int64(0)
 	for _, info := range m.Insts {
 		held, _ := e.log.At(info.Idx)
 		if !e.accept(info.Idx, m.Bal, info.Cmd) {
@@ -772,18 +748,12 @@ func (e *Engine) stepAccept(from protocol.NodeID, m *MsgAccept, out *protocol.Ou
 			e.fast.Displaced(held.Cmd.ID)
 		}
 		idxs = append(idxs, info.Idx)
-		if firstTouched == 0 || info.Idx < firstTouched {
-			firstTouched = info.Idx
-		}
 		out.StateChanged = true
 	}
-	if firstTouched > 0 {
-		// Persist-before-ack (Phase2b): everything accepted this step —
-		// plus any holes the tail grew past — is durable before the
-		// acceptOK below releases. Gap fills below the old tail re-emit
-		// the suffix so the store's truncating overwrite loses nothing.
-		e.emitAppended(min(firstTouched, oldLast+1), out)
-	}
+	// Persist-before-ack (Phase2b): everything accepted this step — plus
+	// any holes the tail grew past — is durable before the acceptOK below
+	// releases.
+	e.log.Emit(out)
 	e.observeAccepted(m.Insts)
 	if m.ChosenPrefix > e.chosenPrefix {
 		e.markChosenUpTo(m.ChosenPrefix, m.Bal)
@@ -1030,7 +1000,7 @@ func (e *Engine) speculate(cmds []protocol.Command, out *protocol.Output) {
 	for i, cmd := range cmds {
 		e.accept(base+int64(i), 0, cmd)
 	}
-	e.emitAppended(base, out)
+	e.log.Emit(out)
 	out.StateChanged = true
 }
 

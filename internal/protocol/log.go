@@ -10,10 +10,17 @@ package protocol
 // LastIndex()) is ents[i-base-1]; entries below or at base are gone and
 // summarized by baseTerm, the term of the entry at index base (the
 // snapshot's last included term).
+//
+// A log grown by Put is persisted by Emit, which restates it to a store
+// whose append truncates the suffix above the first index it writes; low
+// and emitted are what Emit needs to know for that.
 type Log struct {
 	base     int64
 	baseTerm uint64
 	ents     []Entry
+	// low is the lowest index Put since the last Emit (0: none), and
+	// emitted the LastIndex the store holds since then.
+	low, emitted int64
 }
 
 // Base returns the compacted-prefix watermark: every entry at or below it
@@ -88,8 +95,33 @@ func (l *Log) Put(e Entry) bool {
 	} else {
 		l.ents[e.Index-l.base-1] = e
 	}
+	if l.low == 0 || e.Index < l.low {
+		l.low = e.Index
+	}
 	return true
 }
+
+// Emit queues for persistence (Output.AppendedEntries) what Put wrote since
+// the last Emit: [min(lowest index written, stored end+1), LastIndex],
+// holes as fillers. The range runs through LastIndex because the store's
+// append truncates the suffix above the first index it writes, and starts
+// no later than the stored end+1 because fillers Put grew past it are new
+// to the store too. With nothing written it emits nothing.
+func (l *Log) Emit(out *Output) {
+	lo := l.emitted + 1
+	if l.low != 0 {
+		lo = min(lo, l.low)
+	}
+	if lo = max(lo, l.FirstIndex()); lo <= l.LastIndex() {
+		out.AppendedEntries = append(out.AppendedEntries, l.ents[lo-l.base-1:]...)
+	}
+	l.Synced()
+}
+
+// Synced records that the store holds the log as it stands, so the next
+// Emit starts above LastIndex: a restart calls it once it has rebuilt the
+// log from the store.
+func (l *Log) Synced() { l.low, l.emitted = 0, l.LastIndex() }
 
 // TruncateSuffix drops every entry with index > i (Raft's conflicting-
 // suffix erase). i below base is clamped to base (nothing held survives).
@@ -125,7 +157,7 @@ func (l *Log) TruncatePrefix(through int64) {
 // Restore primes the log from a snapshot boundary plus a durable tail:
 // entries below or at base live in the snapshot; ents (which may be empty,
 // and may hold fillers) must start at base+1. Any current content is
-// discarded.
+// discarded, and the store is taken to hold what is restored (Synced).
 func (l *Log) Restore(base int64, baseTerm uint64, ents []Entry) {
 	if len(ents) > 0 && ents[0].Index != base+1 {
 		panic("protocol: log restore gap")
@@ -133,6 +165,7 @@ func (l *Log) Restore(base int64, baseTerm uint64, ents []Entry) {
 	l.base = base
 	l.baseTerm = baseTerm
 	l.ents = append([]Entry(nil), ents...)
+	l.Synced()
 }
 
 // Slice returns a copy of entries in [lo, hi] (global indexes); the range

@@ -5,7 +5,9 @@ import "testing"
 // TestLogWithHoles: Put grows the log with fillers up to the index it
 // writes and fills a hole in place; the fillers survive a Restore from the
 // log's own tail, as the durable log hands them back; TruncatePrefix moves
-// the tail down within the backing array instead of copying it out.
+// the tail down within the backing array instead of copying it out; and
+// Emit's batches, appended to a store that truncates the suffix above the
+// first index it writes, keep the store a copy of the log.
 func TestLogWithHoles(t *testing.T) {
 	var l Log
 	cmd := func(id uint64) Command { return Command{ID: id, Op: OpPut, Key: "k"} }
@@ -46,5 +48,48 @@ func TestLogWithHoles(t *testing.T) {
 	}
 	if r.Put(Entry{Index: 5, Term: 3, Bal: 3, Cmd: cmd(5)}) {
 		t.Fatal("Put at the compaction base was accepted")
+	}
+
+	var w Log
+	var store []Entry
+	for _, step := range []struct {
+		name     string
+		truncate int64
+		put      []int64
+		lo, hi   int64 // the emitted batch; 0, 0 for none
+	}{
+		{name: "a put past the end", put: []int64{3}, lo: 1, hi: 3},
+		{name: "nothing written", lo: 0, hi: 0},
+		{name: "a put below the end", put: []int64{2}, lo: 2, hi: 3},
+		{name: "puts past and below the end", put: []int64{5, 1}, lo: 1, hi: 5},
+		{name: "a put at or below the base", truncate: 2, put: []int64{2, 1}, lo: 0, hi: 0},
+	} {
+		w.TruncatePrefix(step.truncate)
+		for _, i := range step.put {
+			w.Put(Entry{Index: i, Term: 3, Bal: 3, Cmd: cmd(uint64(i))})
+		}
+		var out Output
+		w.Emit(&out)
+		var lo, hi, n int64
+		if n = int64(len(out.AppendedEntries)); n > 0 {
+			lo, hi = out.AppendedEntries[0].Index, out.AppendedEntries[n-1].Index
+		}
+		if lo != step.lo || hi != step.hi || (n > 0 && n != hi-lo+1) {
+			t.Fatalf("%s: emitted %+v, want indexes %d..%d", step.name, out.AppendedEntries, step.lo, step.hi)
+		}
+		for _, ent := range out.AppendedEntries {
+			if ent.Index > int64(len(store))+1 {
+				t.Fatalf("%s: the store refuses %d, a gap above %d", step.name, ent.Index, len(store))
+			}
+			store = append(store[:ent.Index-1], ent)
+		}
+		if int64(len(store)) != w.LastIndex() {
+			t.Fatalf("%s: the store ends at %d, the log at %d", step.name, len(store), w.LastIndex())
+		}
+		for i := w.FirstIndex(); i <= w.LastIndex(); i++ {
+			if ent, _ := w.At(i); store[i-1].Index != i || store[i-1].Bal != ent.Bal || store[i-1].Cmd.ID != ent.Cmd.ID {
+				t.Fatalf("%s: the store holds %+v at %d, the log %+v", step.name, store[i-1], i, ent)
+			}
+		}
 	}
 }

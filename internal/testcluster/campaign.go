@@ -28,8 +28,9 @@ import (
 
 // CampaignEngines is the engine set -campaign and the linearizability
 // sweep cover: every name in the engine registry but the leaderless
-// raftstar-mencius, which this harness cannot drive (Leader, ElectLeader
-// and the campaign's victim choice assume one leader).
+// raftstar-mencius. The campaign's victim choice still assumes one leader.
+// The sweep can drive Mencius (-sweep-engines=raftstar-mencius), but
+// Mencius loses agreement when one message is dropped (ROADMAP item 1).
 var CampaignEngines = engines.Names(func(s engines.Spec) bool { return !s.Proto.Leaderless() })
 
 // Campaign lease geometry. The margin is sized for the fault envelope the

@@ -65,10 +65,19 @@ func runLinearWorkload(t *testing.T, name string, seed int64) {
 // verifies the recorded history with the linearizability checker and the
 // per-index agreement invariant. It returns the cluster as the run left it:
 // its Replies, in order, are the fingerprint two runs of one seed must share.
+// A leaderless engine needs no election, and its partition isolates
+// replica seed % 3.
 func linearWorkload(name string, seed int64) (*testcluster.Cluster, error) {
+	spec, err := engines.Parse(name)
+	if err != nil {
+		return nil, err
+	}
+	leaderless := spec.Proto.Leaderless()
 	c := testcluster.New(seed, linearEngines(name, seed)...)
-	if _, err := c.ElectLeader(300); err != nil {
-		return c, err
+	if !leaderless {
+		if _, err := c.ElectLeader(300); err != nil {
+			return c, err
+		}
 	}
 	h := testcluster.NewHistory()
 	rng := rand.New(rand.NewSource(seed * 7))
@@ -129,8 +138,12 @@ func linearWorkload(name string, seed int64) (*testcluster.Cluster, error) {
 			c.DropRate = 0.05
 		case 220:
 			c.DropRate = 0
-			if l := c.Leader(); l != nil {
+			if leaderless {
+				isolated = protocol.NodeID(seed % 3)
+			} else if l := c.Leader(); l != nil {
 				isolated = l.ID()
+			}
+			if isolated != protocol.None {
 				c.Isolate(isolated, true)
 			}
 		case 500:

@@ -343,14 +343,16 @@ func (c *Cluster) ElectLeader(maxRounds int) (protocol.Engine, error) {
 // only permitted jump is the recorded install boundary), and any two
 // nodes that applied the same index applied the same (Cmd.ID, Op, Key)
 // there. It first reports any engine whose log changes its store copy
-// refused: a live node would have wedged on them.
+// refused: a live node would have wedged on them. Nodes are checked in
+// ID order, so a failing seed reports the same pair on every run.
 func (c *Cluster) CheckAgreement() error {
 	if c.contractErr != nil {
 		return c.contractErr
 	}
 	ref := make(map[int64]protocol.Entry)
 	refOwner := make(map[int64]protocol.NodeID)
-	for id, app := range c.Applied {
+	for _, id := range c.IDs() {
+		app := c.Applied[id]
 		imgIdx := int64(0)
 		if imgs := c.Installed[id]; len(imgs) > 0 {
 			// Entries at or below the last installed image are covered by
