@@ -166,6 +166,59 @@ type node struct {
 	// leader's election-barrier window, when the confirmation quorum (a
 	// pure leadership echo) completes before the barrier entry commits.
 	pendingReads []protocol.ReadState
+	// free pools the records of work deferred to a later instant.
+	free []*deferred
+}
+
+// deferred is work one step leaves for a later instant: its network sends
+// once the fsync barrier and the send floor pass, its self-addressed
+// messages at its durability point, or one client reply once the reply's
+// CPU cost is paid. Records are pooled per node, so a step schedules them
+// without allocating.
+type deferred struct {
+	n    *node
+	kind deferredKind
+	msgs []protocol.Envelope // deferSend, deferSelf
+	to   protocol.NodeID     // deferReply
+	resp *MsgClientResp      // deferReply
+}
+
+type deferredKind uint8
+
+const (
+	deferSend deferredKind = iota
+	deferSelf
+	deferReply
+)
+
+// later schedules work at t on a pooled record.
+func (n *node) later(t simnet.Time, work deferred) {
+	var d *deferred
+	if k := len(n.free); k > 0 {
+		d = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		d = new(deferred)
+	}
+	*d = work
+	d.n = n
+	n.net.Clock().Schedule(t, d)
+}
+
+// Run implements simnet.Runner. The record returns to the pool before the
+// work runs, so the steps the work triggers can reuse it.
+func (d *deferred) Run() {
+	n, kind, msgs, to, resp := d.n, d.kind, d.msgs, d.to, d.resp
+	*d = deferred{n: n}
+	n.free = append(n.free, d)
+	switch kind {
+	case deferSend:
+		n.send(msgs)
+	case deferSelf:
+		n.stepSelf(msgs)
+	case deferReply:
+		n.net.Send(n.id, to, resp)
+	}
 }
 
 // Deliver implements simnet.Endpoint.
@@ -252,7 +305,7 @@ func (n *node) handle(out protocol.Output) {
 	n.sendFloor = release
 	msgs := out.Msgs
 	if release > now {
-		n.net.Clock().At(release, func() { n.send(msgs) })
+		n.later(release, deferred{kind: deferSend, msgs: msgs})
 	} else {
 		n.send(msgs)
 	}
@@ -261,7 +314,7 @@ func (n *node) handle(out protocol.Output) {
 	// durability point: the send floor orders network sends only, and an
 	// entry a peer's ack makes decisive left after its own fsync.
 	if durable > now {
-		n.net.Clock().At(durable, func() { n.stepSelf(msgs) })
+		n.later(durable, deferred{kind: deferSelf, msgs: msgs})
 	} else {
 		n.stepSelf(msgs)
 	}
@@ -291,8 +344,7 @@ func (n *node) reply(client protocol.NodeID, resp *MsgClientResp, cost time.Dura
 		n.net.Send(n.id, client, resp)
 		return
 	}
-	done := n.net.ChargeCPU(n.id, cost)
-	n.net.Clock().At(done, func() { n.net.Send(n.id, client, resp) })
+	n.later(n.net.ChargeCPU(n.id, cost), deferred{kind: deferReply, to: client, resp: resp})
 }
 
 // client is a closed-loop load generator at one site.
@@ -311,9 +363,31 @@ type client struct {
 	pending uint64
 	isRead  bool
 	sentAt  simnet.Time
+	// deadline is when the pending request is sent again if no reply has
+	// come. A closed-loop client always has one request pending, so its
+	// one retry timer is always armed, at or before this deadline.
+	deadline simnet.Time
 }
 
-func (c *client) start() { c.send() }
+// retryAfter is how long a client waits for a reply before it sends its
+// request again: closed-loop clients must not wedge on a dropped request
+// (benchmarks run lossless, so this rarely fires).
+const retryAfter = 10 * time.Second
+
+func (c *client) start() {
+	c.send()
+	c.sim.Schedule(c.deadline, c)
+}
+
+// Run implements simnet.Runner: it is the client's retry timer, which
+// resends the pending request if its deadline has come, and otherwise
+// re-arms at the deadline of the request sent since it was armed.
+func (c *client) Run() {
+	if c.sim.Now() >= c.deadline {
+		c.send()
+	}
+	c.sim.Schedule(c.deadline, c)
+}
 
 func (c *client) send() {
 	req := c.gen.Next()
@@ -335,14 +409,7 @@ func (c *client) send() {
 		cmd.Op = protocol.OpPut
 	}
 	c.net.Send(c.id, c.replica, &MsgClientReq{Cmd: cmd, Read: req.Read})
-	// Retry guard: closed-loop clients must not wedge on a dropped
-	// request (benchmarks run lossless, so this rarely fires).
-	id := c.pending
-	c.sim.After(10*time.Second, func() {
-		if c.pending == id {
-			c.send()
-		}
-	})
+	c.deadline = c.sentAt + simnet.Time(retryAfter)
 }
 
 // Deliver implements simnet.Endpoint.

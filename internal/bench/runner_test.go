@@ -115,3 +115,24 @@ func TestSmokePaxosPQL(t *testing.T) {
 	}
 	t.Logf("Paxos-PQL: tput=%.0f ops/s follower-read %s", res.Throughput, fr.Summary())
 }
+
+// BenchmarkSimSetup times one wan-sim set-up: raftstar on the paper
+// topology with 20 closed-loop clients per site, 50% reads on 8 B values,
+// through the election and one virtual second of warm-up, with a 1 ns
+// measure window. It is the work the rig's wan-sim `setup_s` medians.
+func BenchmarkSimSetup(b *testing.B) {
+	sc := Scenario{
+		Protocol:         RaftStar,
+		ClientsPerRegion: 20,
+		Workload:         workload.Config{ReadPercent: 50, ConflictPercent: 2, ValueSize: 8},
+		Warmup:           time.Second,
+		Measure:          time.Nanosecond,
+		Seed:             1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

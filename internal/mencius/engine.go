@@ -1,6 +1,7 @@
 package mencius
 
 import (
+	"slices"
 	"sort"
 
 	"raftpaxos/internal/protocol"
@@ -75,8 +76,10 @@ type Engine struct {
 	// mine[slot] remembers own in-flight client commands for reply
 	// tracking and post-revocation resubmission.
 	mine map[int64]protocol.Command
-	// owed marks own slots whose client reply has not been sent yet.
-	owed map[int64]bool
+	// owed lists, in increasing order, the own slots whose client reply has
+	// not been sent yet. Each proposal takes a slot above every earlier
+	// one, so propose appends.
+	owed []int64
 
 	// promisedRev[o] is the highest revocation ballot promised for owner
 	// o's slots; revBal[o] the highest this replica has used as revoker.
@@ -105,7 +108,6 @@ func New(cfg Config) *Engine {
 		board:       NewBoard(c.ID, n),
 		tally:       protocol.NewVotes(c.ID, c.Peers, nil),
 		mine:        make(map[int64]protocol.Command),
-		owed:        make(map[int64]bool),
 		promisedRev: make([]uint64, n),
 		revBal:      make([]uint64, n),
 		revoking:    make(map[protocol.NodeID]*revocation),
@@ -265,7 +267,7 @@ func (e *Engine) propose(cmd protocol.Command, out *protocol.Output) {
 	e.board.log.Emit(out)
 	e.mine[slot] = cmd
 	if cmd.Client != protocol.None {
-		e.owed[slot] = true
+		e.owed = append(e.owed, slot)
 	}
 	e.send([]SlotCmd{{Slot: slot, Cmd: cmd}}, out)
 	e.settle(out)
@@ -347,7 +349,7 @@ func (e *Engine) broadcast(out *protocol.Output, msg protocol.Message) {
 func (e *Engine) stepPropose(from protocol.NodeID, m *MsgPropose, out *protocol.Output) {
 	// Revocation fencing: proposals below the promised revocation ballot
 	// for this owner are stale and must not be acknowledged.
-	if !e.inGroup(m.Owner) || m.Bal < e.promisedRev[m.Owner] {
+	if !e.inGroup(m.Owner) || !e.inGroup(m.Proposer) || m.Bal < e.promisedRev[m.Owner] {
 		return
 	}
 	var acked []int64
@@ -364,7 +366,9 @@ func (e *Engine) stepPropose(from protocol.NodeID, m *MsgPropose, out *protocol.
 	// past) are durable before the MsgProposeOK below releases — a
 	// quorum-acked slot survives a full-cluster crash.
 	e.board.log.Emit(out)
-	e.board.AdvanceBarrier(m.Owner, m.Barrier)
+	// The barrier is the proposer's own announcement: a revoker proposing
+	// in a silent owner's slots sends its barrier, not the owner's.
+	e.board.AdvanceBarrier(m.Proposer, m.Barrier)
 	e.board.MergeFrontier(m.Frontier)
 	// Mencius skip rule: seeing traffic at a slot beyond our next own slot
 	// means we skip our unused slots below it so the global order can
@@ -421,9 +425,10 @@ func (e *Engine) settle(out *protocol.Output) {
 	for _, ent := range ents {
 		ci := protocol.CommitInfo{Entry: ent}
 		if cmd, ok := e.mine[ent.Index]; ok {
+			owed := e.dropOwed(ent.Index)
 			if ent.Cmd.ID == cmd.ID {
 				// Our value won the slot: settle any reply still owed.
-				if e.owed[ent.Index] {
+				if owed {
 					if cmd.Op == protocol.OpGet || e.cfg.Policy == ReplyAtExecute {
 						// The driver answers after applying (reads need
 						// the applied value).
@@ -433,12 +438,10 @@ func (e *Engine) settle(out *protocol.Output) {
 							Kind: protocol.ReplyWrite, CmdID: cmd.ID, Client: cmd.Client,
 						})
 					}
-					delete(e.owed, ent.Index)
 				}
 			} else {
 				// The slot was revoked to a no-op: resubmit the command in
 				// a fresh slot.
-				delete(e.owed, ent.Index)
 				e.propose(cmd, out)
 			}
 			delete(e.mine, ent.Index)
@@ -451,30 +454,36 @@ func (e *Engine) settle(out *protocol.Output) {
 	}
 }
 
+// dropOwed removes slot from owed and reports whether it was there.
+func (e *Engine) dropOwed(slot int64) bool {
+	i, ok := slices.BinarySearch(e.owed, slot)
+	if ok {
+		e.owed = slices.Delete(e.owed, i, i+1)
+	}
+	return ok
+}
+
 // flushCommitReplies answers own writes that are committed with a fully
 // filled prefix (ReplyAtCommit policy: the paper's commutative-operation
 // optimization — the position is fixed and no conflicting op precedes it).
+// It walks owed only up to the filled prefix, in slot order.
 func (e *Engine) flushCommitReplies(out *protocol.Output) {
-	if len(e.owed) == 0 {
-		return
-	}
 	filled := e.board.FilledPrefix()
-	slots := make([]int64, 0, len(e.owed))
-	for s := range e.owed {
-		if s <= filled {
-			slots = append(slots, s)
-		}
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, s := range slots {
+	kept, i := 0, 0
+	for ; i < len(e.owed) && e.owed[i] <= filled; i++ {
+		s := e.owed[i]
 		cmd, mineOK := e.mine[s]
 		if !mineOK || cmd.Op == protocol.OpGet || !e.board.Committed(s) {
-			continue // reads and uncommitted slots wait
+			e.owed[kept] = s // reads and uncommitted slots wait
+			kept++
+			continue
 		}
 		out.Replies = append(out.Replies, protocol.ClientReply{
 			Kind: protocol.ReplyWrite, CmdID: cmd.ID, Client: cmd.Client,
 		})
-		delete(e.owed, s)
+	}
+	if kept < i {
+		e.owed = append(e.owed[:kept], e.owed[i:]...)
 	}
 }
 

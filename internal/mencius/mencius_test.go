@@ -364,6 +364,7 @@ func TestStepDropsOutOfGroupIDs(t *testing.T) {
 		{"ack from past the group", 3, &mencius.MsgProposeOK{Slots: []int64{1}, Barrier: 5, Frontier: []int64{0, 0, 0}}},
 		{"proposal for an owner past the group", 1, &mencius.MsgPropose{Owner: 3, Proposer: 1, Slots: slots, Barrier: 5}},
 		{"proposal for a negative owner", 1, &mencius.MsgPropose{Owner: -1, Proposer: 1, Slots: slots, Barrier: 5}},
+		{"proposal from a proposer past the group", 1, &mencius.MsgPropose{Owner: 1, Proposer: 3, Slots: slots, Barrier: 5}},
 		{"revocation of a negative owner", 1, &mencius.MsgRevokePrep{Owner: -1, Bal: 4, From: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -378,6 +379,28 @@ func TestStepDropsOutOfGroupIDs(t *testing.T) {
 				t.Fatalf("the message was acted on: %+v", out)
 			}
 		})
+	}
+}
+
+// TestRevocationRaisesRevokerBarrier: a revocation proposal carries the
+// revoker's barrier, not the revoked owner's. Replica 2 receives replica
+// 1's revocation of owner 0's slot 1: replica 1's barrier rises to what it
+// announced, and owner 0's stays where owner 0 left it, so owner 0's
+// unproposed slots below 8 are not taken for skips.
+func TestRevocationRaisesRevokerBarrier(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2}
+	e := mencius.New(mencius.Config{ID: 2, Peers: peers, HeartbeatTicks: 1, Seed: 1, DisableRevocation: true})
+	e.Step(1, &mencius.MsgPropose{
+		Owner: 0, Proposer: 1, Bal: 4,
+		Slots:   []mencius.SlotCmd{{Slot: 1, Cmd: protocol.Command{Op: protocol.OpNop}}},
+		Barrier: 8, Frontier: []int64{0, 0, 0},
+	})
+	b := e.Board()
+	if got := b.BarrierOf(0); got != 1 {
+		t.Errorf("owner 0's barrier = %d, want 1: the revoker's barrier was taken for the owner's", got)
+	}
+	if got := b.BarrierOf(1); got != 8 {
+		t.Errorf("revoker 1's barrier = %d, want 8", got)
 	}
 }
 

@@ -293,6 +293,9 @@ type Network struct {
 	dropRate  float64 // uniform message drop probability
 	partition map[[2]protocol.NodeID]bool
 
+	// free pools the deliveries whose messages have arrived.
+	free []*delivery
+
 	// Stats
 	Sent    uint64
 	Dropped uint64
@@ -379,20 +382,52 @@ func (n *Network) Send(from, to protocol.NodeID, msg protocol.Message) {
 	// Receiver-side queues (ingress link, then CPU) are booked at arrival
 	// time, not send time — otherwise an in-flight WAN message would block
 	// later-sent local messages that physically arrive earlier.
-	rxTx := time.Duration(float64(txBase) / n.topo.siteBandwidthScale(dst.site))
-	n.sim.At(arrive, func() {
+	d := n.newDelivery()
+	d.dst, d.from, d.msg, d.size = dst, from, msg, size
+	d.rxTx = time.Duration(float64(txBase) / n.topo.siteBandwidthScale(dst.site))
+	n.sim.Schedule(arrive, d)
+}
+
+// delivery is one message in flight. The queue runs it twice: at arrival
+// it books the receiver's ingress and CPU queues and schedules itself at
+// the instant they free, and there it returns to its Network's pool and
+// hands the message to the endpoint.
+type delivery struct {
+	net    *Network
+	dst    *nodeState
+	from   protocol.NodeID
+	msg    protocol.Message
+	size   int
+	rxTx   time.Duration // ingress serialization at the receiver
+	booked bool
+}
+
+func (n *Network) newDelivery() *delivery {
+	if k := len(n.free); k > 0 {
+		d := n.free[k-1]
+		n.free = n.free[:k-1]
+		return d
+	}
+	return &delivery{net: n}
+}
+
+// Run implements Runner.
+func (d *delivery) Run() {
+	n, dst := d.net, d.dst
+	if !d.booked {
+		d.booked = true
 		at := n.sim.Now()
 		if dst.rxFree > at {
 			at = dst.rxFree
 		}
-		dst.rxFree = at + Time(rxTx)
+		dst.rxFree = at + Time(d.rxTx)
 		at = dst.rxFree
 		if dst.modelCPU {
 			cmds := 0
-			if cc, ok := msg.(CmdCounter); ok {
+			if cc, ok := d.msg.(CmdCounter); ok {
 				cmds = cc.CmdCount()
 			}
-			svc := n.cost.cpuTime(size, cmds)
+			svc := n.cost.cpuTime(d.size, cmds)
 			begin := at
 			if dst.cpuFree > begin {
 				begin = dst.cpuFree
@@ -400,8 +435,13 @@ func (n *Network) Send(from, to protocol.NodeID, msg protocol.Message) {
 			dst.cpuFree = begin + Time(svc)
 			at = dst.cpuFree
 		}
-		n.sim.At(at, func() { dst.ep.Deliver(from, msg) })
-	})
+		n.sim.Schedule(at, d)
+		return
+	}
+	from, msg := d.from, d.msg
+	*d = delivery{net: n}
+	n.free = append(n.free, d)
+	dst.ep.Deliver(from, msg)
 }
 
 // ChargeCPU adds d of work to id's CPU queue and returns the virtual time

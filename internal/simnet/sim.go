@@ -4,10 +4,17 @@
 // latency matrix, a per-node CPU service queue and a per-node egress
 // bandwidth queue, so message patterns (quorum waits, forwarding hops,
 // leader bottlenecks) reproduce the published evaluation shapes.
+//
+// Ordering contract: events run in a total (at, seq) order, where seq is
+// the order in which they were scheduled, so events due at the same
+// instant run first-scheduled first. A run is a function of its seed and
+// its inputs alone. Scheduling and running an event allocate nothing once
+// the queue has grown to its working size: the queue holds events by
+// value, and the Network delivers each message through a pooled record
+// (drivers can do the same for their own deferred work, see Runner).
 package simnet
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
@@ -18,41 +25,92 @@ type Time int64
 // Duration converts a virtual instant into a duration since time zero.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
+// Runner is work the simulator runs at a scheduled instant. A driver that
+// schedules the same kind of work on every step implements it on a pooled
+// record and schedules that with Schedule, where a closure passed to At
+// would be one heap allocation per event.
+type Runner interface{ Run() }
+
+// funcRunner runs a plain func: a func value is a single pointer, so it
+// fits in the Runner interface without an allocation.
+type funcRunner func()
+
+func (f funcRunner) Run() { f() }
+
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	r   Runner
 }
 
-type eventHeap []*event
+// before is the queue's total order: time, then scheduling order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// queue is a 4-ary min-heap of events under before. A wider node than a
+// binary heap's halves the tree's depth, so a push sifts through fewer
+// levels, at the price of comparing up to four children per level on a
+// pop.
+type queue []event
+
+func (q *queue) push(ev event) {
+	h := append(*q, event{})
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	h[i] = ev
+	*q = h
 }
 
-// Sim is the event loop. It is single-threaded: all scheduled functions run
-// sequentially in virtual-time order, which makes every run with the same
-// seed bit-for-bit reproducible.
+func (q *queue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the Runner so the GC can reclaim it
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			end := min(c+4, n)
+			for j := c + 1; j < end; j++ {
+				if h[j].before(&h[m]) {
+					m = j
+				}
+			}
+			if !h[m].before(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
+
+// Sim is the event loop. It is single-threaded: all scheduled work runs
+// sequentially in the (at, seq) order the package comment states, which
+// makes every run with the same seed bit-for-bit reproducible. Scheduling
+// with Schedule, or with At and a func built beforehand, does not allocate
+// once the queue has grown to the run's peak of pending events.
 type Sim struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events queue
 	rng    *rand.Rand
 	// processed counts executed events, for reporting.
 	processed uint64
@@ -73,14 +131,17 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.processed }
 
-// At schedules fn at absolute virtual time t (clamped to now).
-func (s *Sim) At(t Time, fn func()) {
+// Schedule runs r at absolute virtual time t (clamped to now).
+func (s *Sim) Schedule(t Time, r Runner) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
+	s.events.push(event{at: t, seq: s.seq, r: r})
 }
+
+// At schedules fn at absolute virtual time t (clamped to now).
+func (s *Sim) At(t Time, fn func()) { s.Schedule(t, funcRunner(fn)) }
 
 // After schedules fn d from now.
 func (s *Sim) After(d time.Duration, fn func()) { s.At(s.now+Time(d), fn) }
@@ -116,11 +177,22 @@ type Clock struct {
 	// paused clock.
 	armed bool
 	fn    func()
+	// tick is the scheduled event, built once so re-arming allocates
+	// nothing.
+	tick func()
 }
 
 // NewClock starts a clock with the given nominal period and initial rate.
 func (s *Sim) NewClock(period time.Duration, rate float64, fn func()) *Clock {
 	c := &Clock{sim: s, period: period, rate: rate, fn: fn}
+	c.tick = func() {
+		c.armed = false
+		if c.stopped || c.rate <= 0 {
+			return
+		}
+		c.fn()
+		c.arm()
+	}
 	c.arm()
 	return c
 }
@@ -130,14 +202,7 @@ func (c *Clock) arm() {
 		return
 	}
 	c.armed = true
-	c.sim.After(time.Duration(float64(c.period)/c.rate), func() {
-		c.armed = false
-		if c.stopped || c.rate <= 0 {
-			return
-		}
-		c.fn()
-		c.arm()
-	})
+	c.sim.After(time.Duration(float64(c.period)/c.rate), c.tick)
 }
 
 // SetRate changes the clock's speed from now on. Rate 0 pauses; a
@@ -156,15 +221,8 @@ func (c *Clock) Stop() { c.stopped = true }
 // drains, whichever is first. It returns the time at which it stopped.
 func (s *Sim) Run(until time.Duration) Time {
 	limit := Time(until)
-	for len(s.events) > 0 {
-		ev := s.events[0]
-		if ev.at > limit {
-			break
-		}
-		heap.Pop(&s.events)
-		s.now = ev.at
-		s.processed++
-		ev.fn()
+	for len(s.events) > 0 && s.events[0].at <= limit {
+		s.step()
 	}
 	if s.now < limit {
 		s.now = limit
@@ -175,12 +233,17 @@ func (s *Sim) Run(until time.Duration) Time {
 // RunUntilIdle executes events until the queue drains.
 func (s *Sim) RunUntilIdle() Time {
 	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		s.now = ev.at
-		s.processed++
-		ev.fn()
+		s.step()
 	}
 	return s.now
+}
+
+// step runs the earliest event.
+func (s *Sim) step() {
+	ev := s.events.pop()
+	s.now = ev.at
+	s.processed++
+	ev.r.Run()
 }
 
 // Pending returns the number of queued events.

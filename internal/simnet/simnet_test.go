@@ -24,18 +24,102 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
+// TestSameInstantFIFO checks the queue's (at, seq) order over several
+// hundred events at each of three instants, scheduled interleaved, plus
+// events that running ones schedule while the queue shrinks: every event
+// runs after all earlier instants, and after every event scheduled before
+// it at its own instant.
 func TestSameInstantFIFO(t *testing.T) {
 	sim := simnet.New(1)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		sim.After(time.Millisecond, func() { order = append(order, i) })
+	type stamp struct {
+		at  simnet.Time
+		seq int
+	}
+	var got []stamp
+	seq := 0
+	var schedule func(at simnet.Time)
+	schedule = func(at simnet.Time) {
+		seq++
+		st := stamp{at, seq}
+		sim.At(at, func() {
+			got = append(got, st)
+			if st.at == simnet.Time(time.Millisecond) && st.seq%2 == 0 {
+				schedule(simnet.Time(3 * time.Millisecond))
+			}
+		})
+	}
+	const perInstant = 300
+	for i := 0; i < 3*perInstant; i++ {
+		schedule(simnet.Time(time.Duration(1+i%3) * time.Millisecond))
 	}
 	sim.RunUntilIdle()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-instant events reordered: %v", order)
+	if want := 3*perInstant + perInstant/2; len(got) != want {
+		t.Fatalf("%d events ran, want %d", len(got), want)
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a.at > b.at || a.at == b.at && a.seq > b.seq {
+			t.Fatalf("event %d ran before event %d: %+v then %+v", a.seq, b.seq, a, b)
 		}
+	}
+}
+
+// TestSchedulingDoesNotAllocate: once the queue has grown to its working
+// size, scheduling and running a func built beforehand, a Runner, or a
+// Clock's ticks allocates nothing.
+func TestSchedulingDoesNotAllocate(t *testing.T) {
+	sim := simnet.New(1)
+	n := 0
+	fn := func() { n++ }
+	r := counter{&n}
+	sim.NewClock(time.Microsecond, 1, fn)
+	round := func() {
+		for i := 0; i < 64; i++ {
+			sim.After(time.Duration(i%7)*time.Microsecond, fn)
+			sim.Schedule(sim.Now()+simnet.Time(i%5), r)
+		}
+		sim.Run(sim.Now().Duration() + 8*time.Microsecond)
+	}
+	round() // grow the queue
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of 128 events and 8 clock ticks allocated %.1f times", allocs)
+	}
+	if n == 0 {
+		t.Fatal("no event ran")
+	}
+}
+
+type counter struct{ n *int }
+
+func (c counter) Run() { *c.n++ }
+
+// TestSendDeliverDoesNotAllocate: once the Network's delivery pool is warm,
+// a Send → Deliver round through the bandwidth, latency and CPU models
+// allocates nothing.
+func TestSendDeliverDoesNotAllocate(t *testing.T) {
+	sim := simnet.New(1)
+	net, err := simnet.NewNetwork(sim, simnet.PaperTopology(), simnet.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	ep := simnet.EndpointFunc(func(protocol.NodeID, protocol.Message) { got++ })
+	net.Register(0, 0, ep, true)
+	net.Register(1, 4, ep, true)
+	m := &msg{size: 100}
+	round := func() {
+		for i := 0; i < 8; i++ {
+			net.Send(0, 1, m)
+			net.Send(1, 0, m)
+		}
+		sim.RunUntilIdle()
+	}
+	round() // warm the pool and the queue
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of 16 messages allocated %.1f times", allocs)
+	}
+	if got != 16*102 { // the first round, AllocsPerRun's warm-up run and its 100
+		t.Fatalf("%d deliveries, want %d", got, 16*102)
 	}
 }
 
