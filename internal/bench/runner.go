@@ -152,20 +152,15 @@ func (m *MsgClientResp) WireSize() int { return 16 + len(m.Value) }
 
 // node drives one replica engine inside the simulation.
 type node struct {
-	id    protocol.NodeID
-	eng   protocol.Engine
-	store *kvstore.Store
-	net   *simnet.Network
+	id  protocol.NodeID
+	eng protocol.Engine
+	app *kvstore.Applier
+	net *simnet.Network
 	// sendFloor is the earliest time the next outbound message may leave:
 	// a step whose messages wait on the fsync barrier must not be
 	// overtaken by a later step that has nothing to persist, or per-pair
 	// FIFO (which Mencius requires and TCP provides) would break.
 	sendFloor simnet.Time
-	// pendingReads parks confirmed ReadIndex states whose read index the
-	// store has not applied through yet — possible during a fresh
-	// leader's election-barrier window, when the confirmation quorum (a
-	// pure leadership echo) completes before the barrier entry commits.
-	pendingReads []protocol.ReadState
 	// free pools the records of work deferred to a later instant.
 	free []*deferred
 }
@@ -236,11 +231,8 @@ func (n *node) Deliver(from protocol.NodeID, msg protocol.Message) {
 
 func (n *node) tick() { n.handle(n.eng.Tick()) }
 
-// handle realizes an engine output: apply commits (answering flagged
-// entries), route messages, answer engine-level replies (lease reads).
-// Completing a client request costs the serving replica ReplyCost of CPU
-// (proposal bookkeeping, response encoding) before the reply leaves — the
-// dominant per-op cost in the calibrated model.
+// handle realizes an engine output: the node's kvstore.Applier applies
+// its commits and answers its clients (answer), then its messages leave.
 //
 // The persist-before-ack barrier is modeled as latency on the ack edge:
 // when the step accepted entries or changed hard state, FsyncTime is
@@ -258,47 +250,7 @@ func (n *node) handle(out protocol.Output) {
 			barrier = n.net.ChargeCPU(n.id, d)
 		}
 	}
-	for _, ci := range out.Commits {
-		n.store.Apply(ci.Entry)
-		if !ci.Reply {
-			continue
-		}
-		cmd := ci.Entry.Cmd
-		resp := &MsgClientResp{CmdID: cmd.ID}
-		if cmd.Op == protocol.OpGet {
-			resp.Value, _ = n.store.Get(cmd.Key)
-		}
-		n.reply(cmd.Client, resp, n.net.Cost().ReplyCost)
-	}
-	for _, rep := range out.Replies {
-		resp := &MsgClientResp{CmdID: rep.CmdID, Err: rep.Err}
-		cost := n.net.Cost().ReplyCost
-		if rep.Kind == protocol.ReplyRead && rep.Err == nil {
-			resp.Value, _ = n.store.Get(rep.Key)
-			cost = n.net.Cost().LeaseReadCost
-		}
-		n.reply(rep.Client, resp, cost)
-	}
-	// Confirmed ReadIndex states: serve once the store has applied
-	// through the read index — commits apply synchronously above, so
-	// parking only happens while a fresh leader's barrier entry is still
-	// uncommitted, and drains on the step that commits it.
-	if n.pendingReads = append(n.pendingReads, out.ReadStates...); len(n.pendingReads) > 0 {
-		applied := n.store.AppliedIndex()
-		keep := n.pendingReads[:0]
-		for _, rs := range n.pendingReads {
-			if rs.Index > applied {
-				keep = append(keep, rs)
-				continue
-			}
-			for _, cmd := range rs.Cmds {
-				resp := &MsgClientResp{CmdID: cmd.ID}
-				resp.Value, _ = n.store.Get(cmd.Key)
-				n.reply(cmd.Client, resp, n.net.Cost().ReplyCost)
-			}
-		}
-		n.pendingReads = keep
-	}
+	n.app.Apply(out.Commits, out.Replies, out.ReadStates, n.answer)
 	now := n.net.Clock().Now()
 	durable := max(now, barrier)
 	release := max(durable, n.sendFloor)
@@ -339,12 +291,21 @@ func (n *node) stepSelf(msgs []protocol.Envelope) {
 	}
 }
 
-func (n *node) reply(client protocol.NodeID, resp *MsgClientResp, cost time.Duration) {
+// answer sends one client answer. Completing a request costs the serving
+// replica ReplyCost of CPU (proposal bookkeeping, response encoding) before
+// the reply leaves — the dominant per-op cost in the calibrated model — and
+// a lease read LeaseReadCost.
+func (n *node) answer(rep protocol.ClientReply, src kvstore.Source) {
+	cost := n.net.Cost().ReplyCost
+	if src == kvstore.FromEngine && rep.Kind == protocol.ReplyRead && rep.Err == nil {
+		cost = n.net.Cost().LeaseReadCost
+	}
+	resp := &MsgClientResp{CmdID: rep.CmdID, Value: rep.Value, Err: rep.Err}
 	if cost <= 0 {
-		n.net.Send(n.id, client, resp)
+		n.net.Send(n.id, rep.Client, resp)
 		return
 	}
-	n.later(n.net.ChargeCPU(n.id, cost), deferred{kind: deferReply, to: client, resp: resp})
+	n.later(n.net.ChargeCPU(n.id, cost), deferred{kind: deferReply, to: rep.Client, resp: resp})
 }
 
 // client is a closed-loop load generator at one site.
@@ -471,10 +432,10 @@ func Run(raw Scenario) (*Result, error) {
 	for i := range nodes {
 		spec.Passive = sc.Protocol.Leaderless() || i != sc.LeaderSite
 		nodes[i] = &node{
-			id:    peers[i],
-			eng:   engines.New(spec, peers[i], peers),
-			store: kvstore.New(),
-			net:   net,
+			id:  peers[i],
+			eng: engines.New(spec, peers[i], peers),
+			app: kvstore.NewApplier(kvstore.New()),
+			net: net,
 		}
 		net.Register(peers[i], simnet.Site(i), nodes[i], true)
 	}

@@ -49,13 +49,12 @@ import (
 // client is attached to.
 //
 // Wire format (wire.TagClusterReply): CmdID uvarint, Value bytes,
-// Redirect varint, ErrText string — field order is frozen; append new
-// fields at the end only.
+// ErrText string — field order is frozen; append new fields at the end
+// only.
 type MsgReply struct {
-	CmdID    uint64
-	Value    []byte
-	Redirect protocol.NodeID
-	ErrText  string
+	CmdID   uint64
+	Value   []byte
+	ErrText string
 }
 
 // WireSize implements protocol.Message.
@@ -72,14 +71,12 @@ func RegisterMessages() {
 			m := msg.(*MsgReply)
 			b = wire.AppendUvarint(b, m.CmdID)
 			b = wire.AppendBytes(b, m.Value)
-			b = wire.AppendVarint(b, int64(m.Redirect))
 			return wire.AppendString(b, m.ErrText)
 		},
 		Decode: func(r *wire.Reader) (protocol.Message, error) {
 			m := &MsgReply{}
 			m.CmdID = r.Uvarint()
 			m.Value = r.Bytes()
-			m.Redirect = protocol.NodeID(r.Varint())
 			m.ErrText = r.String()
 			return m, r.Err()
 		},
@@ -148,11 +145,7 @@ type submitReq struct {
 type applyBatch struct {
 	commits []protocol.CommitInfo
 	replies []protocol.ClientReply
-	// reads are confirmed ReadIndex states: each is served from the state
-	// machine once the applier's watermark reaches its read index —
-	// strictly after this batch's commits, so a read can never observe a
-	// quorum-acked-but-unapplied suffix.
-	reads []protocol.ReadState
+	reads   []protocol.ReadState
 	// install, when non-nil, is a snapshot image the engine adopted over
 	// the wire this iteration: the applier restores the state machine from
 	// it strictly before applying the batch's commits (which continue
@@ -768,8 +761,8 @@ func (n *Node) hardState() storage.HardState {
 	return storage.HardState{Term: e.Term(), VotedFor: e.VotedFor(), Commit: e.CommitIndex()}
 }
 
-// applier applies committed entries to the state machine and routes
-// client replies, decoupled from the consensus loop so a slow store or a
+// applier hands each batch to one kvstore.Applier and routes its answers
+// (answer), decoupled from the consensus loop so a slow store or a
 // burst of waiting clients cannot stall replication. It also drives log
 // compaction: every SnapshotInterval applied entries it serializes the
 // state machine, persists the snapshot, compacts the WAL below it, and
@@ -781,13 +774,7 @@ func (n *Node) applier() {
 	var (
 		sinceSnap int
 		lastApply protocol.Entry
-		// parked holds confirmed ReadIndex states whose read index is
-		// ahead of the applied watermark; they are re-checked after every
-		// batch. In steady state a state's commits precede it through
-		// applyCh, so parking is momentary — but it is the structural
-		// guarantee that a read never observes a quorum-acked suffix the
-		// applier has not executed yet.
-		parked []protocol.ReadState
+		app       = kvstore.NewApplier(n.store)
 		// snap is a serialized snapshot waiting for the rounds its state
 		// was staged in (snapSeq) to become durable locally: commits reach
 		// the applier without waiting on this replica's own WAL.
@@ -811,34 +798,10 @@ func (n *Node) applier() {
 				snap = nil // the installed image supersedes it
 			}
 		}
-		for _, ci := range b.commits {
-			n.store.Apply(ci.Entry)
-			lastApply = ci.Entry
-			sinceSnap++
-			if !ci.Reply {
-				continue
-			}
-			if ci.Entry.Cmd.Op == protocol.OpGet {
-				n.readsLog.Add(1) // a read that replicated as a log entry
-			}
-			n.respond(ci.Entry.Cmd.Client, &MsgReply{CmdID: ci.Entry.Cmd.ID, Value: n.readFor(ci.Entry.Cmd)})
-		}
-		for _, rep := range b.replies {
-			m := &MsgReply{CmdID: rep.CmdID, Redirect: rep.Redirect}
-			if rep.Err != nil {
-				m.ErrText = rep.Err.Error()
-			} else if rep.Kind == protocol.ReplyRead {
-				n.readsFast.Add(1) // lease-engine local read
-				v, _ := n.store.Get(rep.Key)
-				m.Value = v
-			}
-			n.respond(rep.Client, m)
-		}
-		// Serve confirmed ReadIndex reads whose index the watermark has
-		// reached — after this batch's commits, never before, so the read
-		// waits out any quorum-acked-but-unapplied suffix.
-		if parked = append(parked, b.reads...); len(parked) > 0 {
-			parked = n.serveReads(parked)
+		app.Apply(b.commits, b.replies, b.reads, n.answer)
+		if k := len(b.commits); k > 0 {
+			lastApply = b.commits[k-1].Entry
+			sinceSnap += k
 		}
 		// Snapshot after replying, between batches: clients never wait on
 		// serialization or the snapshot fsync. The state is serialized now
@@ -901,28 +864,6 @@ func (n *Node) saveAndCompact(snap storage.Snapshot) {
 	}
 }
 
-// serveReads answers every parked ReadIndex read whose read index the
-// state machine has applied through, returning the still-parked rest.
-// Serving from the current store is linearizable: the confirmation round
-// postdates each read's invocation, and the store reflects at least the
-// read index. Runs on the applier.
-func (n *Node) serveReads(parked []protocol.ReadState) []protocol.ReadState {
-	applied := n.store.AppliedIndex()
-	keep := parked[:0]
-	for _, rs := range parked {
-		if rs.Index > applied {
-			keep = append(keep, rs)
-			continue
-		}
-		for _, cmd := range rs.Cmds {
-			n.readsFast.Add(1)
-			v, _ := n.store.Get(cmd.Key)
-			n.respond(cmd.Client, &MsgReply{CmdID: cmd.ID, Value: v})
-		}
-	}
-	return keep
-}
-
 // ReadStats reports the read paths taken: fast is reads served with no
 // log append (ReadIndex confirmations and lease-engine local reads
 // answered at this node), logged is reads that replicated through the
@@ -976,21 +917,25 @@ func (n *Node) SnapshotTransferStats() (chunksSent, bytesSent, installs int64) {
 	return n.snapChunksSent.Load(), n.snapBytesSent.Load(), n.snapInstalls.Load()
 }
 
-func (n *Node) readFor(cmd protocol.Command) []byte {
-	if cmd.Op != protocol.OpGet {
-		return nil
+// answer routes one kvstore.Applier answer to the node its client is
+// attached to, counting the read path it took.
+func (n *Node) answer(rep protocol.ClientReply, src kvstore.Source) {
+	switch {
+	case rep.Kind != protocol.ReplyRead || rep.Err != nil:
+	case src == kvstore.FromCommit:
+		n.readsLog.Add(1) // a read that replicated as a log entry
+	default:
+		n.readsFast.Add(1) // a ReadIndex or lease read: no log append
 	}
-	v, _ := n.store.Get(cmd.Key)
-	return v
-}
-
-// respond routes a reply to the node the client is attached to.
-func (n *Node) respond(origin protocol.NodeID, m *MsgReply) {
-	if origin == n.id {
+	m := &MsgReply{CmdID: rep.CmdID, Value: rep.Value}
+	if rep.Err != nil {
+		m.ErrText = rep.Err.Error()
+	}
+	if rep.Client == n.id {
 		n.completeLocal(m)
 		return
 	}
-	n.cfg.Transport.Send(n.id, origin, m)
+	n.cfg.Transport.Send(n.id, rep.Client, m)
 }
 
 func (n *Node) completeLocal(m *MsgReply) {

@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"strings"
 
-	"raftpaxos/internal/coorraft"
 	"raftpaxos/internal/lease"
+	"raftpaxos/internal/mencius"
 	"raftpaxos/internal/multipaxos"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/raft"
@@ -135,11 +135,11 @@ func New(s Spec, id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
 	case PaxosPQL:
 		return leased(lease.QuorumLease, func(h protocol.Hooks) lease.Inner { paxos.Hooks = h; return multipaxos.New(paxos) })
 	case RaftStarMencius:
-		policy := coorraft.ReplyAtCommit
+		policy := mencius.ReplyAtCommit
 		if s.MenciusConflicting {
-			policy = coorraft.ReplyAtExecute
+			policy = mencius.ReplyAtExecute
 		}
-		return coorraft.New(coorraft.Config{
+		return mencius.New(mencius.Config{
 			ID: id, Peers: peers, HeartbeatTicks: s.HeartbeatTicks, RevokeTicks: 4 * s.ElectionTicks,
 			Policy: policy, Seed: s.Seed, DisableRevocation: s.Passive,
 		})

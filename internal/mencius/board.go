@@ -6,11 +6,19 @@
 // the default leader, learnable without phase 2) keep the global execution
 // order advancing.
 //
-// The same coordination core backs internal/coorraft (Raft*-Mencius): the
-// paper's refinement mapping makes the ported protocol's message-level
-// behaviour identical to Mencius's by construction, so the two packages
-// share this engine and differ in their spec-level derivations
-// (internal/specs) and public configuration.
+// The same engine is Coordinated Raft* — Raft*-Mencius, the registry's
+// raftstar-mencius: the Mencius optimization ported from Paxos onto Raft*
+// by the paper's method (Appendix A.4, Figure 15). The porting derivation
+// lives at the specification level in internal/specs (CoorRaft is
+// generated from the Mencius optimization and the Raft*⇒Paxos refinement
+// mapping). The derived protocol's message behaviour is identical to
+// Coordinated Paxos's by construction of the refinement, so the runtime
+// has one engine for both. The two details that a handworked port would
+// miss are handled here: skip tags must be collected during leader change
+// (BecomeLeader), and skip marking must happen in both append paths
+// (AppendEntries on the default leader itself and ReceiveAppend on
+// acceptors), because Paxos's single Phase2b action corresponds to
+// multiple Raft* actions.
 //
 // Channel assumption: a replica treats an unproposed slot below its
 // owner's announced barrier as a skip, which is only sound if every

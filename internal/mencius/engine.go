@@ -60,9 +60,9 @@ type revocation struct {
 	promises map[protocol.NodeID]*MsgRevokePromise
 }
 
-// Engine is one replica of the coordinated (Mencius-style) protocol. It
-// backs both internal/mencius (Coordinated Paxos) and internal/coorraft
-// (Coordinated Raft*, the ported Raft*-Mencius).
+// Engine is one replica of the coordinated (Mencius-style) protocol:
+// Coordinated Paxos, and Coordinated Raft* (the ported Raft*-Mencius; see
+// the package comment).
 type Engine struct {
 	cfg Config
 	n   int

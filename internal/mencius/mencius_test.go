@@ -489,3 +489,52 @@ func TestEmissionCoversTrailingSkips(t *testing.T) {
 		t.Fatalf("store last = %d, want 5", last)
 	}
 }
+
+func TestMultiLeaderCommit(t *testing.T) {
+	c := newCluster(t, 5, 1, mencius.ReplyAtExecute)
+	for i := 0; i < 5; i++ {
+		c.Submit(protocol.NodeID(i), protocol.Command{
+			ID: uint64(i + 1), Client: 500, Op: protocol.OpPut, Key: "k",
+		})
+	}
+	c.Settle(10)
+	if err := c.CheckAgreement(); err != nil {
+		t.Fatal(err)
+	}
+	for id, app := range c.Applied {
+		real := 0
+		for _, e := range app {
+			if !e.Cmd.IsNop() {
+				real++
+			}
+		}
+		if real != 5 {
+			t.Fatalf("node %d executed %d real commands, want 5", id, real)
+		}
+	}
+}
+
+func TestEveryReplicaReportsLeadership(t *testing.T) {
+	c := newCluster(t, 3, 2, mencius.ReplyAtCommit)
+	for _, e := range c.Engines {
+		if !e.IsLeader() {
+			t.Fatalf("replica %d should lead its slot class", e.ID())
+		}
+		if e.Leader() != e.ID() {
+			t.Fatalf("replica %d reports leader %d", e.ID(), e.Leader())
+		}
+	}
+}
+
+func TestBoardExposed(t *testing.T) {
+	c := newCluster(t, 3, 3, mencius.ReplyAtExecute)
+	c.Submit(0, protocol.Command{ID: 1, Client: 500, Op: protocol.OpPut, Key: "k"})
+	c.Settle(8)
+	eng, ok := c.Engines[0].(*mencius.Engine)
+	if !ok {
+		t.Fatal("engine type")
+	}
+	if eng.Board().ExecPrefix() < 1 {
+		t.Fatalf("exec prefix = %d, want >= 1", eng.Board().ExecPrefix())
+	}
+}

@@ -3,15 +3,15 @@ package mencius_test
 import (
 	"testing"
 
-	"raftpaxos/internal/coorraft"
 	"raftpaxos/internal/mencius"
 	"raftpaxos/internal/protocol"
 )
 
-// The commit rule, by hand, for both flavours of the coordination core: a
-// slot's proposer is one acceptor among n, and its acceptance counts only
-// once its self-addressed ProposeOK — which the runtime hands back when the
-// round it rides is durable — comes back.
+// The commit rule, by hand, for the coordination core (Coordinated Paxos
+// and Raft*-Mencius are one engine): a slot's proposer is one acceptor
+// among n, and its acceptance counts only once its self-addressed
+// ProposeOK — which the runtime hands back when the round it rides is
+// durable — comes back.
 
 type coordinated interface {
 	protocol.Engine
@@ -24,9 +24,6 @@ var flavours = []struct {
 }{
 	{"mencius", func(id protocol.NodeID, peers []protocol.NodeID) coordinated {
 		return mencius.New(mencius.Config{ID: id, Peers: peers, DisableRevocation: true})
-	}},
-	{"coorraft", func(id protocol.NodeID, peers []protocol.NodeID) coordinated {
-		return coorraft.New(coorraft.Config{ID: id, Peers: peers, DisableRevocation: true})
 	}},
 }
 

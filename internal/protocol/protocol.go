@@ -137,11 +137,9 @@ type ReplyKind uint8
 const (
 	ReplyWrite ReplyKind = iota + 1
 	ReplyRead
-	ReplyRedirect
 )
 
-// ClientReply is produced by an engine when a client request completes (or
-// must be redirected to another replica).
+// ClientReply is produced by an engine when a client request completes.
 type ClientReply struct {
 	Kind  ReplyKind
 	CmdID uint64
@@ -152,9 +150,6 @@ type ClientReply struct {
 	Key string
 	// Value is the read result for ReplyRead.
 	Value []byte
-	// Redirect is the replica the client should retry against for
-	// ReplyRedirect.
-	Redirect NodeID
 	// Err is a protocol-level rejection (not a transport failure).
 	Err error
 }

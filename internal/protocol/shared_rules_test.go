@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"raftpaxos/internal/coorraft"
 	"raftpaxos/internal/mencius"
 	"raftpaxos/internal/multipaxos"
 	"raftpaxos/internal/protocol"
@@ -331,7 +330,7 @@ func TestCatchUpDropsTransfersOnStepDown(t *testing.T) {
 
 // The rules Votes owns, each checked once over every engine that counts on
 // it: breaking one in votes.go fails the test named for it under raft,
-// raftstar, multipaxos, mencius and coorraft alike.
+// raftstar, multipaxos and mencius alike.
 
 // counter is one engine family as the commit-rule tests drive it by hand.
 type counter struct {
@@ -436,9 +435,6 @@ var counters = []counter{
 	}),
 	slotCounter("mencius", func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
 		return mencius.New(mencius.Config{ID: id, Peers: peers, DisableRevocation: true})
-	}),
-	slotCounter("coorraft", func(id protocol.NodeID, peers []protocol.NodeID) protocol.Engine {
-		return coorraft.New(coorraft.Config{ID: id, Peers: peers, DisableRevocation: true})
 	}),
 }
 

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 
 	"raftpaxos/internal/engines"
+	"raftpaxos/internal/kvstore"
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/storage"
 )
@@ -316,7 +317,7 @@ func (cp *campaign) tickClocks() {
 // kill removes the node's engine; its written disk state survives.
 func (cp *campaign) kill(id protocol.NodeID, torn bool) {
 	delete(cp.c.Engines, id)
-	cp.c.parkedReads[id] = nil
+	cp.c.appliers[id] = kvstore.NewApplier(cp.c.Stores[id]) // parked reads die with the node
 	cp.held[id] = nil
 	cp.disks[id].redo = nil
 	cp.dead[id] = true

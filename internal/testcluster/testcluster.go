@@ -46,16 +46,12 @@ type Cluster struct {
 	// node already applied in a previous incarnation.
 	observe func(id protocol.NodeID, out *protocol.Output)
 
-	// Stores holds each node's state machine, the one that ships: commits
-	// are applied to it in order, the driver-side apply loop of a live
-	// cluster.Node. Read paths that serve from the local store (ReadIndex
-	// states, lease-read replies) are answered from here, so a stale local
-	// store yields a stale observable read, exactly like the real runtime.
-	Stores map[protocol.NodeID]*kvstore.Store
-	// parkedReads holds confirmed ReadIndex states whose read index is
-	// still ahead of the node's applied watermark (rare in this
-	// synchronous harness: commits precede their read states).
-	parkedReads map[protocol.NodeID][]protocol.ReadState
+	// Stores holds each node's state machine, the one that ships. Each
+	// node's output goes through appliers[id], the kvstore.Applier every
+	// driver shares, so a stale local store yields a stale observable
+	// read, exactly like the real runtime.
+	Stores   map[protocol.NodeID]*kvstore.Store
+	appliers map[protocol.NodeID]*kvstore.Applier
 	// logs holds each node's log as a live driver's store would, built
 	// from its outputs (persist); contractErr is the first change refused.
 	logs        map[protocol.NodeID]*storage.Mem
@@ -65,18 +61,19 @@ type Cluster struct {
 // New builds a cluster over the given engines.
 func New(seed int64, engines ...protocol.Engine) *Cluster {
 	c := &Cluster{
-		Engines:     make(map[protocol.NodeID]protocol.Engine, len(engines)),
-		Rng:         rand.New(rand.NewSource(seed)),
-		cut:         make(map[[2]protocol.NodeID]bool),
-		Applied:     make(map[protocol.NodeID][]protocol.Entry),
-		Installed:   make(map[protocol.NodeID][]protocol.SnapshotImage),
-		Stores:      make(map[protocol.NodeID]*kvstore.Store),
-		parkedReads: make(map[protocol.NodeID][]protocol.ReadState),
-		logs:        make(map[protocol.NodeID]*storage.Mem),
+		Engines:   make(map[protocol.NodeID]protocol.Engine, len(engines)),
+		Rng:       rand.New(rand.NewSource(seed)),
+		cut:       make(map[[2]protocol.NodeID]bool),
+		Applied:   make(map[protocol.NodeID][]protocol.Entry),
+		Installed: make(map[protocol.NodeID][]protocol.SnapshotImage),
+		Stores:    make(map[protocol.NodeID]*kvstore.Store),
+		appliers:  make(map[protocol.NodeID]*kvstore.Applier),
+		logs:      make(map[protocol.NodeID]*storage.Mem),
 	}
 	for _, e := range engines {
 		c.Engines[e.ID()] = e
 		c.Stores[e.ID()] = kvstore.New()
+		c.appliers[e.ID()] = kvstore.NewApplier(c.Stores[e.ID()])
 		c.logs[e.ID()] = storage.NewMem()
 	}
 	return c
@@ -98,11 +95,8 @@ func (c *Cluster) Isolate(n protocol.NodeID, cut bool) {
 }
 
 // Collect absorbs an engine output produced at node id, mirroring a real
-// driver: commits are applied in order (to the node's store),
-// Reply-flagged commits are answered to the client on the engine's
-// behalf, read replies are filled from the node's local state, and
-// confirmed ReadIndex states are served once the applied watermark
-// reaches their read index.
+// driver: it records the applied entries and hands the output to the
+// node's kvstore.Applier, recording every answer in Replies.
 func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 	if c.observe != nil {
 		c.observe(id, &out)
@@ -112,35 +106,12 @@ func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 		c.Installed[id] = append(c.Installed[id], *out.InstalledSnapshot)
 	}
 	c.persist(id, out)
-	store := c.Stores[id]
 	for _, ci := range out.Commits {
 		c.Applied[id] = append(c.Applied[id], ci.Entry)
-		store.Apply(ci.Entry)
-		if ci.Reply {
-			kind := protocol.ReplyWrite
-			var val []byte
-			if ci.Entry.Cmd.Op == protocol.OpGet {
-				kind = protocol.ReplyRead
-				val, _ = store.Get(ci.Entry.Cmd.Key)
-			}
-			c.Replies = append(c.Replies, protocol.ClientReply{
-				Kind: kind, CmdID: ci.Entry.Cmd.ID, Client: ci.Entry.Cmd.Client,
-				Key: ci.Entry.Cmd.Key, Value: val,
-			})
-		}
 	}
-	for _, rep := range out.Replies {
-		if rep.Kind == protocol.ReplyRead && rep.Err == nil && rep.Value == nil {
-			// Engine-level read replies (lease local reads) are served from
-			// the replying node's own applied state, like the live applier.
-			rep.Value, _ = store.Get(rep.Key)
-		}
+	c.appliers[id].Apply(out.Commits, out.Replies, out.ReadStates, func(rep protocol.ClientReply, _ kvstore.Source) {
 		c.Replies = append(c.Replies, rep)
-	}
-	if len(out.ReadStates) > 0 {
-		c.parkedReads[id] = append(c.parkedReads[id], out.ReadStates...)
-	}
-	c.serveReads(id)
+	})
 }
 
 // persist applies an output to the node's store copy as the Output
@@ -157,32 +128,6 @@ func (c *Cluster) persist(id protocol.NodeID, out protocol.Output) {
 	if err != nil && c.contractErr == nil {
 		c.contractErr = fmt.Errorf("node %d broke the output contract: %v", id, err)
 	}
-}
-
-// serveReads answers every parked ReadIndex state whose read index the
-// node's applied watermark has reached, from the node's store.
-func (c *Cluster) serveReads(id protocol.NodeID) {
-	parked := c.parkedReads[id]
-	if len(parked) == 0 {
-		return
-	}
-	store := c.Stores[id]
-	applied := store.AppliedIndex()
-	keep := parked[:0]
-	for _, rs := range parked {
-		if rs.Index > applied {
-			keep = append(keep, rs)
-			continue
-		}
-		for _, cmd := range rs.Cmds {
-			val, _ := store.Get(cmd.Key)
-			c.Replies = append(c.Replies, protocol.ClientReply{
-				Kind: protocol.ReplyRead, CmdID: cmd.ID, Client: cmd.Client,
-				Key: cmd.Key, Value: val,
-			})
-		}
-	}
-	c.parkedReads[id] = keep
 }
 
 // IDs returns the node IDs in ascending order. Everything that drives

@@ -41,9 +41,11 @@ import (
 // (bounded by maxBatchBytes), so a burst of messages costs one encode
 // pass, at most one compression, and one syscall.
 const (
-	// wireVersion 6 added the trailing Accepted on lease.MsgGrant (the
-	// grantor's last accepted index: the lease's activation floor) and
-	// retired tag 24, pql's never-sent copy of the lease read forward;
+	// wireVersion 7 dropped cluster.MsgReply's Redirect field, which no
+	// engine ever set; version 6 added the trailing Accepted on
+	// lease.MsgGrant (the grantor's last accepted index: the lease's
+	// activation floor) and retired tag 24, pql's never-sent copy of the
+	// lease read forward;
 	// version 5 added the trailing Term on MsgReadForward (the
 	// forwarder's term/ballot, which makes it a ReadIndex quorum witness);
 	// version 4 added the fast-path message tags and the trailing
@@ -51,7 +53,7 @@ const (
 	// added the per-record group prefix, version 2 was the group-less
 	// binary record layout, version 1 the gob stream the codec retired.
 	// Mixed-version clusters fail loudly at the handshake.
-	wireVersion    = 6
+	wireVersion    = 7
 	frameHeaderLen = 5
 	flagSnappy     = 0x01
 	// maxFrameBytes bounds what a reader will allocate for one frame

@@ -350,12 +350,12 @@ func TestTCPCompressionDisabled(t *testing.T) {
 }
 
 // wireHandshakeBytes pins the on-wire connection preamble: magic "RPXW"
-// plus wire-format version 6 (version 3's group-prefixed record layout,
+// plus wire-format version 7 (version 3's group-prefixed record layout,
 // version 4's fast-path tags and trailing vote/append fields, version 5's
-// trailing Term on MsgReadForward, plus the trailing Accepted on
-// lease.MsgGrant). A format change must bump the version
-// byte here and in the transport.
-var wireHandshakeBytes = []byte{'R', 'P', 'X', 'W', 0x06}
+// trailing Term on MsgReadForward, version 6's trailing Accepted on
+// lease.MsgGrant, plus cluster.MsgReply without Redirect). A format change
+// must bump the version byte here and in the transport.
+var wireHandshakeBytes = []byte{'R', 'P', 'X', 'W', 0x07}
 
 // TestTCPHandshakeRejectsWrongVersion dials a live listener raw and sends
 // mismatched preambles: a stale version byte and a gob-era stream (no
@@ -384,7 +384,8 @@ func TestTCPHandshakeRejectsWrongVersion(t *testing.T) {
 	badPreambles := [][]byte{
 		{'R', 'P', 'X', 'W', 0x01},     // stale wire version (gob era)
 		{'R', 'P', 'X', 'W', 0x02},     // stale wire version (pre-group records)
-		{'R', 'P', 'X', 'W', 0x05},     // previous wire version (MsgGrant without Accepted)
+		{'R', 'P', 'X', 'W', 0x05},     // stale wire version (MsgGrant without Accepted)
+		{'R', 'P', 'X', 'W', 0x06},     // previous wire version (MsgReply with Redirect)
 		{0x0e, 0xff, 0x81, 0x03, 0x01}, // gob-era stream: no preamble, typeId bytes
 	}
 	for i, pre := range badPreambles {
