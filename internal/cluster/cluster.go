@@ -8,17 +8,14 @@
 // and feeds the engine a whole batch of writes at once — engines whose
 // wire protocols carry multi-entry accepts/appends turn that one
 // Engine.Submit call into one broadcast. Persistence is accept-time and
-// asynchronous: the event loop stages each iteration's persistence work
-// (accepted entries, hard-state save, installed snapshot and the withheld
-// promise-bearing messages) onto an ordered pipeline with a bounded
-// in-flight window and keeps stepping the engine while a dedicated
-// persister goroutine runs the fsync. The persister realizes the
-// protocol.Output durability barrier per staged round, in staging order: a
-// round's entries and hard state are durable before its BarrierMessages
-// release — so every vote grant and append/accept ack, the leader's ack to
-// itself included, refers to state that survives a full-cluster power loss
-// (quorum ack ⇒ durable), while consecutive rounds with no intervening
-// promise share one fsync (group commit across the window). Because no
+// asynchronous (pipeline.go): the event loop stages each iteration's
+// persistence work onto an ordered pipeline with a bounded in-flight
+// window and keeps stepping the engine while a persister goroutine runs
+// the fsync and releases a round's BarrierMessages only once its entries
+// and hard state are durable — so every vote grant and append/accept ack,
+// the leader's ack to itself included, refers to state that survives a
+// full-cluster power loss (quorum ack ⇒ durable), while consecutive
+// rounds with no intervening promise share one fsync. Because no
 // engine counts a copy toward its commit quorum before such an ack proved
 // it durable, a commit needs no barrier of its own: commits, client
 // replies and confirmed reads go from the loop straight to a dedicated
@@ -207,11 +204,6 @@ type Node struct {
 	snapBytesSent  atomic.Int64
 	snapInstalls   atomic.Int64
 
-	// Persistence-path observability: consecutive failed persistence
-	// rounds (each of which withheld its acks) and the lifetime total.
-	persistFailStreak atomic.Int64
-	persistFailTotal  atomic.Int64
-
 	// Read-path observability: readsFast counts reads served without a
 	// log append (ReadIndex states and lease-engine local reads answered
 	// at this node), readsLog reads that replicated through the log as
@@ -219,43 +211,14 @@ type Node struct {
 	readsFast atomic.Int64
 	readsLog  atomic.Int64
 
-	// lastSaved caches the hard-state triple most recently persisted
-	// (valid once hardSaved is set), so the persister skips the
-	// hard-state file rewrite on drains where only the log grew, and
-	// lastCommitSave throttles commit-only rewrites to
-	// commitSaveInterval — one clock read per sync window, none on the
-	// event loop. Only the persister touches these.
-	lastSaved      storage.HardState
-	hardSaved      bool
-	lastCommitSave time.Time
-	// redo carries a failed append batch forward: the engine never
-	// re-emits entries it already holds, but it re-acks them on
-	// retransmissions, so the driver must keep retrying the write (acks
-	// stay withheld meanwhile) rather than let a later ack release over
-	// entries that reached no disk. Persister only.
-	redo []protocol.Entry
-	// walLast is the newest index written to the log store, buffered or
-	// not: what the next successful sync makes durable. A released self-ack
-	// is raised to it (release). Persister only.
-	walLast int64
-	// heldSelf are self-acks whose round failed to persist. Unlike a peer,
-	// the engine asks for its own ack once per index and never again, so
-	// the persister keeps them for the next durable point instead of
-	// dropping them. Persister only.
-	heldSelf []protocol.Envelope
-
-	// The asynchronous persistence pipeline (see pipeline.go). stageCh
-	// carries one persistJob per load-bearing event-loop iteration to the
-	// persister goroutine, in staging order; its capacity is the in-flight
-	// window. stagedSeq numbers the rounds as the loop stages them (loop
-	// only); durableSeq is the newest round whose entries the persister has
-	// made durable, read by the applier, which saves a snapshot only once
-	// the state it captured is durable in its own WAL — a restart must never
-	// anchor the engine below a state machine that is ahead of it.
-	stageCh     chan persistJob
+	// The asynchronous persistence pipeline (see pipeline.go): stageCh
+	// carries jobs in staging order to the persister goroutine, which runs
+	// persist.Round; its capacity is the in-flight window. stagedSeq
+	// numbers the jobs as the loop stages them (loop only).
+	persist     *Persister
+	stageCh     chan Job
 	persistDone chan struct{}
 	stagedSeq   int64
-	durableSeq  atomic.Int64
 	// selfMsgs are self-addressed barrier messages — the engine's own acks
 	// — that the persister released; the loop steps them as if a peer sent
 	// them, woken by selfCh (capacity 1). The hand-back never blocks: the
@@ -264,11 +227,9 @@ type Node struct {
 	selfMsgs []protocol.Message
 	selfCh   chan struct{}
 
-	// Pipeline observability: nanoseconds inside sync/save calls, sync
-	// batches issued, event-loop nanoseconds blocked on a full staging
-	// window, and the high-water mark of staged-but-incomplete rounds.
-	syncNs      atomic.Int64
-	syncBatches atomic.Int64
+	// Pipeline observability: event-loop nanoseconds blocked on a full
+	// staging window, and the high-water mark of staged-but-incomplete
+	// rounds.
 	loopStallNs atomic.Int64
 	inflightCur atomic.Int64
 	inflightMax atomic.Int64
@@ -310,7 +271,7 @@ func New(cfg Config) *Node {
 		submits:     make(chan submitReq, 1024),
 		applyCh:     make(chan applyBatch, 256),
 		truncCh:     make(chan int64, 1),
-		stageCh:     make(chan persistJob, persistWindow),
+		stageCh:     make(chan Job, persistWindow),
 		selfCh:      make(chan struct{}, 1),
 		waiters:     make(map[uint64]chan Response),
 		stop:        make(chan struct{}),
@@ -318,6 +279,7 @@ func New(cfg Config) *Node {
 		applyDone:   make(chan struct{}),
 		persistDone: make(chan struct{}),
 	}
+	n.persist = NewPersister(n.id, cfg.Stable, n.send, time.Now, n.logf)
 	return n
 }
 
@@ -413,19 +375,19 @@ func (n *Node) run() {
 		// refuse to start instead (the node stays up but inert; Stop
 		// works normally). stageCh closes without the shutdown flush so
 		// the unreadable-but-recorded hard state is never overwritten.
-		log.Printf("cluster: %s refusing to start: recorded hard state unreadable: %v", n.name(), err)
+		n.logf("refusing to start: recorded hard state unreadable: %v", err)
 		close(n.stageCh)
 		return
 	}
 	// Shutdown of the pipeline: stage one final forced hard-state save —
-	// commit-only movement is throttled (see processRounds), so without
+	// commit-only movement is throttled (see Persister.Round), so without
 	// it a clean restart would re-commit the last interval — then close
 	// the stage channel; the persister drains every staged round and
 	// exits. Registered after the done defer, so it runs first: Stop's
 	// <-n.done ⇒ the final round is staged and the channel closed.
 	defer func() {
 		if n.cfg.Stable != nil {
-			n.stage(persistJob{hs: n.hardState(), saveHS: true, force: true})
+			n.stage(Job{hs: hardState(n.cfg.Engine), saveHS: true, force: true})
 		}
 		close(n.stageCh)
 	}()
@@ -449,11 +411,11 @@ func (n *Node) run() {
 				continue
 			}
 			out = n.cfg.Engine.Tick()
-			if n.persistFailStreak.Load() > 0 {
+			if streak, _ := n.persist.Failures(); streak > 0 {
 				// Persistence is failing: a leader's held self-ack and the
 				// redo backlog need a round to retry in even when no
 				// traffic stages one.
-				n.stage(persistJob{})
+				n.stage(Job{})
 			}
 		case in := <-n.inbox:
 			out = n.cfg.Engine.Step(in.from, in.msg)
@@ -616,24 +578,10 @@ func (n *Node) drain(out *protocol.Output, writes, reads *[]protocol.Command) {
 	}
 }
 
-// commitSaveInterval throttles hard-state rewrites whose only change is
-// the commit index. Unlike term and vote — fencing state that must be
-// durable before the grant leaves — the persisted commit is a recovery
-// accelerator: entries are already durable at accept time, so a stale
-// watermark merely means a restart re-commits (and idempotently
-// re-applies) the last interval through the normal protocol.
-const commitSaveInterval = 25 * time.Millisecond
-
-// finish realizes one iteration's merged output. Messages that promise
-// nothing about stable storage (proposals, requests, heartbeats, snapshot
-// chunks) leave at once. The round's accepted entries, hard state,
-// installed snapshot and BarrierMessages are staged onto the persistence
-// pipeline, which makes the round durable — coalescing the fsync with
-// neighbouring rounds — and only then releases the barrier messages,
-// strictly in staging order (see protocol.Output). A round with no
-// barrier message carries no sync obligation: the persister buffers its
-// write (storage.DeferredSync) until a later round in the window carries a
-// promise — group commit across the in-flight window. The loop never
+// finish realizes one iteration's merged output. Persister.Split sends
+// what promises nothing about stable storage at once; the rest is staged
+// onto the persistence pipeline, which releases the round's barrier
+// messages once it is durable, strictly in staging order. The loop never
 // blocks on the disk while the window has room.
 //
 // Commits, client replies, confirmed reads and an adopted snapshot go
@@ -642,31 +590,9 @@ const commitSaveInterval = 25 * time.Millisecond
 // self-addressed ack comes back through the pipeline — so a committed
 // entry is durable on a quorum, and its reply is true whether or not this
 // replica's own WAL write has landed, or ever will.
-//
-// On a persistence failure the barrier messages of the failed round and
-// of every round staged after it are withheld: peers retry, and the
-// persister keeps a self-ack for the next durable point (heldSelf).
 func (n *Node) finish(out protocol.Output) {
-	durable := n.cfg.Stable != nil
-	acks := out.Msgs[:0] // filtered in place: out.Msgs is ours
-	for _, env := range out.Msgs {
-		if _, ok := env.Msg.(protocol.BarrierMessage); ok && durable {
-			acks = append(acks, env)
-			continue
-		}
-		n.send(env)
-	}
-	if durable {
-		job := persistJob{entries: out.AppendedEntries, install: out.InstalledSnapshot, msgs: acks}
-		if out.StateChanged || len(out.Commits) > 0 {
-			// Snapshot the hard state on the loop (engines are
-			// single-threaded); the persister only writes it.
-			job.hs = n.hardState()
-			job.saveHS = true
-		}
-		if len(job.entries) > 0 || job.install != nil || job.saveHS || len(job.msgs) > 0 {
-			n.stage(job)
-		} // else nothing to persist: ticks and idle drains stay free
+	if job, ok := n.persist.Split(n.cfg.Engine, out); ok {
+		n.stage(job)
 	}
 	if len(out.Commits) > 0 || len(out.Replies) > 0 || len(out.ReadStates) > 0 || out.InstalledSnapshot != nil {
 		n.handOff(applyBatch{
@@ -706,59 +632,13 @@ func (n *Node) send(env protocol.Envelope) {
 	n.cfg.Transport.Send(env.From, env.To, env.Msg)
 }
 
-// persistable trims an iteration's appended entries to what the log store
-// can hold: entries at or below the store's compaction base were already
-// folded into a durable snapshot (the engine's in-memory base can trail
-// the store's briefly while a truncation round is in flight, and a merged
-// output may restate a suffix from below an install adopted in the same
-// iteration). Emissions are contiguous per step, so the surviving run
-// still lines up with the store's tail.
-func (n *Node) persistable(ents []protocol.Entry) []protocol.Entry {
-	if len(ents) == 0 {
-		return nil
-	}
-	first, err := n.cfg.Stable.FirstIndex()
-	if err != nil || first <= 1 {
-		return ents
-	}
-	kept := ents[:0]
-	for _, ent := range ents {
-		if ent.Index >= first {
-			kept = append(kept, ent)
-		}
-	}
-	return kept
-}
-
-// notePersistFailure records one failed persistence round, logging only
-// the transition into the failed state so a dead disk is observable
-// without flooding.
-func (n *Node) notePersistFailure(err error) {
-	n.persistFailTotal.Add(1)
-	if n.persistFailStreak.Add(1) == 1 {
-		log.Printf("cluster: %s persistence failed (withholding acks until it recovers): %v", n.name(), err)
-	}
-}
-
-// notePersistSuccess closes a failure streak, logging the recovery once.
-func (n *Node) notePersistSuccess() {
-	if streak := n.persistFailStreak.Swap(0); streak > 0 {
-		log.Printf("cluster: %s persistence recovered after %d consecutive failures", n.name(), streak)
-	}
-}
-
 // PersistFailures reports the persistence path's health: the current
 // consecutive-failure streak (0 = healthy) and the lifetime total.
-func (n *Node) PersistFailures() (streak, total int64) {
-	return n.persistFailStreak.Load(), n.persistFailTotal.Load()
-}
+func (n *Node) PersistFailures() (streak, total int64) { return n.persist.Failures() }
 
-// hardState snapshots the engine's durable state. Persisting the real
-// vote and commit index — not just the term — is what keeps a restarted
-// replica from double voting in its recorded term.
-func (n *Node) hardState() storage.HardState {
-	e := n.cfg.Engine
-	return storage.HardState{Term: e.Term(), VotedFor: e.VotedFor(), Commit: e.CommitIndex()}
+// logf logs one line labelled with the node's name.
+func (n *Node) logf(format string, args ...any) {
+	log.Printf("cluster: %s %s", n.name(), fmt.Sprintf(format, args...))
 }
 
 // applier hands each batch to one kvstore.Applier and routes its answers
@@ -790,8 +670,7 @@ func (n *Node) applier() {
 			// primitive (StateMachine.Restore), so install and restart
 			// recover through the same code.
 			if err := n.InstallSnapshot(*b.install); err != nil {
-				log.Printf("cluster: %s failed to restore installed snapshot at %d: %v",
-					n.name(), b.install.Index, err)
+				n.logf("failed to restore installed snapshot at %d: %v", b.install.Index, err)
 			} else {
 				lastApply = protocol.Entry{Index: b.install.Index, Term: b.install.Term}
 				sinceSnap = 0
@@ -818,7 +697,7 @@ func (n *Node) applier() {
 				snapSeq = b.seq
 			}
 		}
-		if snap != nil && snapSeq <= n.durableSeq.Load() {
+		if snap != nil && snapSeq <= n.persist.durableSeq.Load() {
 			n.saveAndCompact(*snap)
 			snap = nil
 		}
@@ -892,14 +771,14 @@ func (n *Node) InstallSnapshot(img protocol.SnapshotImage) error {
 func (n *Node) noteSnapshotFailure(stage string, err error) {
 	n.snapFailTotal.Add(1)
 	if n.snapFailStreak.Add(1) == 1 {
-		log.Printf("cluster: %s snapshot %s failed (retrying every interval): %v", n.name(), stage, err)
+		n.logf("snapshot %s failed (retrying every interval): %v", stage, err)
 	}
 }
 
 // noteSnapshotSuccess closes a failure streak, logging the recovery once.
 func (n *Node) noteSnapshotSuccess() {
 	if streak := n.snapFailStreak.Swap(0); streak > 0 {
-		log.Printf("cluster: %s snapshot path recovered after %d consecutive failures", n.name(), streak)
+		n.logf("snapshot path recovered after %d consecutive failures", streak)
 	}
 }
 

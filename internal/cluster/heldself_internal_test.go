@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"raftpaxos/internal/protocol"
 	"raftpaxos/internal/storage"
@@ -71,7 +72,18 @@ func (s *drainStore) durable() int64 {
 	return s.synced
 }
 
-// TestHeldSelfAckWaitsForItsOwnDurablePoint drives processRounds by hand
+// handBack is a driver's send that keeps what the persister released.
+type handBack struct{ msgs []protocol.Message }
+
+func (h *handBack) send(env protocol.Envelope) { h.msgs = append(h.msgs, env.Msg) }
+
+func (h *handBack) take() []protocol.Message {
+	back := h.msgs
+	h.msgs = nil
+	return back
+}
+
+// TestHeldSelfAckWaitsForItsOwnDurablePoint drives Persister.Round by hand
 // through drains whose later round fails its append. A self-ack held by a
 // failed round must not ride the durable point of the rounds before it —
 // its entry went to the redo batch, not to disk — and is handed back only
@@ -83,25 +95,23 @@ func (s *drainStore) durable() int64 {
 func TestHeldSelfAckWaitsForItsOwnDurablePoint(t *testing.T) {
 	t.Run("deferred", func(t *testing.T) {
 		st := &drainStore{Mem: storage.NewMem()}
-		n := &Node{cfg: Config{Stable: st}, selfCh: make(chan struct{}, 1)}
+		h := &handBack{}
+		p := NewPersister(0, st, h.send, time.Now, nil)
 		var seq int64
-		round := func(index int64) persistJob {
+		round := func(index int64) Job {
 			seq++
-			job := persistJob{seq: seq}
+			job := Job{seq: seq}
 			if index > 0 {
 				job.entries = []protocol.Entry{{Index: index, Term: 1}}
-				job.msgs = []protocol.Envelope{{From: n.id, To: n.id, Msg: &ackMsg{asked: index, covered: index}}}
+				job.msgs = []protocol.Envelope{{From: p.id, To: p.id, Msg: &ackMsg{asked: index, covered: index}}}
 			}
 			return job
 		}
 		var got []int64
-		drain := func(jobs []persistJob, wantBack []int64, wantDurableSeq int64) {
+		drain := func(jobs []Job, wantBack []int64, wantDurableSeq int64) {
 			t.Helper()
-			n.processRounds(jobs)
-			n.selfMu.Lock()
-			back := n.selfMsgs
-			n.selfMsgs = nil
-			n.selfMu.Unlock()
+			p.Round(jobs)
+			back := h.take()
 			var idx []int64
 			for _, m := range back {
 				a := m.(*ackMsg)
@@ -115,21 +125,21 @@ func TestHeldSelfAckWaitsForItsOwnDurablePoint(t *testing.T) {
 				t.Fatalf("handed back self-acks %v, want %v", idx, wantBack)
 			}
 			got = append(got, idx...)
-			if d := n.durableSeq.Load(); d != wantDurableSeq {
+			if d := p.durableSeq.Load(); d != wantDurableSeq {
 				t.Fatalf("durable round %d, want %d", d, wantDurableSeq)
 			}
 		}
 
 		st.setFailAt(2)
-		drain([]persistJob{round(1), round(2)}, []int64{1}, 1)
-		drain([]persistJob{round(0)}, nil, 1) // the redo fails again
+		drain([]Job{round(1), round(2)}, []int64{1}, 1)
+		drain([]Job{round(0)}, nil, 1) // the redo fails again
 		st.setFailAt(4)
-		drain([]persistJob{round(3), round(4)}, []int64{3, 2}, 4)
+		drain([]Job{round(3), round(4)}, []int64{3, 2}, 4)
 		st.setFailAt(0)
-		drain([]persistJob{round(0)}, []int64{4}, 6)
+		drain([]Job{round(0)}, []int64{4}, 6)
 
-		if fmt.Sprint(got) != "[1 3 2 4]" || len(n.heldSelf) != 0 || len(n.redo) != 0 {
-			t.Fatalf("self-acks %v, held %d, redo %d: want every ack once and nothing left", got, len(n.heldSelf), len(n.redo))
+		if fmt.Sprint(got) != "[1 3 2 4]" || len(p.heldSelf) != 0 || len(p.redo) != 0 {
+			t.Fatalf("self-acks %v, held %d, redo %d: want every ack once and nothing left", got, len(p.heldSelf), len(p.redo))
 		}
 	})
 }
@@ -138,14 +148,12 @@ func TestHeldSelfAckWaitsForItsOwnDurablePoint(t *testing.T) {
 // whether the drain's self-ack had already been handed back when it ran.
 type orderStore struct {
 	*storage.Mem
-	n   *Node
+	h   *handBack
 	log []string
 }
 
 func (s *orderStore) released() string {
-	s.n.selfMu.Lock()
-	defer s.n.selfMu.Unlock()
-	if len(s.n.selfMsgs) > 0 {
+	if len(s.h.msgs) > 0 {
 		return "after release"
 	}
 	return "before release"
@@ -182,14 +190,13 @@ func TestCommitOnlyHardStateSaveFollowsRelease(t *testing.T) {
 		{"vote", storage.HardState{Term: 2, VotedFor: 1, Commit: 2}, "[sync+save before release]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := &orderStore{Mem: storage.NewMem()}
-			n := &Node{cfg: Config{Stable: st}, selfCh: make(chan struct{}, 1)}
-			st.n = n
-			n.lastSaved, n.hardSaved = saved, true
-			n.processRounds([]persistJob{{
+			st := &orderStore{Mem: storage.NewMem(), h: &handBack{}}
+			p := NewPersister(0, st, st.h.send, time.Now, nil)
+			p.lastSaved, p.hardSaved = saved, true
+			p.Round([]Job{{
 				seq:     1,
 				entries: []protocol.Entry{{Index: 1, Term: 1}},
-				msgs:    []protocol.Envelope{{From: n.id, To: n.id, Msg: &ackMsg{asked: 1, covered: 1}}},
+				msgs:    []protocol.Envelope{{From: p.id, To: p.id, Msg: &ackMsg{asked: 1, covered: 1}}},
 				hs:      tc.hs,
 				saveHS:  true,
 			}})

@@ -96,3 +96,45 @@ func TestFastRecoveryRestatesOwnTail(t *testing.T) {
 		}
 	})
 }
+
+// TestAppendOverSpeculativePrevVouchesForNothing: a follower led at term 1
+// holds entries 2..3 that the term-2 leader never wrote, then speculates a
+// client command at slot 4 in term 2 — the command the leader also placed
+// at slot 4. Speculative entries are not unique per (index, term), so an
+// append whose PrevIndex is that slot proves nothing about the log below
+// it: the follower must answer it as a mismatch hinting the slot before its
+// speculative tail, not accept it and commit its stale entries 2..3.
+func TestAppendOverSpeculativePrevVouchesForNothing(t *testing.T) {
+	peers := []protocol.NodeID{0, 1, 2}
+	eachVariant(t, func(t *testing.T, v variant) {
+		cfg := config(1, peers, 1, false)
+		cfg.FastPath = true
+		f := v.new(cfg)
+		s := &storeCopy{t: t, r: f, log: storage.NewMem()}
+		s.take("term-1 append", f.Step(0, v.req(raftstar.MsgAppendReq{Term: 1, Commit: 1, Entries: []protocol.Entry{
+			{Index: 1, Term: 1, Cmd: cmd(1)}, {Index: 2, Term: 1, Cmd: cmd(2)}, {Index: 3, Term: 1, Cmd: cmd(3)},
+		}})))
+		s.take("term-2 heartbeat", f.Step(2, v.req(raftstar.MsgAppendReq{Term: 2, PrevIndex: 1, PrevTerm: 1, PrevID: 1, Commit: 1})))
+		s.take("fast accept 4", f.Step(2, &protocol.MsgFastAccept{Cmds: []protocol.Command{cmd(40)}}))
+		if f.LastIndex() != 4 {
+			t.Fatalf("replica holds the log through %d, want the speculative slot 4", f.LastIndex())
+		}
+		out := f.Step(2, v.req(raftstar.MsgAppendReq{
+			Term: 2, PrevIndex: 4, PrevTerm: 2, PrevID: 40, Commit: 5,
+			Entries: []protocol.Entry{{Index: 5, Term: 2, Cmd: cmd(50)}},
+		}))
+		s.take("append over slot 4", out)
+		if c := f.CommitIndex(); c != 1 {
+			t.Fatalf("commit index %d after an append that verified nothing above 1", c)
+		}
+		for _, env := range out.Msgs {
+			if r, ok := v.asResp(env.Msg); ok {
+				if r.Ok || r.LastIndex != 3 {
+					t.Fatalf("answered ok=%v hint %d, want a mismatch hinting 3", r.Ok, r.LastIndex)
+				}
+				return
+			}
+		}
+		t.Fatal("the append got no answer")
+	})
+}

@@ -757,6 +757,11 @@ func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *proto
 		// below our compaction base cannot conflict — everything at or
 		// below the base is committed, hence identical on any leader.
 		resp.LastIndex = m.PrevIndex - 1
+	case e.speculative(m.PrevIndex):
+		// Speculative entries are not unique per (index, term): a match on
+		// one vouches for nothing below it, where a deposed leader's tail
+		// may still sit. Back up to the verified prefix.
+		resp.LastIndex = e.specFrom - 1
 	case e.fast != nil && e.specConflict(m.PrevIndex, m.PrevID):
 		// Our entry at PrevIndex names a different command than the
 		// leader's: a fast accept collided with it at the same (index,
@@ -1044,17 +1049,16 @@ func (e *Engine) repair(p protocol.NodeID, slot int64, out *protocol.Output) {
 }
 
 // specConflict reports whether our entry at idx names a command other
-// than id, the leader's copy. Speculative entries make this check
-// essential — they are not unique per (index, term), so the PrevTerm
-// check alone cannot see the divergence — but it guards classic entries
-// too: a mismatch there means our line diverged from the leader's and
-// backing up to overwrite is always the safe answer. id 0 is the leader
-// saying nothing (it no longer holds the entry) or naming a no-op; a
-// classic entry passes on the PrevTerm check then, but a speculative one —
-// always a client command — cannot be told from the leader's and conflicts.
+// than id, the leader's copy. stepAppendReq asks only about a classic
+// entry — a speculative PrevIndex is answered as a mismatch before — but a
+// fast accept may once have collided there at the same (index, term),
+// which the PrevTerm check alone cannot see: a mismatch means our line
+// diverged from the leader's, and backing up to overwrite is the safe
+// answer. id 0 is the leader saying nothing (it no longer holds the entry)
+// or naming a no-op, and the PrevTerm check decides.
 func (e *Engine) specConflict(idx int64, id uint64) bool {
 	ent, ok := e.log.At(idx)
-	if !ok || (id == 0 && !e.speculative(idx)) {
+	if !ok || id == 0 {
 		return false
 	}
 	return ent.Cmd.ID != id

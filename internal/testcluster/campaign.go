@@ -6,21 +6,25 @@
 // through the Wing-Gong linearizability checker. Every run is fully
 // determined by (engine, seed, ops): a failing seed replays exactly.
 //
-// The harness engines are pure state machines, so the durability contract
-// a live cluster.Node provides (persist-before-ack, restart from hard
-// state + log tail) is modeled here with a per-node crash disk: appended
-// entries and hard state land on the disk as rounds complete, a failed
-// append is retried ahead of every later one and releases no barrier
-// message until it lands, a process kill keeps everything written, and a
-// torn restart falls back to the last synced watermark — forcing the
-// restarted engine to recover through RestoreHardState/RestoreLog exactly
-// like the live runtime.
+// The harness engines are pure state machines. Each node's durability —
+// persist-before-ack, and restart from hard state + log tail — is the one
+// a live cluster.Node has: the node's output goes through a
+// cluster.Persister, the rule cluster.Node runs, over a per-node crash
+// store. A buffered append survives a process kill and is lost on a torn
+// (power-loss) restart, which falls back to the last synced watermark; a
+// saved hard state survives both; a failed write is redone ahead of every
+// later one and releases no barrier message until it lands. A restarted
+// engine recovers through RestoreHardState/RestoreLog from what the store
+// holds, exactly like the live runtime.
 package testcluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"time"
 
+	"raftpaxos/internal/cluster"
 	"raftpaxos/internal/engines"
 	"raftpaxos/internal/kvstore"
 	"raftpaxos/internal/protocol"
@@ -75,68 +79,69 @@ type CampaignResult struct {
 	Violation string `json:"violation,omitempty"`
 }
 
-// campaignHS is the hard state the crash disk persists, mirroring
-// storage.HardState.
-type campaignHS struct {
-	term     uint64
-	votedFor protocol.NodeID
-	commit   int64
+// crashStore is one node's store under the campaign's fault model: a
+// storage.Mem plus a synced watermark and a fault flag. A buffered append
+// survives a process kill; a torn restart (tear) keeps the log only
+// through the watermark, which SyncBatch moves to the log's end. An
+// overwrite that shortens the log pulls the watermark down with it. The
+// hard state is durable once saved, as storage.File's fsync + rename makes
+// it. While faulty, every write fails.
+type crashStore struct {
+	*storage.Mem
+	synced int64
+	faulty bool
 }
 
-// crashDisk models one node's persistent store at round granularity: the
-// written log and hard state survive a process kill; only the synced
-// prefix survives a torn (power-loss) restart. A round that releases a
-// barrier message forces a sync first, which is exactly the live
-// pipeline's rule ("quorum ack ⇒ durable"); every other round — appends,
-// commits, replies — may stay in the page cache, so a torn restart can
-// drop a leader's committed tail, which its followers' durable copies
-// carry.
-type crashDisk struct {
-	log       []protocol.Entry // contiguous from index 1 (campaigns never compact)
-	hs        campaignHS
-	syncedLen int
-	syncedHS  campaignHS
-	// redo is a failed append batch, carried forward as the live
-	// persister's is: the engine never re-emits entries it holds, so the
-	// batch is retried ahead of every later one, and every ack waits until
-	// it lands. A kill loses it with the process.
-	redo   []protocol.Entry
-	faulty bool // disk-fault injection: every write fails while set
+var errDiskFault = errors.New("testcluster: injected disk fault")
+
+// AppendBuffered implements storage.DeferredSync.
+func (s *crashStore) AppendBuffered(ents []protocol.Entry) error {
+	if s.faulty {
+		return errDiskFault
+	}
+	err := s.Mem.AppendBuffered(ents) // a refused batch leaves the log as it was
+	last, _ := s.LastIndex()
+	s.synced = min(s.synced, last)
+	return err
 }
 
-// append writes the redo batch and then ents, honouring the storage.Store
-// overwrite contract (an entry at an existing index truncates everything
-// after it). It reports whether nothing is left to redo.
-func (d *crashDisk) append(ents []protocol.Entry) bool {
-	batch := append(d.redo, ents...)
-	ok, last := !d.faulty || len(batch) == 0, int64(len(d.log))
-	for _, e := range batch {
-		ok, last = ok && e.Index <= last+1, e.Index
+// Sync implements storage.DeferredSync.
+func (s *crashStore) Sync() error { return s.SyncBatch(storage.HardState{}, false) }
+
+// SyncBatch implements storage.GroupSync.
+func (s *crashStore) SyncBatch(hs storage.HardState, save bool) error {
+	if s.faulty {
+		return errDiskFault
 	}
-	if !ok {
-		d.redo = append([]protocol.Entry(nil), batch...)
-		return false
-	}
-	for _, e := range batch {
-		d.log = append(d.log[:e.Index-1], e)
-	}
-	d.syncedLen, d.redo = min(d.syncedLen, len(d.log)), nil
-	return true
+	s.synced, _ = s.LastIndex()
+	return s.Mem.SyncBatch(hs, save)
 }
 
-// engineHS snapshots the hard state a live driver would save for this
-// engine.
-func engineHS(e protocol.Engine) campaignHS {
-	return campaignHS{term: e.Term(), votedFor: e.VotedFor(), commit: e.CommitIndex()}
+// SaveHardState implements storage.Store.
+func (s *crashStore) SaveHardState(hs storage.HardState) error {
+	if s.faulty {
+		return errDiskFault
+	}
+	return s.Mem.SaveHardState(hs)
 }
 
-func anyBarrier(msgs []protocol.Envelope) bool {
-	for _, env := range msgs {
-		if _, ok := env.Msg.(protocol.BarrierMessage); ok {
-			return true
-		}
+// tear is a power loss: everything above the synced watermark is gone.
+func (s *crashStore) tear() { _ = s.Truncate(s.synced) }
+
+// restore primes a fresh engine from the store, exactly like
+// cluster.Node's restoreHardState path: hard state first, then the log
+// with the commit anchored at min(saved commit, last index). It returns
+// the log it restored.
+func (s *crashStore) restore(e protocol.Engine) []protocol.Entry {
+	hs, _ := s.HardState()
+	e.RestoreHardState(hs.Term, hs.VotedFor)
+	last, _ := s.LastIndex()
+	if last == 0 {
+		return nil
 	}
-	return false
+	ents, _ := s.Entries(1, last) // contiguous from index 1: campaigns never compact
+	e.RestoreLog(ents, min(hs.Commit, last))
+	return ents
 }
 
 // campaignClient is one closed-loop client: sequential ops with a
@@ -166,12 +171,14 @@ type campaign struct {
 	// spec builds the engine; each incarnation sets its own Seed.
 	spec engines.Spec
 
-	disks map[protocol.NodeID]*crashDisk
-	// held are self-acks withheld by a failed round, released with the
-	// node's next round that syncs.
-	held  map[protocol.NodeID][]protocol.Envelope
+	stores map[protocol.NodeID]*crashStore
+	// persisters run each live node's persist-before-ack rule over its
+	// store. A kill drops the node's, with its redo and held self-acks.
+	persisters map[protocol.NodeID]*cluster.Persister
+	// clock counts tickClocks calls: the persisters' virtual clock, one
+	// nominal tick per step, so the commit-save throttle replays.
+	clock int64
 	dead  map[protocol.NodeID]bool // killed, awaiting restart
-	tornP map[protocol.NodeID]bool // pending restart is a torn one
 	// Clock rates in half-ticks per step: 2 = nominal, 4 = 2× fast,
 	// 1 = 2× slow, 0 = frozen.
 	rate map[protocol.NodeID]int
@@ -210,80 +217,56 @@ func RunCampaign(cfg CampaignConfig) CampaignResult {
 		replicas[i] = engines.New(spec, id, peers)
 	}
 	cp := &campaign{
-		cfg:    cfg,
-		c:      New(cfg.Seed, replicas...),
-		spec:   spec,
-		h:      NewHistory(),
-		rng:    rand.New(rand.NewSource(cfg.Seed*31 + 7)),
-		peers:  peers,
-		disks:  make(map[protocol.NodeID]*crashDisk),
-		held:   make(map[protocol.NodeID][]protocol.Envelope),
-		dead:   make(map[protocol.NodeID]bool),
-		tornP:  make(map[protocol.NodeID]bool),
-		rate:   make(map[protocol.NodeID]int),
-		acc:    make(map[protocol.NodeID]int),
-		faults: make(map[string]int),
+		cfg:        cfg,
+		c:          New(cfg.Seed, replicas...),
+		spec:       spec,
+		h:          NewHistory(),
+		rng:        rand.New(rand.NewSource(cfg.Seed*31 + 7)),
+		peers:      peers,
+		stores:     make(map[protocol.NodeID]*crashStore),
+		persisters: make(map[protocol.NodeID]*cluster.Persister),
+		dead:       make(map[protocol.NodeID]bool),
+		rate:       make(map[protocol.NodeID]int),
+		acc:        make(map[protocol.NodeID]int),
+		faults:     make(map[string]int),
 		// Cycling keys round-robin bounds every key's sub-history well
 		// under the checker's 64-op cap with no tail risk.
 		keys:        cfg.Ops/32 + 8,
 		incarnation: 1,
 	}
 	for _, id := range peers {
-		cp.disks[id] = &crashDisk{}
+		cp.stores[id] = &crashStore{Mem: storage.NewMem()}
+		cp.persisters[id] = cp.newPersister(id)
 		cp.rate[id] = 2
 	}
 	cp.c.observe = cp.observe
 	return cp.run()
 }
 
+// campaignTick is the virtual time one scheduler step stands for: one
+// nominal tick at cluster.Config's default TickInterval.
+const campaignTick = 10 * time.Millisecond
+
+// newPersister gives node id the live runtime's persist-before-ack rule
+// over its crash store, on the campaign's virtual clock.
+func (cp *campaign) newPersister(id protocol.NodeID) *cluster.Persister {
+	send := func(env protocol.Envelope) { cp.c.Queue = append(cp.c.Queue, env) }
+	now := func() time.Time { return time.Unix(0, 0).Add(time.Duration(cp.clock) * campaignTick) }
+	return cluster.NewPersister(id, cp.stores[id], send, now, nil)
+}
+
 // observe is the durability model, invoked on every engine output before
-// the harness absorbs it.
+// the harness absorbs it: the node's persister splits the output and runs
+// one round synchronously — also with nothing staged while a failure
+// streak is open, as a live node's tick does — and queues what it hands
+// on in the output's place.
 func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
-	d := cp.disks[id]
-	if d == nil {
-		return
+	p := cp.persisters[id]
+	job, ok := p.Split(cp.c.Engines[id], *out)
+	if streak, _ := p.Failures(); ok || streak > 0 {
+		p.Round([]cluster.Job{job})
 	}
-	// Sync decision BEFORE any mutation: does this round release a
-	// promise? Commits and replies do not force a sync: every engine counts
-	// a copy toward its commit quorum only once an ack, its own included,
-	// proved it durable.
-	released := anyBarrier(out.Msgs) || len(cp.held[id]) > 0
-	wrote := len(d.redo) > 0 || len(out.AppendedEntries) > 0
-	durable := d.append(out.AppendedEntries) && !d.faulty
-	if wrote && !durable {
-		cp.faults["disk-write-failed"]++
-	}
-	if durable {
-		if wrote || out.StateChanged {
-			d.hs = engineHS(cp.c.Engines[id])
-		}
-		if released {
-			d.syncedLen = len(d.log)
-			d.syncedHS = d.hs
-		}
-	}
-	// Persist-before-ack, as the live persister does it: while a write
-	// fails or a batch waits to be redone, barrier messages are withheld —
-	// a peer's dropped (the engine re-acks on retransmission), a self-ack
-	// held for the next durable round (it is asked for once per index).
-	// Everything else leaves: a commit's reply is true once a quorum holds
-	// the entry durably.
-	if durable {
-		out.Msgs = append(out.Msgs, cp.held[id]...)
-		cp.held[id] = nil
-	} else {
-		kept := out.Msgs[:0]
-		for _, env := range out.Msgs {
-			_, barrier := env.Msg.(protocol.BarrierMessage)
-			switch {
-			case !barrier:
-				kept = append(kept, env)
-			case env.To == id:
-				cp.held[id] = append(cp.held[id], env)
-			}
-		}
-		out.Msgs = kept
-	}
+	out.Msgs = nil
 	// A restarted node re-commits from its restored commit anchor; drop
 	// everything its previous incarnation already applied so the mirror
 	// is not double-applied and the agreement check sees one contiguous
@@ -302,6 +285,7 @@ func (cp *campaign) observe(id protocol.NodeID, out *protocol.Output) {
 // tickClocks advances each live node's logical clock at its current rate.
 // Ticking in peer order (not map order) keeps runs seed-deterministic.
 func (cp *campaign) tickClocks() {
+	cp.clock++
 	for _, id := range cp.peers {
 		if cp.dead[id] {
 			continue
@@ -314,46 +298,34 @@ func (cp *campaign) tickClocks() {
 	}
 }
 
-// kill removes the node's engine; its written disk state survives.
+// kill removes the node's engine and persister; what its store holds
+// survives, or only its synced part when the kill is a power loss (torn).
 func (cp *campaign) kill(id protocol.NodeID, torn bool) {
 	delete(cp.c.Engines, id)
+	delete(cp.persisters, id)
 	cp.c.appliers[id] = kvstore.NewApplier(cp.c.Stores[id]) // parked reads die with the node
-	cp.held[id] = nil
-	cp.disks[id].redo = nil
+	if torn {
+		cp.stores[id].tear()
+	}
 	cp.dead[id] = true
-	cp.tornP[id] = torn
 	cp.rate[id] = 2
 	cp.acc[id] = 0
 }
 
-// restart rebuilds the node's engine from its crash disk, exactly like
-// cluster.Node's restoreHardState path: hard state first, then the log
-// tail with the commit anchored at min(saved commit, last index). A torn
-// restart first drops everything above the synced watermark.
+// restart rebuilds the node's engine from its crash store (restore).
 func (cp *campaign) restart(id protocol.NodeID) {
-	d := cp.disks[id]
-	if cp.tornP[id] {
-		if len(d.log) > d.syncedLen {
-			d.log = d.log[:d.syncedLen]
-		}
-		d.hs = d.syncedHS
-	}
-	d.faulty = false
+	cp.stores[id].faulty = false
 	cp.incarnation++
 	// Each incarnation gets its own seed, so a restarted replica
 	// re-randomizes its election jitter.
 	spec := cp.spec
 	spec.Seed = cp.cfg.Seed + int64(cp.incarnation)*1009
 	e := engines.New(spec, id, cp.peers)
-	e.RestoreHardState(d.hs.term, d.hs.votedFor)
-	if len(d.log) > 0 {
-		e.RestoreLog(append([]protocol.Entry(nil), d.log...), min(d.hs.commit, int64(len(d.log))))
-	}
-	cp.c.Engines[id] = e
 	cp.c.logs[id] = storage.NewMem()
-	_ = cp.c.logs[id].Append(d.log) // contiguous from index 1: nothing to refuse
+	_ = cp.c.logs[id].Append(cp.stores[id].restore(e))
+	cp.c.Engines[id] = e
+	cp.persisters[id] = cp.newPersister(id)
 	cp.dead[id] = false
-	cp.tornP[id] = false
 }
 
 // pickVictim returns a random live node, preferring non-leaders when
@@ -419,7 +391,7 @@ func (cp *campaign) startFault(step int) {
 	case "kill", "torn":
 		cp.kill(victim, kind == "torn")
 	case "disk":
-		cp.disks[victim].faulty = true
+		cp.stores[victim].faulty = true
 	case "skew-fast":
 		cp.rate[victim] = 4
 	case "skew-slow":
@@ -450,7 +422,7 @@ func (cp *campaign) endFault() {
 		cp.restart(id)
 		cp.faults["restart"]++
 	case "disk":
-		cp.disks[id].faulty = false
+		cp.stores[id].faulty = false
 	case "skew-fast", "skew-slow":
 		cp.rate[id] = 2
 		cp.acc[id] = 0
@@ -632,7 +604,7 @@ func (cp *campaign) run() CampaignResult {
 			cp.faults["restart"]++
 		}
 		cp.c.Isolate(id, false)
-		cp.disks[id].faulty = false
+		cp.stores[id].faulty = false
 		cp.rate[id] = 2
 	}
 	cp.c.DropRate = 0

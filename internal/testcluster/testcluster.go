@@ -40,10 +40,11 @@ type Cluster struct {
 
 	// observe, when set, intercepts every engine output before Collect
 	// absorbs it, and may mutate it in place. The campaign harness
-	// implements its durability model there: recording appended entries
-	// on a per-node crash disk, withholding the barrier messages of rounds
-	// whose persist failed, and dropping re-commits a restarted
-	// node already applied in a previous incarnation.
+	// implements its durability model there: the node's cluster.Persister
+	// writes the output to a per-node crash store and hands on its
+	// messages once the round is durable (withholding the barrier messages
+	// of rounds whose persist failed), and re-commits a restarted node
+	// already applied in a previous incarnation are dropped.
 	observe func(id protocol.NodeID, out *protocol.Output)
 
 	// Stores holds each node's state machine, the one that ships. Each
